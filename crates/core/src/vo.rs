@@ -72,8 +72,9 @@ pub struct IterationRecord {
     pub nodes: u64,
     /// Where the solver's final incumbent came from: `"heuristic"`,
     /// `"warm"` (the repaired previous-round optimum survived the
-    /// search) or `"search"`. `None` when the round was infeasible or
-    /// solved by a heuristic-only solver.
+    /// search, or met the root lower bound and was certified optimal
+    /// without one) or `"search"`. `None` when the round was infeasible
+    /// or solved by a heuristic-only solver.
     pub incumbent_source: Option<String>,
     /// Relative optimality gap of this round's solve (see
     /// [`VoRecord::gap`]); `None` when infeasible, heuristic-solved,

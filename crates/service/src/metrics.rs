@@ -17,7 +17,8 @@ use crate::cache::CacheStats;
 /// last bound land in the snapshot's `overflow` counter (JSON has no
 /// `inf`, and the vendored serializer prints non-finite floats as
 /// `null`).
-const BUCKET_BOUNDS_MS: [f64; 10] = [0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
+const BUCKET_BOUNDS_MS: [f64; 14] =
+    [0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0];
 
 /// A cumulative-style latency histogram (non-cumulative counts per
 /// bucket, fixed bounds).
@@ -354,14 +355,17 @@ mod tests {
         let mut h = Histogram::default();
         h.record_ms(0.1);
         h.record_ms(3.0);
-        h.record_ms(1000.0);
+        h.record_ms(532.0);
+        h.record_ms(10_000.0);
         let s = h.snapshot();
-        assert_eq!(s.count, 3);
-        assert!((s.mean_ms() - 1003.1 / 3.0).abs() < 1e-9);
-        assert_eq!(s.max_ms, 1000.0);
+        assert_eq!(s.count, 4);
+        assert!((s.mean_ms() - 10_535.1 / 4.0).abs() < 1e-9);
+        assert_eq!(s.max_ms, 10_000.0);
         assert_eq!(s.buckets.first().unwrap().count, 1);
-        assert_eq!(s.overflow, 1, "overflow counter catches 1000 ms");
-        assert_eq!(s.buckets.iter().map(|b| b.count).sum::<u64>() + s.overflow, 3);
+        let bucket = |le: f64| s.buckets.iter().find(|b| b.le_ms == le).unwrap().count;
+        assert_eq!(bucket(1000.0), 1, "a deadline-phase p99 of 532 ms lands in the 1 s bucket");
+        assert_eq!(s.overflow, 1, "overflow counter catches 10 s");
+        assert_eq!(s.buckets.iter().map(|b| b.count).sum::<u64>() + s.overflow, 4);
     }
 
     #[test]

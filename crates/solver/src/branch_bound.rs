@@ -16,6 +16,11 @@
 //! `break` (all later children are costlier), which is what makes the
 //! search close instantly on instances where constraints do not bind.
 //!
+//! Before any search, a seed whose cost meets the Hungarian root bound
+//! is returned as optimal with zero nodes. A caller's warm incumbent is
+//! checked first, so a certified warm start skips the heuristic
+//! portfolio and the bound tables altogether.
+//!
 //! The search is exact; a configurable node budget and an optional
 //! wall-clock deadline (see [`Budget`]) turn it into an anytime
 //! algorithm, with [`SolveOutcome::optimal`] reporting whether the
@@ -113,7 +118,8 @@ pub enum IncumbentSource {
     /// The heuristic-portfolio seed survived the whole search.
     Heuristic,
     /// A warm-start incumbent (e.g. the previous eviction round's
-    /// repaired optimum) survived the whole search.
+    /// repaired optimum) survived the whole search, or met the root
+    /// lower bound and was returned as optimal without any search.
     Warm,
     /// The tree search found a strictly better solution than any seed.
     Search,
@@ -252,14 +258,23 @@ impl BranchBound {
         if root_bound > inst.payment() + COST_EPS {
             return SolveStatus::Infeasible { nodes: 0 };
         }
-        // Candidate incumbents: the warm start (validated against the
-        // full constraint set) and the heuristic portfolio. Install the
-        // cheaper of the two; the warm one wins only when strictly
-        // better, so a tie keeps the cold-run labeling.
+        // The warm start, validated against the full constraint set.
+        // When it already meets the root bound it is optimal, so it is
+        // returned before paying for the heuristic portfolio or the
+        // bound tables.
         let warm_seed =
-            warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst)));
+            match warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst))) {
+                Some((assignment, cost)) if cost <= root_bound + COST_EPS => {
+                    return certified(assignment, cost, IncumbentSource::Warm);
+                }
+                other => other,
+            };
+        // Otherwise install the cheaper of the warm start and the
+        // heuristic portfolio; the warm one wins only when strictly
+        // better, so a tie keeps the cold-run labeling.
+        let tables = BoundTables::new(inst);
         let heur_seed = if self.seed_incumbent {
-            heuristics::seed_incumbent(inst).map(|a| {
+            heuristics::seed_incumbent_with(inst, &tables).map(|a| {
                 let cost = a.total_cost(inst);
                 (a, cost)
             })
@@ -273,22 +288,11 @@ impl BranchBound {
             (None, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
             (None, None) => None,
         };
-        let tables = BoundTables::new(inst);
         let mut search = Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), None);
         search.set_deadline(budget.deadline);
         if let Some((assignment, cost, source)) = seed {
             if cost <= root_bound + COST_EPS {
-                // the seed met the lower bound: proven optimal
-                return SolveStatus::Optimal(SolveOutcome {
-                    assignment,
-                    cost,
-                    optimal: true,
-                    nodes: 0,
-                    incumbent_source: source,
-                    lower_bound: Some(cost),
-                    gap: Some(0.0),
-                    deadline_hit: false,
-                });
+                return certified(assignment, cost, source);
             }
             search.install_incumbent_from(assignment.as_slice().to_vec(), cost, source);
         }
@@ -301,6 +305,20 @@ impl BranchBound {
         }
         search.into_status()
     }
+}
+
+/// A seed that met the root lower bound: proven optimal with no search.
+fn certified(assignment: Assignment, cost: f64, source: IncumbentSource) -> SolveStatus {
+    SolveStatus::Optimal(SolveOutcome {
+        assignment,
+        cost,
+        optimal: true,
+        nodes: 0,
+        incumbent_source: source,
+        lower_bound: Some(cost),
+        gap: Some(0.0),
+        deadline_hit: false,
+    })
 }
 
 /// Best proven root lower bound for `inst`: the max of the Hungarian
@@ -707,6 +725,22 @@ mod tests {
         let i = inst(2, 2, vec![3.0, 3.0, 3.0, 3.0], vec![1.0; 4], 10.0, 6.0);
         let o = BranchBound::default().solve(&i).expect("cost 6 == payment 6 is feasible");
         assert_eq!(o.cost, 6.0);
+    }
+
+    #[test]
+    fn warm_seed_meeting_the_root_bound_is_certified_without_search() {
+        // Loose constraints: the optimum meets the Hungarian root bound.
+        let i = inst(3, 2, vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0], vec![1.0; 6], 100.0, 100.0);
+        let cold = BranchBound::default().solve(&i).unwrap();
+        let warm = BranchBound::default().solve_with_incumbent(&i, Some(&cold.assignment)).unwrap();
+        assert_eq!(warm.nodes, 0);
+        assert_eq!(warm.incumbent_source, IncumbentSource::Warm);
+        assert_eq!((warm.assignment, warm.cost), (cold.assignment, cold.cost));
+        // A feasible but costlier warm seed is no certificate.
+        let worse = Assignment::new(vec![1, 0, 0]);
+        let o = BranchBound::default().solve_with_incumbent(&i, Some(&worse)).unwrap();
+        assert_ne!(o.incumbent_source, IncumbentSource::Warm);
+        assert_eq!(o.cost, cold.cost);
     }
 
     #[test]

@@ -50,10 +50,18 @@ pub fn run(kind: Heuristic, inst: &AssignmentInstance) -> Option<Assignment> {
 /// tasks in branch order (largest first) onto the cheapest GSP whose
 /// deadline slack accepts them.
 pub fn greedy_cost(inst: &AssignmentInstance) -> Option<Assignment> {
+    greedy_cost_with(inst, &BoundTables::new(inst))
+}
+
+/// [`greedy_cost`] over bound tables the caller already built for
+/// `inst` (its branch order and cost-sorted children).
+pub(crate) fn greedy_cost_with(
+    inst: &AssignmentInstance,
+    tables: &BoundTables,
+) -> Option<Assignment> {
     let n = inst.tasks();
     let k = inst.gsps();
     let d = inst.deadline();
-    let tables = BoundTables::new(inst);
 
     let mut gsp_of = vec![usize::MAX; n];
     let mut loads = vec![0.0f64; k];
@@ -227,6 +235,15 @@ fn finish(inst: &AssignmentInstance, mut gsp_of: Vec<usize>) -> Option<Assignmen
 /// feasible result among the fast heuristics (greedy always; the
 /// `O(n²k)` sweeps only on small instances where they are affordable).
 pub fn seed_incumbent(inst: &AssignmentInstance) -> Option<Assignment> {
+    seed_incumbent_with(inst, &BoundTables::new(inst))
+}
+
+/// [`seed_incumbent`] over bound tables the caller already built for
+/// `inst`, so a solver that searches with them builds them only once.
+pub(crate) fn seed_incumbent_with(
+    inst: &AssignmentInstance,
+    tables: &BoundTables,
+) -> Option<Assignment> {
     let mut best: Option<(Assignment, f64)> = None;
     let mut consider = |a: Option<Assignment>| {
         if let Some(a) = a {
@@ -236,7 +253,7 @@ pub fn seed_incumbent(inst: &AssignmentInstance) -> Option<Assignment> {
             }
         }
     };
-    consider(greedy_cost(inst));
+    consider(greedy_cost_with(inst, tables));
     if inst.tasks() <= 512 {
         consider(min_min(inst));
         consider(sufferage(inst));

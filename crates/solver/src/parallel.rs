@@ -152,7 +152,7 @@ impl ParallelBranchBound {
         let shared = SharedIncumbent::new();
         let mut seed_source = IncumbentSource::None;
         if self.seed_incumbent {
-            if let Some(seed) = heuristics::seed_incumbent(inst) {
+            if let Some(seed) = heuristics::seed_incumbent_with(inst, &tables) {
                 let cost = seed.total_cost(inst);
                 if shared.offer(cost, seed.as_slice()) {
                     seed_source = IncumbentSource::Heuristic;

@@ -66,8 +66,9 @@ impl Portfolio {
         }
         // Finite budget: widen the heuristic leg of the race to sizes
         // the exact seeder skips, and hand the winner in as the warm
-        // incumbent (the exact path keeps whichever of warm/heuristic
-        // is strictly cheaper).
+        // incumbent (the exact path returns it at once when it meets
+        // the root bound, else keeps whichever of warm/heuristic is
+        // strictly cheaper).
         let wide = if inst.tasks() > SEED_SWEEP_CAP {
             let mut best: Option<(Assignment, f64)> = None;
             for cand in [heuristics::min_min(inst), heuristics::sufferage(inst)] {

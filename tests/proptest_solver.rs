@@ -6,11 +6,11 @@
 //! verdict, same optimal cost. Heuristics must be sound (feasible or
 //! `None`) and never beat the optimum.
 
-use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
+use gridvo_solver::branch_bound::{BranchBound, Budget, IncumbentSource, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::portfolio::Portfolio;
-use gridvo_solver::{brute, repair, AssignmentInstance};
+use gridvo_solver::{brute, hungarian, repair, AssignmentInstance};
 use proptest::prelude::*;
 
 /// Random small instance: 1–4 GSPs (≤ gsps ≤ tasks), 2–9 tasks, costs
@@ -49,6 +49,36 @@ proptest! {
             }
             (a, b) => prop_assert!(false, "feasibility disagrees: oracle {:?} vs bb {:?}",
                 a.map(|x| x.1), b.map(|x| x.cost)),
+        }
+    }
+
+    /// Warm-seeded exact solves, seeded with the oracle optimum and
+    /// with greedy's assignment: the cost is the oracle's; a 0-node
+    /// `Warm` answer (the root certificate) is the warm assignment
+    /// itself and meets the Hungarian root bound; and a warm seed worse
+    /// than the optimum never comes back as such a certificate.
+    #[test]
+    fn warm_seeded_solves_match_brute_force(inst in small_instance()) {
+        let Some((optimum, opt)) = brute::solve(&inst).expect("small instances enumerate")
+        else {
+            return Ok(());
+        };
+        let root_bound = hungarian::participation_bound(&inst);
+        for warm in [Some(optimum), heuristics::greedy_cost(&inst)].into_iter().flatten() {
+            let o = BranchBound::default()
+                .solve_with_incumbent(&inst, Some(&warm))
+                .expect("a feasible warm seed keeps the instance feasible");
+            prop_assert!(o.optimal);
+            prop_assert!((o.cost - opt).abs() < 1e-9, "warm-seeded cost {} vs oracle {opt}", o.cost);
+            let certificate = o.nodes == 0 && o.incumbent_source == IncumbentSource::Warm;
+            if certificate {
+                prop_assert_eq!(&o.assignment, &warm, "a certificate returns the warm seed");
+                prop_assert!(o.cost <= root_bound + 1e-9,
+                    "certified cost {} above the root bound {root_bound}", o.cost);
+            }
+            if warm.total_cost(&inst) > opt + 1e-9 {
+                prop_assert!(!certificate, "a suboptimal warm seed was certified optimal");
+            }
         }
     }
 
