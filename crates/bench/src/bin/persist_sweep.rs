@@ -78,7 +78,7 @@ fn scenario(args: &BenchArgs) -> FormationScenario {
 /// The mutation storm: trust reports only, so every event costs the
 /// same and the measured deltas are pure journal/fsync overhead.
 fn storm(durable: &mut DurableRegistry, events: u64) {
-    let m = durable.registry().gsp_count();
+    let m = durable.gsp_count();
     for i in 0..events {
         let from = (i as usize) % m;
         let to = ((i + 1) as usize) % m;
@@ -151,7 +151,7 @@ fn run_replay(s: &FormationScenario, scratch: &Path, events: u64) -> ReplayPoint
         .expect("recovery succeeds");
     let replay_seconds = started.elapsed().as_secs_f64();
     assert_eq!(epoch, Some(events), "replay must land on the recorded epoch");
-    assert_eq!(recovered.registry().epoch(), events);
+    assert_eq!(recovered.epoch(), events);
     let _ = std::fs::remove_dir_all(&config.data_dir);
     ReplayPoint {
         events,

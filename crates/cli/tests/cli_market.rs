@@ -168,10 +168,10 @@ fn sigkill_mid_market_storm_recovers_the_exact_lease_set() {
         oracle_epoch >= last_acked,
         "recovery at epoch {oracle_epoch} lost acknowledged mutations (last ack {last_acked})"
     );
-    let expected = serde_json::to_string(oracle.registry().leases()).unwrap();
-    let expected_free = oracle.registry().free_members();
+    let expected = serde_json::to_string(oracle.leases()).unwrap();
+    let expected_free = oracle.free_members();
     let live: Vec<(u64, Vec<usize>)> =
-        oracle.registry().leases().iter().map(|l| (l.id, l.members.clone())).collect();
+        oracle.leases().iter().map(|l| (l.id, l.members.clone())).collect();
     drop(oracle);
 
     // No GSP may come back committed to two live leases.

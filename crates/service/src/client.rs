@@ -111,11 +111,7 @@ impl ServiceClient {
     /// Release a lease (`abandon: false` means the VO completed);
     /// returns the new registry epoch.
     pub fn release_lease(&mut self, lease: u64, abandon: bool) -> Result<u64, ClientError> {
-        match self.request(&Request::Release { lease, abandon })? {
-            Response::Ack { epoch, .. } => Ok(epoch),
-            Response::Error { message } => Err(ClientError::Protocol(message)),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
-        }
+        self.write(&Request::Release { lease, abandon }).map(|(epoch, _)| epoch)
     }
 
     /// Fetch the live lease table: `(leases, free GSP ids, epoch)`.
@@ -196,11 +192,7 @@ impl ServiceClient {
     /// Report direct trust `u_{from,to} = value`; returns the new
     /// registry epoch.
     pub fn report_trust(&mut self, from: usize, to: usize, value: f64) -> Result<u64, ClientError> {
-        match self.request(&Request::ReportTrust { from, to, value })? {
-            Response::Ack { epoch, .. } => Ok(epoch),
-            Response::Error { message } => Err(ClientError::Protocol(message)),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
-        }
+        self.write(&Request::ReportTrust { from, to, value }).map(|(epoch, _)| epoch)
     }
 
     /// Submit a verified execution receipt; returns the new registry
@@ -209,11 +201,7 @@ impl ServiceClient {
         &mut self,
         receipt: gridvo_core::ExecutionReceipt,
     ) -> Result<u64, ClientError> {
-        match self.request(&Request::ReportReceipt { receipt })? {
-            Response::Ack { epoch, .. } => Ok(epoch),
-            Response::Error { message } => Err(ClientError::Protocol(message)),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
-        }
+        self.write(&Request::ReportReceipt { receipt }).map(|(epoch, _)| epoch)
     }
 
     /// Add a provider; returns `(id, epoch)`.
@@ -223,17 +211,24 @@ impl ServiceClient {
         cost: Vec<f64>,
         time: Vec<f64>,
     ) -> Result<(usize, u64), ClientError> {
-        match self.request(&Request::AddGsp { speed_gflops, cost, time })? {
-            Response::Ack { epoch, id: Some(id) } => Ok((id, epoch)),
-            Response::Error { message } => Err(ClientError::Protocol(message)),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
+        match self.write(&Request::AddGsp { speed_gflops, cost, time })? {
+            (epoch, Some(id)) => Ok((id, epoch)),
+            (epoch, None) => {
+                Err(ClientError::UnexpectedResponse(Box::new(Response::Ack { epoch, id: None })))
+            }
         }
     }
 
     /// Remove a provider; returns the new epoch.
     pub fn remove_gsp(&mut self, id: usize) -> Result<u64, ClientError> {
-        match self.request(&Request::RemoveGsp { id })? {
-            Response::Ack { epoch, .. } => Ok(epoch),
+        self.write(&Request::RemoveGsp { id }).map(|(epoch, _)| epoch)
+    }
+
+    /// Send a registry write; returns the ack's `(epoch, id)`, or the
+    /// refusal as [`ClientError::Protocol`].
+    fn write(&mut self, request: &Request) -> Result<(u64, Option<usize>), ClientError> {
+        match self.request(request)? {
+            Response::Ack { epoch, id } => Ok((epoch, id)),
             Response::Error { message } => Err(ClientError::Protocol(message)),
             other => Err(ClientError::UnexpectedResponse(Box::new(other))),
         }

@@ -9,15 +9,15 @@
 //! do in a single process run is re-cast as a request against durable
 //! server state:
 //!
-//! * [`registry::GspRegistry`] — the provider pool: add/remove GSPs,
-//!   ingest direct-trust reports, each mutation epoch-stamped into an
-//!   event log, with the pool-wide reputation vector refreshed
-//!   incrementally (power-method warm starts from the previous
-//!   vector);
+//! * [`registry::GspRegistry`] — the provider pool. Every write is a
+//!   typed mutation with one commit path: apply it to a
+//!   staged copy (refreshing the pool-wide reputation vector from a
+//!   power-method warm start), journal it ([`persist`]), then swap it
+//!   in at the next epoch. Journal replay runs the same path;
 //! * [`shard::ShardedRegistry`] — the concurrency shell around the
-//!   pool: writes stage on per-GSP-id shard locks and commit in one
-//!   short critical section that also publishes a fresh immutable
-//!   [`shard::EpochSnapshot`] (Arc-swapped); reads — formations,
+//!   pool: writes stage on per-GSP-id shard locks, then commit and
+//!   publish a fresh immutable [`shard::EpochSnapshot`] (Arc-swapped)
+//!   in one short critical section; reads — formations,
 //!   batches, registry dumps — clone the current `Arc` and never
 //!   block a writer, so every response is consistent with exactly one
 //!   epoch (`tests/torture.rs` proves this byte-for-byte against a

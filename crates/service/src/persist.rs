@@ -1,38 +1,41 @@
-//! Durability glue: a [`GspRegistry`] whose mutations stream into a
+//! Durability: a [`GspRegistry`] whose commits stream into a
 //! `gridvo-store` journal.
 //!
-//! [`DurableRegistry`] is what the daemon actually locks: in-memory
-//! mode it is a zero-cost wrapper around [`GspRegistry`] (the default
-//! — `gridvo serve` without `--data-dir` behaves exactly as before);
-//! with a [`PersistConfig`] every successful mutation appends its
+//! Opened without a [`PersistConfig`], a registry keeps no journal
+//! (the default — `gridvo serve` without `--data-dir`). With one,
+//! every write (`GspRegistry::commit`) appends its
 //! [`RegistryEvent`](crate::registry::RegistryEvent) to the journal
-//! *before* the mutation is acknowledged, and the journal is
-//! compacted into a full-state snapshot once it crosses the size
-//! threshold.
+//! *before* the mutation takes effect or is acknowledged, and the
+//! journal is compacted into a full-state snapshot once it crosses
+//! the size threshold.
 //!
 //! ## Recovery
 //!
-//! [`DurableRegistry::open`] on a non-empty data directory rebuilds
-//! the registry from the newest snapshot
+//! [`GspRegistry::open`] on a non-empty data directory rebuilds the
+//! registry from the newest snapshot
 //! ([`GspRegistry::from_persisted`]) and replays the journal tail
-//! ([`GspRegistry::apply_event`]) — *without* re-appending, so
-//! recovery never rewrites the journal it is reading. The recovered
-//! registry is bit-identical to the uninterrupted run at the same
-//! epoch: the snapshot carries the exact reputation vector, so the
-//! power-method warm-start chain continues unchanged
-//! (`tests/persistence.rs` and the SIGKILL harness in
-//! `crates/cli/tests/cli_persistence.rs` hold this to byte equality).
+//! ([`GspRegistry::apply_event`]) through the live commit path, but
+//! before it attaches the journal — so recovery never rewrites the
+//! journal it is reading. The recovered registry is bit-identical to
+//! the uninterrupted run at the same epoch: the snapshot carries the
+//! exact reputation vector, so the power-method warm-start chain
+//! continues unchanged (`tests/persistence.rs` and the SIGKILL harness
+//! in `crates/cli/tests/cli_persistence.rs` hold this to byte
+//! equality).
 //!
 //! ## Ordering
 //!
-//! The registry mutates first, then the event is journaled, all under
-//! the daemon's registry mutex — so the journal order is the epoch
-//! order. If the append itself fails (disk full, dir vanished) the
-//! error is surfaced to the client and the daemon's in-memory state
-//! is ahead of the journal by one event; the next recovery simply
-//! replays to the last durable epoch, which is exactly the contract
-//! (an un-acknowledged mutation may be lost, an acknowledged one may
-//! not).
+//! A commit stages the mutation on a copy of the pool, appends its
+//! event, and only then swaps the copy in and bumps the epoch, all
+//! under the daemon's writer lock — so the journal order is the epoch
+//! order and the served state is never ahead of the journal. A
+//! mutation that fails validation, its reputation refresh or its
+//! append (disk full, dir vanished) is answered with the error and
+//! leaves the registry and the journal as they were; the journal
+//! drops any part of a failed append. An acknowledged mutation is in
+//! the journal, durable per the fsync policy. Compaction runs after
+//! that point: if it fails, the write is still acknowledged, the
+//! journal simply stays long, and the next append retries.
 
 use std::path::PathBuf;
 
@@ -40,8 +43,12 @@ use gridvo_core::reputation::ReputationEngine;
 use gridvo_core::FormationScenario;
 use gridvo_store::{FsyncPolicy, Store, StoreConfig, StoreStats, DEFAULT_COMPACT_BYTES};
 
-use crate::registry::{GspRegistry, PersistedState, RegistryEvent};
-use crate::{Result, ServiceError};
+use crate::registry::GspRegistry;
+use crate::Result;
+
+/// The registry's name from when the journal lived in a wrapper
+/// around it; [`GspRegistry`] now owns its journal.
+pub type DurableRegistry = GspRegistry;
 
 /// Where and how durably to journal registry mutations.
 #[derive(Debug, Clone)]
@@ -76,24 +83,10 @@ impl PersistConfig {
     }
 }
 
-/// A [`GspRegistry`] plus an optional journal sink. See the module
-/// docs for the durability contract.
-#[derive(Debug)]
-pub struct DurableRegistry {
-    registry: GspRegistry,
-    store: Option<Store<PersistedState, RegistryEvent>>,
-}
-
-impl DurableRegistry {
-    /// Wrap a registry with no persistence (the pre-durability
-    /// behavior, still the default).
-    pub fn in_memory(registry: GspRegistry) -> Self {
-        DurableRegistry { registry, store: None }
-    }
-
+impl GspRegistry {
     /// Bootstrap or recover. With `persist == None` this is
-    /// [`DurableRegistry::in_memory`] around a fresh
-    /// [`GspRegistry::from_scenario`]. With a config:
+    /// [`GspRegistry::from_scenario`], journaling nothing. With a
+    /// config:
     ///
     /// * an empty (or absent) data directory bootstraps the registry
     ///   from `scenario` and writes the epoch-0 snapshot, so recovery
@@ -107,102 +100,43 @@ impl DurableRegistry {
         persist: Option<&PersistConfig>,
     ) -> Result<(Self, Option<u64>)> {
         let Some(config) = persist else {
-            let registry = GspRegistry::from_scenario(scenario, engine)?;
-            return Ok((DurableRegistry::in_memory(registry), None));
+            return Ok((GspRegistry::from_scenario(scenario, engine)?, None));
         };
         let (mut store, recovered) = Store::open(&config.store_config())?;
-        match recovered {
+        let mut registry = match &recovered {
             Some(rec) => {
                 let mut registry = GspRegistry::from_persisted(&rec.snapshot, engine)?;
                 for event in &rec.tail {
                     registry.apply_event(event)?;
                 }
-                let epoch = registry.epoch();
-                Ok((DurableRegistry { registry, store: Some(store) }, Some(epoch)))
+                registry
             }
             None => {
                 let registry = GspRegistry::from_scenario(scenario, engine)?;
                 store.bootstrap(&registry.persisted_state()?)?;
-                Ok((DurableRegistry { registry, store: Some(store) }, None))
+                registry
             }
-        }
-    }
-
-    /// The wrapped registry (reads: `scenario()`, `snapshot()`, …).
-    pub fn registry(&self) -> &GspRegistry {
-        &self.registry
+        };
+        let epoch = recovered.is_some().then(|| registry.epoch());
+        registry.journal = Some(store);
+        Ok((registry, epoch))
     }
 
     /// Journal / snapshot counters, when persistence is on.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(Store::stats)
+        self.journal.as_ref().map(Store::stats)
     }
 
-    /// Journaled [`GspRegistry::add_gsp`].
-    pub fn add_gsp(
-        &mut self,
-        speed_gflops: f64,
-        cost: &[f64],
-        time: &[f64],
-    ) -> Result<(usize, u64)> {
-        let out = self.registry.add_gsp(speed_gflops, cost, time)?;
-        self.journal_last()?;
-        Ok(out)
-    }
-
-    /// Journaled [`GspRegistry::remove_gsp`].
-    pub fn remove_gsp(&mut self, id: usize) -> Result<u64> {
-        let epoch = self.registry.remove_gsp(id)?;
-        self.journal_last()?;
-        Ok(epoch)
-    }
-
-    /// Journaled [`GspRegistry::report_trust`].
-    pub fn report_trust(&mut self, from: usize, to: usize, value: f64) -> Result<u64> {
-        let epoch = self.registry.report_trust(from, to, value)?;
-        self.journal_last()?;
-        Ok(epoch)
-    }
-
-    /// Journaled [`GspRegistry::report_receipt`].
-    pub fn report_receipt(&mut self, receipt: &gridvo_core::ExecutionReceipt) -> Result<u64> {
-        let epoch = self.registry.report_receipt(receipt)?;
-        self.journal_last()?;
-        Ok(epoch)
-    }
-
-    /// Journaled [`GspRegistry::acquire_lease`].
-    pub fn acquire_lease(&mut self, app: &str, members: &[usize]) -> Result<(u64, u64)> {
-        let out = self.registry.acquire_lease(app, members)?;
-        self.journal_last()?;
-        Ok(out)
-    }
-
-    /// Journaled [`GspRegistry::release_lease`].
-    pub fn release_lease(&mut self, lease: u64, reason: &str) -> Result<u64> {
-        let epoch = self.registry.release_lease(lease, reason)?;
-        self.journal_last()?;
-        Ok(epoch)
-    }
-
-    /// Append the event the mutation just logged, then compact if the
-    /// journal crossed the threshold.
-    fn journal_last(&mut self) -> Result<()> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
-        };
-        let event = self
-            .registry
-            .events()
-            .last()
-            .ok_or_else(|| ServiceError::Storage("mutation logged no event".to_string()))?
-            .clone();
-        store.append(&event)?;
-        if store.should_compact() {
-            let state = self.registry.persisted_state()?;
-            store.compact(&state)?;
+    /// Snapshot and truncate the journal once it has crossed the
+    /// compaction threshold. A failure leaves the journal in place
+    /// (see the module docs), so the next commit tries again.
+    pub(crate) fn compact_if_due(&mut self) {
+        if !self.journal.as_ref().is_some_and(Store::should_compact) {
+            return;
         }
-        Ok(())
+        if let (Ok(state), Some(journal)) = (self.persisted_state(), self.journal.as_mut()) {
+            let _ = journal.compact(&state);
+        }
     }
 }
 
@@ -254,18 +188,15 @@ mod tests {
         durable.report_trust(0, 2, 0.9).unwrap();
         durable.add_gsp(90.0, &[2.0; 4], &[1.5; 4]).unwrap();
         durable.remove_gsp(1).unwrap();
-        let want_snapshot = serde_json::to_string(&durable.registry().snapshot()).unwrap();
-        let want_reputation = durable.registry().reputation().to_vec();
+        let want_snapshot = serde_json::to_string(&durable.snapshot()).unwrap();
+        let want_reputation = durable.reputation().to_vec();
         drop(durable);
 
         let (recovered_reg, epoch) =
             DurableRegistry::open(&scenario(), engine(), Some(&config)).unwrap();
         assert_eq!(epoch, Some(3));
-        assert_eq!(
-            serde_json::to_string(&recovered_reg.registry().snapshot()).unwrap(),
-            want_snapshot
-        );
-        assert_eq!(recovered_reg.registry().reputation(), want_reputation);
+        assert_eq!(serde_json::to_string(&recovered_reg.snapshot()).unwrap(), want_snapshot);
+        assert_eq!(recovered_reg.reputation(), want_reputation);
         let _ = std::fs::remove_dir_all(&config.data_dir);
     }
 
@@ -281,13 +212,13 @@ mod tests {
         let stats = durable.store_stats().unwrap();
         assert_eq!(stats.compactions, 6);
         assert_eq!(stats.journal_len, 0, "every append was compacted away");
-        let want = serde_json::to_string(&durable.registry().snapshot()).unwrap();
+        let want = serde_json::to_string(&durable.snapshot()).unwrap();
         drop(durable);
 
         let (recovered, epoch) =
             DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
         assert_eq!(epoch, Some(6));
-        assert_eq!(serde_json::to_string(&recovered.registry().snapshot()).unwrap(), want);
+        assert_eq!(serde_json::to_string(&recovered.snapshot()).unwrap(), want);
         let _ = std::fs::remove_dir_all(&config.data_dir);
     }
 }

@@ -72,9 +72,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
-use gridvo_core::{FaultPlan, FormationScenario};
+use gridvo_core::{CoreError, FaultPlan, FormationScenario};
 use gridvo_market::{AppQueues, TokenBucket};
 use gridvo_solver::Budget;
+use gridvo_trust::TrustError;
 use rand::SeedableRng;
 
 use crate::cache::SharedSolveCache;
@@ -82,6 +83,7 @@ use crate::market::{free_scenario, MarketCache};
 use crate::metrics::{MarketGauges, Metrics, MetricsSnapshot};
 use crate::persist::PersistConfig;
 use crate::protocol::{decode, encode, MechanismKind, Request, Response};
+use crate::registry::{Committed, Mutation};
 use crate::shard::{EpochSnapshot, ShardedRegistry, Touched, DEFAULT_SHARDS};
 
 /// Daemon tuning knobs.
@@ -194,7 +196,7 @@ impl ServerHandle {
     /// Bind and start a daemon serving `scenario`'s provider pool.
     /// With [`ServerConfig::persistence`] set and a non-empty data
     /// directory, the durable state wins over `scenario` — see
-    /// [`crate::persist::DurableRegistry::open`].
+    /// [`crate::registry::GspRegistry::open`].
     pub fn spawn(scenario: &FormationScenario, config: ServerConfig) -> std::io::Result<Self> {
         let (registry, recovered_epoch) = ShardedRegistry::open(
             scenario,
@@ -425,66 +427,15 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// solve-bearing ops.
 fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
     match request {
-        Request::AddGsp { speed_gflops, cost, time } => Dispatched::one(
-            match shared
-                .registry
-                .mutate(Touched::All, |reg| reg.add_gsp(speed_gflops, &cost, &time))
-            {
-                Ok((id, epoch)) => Response::Ack { epoch, id: Some(id) },
-                Err(e) => error_response(shared, e.to_string()),
-            },
-        ),
-        Request::RemoveGsp { id } => {
-            Dispatched::one(match shared.registry.mutate(Touched::All, |reg| reg.remove_gsp(id)) {
-                Ok(epoch) => {
-                    // Removal renumbers ids, so member tags can no
-                    // longer address entries: flush wholesale.
-                    shared.cache.clear();
-                    Response::Ack { epoch, id: None }
-                }
-                Err(e) => error_response(shared, e.to_string()),
-            })
+        Request::AddGsp { speed_gflops, cost, time } => {
+            Dispatched::one(ack(shared, Mutation::AddGsp { speed_gflops, cost, time }))
         }
+        Request::RemoveGsp { id } => Dispatched::one(ack(shared, Mutation::RemoveGsp { id })),
         Request::ReportTrust { from, to, value } => {
-            let touched = [from, to];
-            Dispatched::one(
-                match shared
-                    .registry
-                    .mutate(Touched::Ids(&touched), |reg| reg.report_trust(from, to, value))
-                {
-                    Ok(epoch) => {
-                        // Narrow eviction, in two dimensions: only solves
-                        // whose member set intersects the touched shards
-                        // (correctness never needs this — the solve key
-                        // covers solver inputs only — so untouched shards
-                        // stay hot), and only entries stored *before*
-                        // this mutation's epoch (a solve already computed
-                        // against the new snapshot stays resident).
-                        shared
-                            .cache
-                            .invalidate_members(&shared.registry.shard_members(&touched), epoch);
-                        Response::Ack { epoch, id: None }
-                    }
-                    Err(e) => error_response(shared, e.to_string()),
-                },
-            )
+            Dispatched::one(ack(shared, Mutation::ReportTrust { from, to, value }))
         }
         Request::ReportReceipt { receipt } => {
-            let touched = [receipt.gsp];
-            Dispatched::one(
-                match shared
-                    .registry
-                    .mutate(Touched::Ids(&touched), |reg| reg.report_receipt(&receipt))
-                {
-                    Ok(epoch) => {
-                        shared
-                            .cache
-                            .invalidate_members(&shared.registry.shard_members(&touched), epoch);
-                        Response::Ack { epoch, id: None }
-                    }
-                    Err(e) => error_response(shared, e.to_string()),
-                },
-            )
+            Dispatched::one(ack(shared, Mutation::ReportReceipt(receipt)))
         }
         Request::Registry => {
             let snapshot = shared.registry.snapshot();
@@ -499,20 +450,16 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
         Request::Release { lease, abandon } => {
             sweep_expired(shared);
             let reason = if abandon { "abandon" } else { "complete" };
-            Dispatched::one(
-                match shared.registry.mutate(Touched::All, |reg| reg.release_lease(lease, reason)) {
-                    Ok(epoch) => {
-                        shared.metrics.lease_released(false);
-                        if shared.lease_ttl.is_some() {
-                            let mut clock =
-                                shared.lease_clock.lock().expect("lease clock poisoned");
-                            clock.retain(|(id, _)| *id != lease);
-                        }
-                        Response::Ack { epoch, id: None }
-                    }
-                    Err(e) => error_response(shared, e.to_string()),
-                },
-            )
+            let response =
+                ack(shared, Mutation::ReleaseLease { lease, reason: reason.to_string() });
+            if matches!(response, Response::Ack { .. }) {
+                shared.metrics.lease_released(false);
+                if shared.lease_ttl.is_some() {
+                    let mut clock = shared.lease_clock.lock().expect("lease clock poisoned");
+                    clock.retain(|(id, _)| *id != lease);
+                }
+            }
+            Dispatched::one(response)
         }
         Request::Leases => {
             sweep_expired(shared);
@@ -565,7 +512,8 @@ fn sweep_expired(shared: &Arc<Shared>) {
         due
     };
     for lease in due {
-        if shared.registry.mutate(Touched::All, |reg| reg.release_lease(lease, "expired")).is_ok() {
+        let expired = Mutation::ReleaseLease { lease, reason: "expired".to_string() };
+        if write(shared, expired).is_ok() {
             shared.metrics.lease_released(true);
         }
     }
@@ -577,6 +525,43 @@ fn leave_app(shared: &Arc<Shared>, app: Option<&str>) {
     let mut queues = shared.app_queues.lock().expect("app queues poisoned");
     queues.leave(app);
     shared.metrics.set_app_depth(app, queues.depth(app));
+}
+
+/// The daemon's one write path: stage `mutation` on the shards it
+/// touches, commit it, and evict the solve-cache entries it left
+/// stale.
+fn write(shared: &Shared, mutation: Mutation) -> crate::Result<Committed> {
+    // Trust reports and receipts keep ids stable: they stage on their
+    // GSPs' shards and evict only solves over those shards stored
+    // before this epoch (to keep untouched shards hot; the solve key
+    // already covers solver inputs). A lease stages on its members.
+    // Churn and releases drain every shard, and a removal, which
+    // renumbers ids, flushes the cache.
+    let (ids, evict) = match &mutation {
+        Mutation::ReportTrust { from, to, .. } => (vec![*from, *to], true),
+        Mutation::ReportReceipt(receipt) => (vec![receipt.gsp], true),
+        Mutation::AcquireLease { members, .. } => (members.clone(), false),
+        _ => (Vec::new(), false),
+    };
+    let flush = matches!(mutation, Mutation::RemoveGsp { .. });
+    let touched = if ids.is_empty() { Touched::All } else { Touched::Ids(&ids) };
+    let committed = shared.registry.mutate(touched, |reg| reg.commit(mutation))?;
+    if flush {
+        shared.cache.clear();
+    } else if evict {
+        shared.cache.invalidate_members(&shared.registry.shard_members(&ids), committed.epoch);
+    }
+    Ok(committed)
+}
+
+/// [`write`] `mutation` and answer the client: an ack (carrying the
+/// new id of a joining GSP) or the error.
+fn ack(shared: &Arc<Shared>, mutation: Mutation) -> Response {
+    let joins = matches!(mutation, Mutation::AddGsp { .. });
+    match write(shared, mutation) {
+        Ok(c) => Response::Ack { epoch: c.epoch, id: joins.then_some(c.assigned as usize) },
+        Err(e) => error_response(shared, e.to_string()),
+    }
 }
 
 fn error_response(shared: &Arc<Shared>, message: String) -> Response {
@@ -790,6 +775,10 @@ fn market_form(
             .run_cached_with_budget(scenario, &mut rng, &mut cache, budget)
         {
             Ok(o) => o,
+            // The power method need not converge on the trust graph
+            // of the leftovers; like leftovers that cannot host the
+            // program, that is contention, not a failure.
+            Err(CoreError::Trust(TrustError::NoConvergence { .. })) if contended => break,
             Err(e) => return error_response(shared, e.to_string()),
         };
         outcome.zero_timings();
@@ -807,9 +796,8 @@ fn market_form(
                 return market_form_response(shared, outcome, None, snapshot.epoch);
             }
         };
-        match shared.registry.mutate(Touched::Ids(&members), |reg| reg.acquire_lease(app, &members))
-        {
-            Ok((lease, epoch)) => {
+        match write(shared, Mutation::AcquireLease { app: app.to_string(), members }) {
+            Ok(Committed { epoch, assigned: lease }) => {
                 shared.metrics.lease_acquired();
                 if let Some(ttl) = shared.lease_ttl {
                     let mut clock = shared.lease_clock.lock().expect("lease clock poisoned");

@@ -1,6 +1,6 @@
 //! Sharded write path + epoch-stamped immutable read snapshots.
 //!
-//! The daemon used to put one `Mutex<DurableRegistry>` in front of
+//! The daemon used to put one `Mutex` around the registry in front of
 //! everything: every formation cloned the scenario under the same
 //! lock every trust report was fighting for. [`ShardedRegistry`]
 //! splits the two sides:
@@ -19,15 +19,18 @@
 //!   `tests/torture.rs` hammers on.
 //!
 //! * **Writes** ([`ShardedRegistry::mutate`]) stage on per-shard
-//!   locks keyed by GSP id (`id % shards`), then commit under one
-//!   short writer lock. The commit itself must stay globally
-//!   serialized — the journal is a single total order and the epoch
-//!   *is* that order — but the sharding means two trust reports on
-//!   disjoint shards never queue behind each other's staging, and a
-//!   pool-wide membership change (`add`/`remove`) drains every shard
-//!   before renumbering ids. After the commit the fresh
-//!   `EpochSnapshot` is built and published while the writer lock is
-//!   still held, so snapshot epoch order equals journal order.
+//!   locks keyed by GSP id (`id % shards`), then run
+//!   `GspRegistry::commit` — stage, journal, swap — under one short
+//!   writer lock. The commit itself must stay globally serialized —
+//!   the journal is a single total order and the epoch *is* that
+//!   order — but the sharding means two trust reports on disjoint
+//!   shards never queue behind each other's staging, and a pool-wide
+//!   membership change (`add`/`remove`) drains every shard before
+//!   renumbering ids. A successful commit is journaled before its
+//!   fresh `EpochSnapshot` is built and published, still under the
+//!   writer lock, so snapshot epoch order equals journal order and no
+//!   reader sees an epoch the journal lacks. A refused commit changes
+//!   nothing, so nothing is published.
 //!
 //! The shard map also narrows cache hygiene: a mutation touching GSP
 //! `g` expands to the member ids sharing `g`'s shard
@@ -40,8 +43,8 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use gridvo_core::reputation::ReputationEngine;
 use gridvo_core::FormationScenario;
 
-use crate::persist::{DurableRegistry, PersistConfig};
-use crate::registry::RegistrySnapshot;
+use crate::persist::PersistConfig;
+use crate::registry::{GspRegistry, RegistrySnapshot};
 use crate::Result;
 
 /// Default shard count (`gridvo serve --shards`).
@@ -70,14 +73,14 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    fn build(reg: &DurableRegistry) -> Result<EpochSnapshot> {
+    fn build(reg: &GspRegistry) -> Result<EpochSnapshot> {
         Ok(EpochSnapshot {
-            epoch: reg.registry().epoch(),
-            scenario: reg.registry().scenario()?,
-            view: reg.registry().snapshot(),
-            free: reg.registry().free_members(),
-            free_digest: reg.registry().market().free_digest(),
-            leases: reg.registry().leases().to_vec(),
+            epoch: reg.epoch(),
+            scenario: reg.scenario()?,
+            view: reg.snapshot(),
+            free: reg.free_members(),
+            free_digest: reg.market().free_digest(),
+            leases: reg.leases().to_vec(),
         })
     }
 }
@@ -116,35 +119,30 @@ pub struct ShardStat {
 #[derive(Debug)]
 pub struct ShardedRegistry {
     shards: Vec<Mutex<ShardState>>,
-    /// The commit lock: owns the registry + journal. Held only for
-    /// apply + journal append + snapshot rebuild.
-    writer: Mutex<DurableRegistry>,
+    /// The commit lock: owns the registry and its journal. Held only
+    /// for the commit and the snapshot rebuild.
+    writer: Mutex<GspRegistry>,
     /// The published snapshot. Readers clone the `Arc` and get out.
     current: RwLock<Arc<EpochSnapshot>>,
 }
 
 impl ShardedRegistry {
-    /// Bootstrap or recover (see [`DurableRegistry::open`]) and
-    /// publish the initial snapshot. `shards` is clamped to ≥ 1.
+    /// Bootstrap or recover (see [`GspRegistry::open`]) and publish
+    /// the initial snapshot. `shards` is clamped to ≥ 1.
     pub fn open(
         scenario: &FormationScenario,
         engine: ReputationEngine,
         shards: usize,
         persist: Option<&PersistConfig>,
     ) -> Result<(Self, Option<u64>)> {
-        let (durable, recovered) = DurableRegistry::open(scenario, engine, persist)?;
-        let snapshot = Arc::new(EpochSnapshot::build(&durable)?);
+        let (registry, recovered) = GspRegistry::open(scenario, engine, persist)?;
+        let snapshot = Arc::new(EpochSnapshot::build(&registry)?);
         let sharded = ShardedRegistry {
             shards: (0..shards.max(1)).map(|_| Mutex::new(ShardState::default())).collect(),
-            writer: Mutex::new(durable),
+            writer: Mutex::new(registry),
             current: RwLock::new(snapshot),
         };
         Ok((sharded, recovered))
-    }
-
-    /// How many write shards the registry runs.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard owning GSP `id`.
@@ -183,16 +181,18 @@ impl ShardedRegistry {
         self.writer.lock().expect("writer lock poisoned").store_stats()
     }
 
-    /// Run one mutation: stage on the touched shards (ascending-index
-    /// order, so concurrent mutations can never deadlock), commit
-    /// under the writer lock, publish the new snapshot, stamp the
-    /// staged shards. The snapshot is rebuilt and swapped *before*
-    /// the writer lock drops, so the published epoch sequence is
-    /// exactly the journal's.
+    /// Run one write: stage on the touched shards (ascending-index
+    /// order, so concurrent writes can never deadlock), commit under
+    /// the writer lock, then publish the new snapshot and stamp the
+    /// staged shards. The snapshot is rebuilt and swapped *before* the
+    /// writer lock drops, so the published epoch sequence is exactly
+    /// the journal's. `f` commits through the registry's one write
+    /// path; when it fails, nothing was committed and nothing is
+    /// published.
     pub fn mutate<T>(
         &self,
         touched: Touched<'_>,
-        f: impl FnOnce(&mut DurableRegistry) -> Result<T>,
+        f: impl FnOnce(&mut GspRegistry) -> Result<T>,
     ) -> Result<T> {
         let staged: Vec<usize> = match touched {
             Touched::Ids(ids) => {
@@ -207,21 +207,14 @@ impl ShardedRegistry {
             staged.iter().map(|&i| self.shards[i].lock().expect("shard lock poisoned")).collect();
 
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let result = f(&mut writer);
-        let committed = writer.registry().epoch();
-        // Publish whenever the epoch moved — even on an error return
-        // (a journal-append failure surfaces the error but leaves the
-        // in-memory mutation applied; readers must see what the next
-        // successful commit would otherwise silently fold in).
-        if committed != self.current.read().expect("snapshot lock poisoned").epoch {
-            let snapshot = Arc::new(EpochSnapshot::build(&writer)?);
-            *self.current.write().expect("snapshot lock poisoned") = snapshot;
-            for guard in &mut guards {
-                guard.last_epoch = committed;
-                guard.mutations += 1;
-            }
+        let out = f(&mut writer)?;
+        let snapshot = Arc::new(EpochSnapshot::build(&writer)?);
+        *self.current.write().expect("snapshot lock poisoned") = snapshot;
+        for guard in &mut guards {
+            guard.last_epoch = writer.epoch();
+            guard.mutations += 1;
         }
-        result
+        Ok(out)
     }
 }
 

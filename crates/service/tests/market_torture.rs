@@ -315,12 +315,12 @@ fn run_market_torture(persistence: Option<PersistConfig>) {
                 .expect("recovery");
         assert_eq!(epoch, Some(total), "recovery must reach the exact acked epoch");
         assert_eq!(
-            serde_json::to_string(recovered.registry().leases()).unwrap(),
+            serde_json::to_string(recovered.leases()).unwrap(),
             serde_json::to_string(&oracle.leases()).unwrap(),
             "recovered lease table differs from the serial replay"
         );
         assert_eq!(
-            serde_json::to_string(&recovered.registry().snapshot()).unwrap(),
+            serde_json::to_string(&recovered.snapshot()).unwrap(),
             serde_json::to_string(&oracle.snapshot()).unwrap(),
             "recovered registry state differs from the serial replay"
         );

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gridvo_core::reputation::ReputationEngine;
-use gridvo_core::{ExecutionReceipt, FormationScenario};
+use gridvo_core::{ExecutionReceipt, FormationScenario, Gsp};
 use gridvo_service::protocol::{MechanismKind, Response};
 use gridvo_service::{
     DurableRegistry, GspRegistry, PersistConfig, RegistryEvent, ServerConfig, ServerHandle,
@@ -15,7 +15,9 @@ use gridvo_service::{
 };
 use gridvo_sim::config::TableI;
 use gridvo_sim::instance_gen::ScenarioGenerator;
+use gridvo_solver::AssignmentInstance;
 use gridvo_store::{FsyncPolicy, JOURNAL_FILE};
+use gridvo_trust::TrustGraph;
 use rand::SeedableRng;
 
 static SCRATCH: AtomicUsize = AtomicUsize::new(0);
@@ -32,6 +34,20 @@ fn scenario() -> FormationScenario {
     let cfg = TableI { task_sizes: vec![12], gsps: 5, ..TableI::small() };
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     ScenarioGenerator::new(cfg).scenario(12, &mut rng).expect("feasible small scenario")
+}
+
+/// Two mutually trusting pairs, {0, 1} and {2, 3}. Each pair alone is
+/// a two-cycle the uniform vector already solves, but any edge between
+/// the pairs leaves the plain power method oscillating until its
+/// iteration cap.
+fn paired_scenario() -> FormationScenario {
+    let gsps = (0..4).map(|k| Gsp::new(k, 100.0 - 10.0 * k as f64)).collect();
+    let mut trust = TrustGraph::new(4);
+    for (from, to) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+        trust.set_trust(from, to, 0.8);
+    }
+    let inst = AssignmentInstance::new(6, 4, vec![1.0; 24], vec![1.0; 24], 10.0, 100.0).unwrap();
+    FormationScenario::new(gsps, trust, inst).unwrap()
 }
 
 fn persist(dir: &Path) -> PersistConfig {
@@ -114,7 +130,7 @@ fn torn_journal_tails_recover_to_exact_prefixes() {
     durable.report_trust(5, 1, 0.7).unwrap();
     durable.remove_gsp(3).unwrap();
     durable.report_receipt(&ExecutionReceipt::new(0, 2, true, 6.0, vec![0, 1])).unwrap();
-    let full_events = durable.registry().events().to_vec();
+    let full_events = durable.events().to_vec();
     drop(durable);
     let journal_path = dir.join(JOURNAL_FILE);
     let pristine = std::fs::read(&journal_path).unwrap();
@@ -136,7 +152,7 @@ fn torn_journal_tails_recover_to_exact_prefixes() {
             replayed.apply_event(ev).unwrap();
         }
         assert_eq!(
-            serde_json::to_string(&recovered.registry().snapshot()).unwrap(),
+            serde_json::to_string(&recovered.snapshot()).unwrap(),
             serde_json::to_string(&replayed.snapshot()).unwrap(),
             "cut at {cut} recovered something other than the {epoch}-event prefix"
         );
@@ -153,7 +169,7 @@ fn reopening_without_new_mutations_is_idempotent() {
         DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
     durable.report_trust(0, 1, 0.8).unwrap();
     durable.report_trust(1, 0, 0.6).unwrap();
-    let want = serde_json::to_string(&durable.registry().snapshot()).unwrap();
+    let want = serde_json::to_string(&durable.snapshot()).unwrap();
     drop(durable);
 
     for round in 0..3 {
@@ -161,7 +177,7 @@ fn reopening_without_new_mutations_is_idempotent() {
             DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
         assert_eq!(epoch, Some(2), "reopen {round} drifted the epoch");
         assert_eq!(
-            serde_json::to_string(&durable.registry().snapshot()).unwrap(),
+            serde_json::to_string(&durable.snapshot()).unwrap(),
             want,
             "reopen {round} drifted the state"
         );
@@ -186,7 +202,7 @@ fn aggressive_compaction_survives_restarts() {
         } else {
             assert_eq!(epoch, Some(restart * 2), "restart {restart} lost mutations");
             assert_eq!(
-                serde_json::to_string(&durable.registry().snapshot()).unwrap(),
+                serde_json::to_string(&durable.snapshot()).unwrap(),
                 want,
                 "restart {restart} recovered drifted state"
             );
@@ -195,7 +211,7 @@ fn aggressive_compaction_survives_restarts() {
         durable.report_trust(1, 2, 0.9 - 0.05 * restart as f64).unwrap();
         let stats = durable.store_stats().unwrap();
         assert_eq!(stats.journal_len, 0, "every append must have been compacted away");
-        want = serde_json::to_string(&durable.registry().snapshot()).unwrap();
+        want = serde_json::to_string(&durable.snapshot()).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -321,4 +337,81 @@ fn execution_receipt_wire_format_is_stable() {
     let mut forged = receipt;
     forged.reward = 99.0;
     assert!(!forged.verify(), "a tampered reward must fail digest verification");
+}
+
+#[test]
+fn a_failed_reputation_refresh_commits_nothing() {
+    let dir = scratch("refresh");
+    let journal = dir.join(JOURNAL_FILE);
+    let (mut durable, _) = DurableRegistry::open(
+        &paired_scenario(),
+        ReputationEngine::default(),
+        Some(&persist(&dir)),
+    )
+    .unwrap();
+    let before = serde_json::to_string(&durable.snapshot()).unwrap();
+    let journaled = std::fs::read(&journal).unwrap();
+    assert!(durable.report_trust(0, 2, 1e-9).is_err(), "the refresh must not converge");
+    assert_eq!(durable.epoch(), 0, "a failed refresh must not bump the epoch");
+    assert!(durable.events().is_empty(), "a failed refresh must log nothing");
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        journaled,
+        "a failed refresh must journal nothing"
+    );
+    assert_eq!(serde_json::to_string(&durable.snapshot()).unwrap(), before);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The daemon answers the same write with an error and keeps
+    // serving, and journaling, the state before it.
+    let config = ServerConfig { persistence: Some(persist(&dir)), ..ServerConfig::default() };
+    let handle = ServerHandle::spawn(&paired_scenario(), config.clone()).unwrap();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    let before = serde_json::to_string(&client.registry().unwrap()).unwrap();
+    assert!(client.report_trust(0, 2, 1e-9).is_err());
+    assert_eq!(serde_json::to_string(&client.registry().unwrap()).unwrap(), before);
+    assert_eq!(client.report_trust(0, 1, 0.5).unwrap(), 1);
+    assert_eq!(client.report_trust(2, 3, 0.5).unwrap(), 2);
+    let want = serde_json::to_string(&client.registry().unwrap()).unwrap();
+    handle.shutdown();
+
+    let handle = ServerHandle::spawn(&paired_scenario(), config).unwrap();
+    assert_eq!(handle.recovered_epoch(), Some(2));
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(serde_json::to_string(&client.registry().unwrap()).unwrap(), want);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_compaction_still_acks_the_journaled_write() {
+    let dir = scratch("compact-fail");
+    let config = PersistConfig { data_dir: dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: 1 };
+    let (mut durable, _) =
+        DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
+    // The store writes every snapshot through this fixed temporary
+    // name, so a directory there fails each compaction after its append.
+    let blocker = dir.join("snapshot.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    assert_eq!(
+        durable.report_trust(0, 2, 0.9),
+        Ok(1),
+        "the append succeeded, so the write is acked"
+    );
+    assert_eq!(durable.store_stats().unwrap().compactions, 0);
+    std::fs::remove_dir(&blocker).unwrap();
+
+    // The next append retries the compaction.
+    assert_eq!(durable.report_trust(1, 0, 0.4), Ok(2));
+    let stats = durable.store_stats().unwrap();
+    assert_eq!((stats.compactions, stats.journal_len), (1, 0));
+    let want = serde_json::to_string(&durable.snapshot()).unwrap();
+    drop(durable);
+
+    let (recovered, epoch) =
+        DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
+    assert_eq!(epoch, Some(2));
+    assert_eq!(serde_json::to_string(&recovered.snapshot()).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -41,7 +41,7 @@ fn ops_strategy() -> impl Strategy<Value = Vec<(u8, usize, usize, f64)>> {
 
 fn apply(durable: &mut DurableRegistry, op: &(u8, usize, usize, f64)) {
     let (kind, a, b, v) = *op;
-    let m = durable.registry().gsp_count();
+    let m = durable.gsp_count();
     match kind {
         // Trust reports twice as likely as membership churn, so the
         // pool doesn't just thrash.
@@ -85,7 +85,7 @@ proptest! {
         for op in &ops {
             apply(&mut durable, op);
         }
-        let events = durable.registry().events().to_vec();
+        let events = durable.events().to_vec();
         drop(durable);
 
         let journal_path = dir.join(JOURNAL_FILE);
@@ -107,10 +107,10 @@ proptest! {
                 DurableRegistry::open(&scenario(), engine(), Some(&config)).unwrap();
             let epoch = epoch.expect("bootstrap snapshot always recovers");
             prop_assert_eq!(epoch, keep as u64, "recovered epoch != surviving event count");
-            prop_assert_eq!(recovered.registry().epoch(), epoch);
+            prop_assert_eq!(recovered.epoch(), epoch);
             prop_assert_eq!(
-                recovered.registry().reputation().len(),
-                recovered.registry().gsp_count(),
+                recovered.reputation().len(),
+                recovered.gsp_count(),
                 "recovered reputation vector must cover the pool"
             );
 
@@ -119,7 +119,7 @@ proptest! {
                 replayed.apply_event(ev).unwrap();
             }
             prop_assert_eq!(
-                serde_json::to_string(&recovered.registry().snapshot()).unwrap(),
+                serde_json::to_string(&recovered.snapshot()).unwrap(),
                 serde_json::to_string(&replayed.snapshot()).unwrap(),
                 "prefix of {} events recovered to a different state", keep
             );

@@ -311,7 +311,7 @@ fn run_torture(persistence: Option<PersistConfig>) {
                 .expect("recovery");
         assert_eq!(epoch, Some(total), "recovery must reach the exact acked epoch");
         assert_eq!(
-            serde_json::to_string(&recovered.registry().snapshot()).unwrap(),
+            serde_json::to_string(&recovered.snapshot()).unwrap(),
             serde_json::to_string(&oracle.snapshot()).unwrap(),
             "recovered state differs from the serial replay at the acked epoch"
         );

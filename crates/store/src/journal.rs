@@ -81,22 +81,34 @@ impl<E: Serialize + Deserialize + Stamped> Journal<E> {
     /// Append one event as a single `write(2)` (line + newline), then
     /// fsync per the policy. The event is in the kernel's page cache
     /// when this returns — durable against process death; durable
-    /// against machine crashes when the policy synced.
+    /// against machine crashes when the policy synced. On error the
+    /// file is cut back to its last whole line, so a refused event
+    /// never surfaces on recovery and the next append starts clean.
     pub fn append(&mut self, event: &E) -> Result<()> {
         let mut line =
             serde_json::to_string(event).map_err(|e| crate::StoreError::Serde(e.to_string()))?;
         line.push('\n');
-        self.file.write_all(line.as_bytes())?;
+        let sync = match self.policy {
+            FsyncPolicy::PerEvent => true,
+            FsyncPolicy::PerEpoch { every } => event.epoch().is_multiple_of(every),
+            FsyncPolicy::Off => false,
+        };
+        if let Err(e) = self.write_line(line.as_bytes(), sync) {
+            // Best effort: should the cut fail too, the seek alone
+            // makes the next append overwrite the refused bytes.
+            let _ = self.file.set_len(self.len);
+            let _ = self.file.seek(SeekFrom::Start(self.len));
+            return Err(e);
+        }
         self.len += line.len() as u64;
         self.bytes_written += line.len() as u64;
-        match self.policy {
-            FsyncPolicy::PerEvent => self.sync()?,
-            FsyncPolicy::PerEpoch { every } => {
-                if event.epoch().is_multiple_of(every) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Off => {}
+        Ok(())
+    }
+
+    fn write_line(&mut self, line: &[u8], sync: bool) -> Result<()> {
+        self.file.write_all(line)?;
+        if sync {
+            self.sync()?;
         }
         Ok(())
     }

@@ -62,7 +62,6 @@ pub mod matrix;
 pub mod normalize;
 pub mod power;
 pub mod propagation;
-pub mod spectral;
 
 pub use graph::{NodeId, TrustGraph};
 pub use matrix::{DenseMatrix, Vector};

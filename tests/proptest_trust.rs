@@ -164,17 +164,6 @@ proptest! {
     }
 
     #[test]
-    fn spectral_gap_is_well_defined(g in trust_graph()) {
-        use gridvo_trust::spectral::spectral_report;
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
-        let r = spectral_report(&a, &PowerMethod::default()).unwrap();
-        prop_assert!(r.lambda1 > 0.0);
-        prop_assert!(r.lambda2 >= 0.0);
-        prop_assert!(r.lambda2 <= r.lambda1 + 1e-9);
-        prop_assert!(r.mixing_iterations >= 0.0);
-    }
-
-    #[test]
     fn dot_export_is_structurally_complete(g in trust_graph()) {
         let dot = g.to_dot("t");
         prop_assert_eq!(dot.matches("->").count(), g.edge_count());
