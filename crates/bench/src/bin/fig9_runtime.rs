@@ -1,11 +1,13 @@
 //! Fig. 9 — mechanism execution time vs number of tasks — plus the
 //! incremental-engine benchmark (the same workload run cold vs warm)
-//! and the anytime scale frontier (budgeted portfolio formation per
-//! provider-pool size), emitted together as `BENCH_formation.json`.
+//! and the anytime scale frontier (exact-solver formation under a
+//! wall-clock budget per provider-pool size), emitted together as
+//! `BENCH_formation.json`.
 //!
 //! Gates (exit 1 on violation):
-//! * every small-scale bit-identity cross-check passes — under a pure
-//!   node cap the portfolio equals the exact solver, trace for trace;
+//! * every small-scale bit-identity cross-check passes — a `Budget`
+//!   node cap truncates the exact solver exactly as the same cap set
+//!   as `BranchBound::max_nodes` does, trace for trace;
 //! * the 64-GSP frontier point forms VOs within its wall-clock budget
 //!   with a mean selected-VO optimality gap ≤ 5%.
 //!
@@ -100,7 +102,8 @@ fn main() {
     for p in &scale {
         if p.exact_match == Some(false) {
             eprintln!(
-                "GATE FAIL: {}-GSP node-capped portfolio diverged from the exact solver",
+                "GATE FAIL: {}-GSP formation under a Budget node cap diverged from \
+                 BranchBound::max_nodes at the same cap",
                 p.gsps
             );
             failed = true;

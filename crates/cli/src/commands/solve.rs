@@ -5,19 +5,21 @@ use crate::commands::load_scenario;
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
 usage: gridvo solve --scenario FILE [--members 0,2,5]
-                    [--solver exact|parallel|portfolio|greedy|min-min|max-min|sufferage]
+                    [--solver exact|parallel|greedy|min-min|max-min|sufferage]
                     [--deadline-ms MS] [--max-nodes N]
 
 Solves the task-assignment IP for the given VO (default: all GSPs),
 printing the status, optimal cost, per-GSP loads and task counts.
---deadline-ms and --max-nodes bound the solve (exact, parallel and
-portfolio solvers); a truncated solve prints its best anytime
-incumbent plus the relative optimality gap.";
+The exact and parallel solvers seed their search with the cheapest
+of greedy, min-min and sufferage (greedy alone above 512 tasks) and
+return that seed at once when it meets the root lower bound.
+--deadline-ms and --max-nodes bound the solve (exact and parallel
+solvers); a truncated solve prints its best anytime incumbent plus
+the relative optimality gap.";
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let flags =
@@ -77,26 +79,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "exact" => {
             report_status(BranchBound::default().solve_status_with_budget(&inst, None, &budget))
         }
-        "portfolio" => {
-            report_status(Portfolio::default().solve_status_with_budget(&inst, None, &budget))
-        }
-        "parallel" => {
-            match ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget) {
-                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => {
-                    println!(
-                        "status: {} ({} nodes, incumbent: {})",
-                        if o.optimal { "OPTIMAL" } else { "FEASIBLE" },
-                        o.nodes,
-                        o.incumbent_source.as_str()
-                    );
-                    Some((o.assignment, o.cost))
-                }
-                SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                    println!("status: no feasible assignment found ({nodes} nodes)");
-                    None
-                }
-            }
-        }
+        "parallel" => report_status(
+            ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget),
+        ),
         name => {
             let kind = match name {
                 "greedy" => Heuristic::GreedyCost,

@@ -26,9 +26,8 @@
 use crate::mechanism::Mechanism;
 use crate::scenario::FormationScenario;
 use crate::vo::VoRecord;
-use crate::{CoreError, FormationOutcome, Result};
-use gridvo_solver::{repair, Assignment, AssignmentInstance};
-use rand::Rng;
+use crate::{CoreError, Result};
+use gridvo_solver::{repair, Assignment, AssignmentInstance, Budget};
 use serde::{de_field, Deserialize, Error, Serialize, Value};
 use std::time::Instant;
 
@@ -464,26 +463,6 @@ enum EvictOutcome {
 }
 
 impl Mechanism {
-    /// Run formation, then execute the selected VO against `plan`.
-    ///
-    /// The formation phase is byte-for-byte the plain [`Mechanism::run`]
-    /// (same RNG stream); the execution report is `None` when no VO was
-    /// selected. An empty plan makes execution a pure pass-through of
-    /// the selected VO.
-    pub fn run_with_faults<R: Rng + ?Sized>(
-        &self,
-        scenario: &FormationScenario,
-        plan: &FaultPlan,
-        rng: &mut R,
-    ) -> Result<(FormationOutcome, Option<ExecutionReport>)> {
-        let outcome = self.run(scenario, rng)?;
-        let report = match &outcome.selected {
-            Some(vo) => Some(self.execute(scenario, vo, plan)?),
-            None => None,
-        };
-        Ok((outcome, report))
-    }
-
     /// Execute a selected VO against a fault plan.
     ///
     /// Deterministic: consumes no RNG — the plan *is* the randomness,
@@ -547,7 +526,7 @@ impl Mechanism {
                             (RecoveryKind::Absorbed, 0)
                         } else {
                             // Re-solve over the same members first …
-                            let report = self.solve_instance(&inst, None);
+                            let report = self.solve_instance(&inst, None, &Budget::unlimited());
                             resolve_nodes += report.nodes;
                             match report.solved {
                                 Some((a, c, _)) => {
@@ -618,7 +597,8 @@ impl Mechanism {
                                 None => {
                                     // Transient fault: a full re-solve
                                     // may re-trust the dropper.
-                                    let report = self.solve_instance(&inst, None);
+                                    let report =
+                                        self.solve_instance(&inst, None, &Budget::unlimited());
                                     resolve_nodes += report.nodes;
                                     match report.solved {
                                         Some((a, c, _)) => {
@@ -740,7 +720,7 @@ impl Mechanism {
             let c = a.total_cost(inst);
             return EvictOutcome::Repaired(a, c);
         }
-        let report = self.solve_instance(inst, None);
+        let report = self.solve_instance(inst, None, &Budget::unlimited());
         match report.solved {
             Some((a, c, _)) => EvictOutcome::Resolved(a, c, report.nodes),
             None => EvictOutcome::Infeasible(report.nodes),
@@ -988,18 +968,6 @@ mod tests {
             let a = report.final_assignment.as_ref().unwrap();
             assert_ne!(a.gsp_of(victim_task), holder, "dropped task must leave the dropper");
         }
-    }
-
-    #[test]
-    fn run_with_faults_returns_both_pieces() {
-        let s = scenario(20.0, 200.0);
-        let mech = Mechanism::tvof(FormationConfig::default());
-        let mut rng = TestRng::seed_from_u64(7);
-        let (outcome, report) = mech.run_with_faults(&s, &FaultPlan::empty(), &mut rng).unwrap();
-        let vo = outcome.selected.expect("feasible");
-        let report = report.expect("VO selected → execution ran");
-        assert_eq!(report.initial_members, vo.members);
-        assert_eq!(report.final_cost.to_bits(), vo.cost.to_bits());
     }
 
     #[test]

@@ -13,62 +13,15 @@
 
 use crate::reputation::ReputationEngine;
 use crate::scenario::FormationScenario;
-use crate::solve_cache::{solve_key_with_budget, CachedSolve, NoCache, SolveCache};
+use crate::solve_cache::{solve_key, CachedSolve, NoCache, SolveCache};
 use crate::vo::{FormationOutcome, IterationRecord, VoRecord};
 use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
 use gridvo_solver::{repair, AssignmentInstance};
 use rand::Rng;
 use std::time::Instant;
-
-/// What one IP solve produced, plus telemetry. Shared between the
-/// formation driver and the fault-recovery path in
-/// [`crate::execution`].
-pub(crate) struct VoSolveReport {
-    /// `(assignment, cost, proven_optimal)` when feasible.
-    pub(crate) solved: Option<(gridvo_solver::Assignment, f64, bool)>,
-    /// Search-tree nodes expanded (0 for heuristics).
-    pub(crate) nodes: u64,
-    /// Final-incumbent provenance (exact solvers only).
-    pub(crate) incumbent_source: Option<String>,
-    /// Relative optimality gap (`Some(0.0)` when proven optimal).
-    /// Anything non-optimal produced under a wall-clock deadline is
-    /// wall-clock-dependent, which is why `solve_vo` only ever caches
-    /// proven results when a deadline is armed.
-    pub(crate) gap: Option<f64>,
-}
-
-impl VoSolveReport {
-    /// The cacheable image of this solve (what [`SolveCache::store`]
-    /// receives on a miss), tagged with the candidate VO it solved.
-    fn to_cached(&self, members: &[usize]) -> CachedSolve {
-        CachedSolve {
-            solved: self.solved.clone(),
-            nodes: self.nodes,
-            incumbent_source: self.incumbent_source.clone(),
-            gap: self.gap,
-            members: members.to_vec(),
-            // The driver has no epoch notion; epoch-aware cache
-            // owners re-stamp on store.
-            epoch: 0,
-        }
-    }
-
-    /// Rebuild a report from a cache hit. Deadline-truncated results
-    /// are never stored, so a replayed solve is by construction not
-    /// one.
-    fn from_cached(c: CachedSolve) -> Self {
-        VoSolveReport {
-            solved: c.solved,
-            nodes: c.nodes,
-            incumbent_source: c.incumbent_source,
-            gap: c.gap,
-        }
-    }
-}
 
 /// Which member leaves the VO at each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +58,6 @@ pub enum SolverChoice {
     ExactParallel(ParallelBranchBound),
     /// A fast inexact heuristic (participation-repaired).
     Heuristic(Heuristic),
-    /// Racing portfolio: heuristics seed, exact search refines, all
-    /// under the run's anytime [`Budget`]. Identical to `Exact` when
-    /// the budget is unlimited.
-    Portfolio(Portfolio),
 }
 
 impl Default for SolverChoice {
@@ -183,39 +132,30 @@ impl Mechanism {
         scenario: &FormationScenario,
         rng: &mut R,
     ) -> Result<FormationOutcome> {
-        self.run_cached(scenario, rng, &mut NoCache)
+        self.run_cached_with_budget(scenario, rng, &mut NoCache, &Budget::unlimited())
     }
 
-    /// [`Mechanism::run`] with a solver-side memo table.
+    /// [`Mechanism::run`] with a solver-side memo table, under an
+    /// anytime [`Budget`] shared by every per-round solve.
     ///
-    /// Every per-round exact solve first consults `cache` under
-    /// [`solve_key`] (instance content hash ⊕ warm incumbent); misses
-    /// are solved and stored. Because the key covers the full solver
-    /// input and the solvers are deterministic, a cached run is
-    /// **trace-identical** to an uncached one — same assignments,
-    /// costs, `nodes` and `incumbent_source` telemetry — except for
-    /// wall-clock timings. The `gridvo-service` daemon passes its
-    /// shared cache here; plain library callers use [`Mechanism::run`].
-    pub fn run_cached<R: Rng + ?Sized>(
-        &self,
-        scenario: &FormationScenario,
-        rng: &mut R,
-        cache: &mut dyn SolveCache,
-    ) -> Result<FormationOutcome> {
-        self.run_cached_with_budget(scenario, rng, cache, &Budget::unlimited())
-    }
-
-    /// [`Mechanism::run_cached`] under an anytime [`Budget`] shared by
-    /// every per-round solve: each solve honors the same absolute
-    /// wall-clock deadline and node cap, so the whole formation run —
-    /// not just one round — respects the caller's deadline (up to one
-    /// solver bound-check interval plus non-solver overhead). Rounds
-    /// whose solve was truncated carry their anytime incumbent with
-    /// `optimal = false` and a positive `gap`. Deadline-truncated
-    /// solves are never stored in `cache` (they are wall-clock-
-    /// dependent); node-cap truncation is deterministic and cached
-    /// under a cap-tagged key. With [`Budget::unlimited`] this is
-    /// exactly [`Mechanism::run_cached`].
+    /// Every per-round solve first consults `cache` under
+    /// [`solve_key`] (instance content hash ⊕ warm incumbent ⊕ node
+    /// cap); misses are solved and stored. Because the key covers the
+    /// full solver input and the solvers are deterministic, a cached
+    /// run is **trace-identical** to an uncached one — same
+    /// assignments, costs, `nodes` and `incumbent_source` telemetry —
+    /// except for wall-clock timings. The `gridvo-service` daemon
+    /// passes its shared cache here; plain library callers use
+    /// [`Mechanism::run`].
+    ///
+    /// Each solve honors the same absolute wall-clock deadline and
+    /// node cap, so the whole formation run — not just one round —
+    /// respects the caller's deadline (up to one solver bound-check
+    /// interval plus non-solver overhead). Rounds whose solve was
+    /// truncated carry their anytime incumbent with `optimal = false`
+    /// and a positive `gap`. Deadline-truncated solves are never
+    /// stored in `cache` (they are wall-clock-dependent); node-cap
+    /// truncation is deterministic and cached under a cap-tagged key.
     pub fn run_cached_with_budget<R: Rng + ?Sized>(
         &self,
         scenario: &FormationScenario,
@@ -339,9 +279,16 @@ impl Mechanism {
         carry: Option<(&gridvo_solver::Assignment, usize)>,
         cache: &mut dyn SolveCache,
         budget: &Budget,
-    ) -> VoSolveReport {
+    ) -> CachedSolve {
         let Some(inst): Option<AssignmentInstance> = scenario.instance_for(members) else {
-            return VoSolveReport { solved: None, nodes: 0, incumbent_source: None, gap: None };
+            return CachedSolve {
+                solved: None,
+                nodes: 0,
+                incumbent_source: None,
+                gap: None,
+                members: members.to_vec(),
+                epoch: 0,
+            };
         };
         let warm =
             carry.and_then(|(prev, evicted)| repair::repair_after_eviction(prev, evicted, &inst));
@@ -353,70 +300,63 @@ impl Mechanism {
         // answers under any deadline — serving a cached proven optimum
         // early is strictly better than truncating a fresh search.
         let node_cap = (budget.max_nodes != u64::MAX).then_some(budget.max_nodes);
-        let key = solve_key_with_budget(&inst, warm.as_ref(), node_cap);
+        let key = solve_key(&inst, warm.as_ref(), node_cap);
         if let Some(hit) = cache.lookup(key) {
-            return VoSolveReport::from_cached(hit);
+            return hit;
         }
-        let report = self.solve_instance_with_budget(&inst, warm.as_ref(), budget);
+        let solve = CachedSolve {
+            members: members.to_vec(),
+            ..self.solve_instance(&inst, warm.as_ref(), budget)
+        };
         // Without a deadline every result (including node-cap
         // truncation and Unknown) is a deterministic function of the
         // key. With one armed, anything short of a proven optimum —
         // an anytime incumbent, or an empty result that may be a
         // timed-out Unknown rather than an infeasibility proof —
         // depends on wall-clock luck and is never stored.
-        if budget.deadline.is_none() || matches!(&report.solved, Some((_, _, true))) {
-            cache.store(key, &report.to_cached(members));
+        if budget.deadline.is_none() || matches!(&solve.solved, Some((_, _, true))) {
+            cache.store(key, &solve);
         }
-        report
+        solve
     }
 
-    /// Solve one assignment instance with the configured solver,
-    /// optionally seeded with a warm incumbent. Also the re-solve
-    /// primitive of the fault-recovery path ([`crate::execution`]).
+    /// Solve one assignment instance with the configured solver under
+    /// `budget`, optionally seeded with a warm incumbent. Also the
+    /// re-solve primitive of the fault-recovery path
+    /// ([`crate::execution`]). The result carries no member tag and
+    /// epoch 0: formation has no epoch notion, and epoch-aware cache
+    /// owners re-stamp on store.
     pub(crate) fn solve_instance(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&gridvo_solver::Assignment>,
-    ) -> VoSolveReport {
-        self.solve_instance_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// [`Mechanism::solve_instance`] under an anytime budget.
-    pub(crate) fn solve_instance_with_budget(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&gridvo_solver::Assignment>,
         budget: &Budget,
-    ) -> VoSolveReport {
-        let from_status = |status: SolveStatus| -> VoSolveReport {
-            match status {
-                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => VoSolveReport {
-                    nodes: o.nodes,
-                    incumbent_source: Some(o.incumbent_source.as_str().to_string()),
-                    gap: o.gap,
-                    solved: Some((o.assignment, o.cost, o.optimal)),
-                },
-                SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                    VoSolveReport { solved: None, nodes, incumbent_source: None, gap: None }
-                }
+    ) -> CachedSolve {
+        let from_status = |status: SolveStatus| match status {
+            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => (
+                Some((o.assignment, o.cost, o.optimal)),
+                o.nodes,
+                Some(o.incumbent_source.as_str().to_string()),
+                o.gap,
+            ),
+            SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
+                (None, nodes, None, None)
             }
         };
-        match self.config.solver {
+        let (solved, nodes, incumbent_source, gap) = match self.config.solver {
             SolverChoice::Exact(bb) => from_status(bb.solve_status_with_budget(inst, warm, budget)),
             SolverChoice::ExactParallel(pbb) => {
                 from_status(pbb.solve_status_with_budget(inst, warm, budget))
-            }
-            SolverChoice::Portfolio(p) => {
-                from_status(p.solve_status_with_budget(inst, warm, budget))
             }
             SolverChoice::Heuristic(kind) => {
                 let solved = heuristics::run(kind, inst).map(|a| {
                     let cost = a.total_cost(inst);
                     (a, cost, false)
                 });
-                VoSolveReport { solved, nodes: 0, incumbent_source: None, gap: None }
+                (solved, 0, None, None)
             }
-        }
+        };
+        CachedSolve { solved, nodes, incumbent_source, gap, members: Vec::new(), epoch: 0 }
     }
 
     /// The member leaving the VO this round. Errors (instead of

@@ -104,6 +104,23 @@ impl FormationScenario {
     pub fn trust_for(&self, members: &[usize]) -> Result<TrustGraph> {
         Ok(self.trust.restrict(members)?)
     }
+
+    /// The scenario over the sub-pool `ids` (global ids), renumbered
+    /// `0..ids.len()`: local GSP `k` is global GSP `ids[k]`, with its
+    /// speed, trust edges and cost and time columns. Lift results back
+    /// with [`FormationOutcome::map_members`](crate::FormationOutcome::map_members).
+    /// `None` when an id is out of range or the sub-pool cannot host
+    /// the program (see [`FormationScenario::instance_for`]).
+    pub fn restrict(&self, ids: &[usize]) -> Option<FormationScenario> {
+        if ids.iter().any(|&id| id >= self.gsp_count()) {
+            return None;
+        }
+        let instance = self.instance_for(ids)?;
+        let trust = self.trust_for(ids).ok()?;
+        let gsps =
+            ids.iter().enumerate().map(|(k, &g)| Gsp::new(k, self.gsps[g].speed_gflops)).collect();
+        Some(FormationScenario { gsps, trust, instance })
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +175,50 @@ mod tests {
         assert!(s.instance_for(&[]).is_none());
         assert!(s.instance_for(&[0]).is_some());
         assert!(s.instance_for(&[0, 1]).is_some());
+    }
+
+    /// `m` GSPs over `2m` tasks, with distinct speeds, trust weights
+    /// and cost and time columns.
+    fn pool(m: usize) -> FormationScenario {
+        let gsps: Vec<Gsp> = (0..m).map(|i| Gsp::new(i, 100.0 - 10.0 * i as f64)).collect();
+        let mut trust = TrustGraph::new(m);
+        for i in 0..m {
+            for j in 0..m {
+                if i != j {
+                    trust.set_trust(i, j, 0.4 + 0.1 * ((i + j) % 3) as f64);
+                }
+            }
+        }
+        let tasks = 2 * m;
+        let cost: Vec<f64> = (0..tasks * m).map(|k| 1.0 + (k % 7) as f64).collect();
+        let time: Vec<f64> = (0..tasks * m).map(|k| 0.5 + (k % 5) as f64 * 0.3).collect();
+        let inst = AssignmentInstance::new(tasks, m, cost, time, 50.0, 400.0).unwrap();
+        FormationScenario::new(gsps, trust, inst).unwrap()
+    }
+
+    #[test]
+    fn restrict_renumbers_the_sub_pool() {
+        let full = pool(5);
+        let free = vec![0, 2, 4];
+        let sub = full.restrict(&free).unwrap();
+        assert_eq!(sub.gsp_count(), 3);
+        assert_eq!(sub.task_count(), full.task_count());
+        // Local ids are 0..k; speeds carry over from the survivors.
+        for (k, &g) in free.iter().enumerate() {
+            assert_eq!(sub.gsps()[k].id, k);
+            assert_eq!(sub.gsps()[k].speed_gflops, full.gsps()[g].speed_gflops);
+        }
+        // Trust edges restrict with the members.
+        assert_eq!(sub.trust().trust(0, 1), full.trust().trust(0, 2));
+        // Cost columns restrict with the members.
+        assert_eq!(sub.instance().cost(1, 2), full.instance().cost(1, 4));
+    }
+
+    #[test]
+    fn restrict_refuses_bad_sub_pools() {
+        let full = pool(4);
+        assert!(full.restrict(&[]).is_none());
+        assert!(full.restrict(&[0, 9]).is_none());
     }
 
     #[test]

@@ -86,20 +86,14 @@ impl SolveCache for NoCache {
 /// Cache key of one exact solve: the instance's canonical content
 /// hash combined with the warm incumbent (task → local-GSP vector)
 /// seeded into the search, or a distinct tag when the solve is cold.
-pub fn solve_key(inst: &AssignmentInstance, warm: Option<&Assignment>) -> u64 {
-    solve_key_with_budget(inst, warm, None)
-}
-
-/// Budget-aware cache key. A finite node cap changes what a truncated
-/// solve returns, so capped solves get their own key space (the cap is
-/// appended to the hash); `node_cap = None` — the unlimited default —
-/// produces exactly the same key values as [`solve_key`], keeping
-/// every pre-existing cache line addressable. Wall-clock deadlines are
+///
+/// A finite node cap changes what a truncated solve returns, so capped
+/// solves get their own key space (the cap is appended to the hash);
+/// `node_cap = None` — the unlimited default — appends nothing, keeping
+/// every pre-budget cache line addressable. Wall-clock deadlines are
 /// deliberately *not* part of any key: deadline-truncated results are
-/// not reproducible and must never be stored (the driver skips the
-/// store when [`crate::mechanism::VoSolveReport`] flags a deadline
-/// hit).
-pub fn solve_key_with_budget(
+/// not reproducible, so formation never stores them.
+pub fn solve_key(
     inst: &AssignmentInstance,
     warm: Option<&Assignment>,
     node_cap: Option<u64>,
@@ -142,10 +136,10 @@ mod tests {
     fn warm_and_cold_keys_differ() {
         let i = inst();
         let warm = Assignment::new(vec![0, 1, 0]);
-        assert_ne!(solve_key(&i, None), solve_key(&i, Some(&warm)));
+        assert_ne!(solve_key(&i, None, None), solve_key(&i, Some(&warm), None));
         let other = Assignment::new(vec![0, 1, 1]);
-        assert_ne!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&other)));
-        assert_eq!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&warm.clone())));
+        assert_ne!(solve_key(&i, Some(&warm), None), solve_key(&i, Some(&other), None));
+        assert_eq!(solve_key(&i, Some(&warm), None), solve_key(&i, Some(&warm.clone()), None));
     }
 
     #[test]
@@ -164,13 +158,20 @@ mod tests {
     }
 
     #[test]
+    fn keys_keep_their_bytes() {
+        // Pinned values: a key change would orphan every stored cache
+        // line and every golden computed against it.
+        let i = inst();
+        let warm = Assignment::new(vec![0, 1, 0]);
+        assert_eq!(solve_key(&i, None, None), 0xb5f6_b244_0630_f172);
+        assert_eq!(solve_key(&i, Some(&warm), None), 0xb156_ac3f_a722_94dc);
+        assert_eq!(solve_key(&i, None, Some(1000)), 0x0ed7_e458_e286_7b6f);
+    }
+
+    #[test]
     fn node_cap_gets_its_own_key_space_and_none_preserves_old_keys() {
         let i = inst();
-        assert_eq!(solve_key(&i, None), solve_key_with_budget(&i, None, None));
-        assert_ne!(solve_key(&i, None), solve_key_with_budget(&i, None, Some(1000)));
-        assert_ne!(
-            solve_key_with_budget(&i, None, Some(1000)),
-            solve_key_with_budget(&i, None, Some(2000))
-        );
+        assert_ne!(solve_key(&i, None, None), solve_key(&i, None, Some(1000)));
+        assert_ne!(solve_key(&i, None, Some(1000)), solve_key(&i, None, Some(2000)));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! A bounded **LRU** memo table behind an `Arc<Mutex<…>>`,
 //! implementing [`SolveCache`] so worker threads can hand it straight
-//! to [`gridvo_core::Mechanism::run_cached`]. Hits and re-stores
-//! refresh an entry's recency, so a standing program's hot solves
-//! survive a churn of one-off requests that plain FIFO would let
-//! evict them. Hit / miss counters feed the metrics snapshot's cache
-//! hit rate.
+//! to [`gridvo_core::Mechanism::run_cached_with_budget`]. Hits and
+//! re-stores refresh an entry's recency, so a standing program's hot
+//! solves survive a churn of one-off requests that plain FIFO would
+//! let evict them. Hit / miss counters feed the metrics snapshot's
+//! cache hit rate.
 //!
 //! Correctness needs no invalidation logic: the key
 //! ([`gridvo_core::solve_cache::solve_key`]) is a content hash of the

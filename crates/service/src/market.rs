@@ -20,25 +20,16 @@
 //! the server runs when they recompute a serial oracle's responses.
 
 use gridvo_core::solve_cache::{CachedSolve, SolveCache};
-use gridvo_core::{FormationScenario, Gsp};
+use gridvo_core::FormationScenario;
 
 use crate::cache::SharedSolveCache;
 
-/// Restrict `full` to the sub-pool `free` (global ids, ascending).
-/// The returned scenario renumbers the survivors `0..free.len()`;
-/// lift results back with `FormationOutcome::map_members(free)`.
-/// `None` when the sub-pool cannot host the program (empty, or fewer
-/// tasks than members — the instance restriction's feasibility
-/// precondition).
+/// Restrict `full` to the sub-pool `free` (global ids, ascending):
+/// [`FormationScenario::restrict`]. The returned scenario renumbers
+/// the survivors `0..free.len()`; lift results back with
+/// `FormationOutcome::map_members(free)`.
 pub fn free_scenario(full: &FormationScenario, free: &[usize]) -> Option<FormationScenario> {
-    if free.iter().any(|&id| id >= full.gsp_count()) {
-        return None;
-    }
-    let inst = full.instance_for(free)?;
-    let trust = full.trust_for(free).ok()?;
-    let gsps: Vec<Gsp> =
-        free.iter().enumerate().map(|(k, &g)| Gsp::new(k, full.gsps()[g].speed_gflops)).collect();
-    FormationScenario::new(gsps, trust, inst).ok()
+    full.restrict(free)
 }
 
 /// Mix a free-set digest into a solve key. Identity when `salt == 0`
@@ -92,7 +83,7 @@ impl SolveCache for MarketCache {
 mod tests {
     use super::*;
     use gridvo_core::reputation::ReputationEngine;
-    use gridvo_core::{FormationConfig, Mechanism};
+    use gridvo_core::{FormationConfig, Gsp, Mechanism};
     use gridvo_solver::AssignmentInstance;
     use gridvo_trust::TrustGraph;
     use rand::rngs::StdRng;
@@ -113,31 +104,6 @@ mod tests {
         let time: Vec<f64> = (0..tasks * m).map(|k| 0.5 + (k % 5) as f64 * 0.3).collect();
         let inst = AssignmentInstance::new(tasks, m, cost, time, 50.0, 400.0).unwrap();
         FormationScenario::new(gsps, trust, inst).unwrap()
-    }
-
-    #[test]
-    fn free_scenario_restricts_and_renumbers() {
-        let full = scenario(5);
-        let free = vec![0, 2, 4];
-        let sub = free_scenario(&full, &free).unwrap();
-        assert_eq!(sub.gsp_count(), 3);
-        assert_eq!(sub.task_count(), full.task_count());
-        // Local ids are 0..k; speeds carry over from the survivors.
-        for (k, &g) in free.iter().enumerate() {
-            assert_eq!(sub.gsps()[k].id, k);
-            assert_eq!(sub.gsps()[k].speed_gflops, full.gsps()[g].speed_gflops);
-        }
-        // Trust edges restrict with the members.
-        assert_eq!(sub.trust().trust(0, 1), full.trust().trust(0, 2));
-        // Cost columns restrict with the members.
-        assert_eq!(sub.instance().cost(1, 2), full.instance().cost(1, 4));
-    }
-
-    #[test]
-    fn free_scenario_refuses_bad_subpools() {
-        let full = scenario(4);
-        assert!(free_scenario(&full, &[]).is_none());
-        assert!(free_scenario(&full, &[0, 9]).is_none());
     }
 
     #[test]

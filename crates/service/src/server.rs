@@ -25,12 +25,11 @@
 //! ## Snapshot consistency
 //!
 //! Every read-side answer — a formation, every seed of a batch, a
-//! registry dump — is computed from exactly one
-//! [`EpochSnapshot`](crate::shard::EpochSnapshot) pinned at the start
-//! of the request. Writers Arc-swap a fresh snapshot per mutation
-//! (see [`crate::shard`]), so a response can never mix state from two
-//! epochs; `tests/torture.rs` checks served bytes against a serial
-//! replay of the acked mutation order.
+//! registry dump — is computed from exactly one [`EpochSnapshot`]
+//! pinned at the start of the request. Writers Arc-swap a fresh
+//! snapshot per mutation (see [`crate::shard`]), so a response can
+//! never mix state from two epochs; `tests/torture.rs` checks served
+//! bytes against a serial replay of the acked mutation order.
 //!
 //! ## Admission control
 //!

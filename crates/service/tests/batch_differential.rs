@@ -66,7 +66,7 @@ fn cold_batch_is_byte_identical_to_sequential_forms() {
             assert_eq!(epoch, 0, "no mutations happened; the pinned snapshot is epoch 0");
             assert_eq!(served as usize, SEEDS.len());
         }
-        other => panic!("expected batch_end, got {:?}", other.kind()),
+        other => panic!("expected batch_end, got {other:?}"),
     }
     handle.shutdown();
     twin.shutdown();

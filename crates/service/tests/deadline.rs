@@ -76,7 +76,7 @@ fn tiny_deadline_on_a_large_instance_returns_promptly() {
             // Also a legal prompt answer: the job waited out its 50 ms
             // in the queue before a worker picked it up.
         }
-        other => panic!("expected form or deadline_exceeded, got {:?}", other.kind()),
+        other => panic!("expected form or deadline_exceeded, got {other:?}"),
     }
     handle.shutdown();
 }
@@ -106,7 +106,7 @@ fn unlimited_deadline_still_proves_optimality_on_small_instances() {
             assert!(outcome.feasible_vos.iter().all(|v| v.optimal && v.gap == Some(0.0)));
             assert_eq!(gap, outcome.selected.as_ref().and_then(|v| v.gap));
         }
-        other => panic!("expected form, got {:?}", other.kind()),
+        other => panic!("expected form, got {other:?}"),
     }
     assert_eq!(handle.metrics_snapshot().anytime_served, 0);
     handle.shutdown();

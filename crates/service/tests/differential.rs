@@ -50,7 +50,7 @@ fn served_form_is_bit_identical_to_direct_call() {
 
     let served = match client.form(42, MechanismKind::Tvof, None).unwrap() {
         Response::Form { outcome, .. } => outcome,
-        other => panic!("expected form response, got {:?}", other.kind()),
+        other => panic!("expected form response, got {other:?}"),
     };
     let direct = direct_form(&s, 42);
     assert_eq!(
@@ -108,7 +108,7 @@ fn served_execute_is_bit_identical_to_direct_call() {
     let (served_outcome, served_report) =
         match client.execute(3, MechanismKind::Tvof, plan, None).unwrap() {
             Response::Execute { outcome, report } => (outcome, report),
-            other => panic!("expected execute response, got {:?}", other.kind()),
+            other => panic!("expected execute response, got {other:?}"),
         };
     assert_eq!(
         serde_json::to_string(&served_outcome).unwrap(),
@@ -276,7 +276,7 @@ fn rvof_requests_use_the_requested_mechanism() {
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
     let served = match client.form(5, MechanismKind::Rvof, None).unwrap() {
         Response::Form { outcome, .. } => outcome,
-        other => panic!("expected form response, got {:?}", other.kind()),
+        other => panic!("expected form response, got {other:?}"),
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut direct =

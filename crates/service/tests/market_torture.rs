@@ -144,7 +144,7 @@ fn run_market_torture(persistence: Option<PersistConfig>) {
                         held.push(lease);
                     }
                     Response::PoolExhausted { .. } | Response::Busy => shed += 1,
-                    other => panic!("unexpected market answer: {:?}", other.kind()),
+                    other => panic!("unexpected market answer: {other:?}"),
                 }
                 // Hold at most two coalitions; churn the oldest so
                 // the free pool keeps moving under the other apps.

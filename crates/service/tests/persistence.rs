@@ -73,7 +73,7 @@ fn mutate(client: &mut ServiceClient, tasks: usize) {
 fn form_bytes(client: &mut ServiceClient, seed: u64) -> String {
     match client.form(seed, MechanismKind::Tvof, None).unwrap() {
         Response::Form { outcome, .. } => serde_json::to_string(&outcome).unwrap(),
-        other => panic!("expected form response, got {:?}", other.kind()),
+        other => panic!("expected form response, got {other:?}"),
     }
 }
 

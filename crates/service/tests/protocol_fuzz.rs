@@ -149,7 +149,7 @@ fn non_utf8_line_gets_a_typed_error_and_the_connection_survives() {
     conn.send_raw(&[0xFF, 0xFE, 0x80, 0xC0]);
     match conn.recv() {
         Response::Error { message } => assert!(message.contains("not UTF-8"), "{message}"),
-        other => panic!("expected a typed error, got {:?}", other.kind()),
+        other => panic!("expected a typed error, got {other:?}"),
     }
     conn.send(&Request::Ping { sleep_ms: 0 });
     assert_eq!(conn.recv(), Response::Pong);

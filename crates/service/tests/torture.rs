@@ -192,7 +192,7 @@ fn run_torture(persistence: Option<PersistConfig>) {
                     .iter()
                     .map(|r| match r {
                         Response::Form { .. } => encode(r),
-                        other => panic!("expected a form line, got {:?}", other.kind()),
+                        other => panic!("expected a form line, got {other:?}"),
                     })
                     .collect();
                 match tail {
@@ -201,7 +201,7 @@ fn run_torture(persistence: Option<PersistConfig>) {
                         assert_eq!(lines.len(), READER_SEEDS.len());
                         seen.push(Observation::Batch { epoch: *epoch, lines });
                     }
-                    other => panic!("expected batch_end, got {:?}", other.kind()),
+                    other => panic!("expected batch_end, got {other:?}"),
                 }
             }
             seen

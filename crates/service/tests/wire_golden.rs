@@ -119,7 +119,7 @@ fn legacy_registry_response_without_top_level_epoch_reads_none() {
                 serde_json::to_string(&snapshot).unwrap()
             );
         }
-        other => panic!("expected registry response, got {:?}", other.kind()),
+        other => panic!("expected registry response, got {other:?}"),
     }
 }
 
@@ -182,7 +182,7 @@ fn legacy_form_response_without_gap_fields_still_parses() {
             }
             assert_eq!(regapped, outcome);
         }
-        other => panic!("expected form response, got {:?}", other.kind()),
+        other => panic!("expected form response, got {other:?}"),
     }
 }
 

@@ -12,7 +12,6 @@ use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
 use gridvo_core::solve_cache::NoCache;
 use gridvo_core::{FormationOutcome, FormationScenario};
 use gridvo_solver::branch_bound::{BranchBound, Budget};
-use gridvo_solver::portfolio::Portfolio;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -201,13 +200,14 @@ pub fn warm_cold_sweep(cfg: &TableI, seeds: &[u64]) -> Result<Vec<WarmColdPoint>
 
 /// GSP counts above which the bit-identity cross-check is skipped
 /// (the unlimited exact baseline is out of reach there — that is the
-/// point of the anytime portfolio).
+/// point of the anytime budget).
 const SCALE_EXACT_CHECK_MAX_GSPS: usize = 16;
 
 /// Node cap used by the bit-identity cross-check. Any value works —
-/// the property under test is that the portfolio and the exact solver
-/// truncate *identically* under the same deterministic cap — so it is
-/// kept small to bound the check's runtime.
+/// the property under test is that a [`Budget`] node cap truncates
+/// the exact solver *identically* to the same cap set as
+/// [`BranchBound::max_nodes`] — so it is kept small to bound the
+/// check's runtime.
 const SCALE_CHECK_NODE_CAP: u64 = 200_000;
 
 /// One GSP-count point of the anytime scale frontier
@@ -232,17 +232,19 @@ pub struct ScalePoint {
     /// Runs that selected a VO.
     pub formed_runs: usize,
     /// Bit-identity cross-check (small scales only): every seed's
-    /// node-capped portfolio trace equalled the exact solver's under
-    /// the same cap. `None` above [`SCALE_EXACT_CHECK_MAX_GSPS`].
+    /// trace under a [`Budget`] node cap equalled the trace under the
+    /// same cap set as [`BranchBound::max_nodes`]. `None` above 16
+    /// GSPs.
     pub exact_match: Option<bool>,
 }
 
-/// The anytime scale frontier: formation with the racing
-/// [`Portfolio`] under a fixed wall-clock budget per run, swept over
-/// provider-pool sizes (2 tasks per GSP). At small scales every run
-/// is additionally replayed with a *node-capped* budget against the
-/// plain exact solver under the same cap — the deterministic half of
-/// the budget — and the traces must agree bit for bit.
+/// The anytime scale frontier: formation with the exact solver under
+/// a fixed wall-clock [`Budget`] per run, swept over provider-pool
+/// sizes (2 tasks per GSP). At small scales every run is additionally
+/// replayed under a *node-capped* budget — the deterministic half of
+/// the budget — against the exact solver configured with the same cap
+/// as its [`BranchBound::max_nodes`], and the traces must agree bit for
+/// bit.
 pub fn scale_sweep(
     cfg: &TableI,
     gsp_counts: &[usize],
@@ -254,14 +256,8 @@ pub fn scale_sweep(
         let tasks = gsps * 2;
         let scale_cfg = TableI { gsps, task_sizes: vec![tasks], ..cfg.clone() };
         let generator = ScenarioGenerator::new(scale_cfg.clone());
-        let budgeted_cfg = FormationConfig {
-            solver: SolverChoice::Portfolio(Portfolio::default()),
-            ..Default::default()
-        };
         let capped_cfg = FormationConfig {
-            solver: SolverChoice::Portfolio(Portfolio {
-                exact: BranchBound { max_nodes: u64::MAX, seed_incumbent: true },
-            }),
+            solver: SolverChoice::Exact(BranchBound { max_nodes: u64::MAX, seed_incumbent: true }),
             ..Default::default()
         };
         let exact_cfg = FormationConfig {
@@ -276,7 +272,7 @@ pub fn scale_sweep(
             // The budgeted anytime run: one wall-clock budget covers
             // the whole formation (every eviction round).
             let budget = Budget::with_deadline(Instant::now() + Duration::from_millis(budget_ms));
-            let outcome = Mechanism::tvof(budgeted_cfg)
+            let outcome = Mechanism::tvof(FormationConfig::default())
                 .run_cached_with_budget(
                     &scenario,
                     &mut crate::runner::seeded_rng(0x5CA11, seed),

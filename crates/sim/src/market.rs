@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
-use gridvo_core::{FormationScenario, Gsp};
+use gridvo_core::FormationScenario;
 use gridvo_market::{stability, CommittedVo, LeaseTable};
 use gridvo_workload::swf::{SwfJob, SwfStatus, SwfTrace};
 use rand::rngs::StdRng;
@@ -164,17 +164,6 @@ struct LiveVo {
     committed: CommittedVo,
 }
 
-/// Restrict `full` to the free sub-pool, renumbering survivors
-/// `0..k`. Mirrors the daemon's `free_scenario` (gridvo-service
-/// depends on this crate, so the helper cannot be shared).
-fn sub_scenario(full: &FormationScenario, free: &[usize]) -> Option<FormationScenario> {
-    let inst = full.instance_for(free)?;
-    let trust = full.trust_for(free).ok()?;
-    let gsps: Vec<Gsp> =
-        free.iter().enumerate().map(|(k, &g)| Gsp::new(k, full.gsps()[g].speed_gflops)).collect();
-    FormationScenario::new(gsps, trust, inst).ok()
-}
-
 /// Run the discrete-event market over `trace`'s completed jobs.
 pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> {
     let apps = cfg.apps.max(1);
@@ -221,7 +210,7 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
         let contended = free.len() < scenario.gsp_count();
         let sub;
         let view: &FormationScenario = if contended {
-            match sub_scenario(&scenario, &free) {
+            match scenario.restrict(&free) {
                 Some(s) => {
                     sub = s;
                     &sub

@@ -153,7 +153,7 @@ pub fn reputation_csv(points: &[ReputationPoint]) -> String {
 pub struct BenchFormation {
     /// Cold vs warm formation runs per program size.
     pub warm_cold: Vec<WarmColdPoint>,
-    /// Budgeted portfolio formation per provider-pool size.
+    /// Budgeted exact-solver formation per provider-pool size.
     pub scale_frontier: Vec<ScalePoint>,
 }
 

@@ -16,8 +16,11 @@
 //! `break` (all later children are costlier), which is what makes the
 //! search close instantly on instances where constraints do not bind.
 //!
-//! Before any search, a seed whose cost meets the Hungarian root bound
-//! is returned as optimal with zero nodes. A caller's warm incumbent is
+//! Both exact backends (this one and [`crate::parallel`]) run one
+//! pipeline: a shared root step, their own search, a shared result
+//! step. Before any search, the root step proves infeasibility against
+//! the payment cap, or returns a seed whose cost meets the Hungarian
+//! root bound as optimal, at zero nodes. A caller's warm incumbent is
 //! checked first, so a certified warm start skips the heuristic
 //! portfolio and the bound tables altogether.
 //!
@@ -27,6 +30,7 @@
 //! tree was exhausted and [`SolveOutcome::gap`] bounding how far the
 //! returned incumbent can be from the optimum.
 
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 use crate::bounds::BoundTables;
@@ -45,9 +49,9 @@ const CHECK_INTERVAL: u64 = 1024;
 
 /// A shared anytime budget for one solve: an optional absolute
 /// wall-clock deadline and a node cap. The deadline is checked every
-/// [`CHECK_INTERVAL`] nodes; when either limit trips, the search
-/// returns its best incumbent so far (flagged non-optimal, with an
-/// optimality gap attached) instead of running to exhaustion.
+/// 1024 nodes; when either limit trips, the search returns its best
+/// incumbent so far (flagged non-optimal, with an optimality gap
+/// attached) instead of running to exhaustion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Budget {
     /// Absolute instant after which the search must stop. `None`
@@ -68,12 +72,6 @@ impl Budget {
     /// A wall-clock-only budget expiring at `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
         Budget { deadline: Some(deadline), max_nodes: u64::MAX }
-    }
-
-    /// True when neither limit is set — the regime in which budgeted
-    /// entry points are bit-identical to the plain exact solve.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_nodes == u64::MAX
     }
 
     /// True when the wall-clock deadline has already passed.
@@ -192,108 +190,40 @@ pub enum SolveStatus {
 }
 
 impl BranchBound {
-    /// Solve, returning the best assignment if one was found.
-    /// `None` means no feasible solution was found — with the default
-    /// (effectively unlimited) budget this is a proof of infeasibility.
+    /// Solve under [`Budget::unlimited`], returning the best assignment
+    /// if one was found. `None` means no feasible solution was found —
+    /// with the default (effectively unlimited) node cap this is a
+    /// proof of infeasibility.
     pub fn solve(&self, inst: &AssignmentInstance) -> Option<SolveOutcome> {
-        match self.solve_status(inst) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
-        }
+        self.solve_status_with_budget(inst, None, &Budget::unlimited()).into_outcome()
     }
 
-    /// Solve with full status reporting.
-    pub fn solve_status(&self, inst: &AssignmentInstance) -> SolveStatus {
-        self.solve_status_with_incumbent(inst, None)
-    }
-
-    /// Like [`BranchBound::solve`], additionally seeding the search
-    /// with a caller-supplied warm incumbent (e.g. the previous
-    /// eviction round's repaired optimum). An infeasible or
-    /// wrong-shaped warm assignment is silently ignored, so callers can
-    /// pass whatever the repair produced without pre-validating.
-    pub fn solve_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> Option<SolveOutcome> {
-        match self.solve_status_with_incumbent(inst, warm) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
-        }
-    }
-
-    /// Full-status variant of [`BranchBound::solve_with_incumbent`].
+    /// Solve with full status reporting, optionally seeded with a warm
+    /// incumbent (e.g. the previous eviction round's repaired optimum)
+    /// and bounded by `budget`: the search stops at `budget.deadline`
+    /// or after `budget.max_nodes` nodes, returning the best incumbent
+    /// found so far with an optimality gap.
     ///
-    /// The warm incumbent only tightens the initial upper bound of an
-    /// exact search, so the returned *cost* is identical to a cold
-    /// solve; only the node count (and possibly which of several
-    /// cost-tied optimal assignments is returned) can differ.
-    pub fn solve_status_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> SolveStatus {
-        self.solve_status_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// Budgeted variant of [`BranchBound::solve_status_with_incumbent`]:
-    /// the search additionally stops at `budget.deadline` / after
-    /// `budget.max_nodes` nodes, returning the best incumbent found so
-    /// far with an optimality gap. With [`Budget::unlimited`] this is
-    /// the same code path as the plain exact solve — outputs are
-    /// bit-identical.
+    /// An infeasible or wrong-shaped warm assignment is silently
+    /// ignored, so callers can pass whatever the repair produced
+    /// without pre-validating. The warm incumbent only tightens the
+    /// initial upper bound of an exact search, so the returned *cost*
+    /// is identical to a cold solve; only the node count (and possibly
+    /// which of several cost-tied optimal assignments is returned) can
+    /// differ.
     pub fn solve_status_with_budget(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&Assignment>,
         budget: &Budget,
     ) -> SolveStatus {
-        // Root cut: the Hungarian participation bound (matching of
-        // distinct representative tasks onto GSPs) dominates the
-        // per-node bound. It can prove infeasibility against the
-        // payment cap, or prove a seeded incumbent optimal, before any
-        // tree search.
-        let root_bound = crate::hungarian::participation_bound(inst);
-        if root_bound > inst.payment() + COST_EPS {
-            return SolveStatus::Infeasible { nodes: 0 };
-        }
-        // The warm start, validated against the full constraint set.
-        // When it already meets the root bound it is optimal, so it is
-        // returned before paying for the heuristic portfolio or the
-        // bound tables.
-        let warm_seed =
-            match warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst))) {
-                Some((assignment, cost)) if cost <= root_bound + COST_EPS => {
-                    return certified(assignment, cost, IncumbentSource::Warm);
-                }
-                other => other,
-            };
-        // Otherwise install the cheaper of the warm start and the
-        // heuristic portfolio; the warm one wins only when strictly
-        // better, so a tie keeps the cold-run labeling.
-        let tables = BoundTables::new(inst);
-        let heur_seed = if self.seed_incumbent {
-            heuristics::seed_incumbent_with(inst, &tables).map(|a| {
-                let cost = a.total_cost(inst);
-                (a, cost)
-            })
-        } else {
-            None
-        };
-        let seed = match (warm_seed, heur_seed) {
-            (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
-            (Some(_), Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-            (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
-            (None, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-            (None, None) => None,
+        let Root { tables, seed } = match root_step(inst, warm, self.seed_incumbent) {
+            ControlFlow::Break(settled) => return settled,
+            ControlFlow::Continue(root) => root,
         };
         let mut search = Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), None);
         search.set_deadline(budget.deadline);
         if let Some((assignment, cost, source)) = seed {
-            if cost <= root_bound + COST_EPS {
-                return certified(assignment, cost, source);
-            }
             search.install_incumbent_from(assignment.as_slice().to_vec(), cost, source);
         }
         if budget.expired() {
@@ -303,7 +233,80 @@ impl BranchBound {
         } else {
             search.dfs(0);
         }
-        search.into_status()
+        result_step(inst, &tables, search.end())
+    }
+}
+
+impl SolveStatus {
+    /// The outcome, when the solve found a feasible assignment.
+    pub(crate) fn into_outcome(self) -> Option<SolveOutcome> {
+        match self {
+            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
+            SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
+        }
+    }
+}
+
+/// What the root step leaves for a backend's search.
+pub(crate) struct Root {
+    /// Bound tables, built once and shared by the seed and the search.
+    pub(crate) tables: BoundTables,
+    /// The incumbent to install before searching: assignment, cost and
+    /// where it came from.
+    pub(crate) seed: Option<(Assignment, f64, IncumbentSource)>,
+}
+
+/// The root step both exact backends run before their search.
+///
+/// It settles the solve outright (`Break`) when it can. The Hungarian
+/// participation bound (a matching of distinct representative tasks
+/// onto GSPs) dominates the per-node bound: above the payment cap it
+/// proves the instance infeasible, and a seed whose cost meets it is
+/// optimal — both at 0 nodes. The caller's warm incumbent, validated
+/// against the full constraint set, is tried first, so certifying it
+/// skips the heuristic portfolio and the bound tables altogether.
+///
+/// Otherwise (`Continue`) it builds the bound tables and picks the
+/// seed: the cheaper of the warm incumbent and the heuristic portfolio
+/// (when `seed_incumbent` is set). The warm one wins only when
+/// strictly cheaper, so a tie keeps the cold-run label.
+pub(crate) fn root_step(
+    inst: &AssignmentInstance,
+    warm: Option<&Assignment>,
+    seed_incumbent: bool,
+) -> ControlFlow<SolveStatus, Root> {
+    let root_bound = crate::hungarian::participation_bound(inst);
+    if root_bound > inst.payment() + COST_EPS {
+        return ControlFlow::Break(SolveStatus::Infeasible { nodes: 0 });
+    }
+    let warm_seed =
+        match warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst))) {
+            Some((assignment, cost)) if cost <= root_bound + COST_EPS => {
+                return ControlFlow::Break(certified(assignment, cost, IncumbentSource::Warm));
+            }
+            other => other,
+        };
+    let tables = BoundTables::new(inst);
+    let heur_seed = if seed_incumbent {
+        heuristics::seed_incumbent_with(inst, &tables).map(|a| {
+            let cost = a.total_cost(inst);
+            (a, cost)
+        })
+    } else {
+        None
+    };
+    let seed = match (warm_seed, heur_seed) {
+        (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
+        (Some(_), Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
+        (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
+        (None, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
+        (None, None) => None,
+    };
+    match seed {
+        Some((assignment, cost, source)) if cost <= root_bound + COST_EPS => {
+            ControlFlow::Break(certified(assignment, cost, source))
+        }
+        seed => ControlFlow::Continue(Root { tables, seed }),
     }
 }
 
@@ -321,11 +324,70 @@ fn certified(assignment: Assignment, cost: f64, source: IncumbentSource) -> Solv
     })
 }
 
+/// Where a backend's search ended: the input of [`result_step`].
+pub(crate) struct SearchEnd {
+    /// The final incumbent (task-indexed GSP choices), if any.
+    pub(crate) best: Option<Vec<usize>>,
+    /// Which seed (or the search itself) produced it.
+    pub(crate) source: IncumbentSource,
+    /// Nodes expanded.
+    pub(crate) nodes: u64,
+    /// True when a node cap or the deadline cut the search short.
+    pub(crate) truncated: bool,
+    /// True when the deadline did.
+    pub(crate) deadline_hit: bool,
+}
+
+/// The result step both exact backends run after their search: the
+/// canonical cost, the lower bound and gap, and the four-way status.
+pub(crate) fn result_step(
+    inst: &AssignmentInstance,
+    tables: &BoundTables,
+    end: SearchEnd,
+) -> SolveStatus {
+    let SearchEnd { best, source, nodes, truncated, deadline_hit } = end;
+    let Some(best) = best else {
+        return if truncated {
+            SolveStatus::Unknown { nodes }
+        } else {
+            SolveStatus::Infeasible { nodes }
+        };
+    };
+    let assignment = Assignment::new(best);
+    // Canonical cost: re-sum in task order so the same assignment
+    // reports the same bits whether it arrived via a seed or a search
+    // leaf (whose running sum follows branch order).
+    let cost = assignment.total_cost(inst);
+    let (lower_bound, gap) = if truncated {
+        // The root bounds are computed only when the search was
+        // actually cut short.
+        let lb = root_lower_bound(inst, tables).min(cost);
+        (Some(lb), Some(gap_for(cost, lb)))
+    } else {
+        (Some(cost), Some(0.0))
+    };
+    let outcome = SolveOutcome {
+        assignment,
+        cost,
+        optimal: !truncated,
+        nodes,
+        incumbent_source: source,
+        lower_bound,
+        gap,
+        deadline_hit,
+    };
+    if truncated {
+        SolveStatus::Feasible(outcome)
+    } else {
+        SolveStatus::Optimal(outcome)
+    }
+}
+
 /// Best proven root lower bound for `inst`: the max of the Hungarian
 /// participation bound, the Lagrangian dual and the per-task cost
 /// bound (all admissible). Used to attach an optimality gap to
 /// truncated solves.
-pub(crate) fn root_lower_bound(inst: &AssignmentInstance, tables: &BoundTables) -> f64 {
+fn root_lower_bound(inst: &AssignmentInstance, tables: &BoundTables) -> f64 {
     let k = inst.gsps();
     let mut lb = tables.cost_lower_bound(0, 0.0, &vec![0usize; k]);
     if tables.has_mu {
@@ -335,7 +397,7 @@ pub(crate) fn root_lower_bound(inst: &AssignmentInstance, tables: &BoundTables) 
 }
 
 /// Relative optimality gap `(cost − lb) / cost`, clamped to `[0, 1]`.
-pub(crate) fn gap_for(cost: f64, lower_bound: f64) -> f64 {
+fn gap_for(cost: f64, lower_bound: f64) -> f64 {
     if cost.abs() <= COST_EPS {
         0.0
     } else {
@@ -615,57 +677,11 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    pub(crate) fn nodes(&self) -> u64 {
-        self.nodes
-    }
-
-    pub(crate) fn take_best(self) -> (Option<(Vec<usize>, f64)>, u64, bool, bool) {
-        let Searcher { best, best_cost, nodes, truncated, deadline_hit, .. } = self;
-        (best.map(|b| (b, best_cost)), nodes, truncated, deadline_hit)
-    }
-
-    fn into_status(self) -> SolveStatus {
-        let truncated = self.truncated;
-        let deadline_hit = self.deadline_hit;
-        let nodes = self.nodes;
-        match self.best {
-            Some(b) => {
-                let assignment = Assignment::new(b);
-                // Canonical cost: re-sum in task order so the same
-                // assignment reports the same bits whether it arrived
-                // via a seed or a search leaf (whose `committed` sums
-                // in branch order).
-                let cost = assignment.total_cost(self.inst);
-                let (lower_bound, gap) = if truncated {
-                    let lb = root_lower_bound(self.inst, self.tables).min(cost);
-                    (Some(lb), Some(gap_for(cost, lb)))
-                } else {
-                    (Some(cost), Some(0.0))
-                };
-                let outcome = SolveOutcome {
-                    assignment,
-                    cost,
-                    optimal: !truncated,
-                    nodes,
-                    incumbent_source: self.source,
-                    lower_bound,
-                    gap,
-                    deadline_hit,
-                };
-                if truncated {
-                    SolveStatus::Feasible(outcome)
-                } else {
-                    SolveStatus::Optimal(outcome)
-                }
-            }
-            None => {
-                if truncated {
-                    SolveStatus::Unknown { nodes }
-                } else {
-                    SolveStatus::Infeasible { nodes }
-                }
-            }
-        }
+    /// Where the search ended, for [`result_step`] (and, per subtree,
+    /// for the parallel backend's totals).
+    pub(crate) fn end(self) -> SearchEnd {
+        let Searcher { best, source, nodes, truncated, deadline_hit, .. } = self;
+        SearchEnd { best, source, nodes, truncated, deadline_hit }
     }
 }
 
@@ -708,7 +724,7 @@ mod tests {
     #[test]
     fn payment_cap_proves_infeasible() {
         let i = inst(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0);
-        match BranchBound::default().solve_status(&i) {
+        match BranchBound::default().solve_status_with_budget(&i, None, &Budget::unlimited()) {
             SolveStatus::Infeasible { .. } => {}
             other => panic!("expected infeasible, got {other:?}"),
         }
@@ -727,20 +743,42 @@ mod tests {
         assert_eq!(o.cost, 6.0);
     }
 
+    /// Both exact backends, each solving under an unlimited budget
+    /// with an optional warm seed.
+    type Backend = fn(&AssignmentInstance, Option<&Assignment>) -> SolveStatus;
+    const BACKENDS: [(&str, Backend); 2] = [
+        ("sequential", |i, warm| {
+            BranchBound::default().solve_status_with_budget(i, warm, &Budget::unlimited())
+        }),
+        ("parallel", |i, warm| {
+            crate::parallel::ParallelBranchBound::default().solve_status_with_budget(
+                i,
+                warm,
+                &Budget::unlimited(),
+            )
+        }),
+    ];
+
     #[test]
     fn warm_seed_meeting_the_root_bound_is_certified_without_search() {
         // Loose constraints: the optimum meets the Hungarian root bound.
         let i = inst(3, 2, vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0], vec![1.0; 6], 100.0, 100.0);
         let cold = BranchBound::default().solve(&i).unwrap();
-        let warm = BranchBound::default().solve_with_incumbent(&i, Some(&cold.assignment)).unwrap();
-        assert_eq!(warm.nodes, 0);
-        assert_eq!(warm.incumbent_source, IncumbentSource::Warm);
-        assert_eq!((warm.assignment, warm.cost), (cold.assignment, cold.cost));
         // A feasible but costlier warm seed is no certificate.
         let worse = Assignment::new(vec![1, 0, 0]);
-        let o = BranchBound::default().solve_with_incumbent(&i, Some(&worse)).unwrap();
-        assert_ne!(o.incumbent_source, IncumbentSource::Warm);
-        assert_eq!(o.cost, cold.cost);
+        // Every assignment costs 20 against a payment cap of 5.
+        let broke = inst(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0);
+        for (name, solve) in BACKENDS {
+            let warm = solve(&i, Some(&cold.assignment)).into_outcome().unwrap();
+            assert_eq!(warm.nodes, 0, "{name}");
+            assert_eq!(warm.incumbent_source, IncumbentSource::Warm, "{name}");
+            assert_eq!((&warm.assignment, warm.cost), (&cold.assignment, cold.cost), "{name}");
+            let o = solve(&i, Some(&worse)).into_outcome().unwrap();
+            assert_ne!(o.incumbent_source, IncumbentSource::Warm, "{name}");
+            assert_eq!(o.cost, cold.cost, "{name}");
+            // The root bound alone proves the payment cap broken.
+            assert_eq!(solve(&broke, None), SolveStatus::Infeasible { nodes: 0 }, "{name}");
+        }
     }
 
     #[test]
@@ -749,7 +787,7 @@ mod tests {
         let i =
             inst(4, 2, vec![1.0, 2.0, 2.0, 1.0, 1.5, 1.5, 2.0, 1.0], vec![1.0; 8], 100.0, 100.0);
         let bb = BranchBound { max_nodes: 1, seed_incumbent: false };
-        match bb.solve_status(&i) {
+        match bb.solve_status_with_budget(&i, None, &Budget::unlimited()) {
             SolveStatus::Feasible(o) => assert!(!o.optimal),
             SolveStatus::Unknown { .. } => {}
             other => panic!("expected truncation, got {other:?}"),
@@ -822,30 +860,6 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_is_bit_identical_to_plain_solve() {
-        let i = inst(
-            5,
-            3,
-            vec![
-                3.0, 1.0, 2.0, //
-                1.0, 2.0, 3.0, //
-                2.0, 3.0, 1.0, //
-                1.0, 1.0, 4.0, //
-                2.0, 2.0, 2.0,
-            ],
-            vec![1.0; 15],
-            3.0,
-            100.0,
-        );
-        let bb = BranchBound::default();
-        assert_eq!(
-            bb.solve_status(&i),
-            bb.solve_status_with_budget(&i, None, &Budget::unlimited()),
-            "unlimited budget must be the same code path"
-        );
-    }
-
-    #[test]
     fn expired_deadline_returns_seed_as_anytime_incumbent() {
         let i = inst(3, 2, vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0], vec![1.0; 6], 100.0, 100.0);
         // A deadline in the past: no tree search, but the heuristic
@@ -874,7 +888,7 @@ mod tests {
             inst(4, 2, vec![2.0, 3.0, 3.0, 2.0, 2.5, 2.6, 3.0, 2.0], vec![1.0; 8], 100.0, 100.0);
         let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
         let bb = BranchBound { max_nodes: 1, seed_incumbent: true };
-        match bb.solve_status(&i) {
+        match bb.solve_status_with_budget(&i, None, &Budget::unlimited()) {
             SolveStatus::Feasible(o) => {
                 let lb = o.lower_bound.unwrap();
                 assert!(lb <= opt + 1e-9, "lower bound {lb} exceeds optimum {opt}");
@@ -889,12 +903,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn moderate_instance_closes_fast() {
-        // 60 tasks × 6 GSPs with structured costs: must finish well
-        // within the default budget.
-        let n = 60;
-        let k = 6;
+    /// `n` tasks × `k` GSPs with structured costs and times.
+    fn structured(n: usize, k: usize, d: f64, p: f64) -> AssignmentInstance {
         let mut cost = Vec::new();
         let mut time = Vec::new();
         for t in 0..n {
@@ -903,7 +913,25 @@ mod tests {
                 time.push(1.0 + ((t * 13 + g * 7) % 5) as f64);
             }
         }
-        let i = inst(n, k, cost, time, 100.0, 1e6);
+        inst(n, k, cost, time, d, p)
+    }
+
+    #[test]
+    fn node_budget_results_are_deterministic() {
+        // Node caps (unlike wall-clock deadlines) are reproducible:
+        // two identical solves must agree bit for bit.
+        let i = structured(25, 4, 25.0, 1e6);
+        let budget = Budget { deadline: None, max_nodes: 100 };
+        let a = BranchBound::default().solve_status_with_budget(&i, None, &budget);
+        let b = BranchBound::default().solve_status_with_budget(&i, None, &budget);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn moderate_instance_closes_fast() {
+        // 60 tasks × 6 GSPs with structured costs: must finish well
+        // within the default budget.
+        let i = structured(60, 6, 100.0, 1e6);
         let o = BranchBound::default().solve(&i).unwrap();
         assert!(o.optimal);
         o.assignment.check_feasible(&i).unwrap();

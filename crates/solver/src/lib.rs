@@ -21,6 +21,14 @@
 //! and [`heuristics`] provides the Braun-et-al. family (min-min,
 //! max-min, sufferage, greedy) used as fast inexact baselines.
 //!
+//! Each exact backend has one entry point,
+//! `solve_status_with_budget(inst, warm, budget)` (plus `solve`, its
+//! cold, unlimited shorthand), and both run one pipeline: a shared
+//! root step (Hungarian infeasibility cut, warm-incumbent certificate,
+//! bound tables, heuristic seed, seed certificate), the backend's own
+//! search under the anytime [`Budget`], and a shared result step
+//! (canonical cost, lower bound and gap, [`branch_bound::SolveStatus`]).
+//!
 //! ## Quick example
 //!
 //! ```
@@ -48,13 +56,11 @@ pub mod heuristics;
 pub mod hungarian;
 pub mod instance;
 pub mod parallel;
-pub mod portfolio;
 pub mod repair;
 pub mod solution;
 
 pub use branch_bound::{BranchBound, Budget, IncumbentSource, SolveOutcome};
 pub use instance::AssignmentInstance;
-pub use portfolio::Portfolio;
 pub use solution::{Assignment, FeasibilityError};
 
 /// Errors produced while constructing or solving instances.

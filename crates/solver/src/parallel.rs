@@ -1,6 +1,9 @@
 //! Rayon-parallel branch-and-bound.
 //!
-//! The search tree is expanded breadth-first to a shallow frontier
+//! It runs the sequential solver's root step (infeasibility cut, warm
+//! and seed certificates, bound tables, seed choice) and result step
+//! (canonical cost, gap, status); only the search differs. The search
+//! tree is expanded breadth-first to a shallow frontier
 //! (enough subtrees to keep every core busy), then each frontier node
 //! runs the sequential [`Searcher`](crate::branch_bound) on its
 //! subtree. Workers share one **global incumbent**: the best cost is an
@@ -15,14 +18,14 @@
 
 use crate::bounds::BoundTables;
 use crate::branch_bound::{
-    gap_for, root_lower_bound, Budget, IncumbentSink, IncumbentSource, Searcher, SolveOutcome,
-    SolveStatus, COST_EPS,
+    result_step, root_step, Budget, IncumbentSink, IncumbentSource, Root, SearchEnd, Searcher,
+    SolveOutcome, SolveStatus, COST_EPS,
 };
-use crate::heuristics;
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Configuration of the parallel branch-and-bound.
@@ -100,72 +103,33 @@ impl ParallelBranchBound {
     /// Solve in parallel. Semantics match
     /// [`BranchBound::solve`](crate::branch_bound::BranchBound::solve).
     pub fn solve(&self, inst: &AssignmentInstance) -> Option<SolveOutcome> {
-        match self.solve_status(inst) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            _ => None,
-        }
+        self.solve_status_with_budget(inst, None, &Budget::unlimited()).into_outcome()
     }
 
-    /// Solve with full status reporting.
-    pub fn solve_status(&self, inst: &AssignmentInstance) -> SolveStatus {
-        self.solve_status_with_incumbent(inst, None)
-    }
-
-    /// Like [`ParallelBranchBound::solve`], additionally seeding the
-    /// shared incumbent with a caller-supplied warm assignment (e.g.
-    /// the previous eviction round's repaired optimum). Infeasible or
-    /// wrong-shaped warm assignments are silently ignored.
-    pub fn solve_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> Option<SolveOutcome> {
-        match self.solve_status_with_incumbent(inst, warm) {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Full-status variant of
-    /// [`ParallelBranchBound::solve_with_incumbent`].
-    pub fn solve_status_with_incumbent(
-        &self,
-        inst: &AssignmentInstance,
-        warm: Option<&Assignment>,
-    ) -> SolveStatus {
-        self.solve_status_with_budget(inst, warm, &Budget::unlimited())
-    }
-
-    /// Budgeted variant of
-    /// [`ParallelBranchBound::solve_status_with_incumbent`]: every
-    /// subtree worker honors the shared wall-clock deadline, and the
-    /// node cap applies per subtree (combined with
-    /// `max_nodes_per_subtree`). [`Budget::unlimited`] is the same
-    /// code path as the plain parallel solve.
+    /// Parallel twin of
+    /// [`BranchBound::solve_status_with_budget`](crate::branch_bound::BranchBound::solve_status_with_budget):
+    /// the same root step and result step around a fanned-out search.
+    /// Every subtree worker honors the shared wall-clock deadline, and
+    /// the node cap applies per subtree (combined with
+    /// `max_nodes_per_subtree`).
     pub fn solve_status_with_budget(
         &self,
         inst: &AssignmentInstance,
         warm: Option<&Assignment>,
         budget: &Budget,
     ) -> SolveStatus {
-        let tables = BoundTables::new(inst);
+        let Root { tables, seed } = match root_step(inst, warm, self.seed_incumbent) {
+            ControlFlow::Break(settled) => return settled,
+            ControlFlow::Continue(root) => root,
+        };
         let shared = SharedIncumbent::new();
-        let mut seed_source = IncumbentSource::None;
-        if self.seed_incumbent {
-            if let Some(seed) = heuristics::seed_incumbent_with(inst, &tables) {
-                let cost = seed.total_cost(inst);
-                if shared.offer(cost, seed.as_slice()) {
-                    seed_source = IncumbentSource::Heuristic;
-                }
+        let (seed_cost, seed_source) = match seed {
+            Some((assignment, cost, source)) => {
+                shared.offer(cost, assignment.as_slice());
+                (cost, source)
             }
-        }
-        if let Some(w) = warm.filter(|a| a.is_feasible(inst)) {
-            // accepted only when strictly cheaper than the heuristic
-            if shared.offer(w.total_cost(inst), w.as_slice()) {
-                seed_source = IncumbentSource::Warm;
-            }
-        }
-        let seed_cost = shared.best_cost();
+            None => (f64::INFINITY, IncumbentSource::None),
+        };
 
         let target =
             self.target_frontier.unwrap_or_else(|| 4 * rayon::current_num_threads().max(1));
@@ -189,68 +153,28 @@ impl ParallelBranchBound {
             } else {
                 s.dfs(prefix.len());
             }
-            total_nodes.fetch_add(s.nodes(), Ordering::Relaxed);
-            let (best, _, truncated, deadline_hit) = s.take_best();
-            if truncated {
+            // Every improving leaf was already offered to `shared`.
+            let end = s.end();
+            total_nodes.fetch_add(end.nodes, Ordering::Relaxed);
+            if end.truncated {
                 shared.truncated.store(true, Ordering::Relaxed);
             }
-            if deadline_hit {
+            if end.deadline_hit {
                 any_deadline_hit.store(true, Ordering::Relaxed);
-            }
-            if let Some((assign, cost)) = best {
-                if !assign.is_empty() {
-                    shared.offer(cost, &assign);
-                }
             }
         });
 
-        let nodes = total_nodes.load(Ordering::Relaxed);
-        let truncated = shared.truncated.load(Ordering::Relaxed);
-        let deadline_hit = any_deadline_hit.load(Ordering::Relaxed);
         let cost = shared.best_cost();
-        let best = shared.best.lock().take();
-        match best {
-            Some(b) if cost <= inst.payment() + COST_EPS => {
-                // offers only accept strict improvements, so a final
-                // cost below the seeded one means a worker's search
-                // produced the incumbent
-                let source = if cost < seed_cost { IncumbentSource::Search } else { seed_source };
-                let assignment = Assignment::new(b);
-                // canonical task-order cost (see `Searcher::into_status`)
-                let cost = assignment.total_cost(inst);
-                let (lower_bound, gap) = if truncated {
-                    // Root bounds are computed lazily, only when the
-                    // search was actually cut short — the untruncated
-                    // path stays byte-identical to the pre-budget one.
-                    let lb = root_lower_bound(inst, &tables).min(cost);
-                    (Some(lb), Some(gap_for(cost, lb)))
-                } else {
-                    (Some(cost), Some(0.0))
-                };
-                let outcome = SolveOutcome {
-                    assignment,
-                    cost,
-                    optimal: !truncated,
-                    nodes,
-                    incumbent_source: source,
-                    lower_bound,
-                    gap,
-                    deadline_hit,
-                };
-                if truncated {
-                    SolveStatus::Feasible(outcome)
-                } else {
-                    SolveStatus::Optimal(outcome)
-                }
-            }
-            _ => {
-                if truncated {
-                    SolveStatus::Unknown { nodes }
-                } else {
-                    SolveStatus::Infeasible { nodes }
-                }
-            }
-        }
+        let end = SearchEnd {
+            best: shared.best.into_inner(),
+            // offers only accept strict improvements, so a final cost
+            // below the seed's means a worker's search produced it
+            source: if cost < seed_cost { IncumbentSource::Search } else { seed_source },
+            nodes: total_nodes.into_inner(),
+            truncated: shared.truncated.into_inner(),
+            deadline_hit: any_deadline_hit.into_inner(),
+        };
+        result_step(inst, &tables, end)
     }
 }
 
@@ -348,7 +272,11 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let i = AssignmentInstance::new(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0).unwrap();
-        match ParallelBranchBound::default().solve_status(&i) {
+        match ParallelBranchBound::default().solve_status_with_budget(
+            &i,
+            None,
+            &Budget::unlimited(),
+        ) {
             SolveStatus::Infeasible { .. } => {}
             other => panic!("expected infeasible, got {other:?}"),
         }
@@ -357,8 +285,9 @@ mod tests {
     #[test]
     fn tight_deadline_agreement() {
         let i = structured(24, 4, 12.0, 1e6);
-        let seq = BranchBound::default().solve_status(&i);
-        let par = ParallelBranchBound::default().solve_status(&i);
+        let seq = BranchBound::default().solve_status_with_budget(&i, None, &Budget::unlimited());
+        let par =
+            ParallelBranchBound::default().solve_status_with_budget(&i, None, &Budget::unlimited());
         match (seq, par) {
             (SolveStatus::Optimal(a), SolveStatus::Optimal(b)) => {
                 assert!((a.cost - b.cost).abs() < 1e-9);

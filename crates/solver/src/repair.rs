@@ -11,7 +11,7 @@
 //!
 //! The repair is *best-effort*: it returns `None` whenever the greedy
 //! re-homing violates any constraint (deadline, payment), and callers
-//! ([`crate::branch_bound::BranchBound::solve_with_incumbent`]) fall
+//! ([`crate::branch_bound::BranchBound::solve_status_with_budget`]) fall
 //! back to the heuristic seed. Because a warm incumbent only tightens
 //! the initial upper bound of an exact search, a failed (or suboptimal)
 //! repair can never change the solved cost — only the node count.
@@ -195,14 +195,17 @@ mod tests {
 
     #[test]
     fn solver_falls_back_to_heuristic_seed_on_failed_repair() {
-        use crate::branch_bound::{BranchBound, IncumbentSource};
+        use crate::branch_bound::{BranchBound, Budget, IncumbentSource};
         let full = inst3();
         let sub = drop_column(&full, 2);
         // A deliberately infeasible warm assignment (idle GSP): the
         // solver must ignore it and still solve to optimality.
         let bogus = Assignment::new(vec![0, 0, 0, 0]);
         let cold = BranchBound::default().solve(&sub).unwrap();
-        let warm = BranchBound::default().solve_with_incumbent(&sub, Some(&bogus)).unwrap();
+        let warm = BranchBound::default()
+            .solve_status_with_budget(&sub, Some(&bogus), &Budget::unlimited())
+            .into_outcome()
+            .unwrap();
         assert_eq!(cold.cost, warm.cost);
         assert!(warm.optimal);
         assert_ne!(warm.incumbent_source, IncumbentSource::Warm);
@@ -217,7 +220,8 @@ mod tests {
             let warm = repair_after_eviction(&opt_full.assignment, evicted, &sub);
             let cold = crate::branch_bound::BranchBound::default().solve(&sub).unwrap();
             let seeded = crate::branch_bound::BranchBound::default()
-                .solve_with_incumbent(&sub, warm.as_ref())
+                .solve_status_with_budget(&sub, warm.as_ref(), &crate::Budget::unlimited())
+                .into_outcome()
                 .unwrap();
             assert!((cold.cost - seeded.cost).abs() < 1e-9);
             assert!(seeded.nodes <= cold.nodes, "warm start expanded more nodes");

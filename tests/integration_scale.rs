@@ -1,25 +1,16 @@
-//! Scale smoke tests for the anytime solver portfolio: the 64-GSP
-//! regime the exact search cannot close is now *open* — a formation
-//! run under a wall-clock budget returns promptly with feasible
-//! anytime VOs and finite optimality gaps, and at small scales the
-//! portfolio is bit-identical to the exact solver it wraps.
+//! Scale smoke test for the anytime exact solver: the 64-GSP regime
+//! the exact search cannot close is now *open* — a formation run
+//! under a wall-clock budget returns promptly with feasible anytime
+//! VOs and finite optimality gaps.
 
 use std::time::{Duration, Instant};
 
-use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
+use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::solve_cache::NoCache;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
 use gridvo_solver::branch_bound::Budget;
-use gridvo_solver::portfolio::Portfolio;
-
-fn portfolio_config() -> FormationConfig {
-    FormationConfig {
-        solver: SolverChoice::Portfolio(Portfolio::default()),
-        ..FormationConfig::default()
-    }
-}
 
 #[test]
 fn sixty_four_gsp_formation_completes_under_a_wall_clock_budget() {
@@ -33,7 +24,7 @@ fn sixty_four_gsp_formation_completes_under_a_wall_clock_budget() {
 
     let budget = Budget::with_deadline(Instant::now() + Duration::from_secs(2));
     let started = Instant::now();
-    let outcome = Mechanism::tvof(portfolio_config())
+    let outcome = Mechanism::tvof(FormationConfig::default())
         .run_cached_with_budget(&scenario, &mut seeded_rng(1, 0), &mut NoCache, &budget)
         .expect("formation runs");
     let elapsed = started.elapsed();
@@ -54,32 +45,5 @@ fn sixty_four_gsp_formation_completes_under_a_wall_clock_budget() {
             let gap = v.gap.expect("anytime VOs carry a gap");
             assert!((0.0..=1.0).contains(&gap), "gap {gap} out of range");
         }
-    }
-}
-
-#[test]
-fn portfolio_formation_is_bit_identical_to_exact_at_small_scale() {
-    // With an unlimited budget the portfolio *is* the exact solver —
-    // whole formation traces must agree bit for bit.
-    let cfg = TableI {
-        gsps: 6,
-        task_sizes: vec![24],
-        trace_jobs: 2_000,
-        deadline_factor_range: (4.0, 16.0),
-        ..TableI::default()
-    };
-    let generator = ScenarioGenerator::new(cfg);
-    for seed in 0..3u64 {
-        let scenario =
-            generator.scenario(24, &mut seeded_rng(0x5CA1F, seed)).expect("calibrated scenario");
-        let mut exact = Mechanism::tvof(FormationConfig::default())
-            .run(&scenario, &mut seeded_rng(2, seed))
-            .expect("exact run");
-        let mut raced = Mechanism::tvof(portfolio_config())
-            .run(&scenario, &mut seeded_rng(2, seed))
-            .expect("portfolio run");
-        exact.zero_timings();
-        raced.zero_timings();
-        assert_eq!(exact, raced, "seed {seed}: portfolio diverged from exact");
     }
 }

@@ -9,7 +9,6 @@
 use gridvo_solver::branch_bound::{BranchBound, Budget, IncumbentSource, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::parallel::ParallelBranchBound;
-use gridvo_solver::portfolio::Portfolio;
 use gridvo_solver::{brute, hungarian, repair, AssignmentInstance};
 use proptest::prelude::*;
 
@@ -65,9 +64,12 @@ proptest! {
         };
         let root_bound = hungarian::participation_bound(&inst);
         for warm in [Some(optimum), heuristics::greedy_cost(&inst)].into_iter().flatten() {
-            let o = BranchBound::default()
-                .solve_with_incumbent(&inst, Some(&warm))
-                .expect("a feasible warm seed keeps the instance feasible");
+            let o = match BranchBound::default()
+                .solve_status_with_budget(&inst, Some(&warm), &Budget::unlimited())
+            {
+                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => o,
+                _ => panic!("a feasible warm seed keeps the instance feasible"),
+            };
             prop_assert!(o.optimal);
             prop_assert!((o.cost - opt).abs() < 1e-9, "warm-seeded cost {} vs oracle {opt}", o.cost);
             let certificate = o.nodes == 0 && o.incumbent_source == IncumbentSource::Warm;
@@ -162,21 +164,11 @@ proptest! {
         }
     }
 
-    /// The tentpole's differential guarantee: the racing portfolio
-    /// under an unlimited budget is the exact solver — not "equally
-    /// optimal" but the *same* `SolveStatus` value, telemetry and all.
-    #[test]
-    fn portfolio_with_unlimited_budget_is_bit_identical_to_exact(inst in small_instance()) {
-        let exact = BranchBound::default().solve_status(&inst);
-        let raced = Portfolio::default()
-            .solve_status_with_budget(&inst, None, &Budget::unlimited());
-        prop_assert_eq!(exact, raced);
-    }
-
-    /// Gap soundness against the brute-force oracle: under any node
-    /// budget, a feasible outcome's reported bracket must contain the
-    /// true optimum — `lower_bound ≤ optimum ≤ incumbent cost` — and
-    /// the gap must match its definition.
+    /// Gap soundness against the brute-force oracle, on both exact
+    /// backends (the parallel one applies the cap per subtree): under
+    /// any node budget, a feasible outcome's reported bracket must
+    /// contain the true optimum — `lower_bound ≤ optimum ≤ incumbent
+    /// cost` — and the gap must match its definition.
     #[test]
     fn reported_gap_brackets_the_true_optimum(
         inst in small_instance(),
@@ -185,8 +177,8 @@ proptest! {
         let oracle = brute::solve(&inst).expect("small instances enumerate");
         let budget = Budget { deadline: None, max_nodes };
         for status in [
-            Portfolio::default().solve_status_with_budget(&inst, None, &budget),
             BranchBound::default().solve_status_with_budget(&inst, None, &budget),
+            ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget),
         ] {
             match status {
                 SolveStatus::Optimal(o) => {
