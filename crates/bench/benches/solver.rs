@@ -1,7 +1,7 @@
 //! Criterion benches for the task-assignment solvers: exact
-//! branch-and-bound (sequential and parallel) and the heuristic
-//! family, on Table-I-like instances of growing size. Backs Fig. 9's
-//! solver-time component and the solver ablation.
+//! branch-and-bound and the heuristic family, on Table-I-like
+//! instances of growing size. Backs Fig. 9's solver-time component and
+//! the solver ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridvo_sim::instance_gen::ScenarioGenerator;
@@ -9,7 +9,6 @@ use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
 use gridvo_solver::branch_bound::BranchBound;
 use gridvo_solver::heuristics::{self, Heuristic};
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::AssignmentInstance;
 
 fn instance(tasks: usize) -> AssignmentInstance {
@@ -24,13 +23,8 @@ fn bench_exact(c: &mut Criterion) {
     for tasks in [64usize, 128, 256, 512] {
         let inst = instance(tasks);
         group.bench_with_input(BenchmarkId::new("sequential", tasks), &inst, |b, inst| {
-            let bb = BranchBound { max_nodes: 2_000_000, seed_incumbent: true };
+            let bb = BranchBound { max_nodes: 2_000_000 };
             b.iter(|| bb.solve(inst));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", tasks), &inst, |b, inst| {
-            let pbb =
-                ParallelBranchBound { max_nodes_per_subtree: 2_000_000, ..Default::default() };
-            b.iter(|| pbb.solve(inst));
         });
     }
     group.finish();

@@ -1,10 +1,9 @@
 //! Beyond-paper ablation: what exactness buys inside the mechanism.
 //!
-//! Runs TVOF with the exact branch-and-bound, the parallel
-//! branch-and-bound, and each heuristic from the Braun family, on the
-//! same scenarios, reporting the selected VO's payoff (heuristics can
-//! only lose profit — cost is minimized exactly or not) and the
-//! mechanism wall-clock time.
+//! Runs TVOF with the exact branch-and-bound and each heuristic from
+//! the Braun family, on the same scenarios, reporting the selected
+//! VO's payoff (heuristics can only lose profit — cost is minimized
+//! exactly or not) and the mechanism wall-clock time.
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
@@ -12,7 +11,6 @@ use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::{seeded_rng, Aggregate};
 use gridvo_solver::branch_bound::BranchBound;
 use gridvo_solver::heuristics::Heuristic;
-use gridvo_solver::parallel::ParallelBranchBound;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -21,20 +19,7 @@ fn main() {
     let tasks = args.program_size();
 
     let solvers: Vec<(&str, SolverChoice)> = vec![
-        (
-            "exact B&B",
-            SolverChoice::Exact(BranchBound {
-                max_nodes: cfg.solver_node_budget,
-                seed_incumbent: true,
-            }),
-        ),
-        (
-            "parallel B&B",
-            SolverChoice::ExactParallel(ParallelBranchBound {
-                max_nodes_per_subtree: cfg.solver_node_budget,
-                ..Default::default()
-            }),
-        ),
+        ("exact B&B", SolverChoice::Exact(BranchBound { max_nodes: cfg.solver_node_budget })),
         ("greedy-cost", SolverChoice::Heuristic(Heuristic::GreedyCost)),
         ("min-min", SolverChoice::Heuristic(Heuristic::MinMin)),
         ("max-min", SolverChoice::Heuristic(Heuristic::MaxMin)),

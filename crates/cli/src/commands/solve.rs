@@ -4,22 +4,20 @@ use crate::args::Flags;
 use crate::commands::load_scenario;
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
-use gridvo_solver::parallel::ParallelBranchBound;
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
 usage: gridvo solve --scenario FILE [--members 0,2,5]
-                    [--solver exact|parallel|greedy|min-min|max-min|sufferage]
+                    [--solver exact|greedy|min-min|max-min|sufferage]
                     [--deadline-ms MS] [--max-nodes N]
 
 Solves the task-assignment IP for the given VO (default: all GSPs),
 printing the status, optimal cost, per-GSP loads and task counts.
-The exact and parallel solvers seed their search with the cheapest
-of greedy, min-min and sufferage (greedy alone above 512 tasks) and
-return that seed at once when it meets the root lower bound.
---deadline-ms and --max-nodes bound the solve (exact and parallel
-solvers); a truncated solve prints its best anytime incumbent plus
-the relative optimality gap.";
+The exact solver seeds its search with the cheapest of greedy,
+min-min and sufferage (greedy alone above 512 tasks) and returns that
+seed at once when it meets the root lower bound. --deadline-ms and
+--max-nodes bound the exact solve; a truncated solve prints its best
+anytime incumbent plus the relative optimality gap.";
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let flags =
@@ -46,42 +44,35 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             n => n,
         },
     };
-    let report_status = |status: SolveStatus| match status {
-        SolveStatus::Optimal(o) => {
-            println!(
-                "status: OPTIMAL (proven, {} nodes, incumbent: {})",
-                o.nodes,
-                o.incumbent_source.as_str()
-            );
-            Some((o.assignment, o.cost))
-        }
-        SolveStatus::Feasible(o) => {
-            println!(
-                "status: FEASIBLE ({}, {} nodes, incumbent: {}, gap {})",
-                if o.deadline_hit { "deadline-truncated" } else { "budget-truncated" },
-                o.nodes,
-                o.incumbent_source.as_str(),
-                o.gap.map_or("unknown".to_string(), |g| format!("{:.2}%", g * 100.0)),
-            );
-            Some((o.assignment, o.cost))
-        }
-        SolveStatus::Infeasible { nodes } => {
-            println!("status: INFEASIBLE (proven, {nodes} nodes)");
-            None
-        }
-        SolveStatus::Unknown { nodes } => {
-            println!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
-            None
-        }
-    };
-    let solver_name = flags.get("solver").unwrap_or("exact");
-    let solved = match solver_name {
-        "exact" => {
-            report_status(BranchBound::default().solve_status_with_budget(&inst, None, &budget))
-        }
-        "parallel" => report_status(
-            ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget),
-        ),
+    let solved = match flags.get("solver").unwrap_or("exact") {
+        "exact" => match BranchBound::default().solve_status_with_budget(&inst, None, &budget) {
+            SolveStatus::Optimal(o) => {
+                println!(
+                    "status: OPTIMAL (proven, {} nodes, incumbent: {})",
+                    o.nodes,
+                    o.incumbent_source.as_str()
+                );
+                Some((o.assignment, o.cost))
+            }
+            SolveStatus::Feasible(o) => {
+                println!(
+                    "status: FEASIBLE ({}, {} nodes, incumbent: {}, gap {})",
+                    if o.deadline_hit { "deadline-truncated" } else { "budget-truncated" },
+                    o.nodes,
+                    o.incumbent_source.as_str(),
+                    o.gap.map_or("unknown".to_string(), |g| format!("{:.2}%", g * 100.0)),
+                );
+                Some((o.assignment, o.cost))
+            }
+            SolveStatus::Infeasible { nodes } => {
+                println!("status: INFEASIBLE (proven, {nodes} nodes)");
+                None
+            }
+            SolveStatus::Unknown { nodes } => {
+                println!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
+                None
+            }
+        },
         name => {
             let kind = match name {
                 "greedy" => Heuristic::GreedyCost,

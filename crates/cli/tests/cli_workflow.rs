@@ -207,6 +207,19 @@ fn errors_are_reported_not_panicked() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // solver names that no longer exist, on a valid scenario
+    let dir = tmpdir("errors");
+    let scenario = dir.join("scenario.json");
+    let path = scenario.to_str().unwrap();
+    run_ok(gridvo().args(["generate", "scenario", "--out", path, "--tasks", "6", "--gsps", "3"]));
+    for solver in ["parallel", "portfolio"] {
+        let out =
+            gridvo().args(["solve", "--scenario", path, "--solver", solver]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "--solver {solver}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown solver"), "--solver {solver}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

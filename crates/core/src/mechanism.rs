@@ -18,7 +18,6 @@ use crate::vo::{FormationOutcome, IterationRecord, VoRecord};
 use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::{repair, AssignmentInstance};
 use rand::Rng;
 use std::time::Instant;
@@ -52,10 +51,8 @@ pub enum SelectionRule {
 /// Which solver the driver uses for the IP each iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverChoice {
-    /// Sequential exact branch-and-bound.
+    /// Exact branch-and-bound.
     Exact(BranchBound),
-    /// Rayon-parallel exact branch-and-bound.
-    ExactParallel(ParallelBranchBound),
     /// A fast inexact heuristic (participation-repaired).
     Heuristic(Heuristic),
 }
@@ -332,22 +329,18 @@ impl Mechanism {
         warm: Option<&gridvo_solver::Assignment>,
         budget: &Budget,
     ) -> CachedSolve {
-        let from_status = |status: SolveStatus| match status {
-            SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => (
-                Some((o.assignment, o.cost, o.optimal)),
-                o.nodes,
-                Some(o.incumbent_source.as_str().to_string()),
-                o.gap,
-            ),
-            SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
-                (None, nodes, None, None)
-            }
-        };
         let (solved, nodes, incumbent_source, gap) = match self.config.solver {
-            SolverChoice::Exact(bb) => from_status(bb.solve_status_with_budget(inst, warm, budget)),
-            SolverChoice::ExactParallel(pbb) => {
-                from_status(pbb.solve_status_with_budget(inst, warm, budget))
-            }
+            SolverChoice::Exact(bb) => match bb.solve_status_with_budget(inst, warm, budget) {
+                SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => (
+                    Some((o.assignment, o.cost, o.optimal)),
+                    o.nodes,
+                    Some(o.incumbent_source.as_str().to_string()),
+                    o.gap,
+                ),
+                SolveStatus::Infeasible { nodes } | SolveStatus::Unknown { nodes } => {
+                    (None, nodes, None, None)
+                }
+            },
             SolverChoice::Heuristic(kind) => {
                 let solved = heuristics::run(kind, inst).map(|a| {
                     let cost = a.total_cost(inst);
@@ -530,24 +523,6 @@ mod tests {
         let out = Mechanism::tvof(cfg).run(&s, &mut rng).unwrap();
         let vo = out.selected.expect("greedy finds feasible VOs here");
         assert!(!vo.optimal, "heuristic solutions are not proven optimal");
-    }
-
-    #[test]
-    fn parallel_solver_matches_sequential_selection_value() {
-        let s = scenario();
-        let mut rng1 = TestRng::seed_from_u64(5);
-        let mut rng2 = TestRng::seed_from_u64(5);
-        let seq = Mechanism::tvof(FormationConfig::default()).run(&s, &mut rng1).unwrap();
-        let par = Mechanism::tvof(FormationConfig {
-            solver: SolverChoice::ExactParallel(ParallelBranchBound::default()),
-            ..Default::default()
-        })
-        .run(&s, &mut rng2)
-        .unwrap();
-        let a = seq.selected.unwrap();
-        let b = par.selected.unwrap();
-        assert!((a.payoff_share - b.payoff_share).abs() < 1e-9);
-        assert_eq!(a.members, b.members);
     }
 
     #[test]

@@ -24,33 +24,6 @@ pub fn equal_split<G: CharacteristicFn + ?Sized>(game: &G, coalition: Coalition)
     vec![share; k]
 }
 
-/// Proportional sharing: member `i` receives
-/// `v(C) · w_i / Σ_{j∈C} w_j`. Weights are indexed by *player id*
-/// (e.g. GSP speeds). Falls back to equal sharing when the weight sum
-/// is zero.
-pub fn proportional_split<G: CharacteristicFn + ?Sized>(
-    game: &G,
-    coalition: Coalition,
-    weights: &[f64],
-) -> Result<Vec<f64>> {
-    if weights.len() != game.player_count() {
-        return Err(GameError::BadVectorLength {
-            got: weights.len(),
-            expected: game.player_count(),
-        });
-    }
-    let members = coalition.to_vec();
-    if members.is_empty() {
-        return Ok(Vec::new());
-    }
-    let total: f64 = members.iter().map(|&i| weights[i]).sum();
-    let v = game.value(coalition);
-    if total <= 0.0 {
-        return Ok(vec![v / members.len() as f64; members.len()]);
-    }
-    Ok(members.iter().map(|&i| v * weights[i] / total).collect())
-}
-
 /// Exact Shapley value of the **grand coalition**, by dynamic
 /// programming over subsets: `O(2^n · n)` time, `O(2^n)` space.
 /// Capped at 20 players.
@@ -147,18 +120,6 @@ mod tests {
         assert_eq!(shares, vec![5.0, 5.0]);
         assert!(is_efficient(&g, Coalition::grand(2), &shares, 1e-12));
         assert!(equal_split(&g, Coalition::EMPTY).is_empty());
-    }
-
-    #[test]
-    fn proportional_split_uses_weights() {
-        let g = TableGame::new(2, vec![0.0, 2.0, 2.0, 12.0]).unwrap();
-        let shares = proportional_split(&g, Coalition::grand(2), &[1.0, 3.0]).unwrap();
-        assert_eq!(shares, vec![3.0, 9.0]);
-        // zero weights fall back to equal
-        let eq = proportional_split(&g, Coalition::grand(2), &[0.0, 0.0]).unwrap();
-        assert_eq!(eq, vec![6.0, 6.0]);
-        // wrong weight length rejected
-        assert!(proportional_split(&g, Coalition::grand(2), &[1.0]).is_err());
     }
 
     #[test]

@@ -15,16 +15,17 @@
 //!   closure-backed implementations, and a memoizing wrapper
 //!   (evaluating `v` means solving an IP, so caching matters);
 //! * [`division`] — payoff division rules: the paper's **equal
-//!   sharing**, proportional sharing, and the **Shapley value** (exact
-//!   for small games, Monte Carlo for larger ones);
+//!   sharing** and the **Shapley value** (exact for small games, Monte
+//!   Carlo for larger ones);
 //! * [`simplex`] — a small dense two-phase primal simplex used as the
 //!   LP kernel;
 //! * [`core_solution`] — imputations, core membership, and the
 //!   **least core** via constraint generation (the paper's earlier
-//!   work shows the VO-formation game can have an empty core);
-//! * [`hedonic`] — preference relations over coalitions and the
-//!   **individual stability** notion of Definition 1, used to audit
-//!   Theorem 1.
+//!   work shows the VO-formation game can have an empty core).
+//!
+//! Theorem 1's individual stability is audited by
+//! `gridvo_core::stability`, which re-solves the IP for each
+//! single-member departure from the selected VO.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,7 +34,6 @@ pub mod characteristic;
 pub mod coalition;
 pub mod core_solution;
 pub mod division;
-pub mod hedonic;
 pub mod simplex;
 
 pub use characteristic::{CharacteristicFn, MemoCharacteristic, TableGame};

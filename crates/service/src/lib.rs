@@ -29,7 +29,7 @@
 //!   branch-and-bound results bit-identically; trust-only updates
 //!   invalidate nothing (the key covers solver inputs only);
 //! * [`server`] — a bounded job queue drained by a `std::thread`
-//!   worker pool (rayon stays *inside* solves), with admission
+//!   worker pool (each solve single-threaded), with admission
 //!   control: a full queue sheds load with a typed
 //!   [`protocol::Response::Busy`], and a queued request past its
 //!   deadline is answered [`protocol::Response::DeadlineExceeded`]

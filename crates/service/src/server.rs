@@ -18,9 +18,8 @@
 //!   channel — so one slow client never ties up a worker with I/O,
 //!   and a batch's per-seed lines go out as they are computed.
 //! * **Workers** — `workers` threads popping the bounded queue
-//!   (Mutex + Condvar). Rayon parallelism stays *inside* a solve
-//!   ([`gridvo_solver::parallel`]); the pool is the only place
-//!   request-level concurrency happens.
+//!   (Mutex + Condvar). Each solve is single-threaded; the pool is the
+//!   only place request-level concurrency happens.
 //!
 //! ## Snapshot consistency
 //!

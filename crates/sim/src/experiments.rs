@@ -19,10 +19,7 @@ use std::time::{Duration, Instant};
 /// configured node budget, paper defaults elsewhere.
 pub fn paper_config(cfg: &TableI) -> FormationConfig {
     FormationConfig {
-        solver: SolverChoice::Exact(BranchBound {
-            max_nodes: cfg.solver_node_budget,
-            seed_incumbent: true,
-        }),
+        solver: SolverChoice::Exact(BranchBound { max_nodes: cfg.solver_node_budget }),
         ..Default::default()
     }
 }
@@ -257,14 +254,11 @@ pub fn scale_sweep(
         let scale_cfg = TableI { gsps, task_sizes: vec![tasks], ..cfg.clone() };
         let generator = ScenarioGenerator::new(scale_cfg.clone());
         let capped_cfg = FormationConfig {
-            solver: SolverChoice::Exact(BranchBound { max_nodes: u64::MAX, seed_incumbent: true }),
+            solver: SolverChoice::Exact(BranchBound { max_nodes: u64::MAX }),
             ..Default::default()
         };
         let exact_cfg = FormationConfig {
-            solver: SolverChoice::Exact(BranchBound {
-                max_nodes: SCALE_CHECK_NODE_CAP,
-                seed_incumbent: true,
-            }),
+            solver: SolverChoice::Exact(BranchBound { max_nodes: SCALE_CHECK_NODE_CAP }),
             ..Default::default()
         };
         let results = run_seeds(0x5CA10 + idx as u64, seeds, |seed, rng| {

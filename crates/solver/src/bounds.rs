@@ -45,7 +45,7 @@ use crate::instance::AssignmentInstance;
 const LAG_ITERS: usize = 40;
 
 /// Static tables computed once per instance and shared by the
-/// sequential and parallel searches.
+/// heuristic seed and the search.
 #[derive(Debug, Clone)]
 pub struct BoundTables {
     /// Order in which tasks are branched on: decreasing minimum

@@ -16,11 +16,9 @@
 //! `break` (all later children are costlier), which is what makes the
 //! search close instantly on instances where constraints do not bind.
 //!
-//! Both exact backends (this one and [`crate::parallel`]) run one
-//! pipeline: a shared root step, their own search, a shared result
-//! step. Before any search, the root step proves infeasibility against
-//! the payment cap, or returns a seed whose cost meets the Hungarian
-//! root bound as optimal, at zero nodes. A caller's warm incumbent is
+//! Before any search, the root proves infeasibility against the
+//! payment cap, or returns a seed whose cost meets the Hungarian root
+//! bound as optimal, at zero nodes. A caller's warm incumbent is
 //! checked first, so a certified warm start skips the heuristic
 //! portfolio and the bound tables altogether.
 //!
@@ -30,7 +28,6 @@
 //! tree was exhausted and [`SolveOutcome::gap`] bounding how far the
 //! returned incumbent can be from the optimum.
 
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 use crate::bounds::BoundTables;
@@ -39,12 +36,12 @@ use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
 
 /// Absolute cost tolerance used when comparing bounds to incumbents.
-pub(crate) const COST_EPS: f64 = 1e-9;
+const COST_EPS: f64 = 1e-9;
 
-/// How many nodes are expanded between wall-clock deadline checks (and
-/// shared-incumbent syncs in parallel mode). This is the granularity
-/// of the anytime guarantee: a deadline overrun is bounded by the time
-/// it takes to expand this many nodes (microseconds-to-milliseconds).
+/// How many nodes are expanded between wall-clock deadline checks.
+/// This is the granularity of the anytime guarantee: a deadline
+/// overrun is bounded by the time it takes to expand this many nodes
+/// (microseconds-to-milliseconds).
 const CHECK_INTERVAL: u64 = 1024;
 
 /// A shared anytime budget for one solve: an optional absolute
@@ -94,15 +91,11 @@ pub struct BranchBound {
     /// large enough that every instance in the paper's parameter range
     /// solves to proven optimality.
     pub max_nodes: u64,
-    /// Seed the incumbent with the heuristic portfolio before the
-    /// search (strongly recommended; disable only to measure its
-    /// effect in ablations).
-    pub seed_incumbent: bool,
 }
 
 impl Default for BranchBound {
     fn default() -> Self {
-        BranchBound { max_nodes: 50_000_000, seed_incumbent: true }
+        BranchBound { max_nodes: 50_000_000 }
     }
 }
 
@@ -217,14 +210,46 @@ impl BranchBound {
         warm: Option<&Assignment>,
         budget: &Budget,
     ) -> SolveStatus {
-        let Root { tables, seed } = match root_step(inst, warm, self.seed_incumbent) {
-            ControlFlow::Break(settled) => return settled,
-            ControlFlow::Continue(root) => root,
+        // Root certificates. The Hungarian participation bound (a
+        // matching of distinct representative tasks onto GSPs)
+        // dominates the per-node bound: above the payment cap it proves
+        // the instance infeasible, and a seed whose cost meets it is
+        // optimal, both at 0 nodes. The caller's warm incumbent,
+        // validated against the full constraint set, is tried first.
+        let root_bound = crate::hungarian::participation_bound(inst);
+        if root_bound > inst.payment() + COST_EPS {
+            return SolveStatus::Infeasible { nodes: 0 };
+        }
+        let warm =
+            match warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst))) {
+                Some((assignment, cost)) if cost <= root_bound + COST_EPS => {
+                    return certified(assignment, cost, IncumbentSource::Warm);
+                }
+                other => other,
+            };
+
+        // The seed: the cheaper of the warm incumbent and the heuristic
+        // portfolio. The warm one wins only when strictly cheaper, so a
+        // tie keeps the cold-run label.
+        let tables = BoundTables::new(inst);
+        let seed = match (warm, heuristics::seed_incumbent_with(inst, &tables)) {
+            (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
+            (_, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
+            (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
+            (None, None) => None,
         };
-        let mut search = Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), None);
-        search.set_deadline(budget.deadline);
+        let seed = match seed {
+            Some((assignment, cost, source)) if cost <= root_bound + COST_EPS => {
+                return certified(assignment, cost, source);
+            }
+            seed => seed,
+        };
+
+        // The DFS, from the seed.
+        let mut search =
+            Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), budget.deadline);
         if let Some((assignment, cost, source)) = seed {
-            search.install_incumbent_from(assignment.as_slice().to_vec(), cost, source);
+            search.install_incumbent(assignment.as_slice().to_vec(), cost, source);
         }
         if budget.expired() {
             // The deadline passed before the tree search could start:
@@ -233,7 +258,44 @@ impl BranchBound {
         } else {
             search.dfs(0);
         }
-        result_step(inst, &tables, search.end())
+
+        // The status: canonical cost, lower bound and gap.
+        let Searcher { best, source, nodes, truncated, deadline_hit, .. } = search;
+        let Some(best) = best else {
+            return if truncated {
+                SolveStatus::Unknown { nodes }
+            } else {
+                SolveStatus::Infeasible { nodes }
+            };
+        };
+        let assignment = Assignment::new(best);
+        // Canonical cost: re-sum in task order so the same assignment
+        // reports the same bits whether it arrived via a seed or a search
+        // leaf (whose running sum follows branch order).
+        let cost = assignment.total_cost(inst);
+        let (lower_bound, gap) = if truncated {
+            // The root bounds are computed only when the search was
+            // actually cut short.
+            let lb = root_lower_bound(inst, &tables).min(cost);
+            (Some(lb), Some(gap_for(cost, lb)))
+        } else {
+            (Some(cost), Some(0.0))
+        };
+        let outcome = SolveOutcome {
+            assignment,
+            cost,
+            optimal: !truncated,
+            nodes,
+            incumbent_source: source,
+            lower_bound,
+            gap,
+            deadline_hit,
+        };
+        if truncated {
+            SolveStatus::Feasible(outcome)
+        } else {
+            SolveStatus::Optimal(outcome)
+        }
     }
 }
 
@@ -244,69 +306,6 @@ impl SolveStatus {
             SolveStatus::Optimal(o) | SolveStatus::Feasible(o) => Some(o),
             SolveStatus::Infeasible { .. } | SolveStatus::Unknown { .. } => None,
         }
-    }
-}
-
-/// What the root step leaves for a backend's search.
-pub(crate) struct Root {
-    /// Bound tables, built once and shared by the seed and the search.
-    pub(crate) tables: BoundTables,
-    /// The incumbent to install before searching: assignment, cost and
-    /// where it came from.
-    pub(crate) seed: Option<(Assignment, f64, IncumbentSource)>,
-}
-
-/// The root step both exact backends run before their search.
-///
-/// It settles the solve outright (`Break`) when it can. The Hungarian
-/// participation bound (a matching of distinct representative tasks
-/// onto GSPs) dominates the per-node bound: above the payment cap it
-/// proves the instance infeasible, and a seed whose cost meets it is
-/// optimal — both at 0 nodes. The caller's warm incumbent, validated
-/// against the full constraint set, is tried first, so certifying it
-/// skips the heuristic portfolio and the bound tables altogether.
-///
-/// Otherwise (`Continue`) it builds the bound tables and picks the
-/// seed: the cheaper of the warm incumbent and the heuristic portfolio
-/// (when `seed_incumbent` is set). The warm one wins only when
-/// strictly cheaper, so a tie keeps the cold-run label.
-pub(crate) fn root_step(
-    inst: &AssignmentInstance,
-    warm: Option<&Assignment>,
-    seed_incumbent: bool,
-) -> ControlFlow<SolveStatus, Root> {
-    let root_bound = crate::hungarian::participation_bound(inst);
-    if root_bound > inst.payment() + COST_EPS {
-        return ControlFlow::Break(SolveStatus::Infeasible { nodes: 0 });
-    }
-    let warm_seed =
-        match warm.filter(|a| a.is_feasible(inst)).map(|a| (a.clone(), a.total_cost(inst))) {
-            Some((assignment, cost)) if cost <= root_bound + COST_EPS => {
-                return ControlFlow::Break(certified(assignment, cost, IncumbentSource::Warm));
-            }
-            other => other,
-        };
-    let tables = BoundTables::new(inst);
-    let heur_seed = if seed_incumbent {
-        heuristics::seed_incumbent_with(inst, &tables).map(|a| {
-            let cost = a.total_cost(inst);
-            (a, cost)
-        })
-    } else {
-        None
-    };
-    let seed = match (warm_seed, heur_seed) {
-        (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
-        (Some(_), Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-        (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
-        (None, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
-        (None, None) => None,
-    };
-    match seed {
-        Some((assignment, cost, source)) if cost <= root_bound + COST_EPS => {
-            ControlFlow::Break(certified(assignment, cost, source))
-        }
-        seed => ControlFlow::Continue(Root { tables, seed }),
     }
 }
 
@@ -322,65 +321,6 @@ fn certified(assignment: Assignment, cost: f64, source: IncumbentSource) -> Solv
         gap: Some(0.0),
         deadline_hit: false,
     })
-}
-
-/// Where a backend's search ended: the input of [`result_step`].
-pub(crate) struct SearchEnd {
-    /// The final incumbent (task-indexed GSP choices), if any.
-    pub(crate) best: Option<Vec<usize>>,
-    /// Which seed (or the search itself) produced it.
-    pub(crate) source: IncumbentSource,
-    /// Nodes expanded.
-    pub(crate) nodes: u64,
-    /// True when a node cap or the deadline cut the search short.
-    pub(crate) truncated: bool,
-    /// True when the deadline did.
-    pub(crate) deadline_hit: bool,
-}
-
-/// The result step both exact backends run after their search: the
-/// canonical cost, the lower bound and gap, and the four-way status.
-pub(crate) fn result_step(
-    inst: &AssignmentInstance,
-    tables: &BoundTables,
-    end: SearchEnd,
-) -> SolveStatus {
-    let SearchEnd { best, source, nodes, truncated, deadline_hit } = end;
-    let Some(best) = best else {
-        return if truncated {
-            SolveStatus::Unknown { nodes }
-        } else {
-            SolveStatus::Infeasible { nodes }
-        };
-    };
-    let assignment = Assignment::new(best);
-    // Canonical cost: re-sum in task order so the same assignment
-    // reports the same bits whether it arrived via a seed or a search
-    // leaf (whose running sum follows branch order).
-    let cost = assignment.total_cost(inst);
-    let (lower_bound, gap) = if truncated {
-        // The root bounds are computed only when the search was
-        // actually cut short.
-        let lb = root_lower_bound(inst, tables).min(cost);
-        (Some(lb), Some(gap_for(cost, lb)))
-    } else {
-        (Some(cost), Some(0.0))
-    };
-    let outcome = SolveOutcome {
-        assignment,
-        cost,
-        optimal: !truncated,
-        nodes,
-        incumbent_source: source,
-        lower_bound,
-        gap,
-        deadline_hit,
-    };
-    if truncated {
-        SolveStatus::Feasible(outcome)
-    } else {
-        SolveStatus::Optimal(outcome)
-    }
 }
 
 /// Best proven root lower bound for `inst`: the max of the Hungarian
@@ -405,16 +345,8 @@ fn gap_for(cost: f64, lower_bound: f64) -> f64 {
     }
 }
 
-/// Shared incumbent handle used by the parallel solver; the sequential
-/// path passes `None`. See [`crate::parallel`].
-pub(crate) trait IncumbentSink: Sync {
-    /// Current global best cost (may be better than the local one).
-    fn best_cost(&self) -> f64;
-    /// Offer an improving solution; returns true if accepted.
-    fn offer(&self, cost: f64, assignment: &[usize]) -> bool;
-}
-
-pub(crate) struct Searcher<'a> {
+/// The depth-first search state of one solve.
+struct Searcher<'a> {
     inst: &'a AssignmentInstance,
     tables: &'a BoundTables,
     // search state
@@ -428,8 +360,8 @@ pub(crate) struct Searcher<'a> {
     committed: f64,
     // incumbent
     best_cost: f64,
-    /// True once `best_cost` reflects a real feasible solution (local
-    /// or global) rather than the initial payment cap.
+    /// True once `best_cost` reflects a real feasible solution rather
+    /// than the initial payment cap.
     have_incumbent: bool,
     best: Option<Vec<usize>>, // task-indexed
     // accounting
@@ -439,15 +371,16 @@ pub(crate) struct Searcher<'a> {
     truncated: bool,
     deadline_hit: bool,
     source: IncumbentSource,
-    shared: Option<&'a dyn IncumbentSink>,
 }
 
 impl<'a> Searcher<'a> {
-    pub(crate) fn new(
+    /// A search capped at `budget` nodes, checking the wall-clock
+    /// `deadline` every [`CHECK_INTERVAL`] nodes.
+    fn new(
         inst: &'a AssignmentInstance,
         tables: &'a BoundTables,
         budget: u64,
-        shared: Option<&'a dyn IncumbentSink>,
+        deadline: Option<Instant>,
     ) -> Self {
         let k = inst.gsps();
         let mut idle_mask = vec![0u64; tables.words];
@@ -470,81 +403,32 @@ impl<'a> Searcher<'a> {
             best: None,
             nodes: 0,
             budget,
-            deadline: None,
+            deadline,
             truncated: false,
             deadline_hit: false,
             source: IncumbentSource::None,
-            shared,
         }
-    }
-
-    /// Arm the wall-clock deadline (checked every [`CHECK_INTERVAL`]
-    /// nodes).
-    pub(crate) fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
     }
 
     /// Record that the wall-clock budget expired; the current best
     /// incumbent (if any) becomes the anytime answer.
-    pub(crate) fn mark_deadline_hit(&mut self) {
+    fn mark_deadline_hit(&mut self) {
         self.truncated = true;
         self.deadline_hit = true;
     }
 
-    /// Pre-load a known feasible solution as the incumbent.
-    pub(crate) fn install_incumbent(&mut self, task_to_gsp: Vec<usize>, cost: f64) {
+    /// Pre-load a known feasible solution as the incumbent, recording
+    /// where it came from for telemetry.
+    fn install_incumbent(&mut self, task_to_gsp: Vec<usize>, cost: f64, source: IncumbentSource) {
         if cost < self.best_cost {
             self.best_cost = cost;
             self.have_incumbent = true;
             self.best = Some(task_to_gsp);
-        }
-    }
-
-    /// [`Searcher::install_incumbent`], also recording where the seed
-    /// came from for telemetry.
-    pub(crate) fn install_incumbent_from(
-        &mut self,
-        task_to_gsp: Vec<usize>,
-        cost: f64,
-        source: IncumbentSource,
-    ) {
-        if cost < self.best_cost {
             self.source = source;
         }
-        self.install_incumbent(task_to_gsp, cost);
     }
 
-    /// Seed the search state to start from a partial prefix assignment
-    /// (used by the parallel driver to hand out subtrees).
-    pub(crate) fn apply_prefix(&mut self, prefix: &[usize]) {
-        for (depth, &g) in prefix.iter().enumerate() {
-            let task = self.tables.order[depth];
-            self.chosen[depth] = g;
-            self.loads[g] += self.inst.time(task, g);
-            if self.counts[g] == 0 {
-                self.idle -= 1;
-                self.idle_mask[g / 64] &= !(1u64 << (g % 64));
-            }
-            self.counts[g] += 1;
-            self.committed += self.inst.cost(task, g);
-        }
-    }
-
-    #[inline]
-    fn sync_shared(&mut self) {
-        if let Some(s) = self.shared {
-            let g = s.best_cost();
-            if g < self.best_cost {
-                self.best_cost = g;
-                self.have_incumbent = true;
-                // We do not copy the global assignment; local `best`
-                // only tracks solutions found in this subtree. The
-                // driver keeps the global one.
-            }
-        }
-    }
-
-    pub(crate) fn dfs(&mut self, depth: usize) {
+    fn dfs(&mut self, depth: usize) {
         if self.truncated {
             return;
         }
@@ -553,18 +437,11 @@ impl<'a> Searcher<'a> {
             self.truncated = true;
             return;
         }
-        // Periodic bookkeeping: wall-clock deadline check and (in
-        // parallel mode) a pull of the global incumbent.
-        if self.nodes.is_multiple_of(CHECK_INTERVAL) {
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.mark_deadline_hit();
-                    return;
-                }
-            }
-            if self.shared.is_some() {
-                self.sync_shared();
-            }
+        if self.nodes.is_multiple_of(CHECK_INTERVAL)
+            && self.deadline.is_some_and(|d| Instant::now() >= d)
+        {
+            self.mark_deadline_hit();
+            return;
         }
         let n = self.inst.tasks();
         if depth == n {
@@ -575,9 +452,6 @@ impl<'a> Searcher<'a> {
                 let mut task_to_gsp = vec![0usize; n];
                 for (d, &g) in self.chosen.iter().enumerate() {
                     task_to_gsp[self.tables.order[d]] = g;
-                }
-                if let Some(s) = self.shared {
-                    s.offer(cost, &task_to_gsp);
                 }
                 self.best_cost = cost;
                 self.have_incumbent = true;
@@ -676,13 +550,6 @@ impl<'a> Searcher<'a> {
             }
         }
     }
-
-    /// Where the search ended, for [`result_step`] (and, per subtree,
-    /// for the parallel backend's totals).
-    pub(crate) fn end(self) -> SearchEnd {
-        let Searcher { best, source, nodes, truncated, deadline_hit, .. } = self;
-        SearchEnd { best, source, nodes, truncated, deadline_hit }
-    }
 }
 
 #[cfg(test)]
@@ -743,78 +610,52 @@ mod tests {
         assert_eq!(o.cost, 6.0);
     }
 
-    /// Both exact backends, each solving under an unlimited budget
-    /// with an optional warm seed.
-    type Backend = fn(&AssignmentInstance, Option<&Assignment>) -> SolveStatus;
-    const BACKENDS: [(&str, Backend); 2] = [
-        ("sequential", |i, warm| {
-            BranchBound::default().solve_status_with_budget(i, warm, &Budget::unlimited())
-        }),
-        ("parallel", |i, warm| {
-            crate::parallel::ParallelBranchBound::default().solve_status_with_budget(
-                i,
-                warm,
-                &Budget::unlimited(),
-            )
-        }),
-    ];
-
     #[test]
     fn warm_seed_meeting_the_root_bound_is_certified_without_search() {
+        let solve = |i: &AssignmentInstance, warm: Option<&Assignment>| {
+            BranchBound::default().solve_status_with_budget(i, warm, &Budget::unlimited())
+        };
         // Loose constraints: the optimum meets the Hungarian root bound.
         let i = inst(3, 2, vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0], vec![1.0; 6], 100.0, 100.0);
         let cold = BranchBound::default().solve(&i).unwrap();
+        let warm = solve(&i, Some(&cold.assignment)).into_outcome().unwrap();
+        assert_eq!(warm.nodes, 0);
+        assert_eq!(warm.incumbent_source, IncumbentSource::Warm);
+        assert_eq!((&warm.assignment, warm.cost), (&cold.assignment, cold.cost));
         // A feasible but costlier warm seed is no certificate.
         let worse = Assignment::new(vec![1, 0, 0]);
-        // Every assignment costs 20 against a payment cap of 5.
+        let o = solve(&i, Some(&worse)).into_outcome().unwrap();
+        assert_ne!(o.incumbent_source, IncumbentSource::Warm);
+        assert_eq!(o.cost, cold.cost);
+        // Every assignment costs 20 against a payment cap of 5: the root
+        // bound alone proves the payment cap broken.
         let broke = inst(2, 2, vec![10.0; 4], vec![1.0; 4], 10.0, 5.0);
-        for (name, solve) in BACKENDS {
-            let warm = solve(&i, Some(&cold.assignment)).into_outcome().unwrap();
-            assert_eq!(warm.nodes, 0, "{name}");
-            assert_eq!(warm.incumbent_source, IncumbentSource::Warm, "{name}");
-            assert_eq!((&warm.assignment, warm.cost), (&cold.assignment, cold.cost), "{name}");
-            let o = solve(&i, Some(&worse)).into_outcome().unwrap();
-            assert_ne!(o.incumbent_source, IncumbentSource::Warm, "{name}");
-            assert_eq!(o.cost, cold.cost, "{name}");
-            // The root bound alone proves the payment cap broken.
-            assert_eq!(solve(&broke, None), SolveStatus::Infeasible { nodes: 0 }, "{name}");
-        }
+        assert_eq!(solve(&broke, None), SolveStatus::Infeasible { nodes: 0 });
     }
 
     #[test]
     fn budget_truncation_reports_nonoptimal_or_unknown() {
-        // An instance whose tree needs more than 1 node.
-        let i =
-            inst(4, 2, vec![1.0, 2.0, 2.0, 1.0, 1.5, 1.5, 2.0, 1.0], vec![1.0; 8], 100.0, 100.0);
-        let bb = BranchBound { max_nodes: 1, seed_incumbent: false };
-        match bb.solve_status_with_budget(&i, None, &Budget::unlimited()) {
-            SolveStatus::Feasible(o) => assert!(!o.optimal),
-            SolveStatus::Unknown { .. } => {}
-            other => panic!("expected truncation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn seeding_never_changes_the_optimum() {
+        // Feasible (optimum 12), but greedy-cost, min-min and sufferage
+        // all fail on it, so a truncated search has no incumbent at all.
         let i = inst(
             5,
             3,
-            vec![
-                3.0, 1.0, 2.0, //
-                1.0, 2.0, 3.0, //
-                2.0, 3.0, 1.0, //
-                1.0, 1.0, 4.0, //
-                2.0, 2.0, 2.0,
-            ],
-            vec![1.0; 15],
-            3.0,
-            100.0,
+            vec![9.0, 3.0, 6.0, 3.0, 7.0, 9.0, 6.0, 5.0, 1.0, 4.0, 1.0, 6.0, 3.0, 1.0, 3.0],
+            vec![5.0, 1.0, 2.0, 6.0, 8.0, 7.0, 1.0, 6.0, 7.0, 2.0, 5.0, 3.0, 6.0, 7.0, 9.0],
+            9.0,
+            13.0,
         );
-        let with = BranchBound { seed_incumbent: true, ..Default::default() }.solve(&i).unwrap();
-        let without =
-            BranchBound { seed_incumbent: false, ..Default::default() }.solve(&i).unwrap();
-        assert_eq!(with.cost, without.cost);
-        assert!(with.optimal && without.optimal);
+        assert_eq!(heuristics::seed_incumbent(&i), None);
+        let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
+        assert_eq!(opt, 12.0);
+        let truncated = Budget { deadline: None, max_nodes: 1 };
+        match BranchBound::default().solve_status_with_budget(&i, None, &truncated) {
+            SolveStatus::Unknown { .. } => {}
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        let o = BranchBound::default().solve(&i).expect("feasible");
+        assert!(o.optimal);
+        assert_eq!(o.cost, opt);
     }
 
     #[test]
@@ -887,7 +728,7 @@ mod tests {
         let i =
             inst(4, 2, vec![2.0, 3.0, 3.0, 2.0, 2.5, 2.6, 3.0, 2.0], vec![1.0; 8], 100.0, 100.0);
         let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
-        let bb = BranchBound { max_nodes: 1, seed_incumbent: true };
+        let bb = BranchBound { max_nodes: 1 };
         match bb.solve_status_with_budget(&i, None, &Budget::unlimited()) {
             SolveStatus::Feasible(o) => {
                 let lb = o.lower_bound.unwrap();

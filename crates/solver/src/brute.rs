@@ -3,8 +3,7 @@
 //! Walks all `kⁿ` complete assignments, keeping the cheapest feasible
 //! one. Exponential — usable only for tiny instances — but it has no
 //! pruning logic at all, so it serves as the ground truth the
-//! branch-and-bound and the parallel solver are property-tested
-//! against.
+//! branch-and-bound is property-tested against.
 
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;

@@ -235,15 +235,16 @@ fn finish(inst: &AssignmentInstance, mut gsp_of: Vec<usize>) -> Option<Assignmen
 /// feasible result among the fast heuristics (greedy always; the
 /// `O(n²k)` sweeps only on small instances where they are affordable).
 pub fn seed_incumbent(inst: &AssignmentInstance) -> Option<Assignment> {
-    seed_incumbent_with(inst, &BoundTables::new(inst))
+    seed_incumbent_with(inst, &BoundTables::new(inst)).map(|(a, _)| a)
 }
 
-/// [`seed_incumbent`] over bound tables the caller already built for
-/// `inst`, so a solver that searches with them builds them only once.
+/// [`seed_incumbent`] and its cost, over bound tables the caller
+/// already built for `inst`, so a solver that searches with them builds
+/// them only once.
 pub(crate) fn seed_incumbent_with(
     inst: &AssignmentInstance,
     tables: &BoundTables,
-) -> Option<Assignment> {
+) -> Option<(Assignment, f64)> {
     let mut best: Option<(Assignment, f64)> = None;
     let mut consider = |a: Option<Assignment>| {
         if let Some(a) = a {
@@ -258,7 +259,7 @@ pub(crate) fn seed_incumbent_with(
         consider(min_min(inst));
         consider(sufferage(inst));
     }
-    best.map(|(a, _)| a)
+    best
 }
 
 #[cfg(test)]

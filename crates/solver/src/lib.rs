@@ -16,18 +16,17 @@
 //! an in-repo **branch-and-bound** ([`branch_bound`]) that is exact —
 //! the VO-formation mechanism only consumes *feasibility* and the
 //! *optimal cost*, so any exact solver is behaviourally equivalent.
-//! A [`parallel`] rayon-based variant fans the search tree out across
-//! cores. A [`brute`] enumerator cross-checks both on small instances,
-//! and [`heuristics`] provides the Braun-et-al. family (min-min,
-//! max-min, sufferage, greedy) used as fast inexact baselines.
+//! A [`brute`] enumerator cross-checks it on small instances, and
+//! [`heuristics`] provides the Braun-et-al. family (min-min, max-min,
+//! sufferage, greedy) used as fast inexact baselines.
 //!
-//! Each exact backend has one entry point,
-//! `solve_status_with_budget(inst, warm, budget)` (plus `solve`, its
-//! cold, unlimited shorthand), and both run one pipeline: a shared
-//! root step (Hungarian infeasibility cut, warm-incumbent certificate,
-//! bound tables, heuristic seed, seed certificate), the backend's own
-//! search under the anytime [`Budget`], and a shared result step
-//! (canonical cost, lower bound and gap, [`branch_bound::SolveStatus`]).
+//! The exact solver has one entry point,
+//! [`BranchBound::solve_status_with_budget`] (plus `solve`, its cold,
+//! unlimited shorthand), which reads top to bottom: root certificates
+//! (Hungarian infeasibility cut, warm-incumbent certificate, seed
+//! certificate), the heuristic seed, the depth-first search under the
+//! anytime [`Budget`], and the status (canonical cost, lower bound and
+//! gap, [`branch_bound::SolveStatus`]).
 //!
 //! ## Quick example
 //!
@@ -55,7 +54,6 @@ pub mod brute;
 pub mod heuristics;
 pub mod hungarian;
 pub mod instance;
-pub mod parallel;
 pub mod repair;
 pub mod solution;
 

@@ -15,11 +15,6 @@ use crate::normalize::{row_normalize, DanglingPolicy};
 use crate::power::PowerMethod;
 use crate::{Result, TrustGraph};
 
-/// Weighted out-degree centrality: total trust a GSP *extends*.
-pub fn out_degree(graph: &TrustGraph) -> Vec<f64> {
-    (0..graph.node_count()).map(|i| graph.out_trust_sum(i)).collect()
-}
-
 /// Weighted in-degree centrality: total trust a GSP *receives*. The
 /// simplest reputation proxy.
 pub fn in_degree(graph: &TrustGraph) -> Vec<f64> {
@@ -186,8 +181,6 @@ mod tests {
         for &d in &ind[1..] {
             assert!((d - 0.2).abs() < 1e-12);
         }
-        let outd = out_degree(&g);
-        assert!((outd[0] - 0.8).abs() < 1e-12);
     }
 
     #[test]

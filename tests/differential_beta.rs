@@ -11,14 +11,13 @@
 //!   interval, is strictly monotone in fresh evidence, degenerates to
 //!   plain counting at `λ = 1`, and a zero-epoch discount is the exact
 //!   identity;
-//! * **backend agreement** — formation over *receipt-fed* trust
-//!   (evidence folded from signed execution receipts) agrees between
-//!   the sequential and the rayon-parallel exact solver, with the
-//!   same tolerance discipline as `tests/differential_warm_cold.rs`.
+//! * **warm/cold agreement** — formation over *receipt-fed* trust
+//!   (evidence folded from signed execution receipts) selects the same
+//!   VO with and without the incremental engine's warm starts, with
+//!   the same tolerance discipline as `tests/differential_warm_cold.rs`.
 
-use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
+use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::{ExecutionReceipt, FaultEvent, FaultKind, FaultPlan, FormationScenario, Gsp};
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::beta::{BetaLedger, BetaParams, DEFAULT_LAMBDA};
 use gridvo_trust::TrustGraph;
@@ -165,12 +164,12 @@ proptest! {
         prop_assert_eq!(p.s.to_bits(), base.s.to_bits());
     }
 
-    /// Receipt-fed trust, sequential vs parallel exact solver: fold a
-    /// random batch of verified receipts into a ledger, overlay it on
-    /// the scenario's trust, and run formation with both backends.
-    /// Same member set, same status; costs agree to 1e-9.
+    /// Receipt-fed trust, warm vs cold formation: fold a random batch
+    /// of verified receipts into a ledger, overlay it on the scenario's
+    /// trust, and run formation with and without warm starts. Same
+    /// member set, same status; costs agree to 1e-9.
     #[test]
-    fn backends_agree_on_receipt_fed_trust(
+    fn warm_and_cold_agree_on_receipt_fed_trust(
         pair in scenario_and_receipts(),
         seed in 0u64..1000,
     ) {
@@ -185,22 +184,21 @@ proptest! {
         let fed = FormationScenario::new(s.gsps().to_vec(), trust, s.instance().clone())
             .expect("consistent scenario");
 
-        let run = |solver: SolverChoice| {
-            let config = FormationConfig { solver, ..FormationConfig::default() };
+        let run = |warm_start: bool| {
+            let config = FormationConfig { warm_start, ..FormationConfig::default() };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             Mechanism::tvof(config).run(&fed, &mut rng).expect("formation runs")
         };
-        let sequential = run(SolverChoice::default());
-        let parallel = run(SolverChoice::ExactParallel(ParallelBranchBound::default()));
+        let (warm, cold) = (run(true), run(false));
 
-        match (&sequential.selected, &parallel.selected) {
+        match (&warm.selected, &cold.selected) {
             (Some(a), Some(b)) => {
-                prop_assert_eq!(&a.members, &b.members, "backends selected different VOs");
+                prop_assert_eq!(&a.members, &b.members, "warm and cold selected different VOs");
                 prop_assert!((a.cost - b.cost).abs() < 1e-9, "selected VO cost");
                 prop_assert!((a.payoff_share - b.payoff_share).abs() < 1e-9);
             }
             (None, None) => {}
-            _ => prop_assert!(false, "one backend selected a VO, the other did not"),
+            _ => prop_assert!(false, "one run selected a VO, the other did not"),
         }
     }
 }

@@ -4,23 +4,16 @@
 //! **empty** fault plan is a pure pass-through of the formation output
 //! — same members, bit-identical cost and payoff share, the very same
 //! assignment, no recovery episodes. Beyond that, seeded fault runs
-//! must be deterministic (same plan → same report, across repeats and
-//! across the sequential/parallel exact solvers), and whatever
-//! execution calls "completed" must actually satisfy the deadline and
-//! payment constraints on the instance it claims to have run on
-//! (reconstructed from the reported slowdown factors).
-//!
-//! Cross-solver comparisons use the same tolerance discipline as
-//! `tests/differential_warm_cold.rs`: member sets and statuses are
-//! exact, costs agree to 1e-9 (distinct tie-optimal assignments may
-//! re-cost to different ulps), and wall-clock fields are excluded.
+//! must be deterministic (same plan → same report across repeats), and
+//! whatever execution calls "completed" must actually satisfy the
+//! deadline and payment constraints on the instance it claims to have
+//! run on (reconstructed from the reported slowdown factors).
 
-use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
+use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::{
     ExecutionReport, ExecutionStatus, FaultEvent, FaultKind, FaultPlan, FormationScenario, Gsp,
     RecoveryKind, VoRecord,
 };
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::TrustGraph;
 use proptest::prelude::*;
@@ -82,20 +75,13 @@ fn scenario_and_plan() -> impl Strategy<Value = (FormationScenario, FaultPlan)> 
     })
 }
 
-fn form(s: &FormationScenario, solver: SolverChoice, seed: u64) -> Option<VoRecord> {
-    let cfg = FormationConfig { solver, ..Default::default() };
+fn form(s: &FormationScenario, seed: u64) -> Option<VoRecord> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    Mechanism::tvof(cfg).run(s, &mut rng).expect("formation runs").selected
+    Mechanism::tvof(FormationConfig::default()).run(s, &mut rng).expect("formation runs").selected
 }
 
-fn execute(
-    s: &FormationScenario,
-    vo: &VoRecord,
-    plan: &FaultPlan,
-    solver: SolverChoice,
-) -> ExecutionReport {
-    let cfg = FormationConfig { solver, ..Default::default() };
-    Mechanism::tvof(cfg).execute(s, vo, plan).expect("execution runs")
+fn execute(s: &FormationScenario, vo: &VoRecord, plan: &FaultPlan) -> ExecutionReport {
+    Mechanism::tvof(FormationConfig::default()).execute(s, vo, plan).expect("execution runs")
 }
 
 /// Reports must agree up to wall-clock noise: everything except the
@@ -139,8 +125,8 @@ proptest! {
     /// recoveries, no degradation flag.
     #[test]
     fn empty_plan_is_bit_identical_to_formation(s in scenario_strategy(), seed in 0u64..1000) {
-        let Some(vo) = form(&s, SolverChoice::default(), seed) else { return Ok(()) };
-        let report = execute(&s, &vo, &FaultPlan::empty(), SolverChoice::default());
+        let Some(vo) = form(&s, seed) else { return Ok(()) };
+        let report = execute(&s, &vo, &FaultPlan::empty());
         prop_assert_eq!(report.status, ExecutionStatus::Completed { degraded: false });
         prop_assert_eq!(&report.initial_members, &vo.members);
         prop_assert_eq!(&report.final_members, &vo.members);
@@ -159,34 +145,10 @@ proptest! {
     #[test]
     fn seeded_fault_runs_are_deterministic(sp in scenario_and_plan(), seed in 0u64..1000) {
         let (s, plan) = sp;
-        let Some(vo) = form(&s, SolverChoice::default(), seed) else { return Ok(()) };
-        let a = execute(&s, &vo, &plan, SolverChoice::default());
-        let b = execute(&s, &vo, &plan, SolverChoice::default());
+        let Some(vo) = form(&s, seed) else { return Ok(()) };
+        let a = execute(&s, &vo, &plan);
+        let b = execute(&s, &vo, &plan);
         assert_reports_identical(&a, &b)?;
-    }
-
-    /// Sequential vs parallel exact solver: both start from the same
-    /// formed VO and replay the same plan, so statuses, surviving
-    /// member sets and recovery traces must agree; costs to 1e-9 (the
-    /// two searches may surface distinct tie-optimal assignments).
-    #[test]
-    fn fault_runs_agree_across_solver_backends(sp in scenario_and_plan(), seed in 0u64..1000) {
-        let (s, plan) = sp;
-        let Some(vo) = form(&s, SolverChoice::default(), seed) else { return Ok(()) };
-        let par = SolverChoice::ExactParallel(ParallelBranchBound::default());
-        let a = execute(&s, &vo, &plan, SolverChoice::default());
-        let b = execute(&s, &vo, &plan, par);
-        prop_assert_eq!(a.status, b.status);
-        prop_assert_eq!(&a.final_members, &b.final_members);
-        prop_assert!((a.final_cost - b.final_cost).abs() < 1e-9,
-            "final cost: sequential {} vs parallel {}", a.final_cost, b.final_cost);
-        prop_assert!((a.final_payoff_share - b.final_payoff_share).abs() < 1e-9);
-        prop_assert_eq!(a.recoveries.len(), b.recoveries.len());
-        for (x, y) in a.recoveries.iter().zip(&b.recoveries) {
-            prop_assert_eq!(x.round, y.round);
-            prop_assert_eq!(x.gsp, y.gsp);
-            prop_assert_eq!(x.survivors, y.survivors);
-        }
     }
 
     /// Whatever execution calls completed must be *feasible*: the
@@ -196,8 +158,8 @@ proptest! {
     #[test]
     fn recovered_assignments_satisfy_all_constraints(sp in scenario_and_plan(), seed in 0u64..1000) {
         let (s, plan) = sp;
-        let Some(vo) = form(&s, SolverChoice::default(), seed) else { return Ok(()) };
-        let report = execute(&s, &vo, &plan, SolverChoice::default());
+        let Some(vo) = form(&s, seed) else { return Ok(()) };
+        let report = execute(&s, &vo, &plan);
         if let ExecutionStatus::Completed { .. } = report.status {
             let a = report.final_assignment.as_ref().expect("completed → assignment");
             let inst = s.instance_for(&report.final_members).expect("non-empty VO");
@@ -221,8 +183,8 @@ proptest! {
     #[test]
     fn recovery_telemetry_is_consistent(sp in scenario_and_plan(), seed in 0u64..1000) {
         let (s, plan) = sp;
-        let Some(vo) = form(&s, SolverChoice::default(), seed) else { return Ok(()) };
-        let report = execute(&s, &vo, &plan, SolverChoice::default());
+        let Some(vo) = form(&s, seed) else { return Ok(()) };
+        let report = execute(&s, &vo, &plan);
         let mut last_round = 0usize;
         for r in &report.recoveries {
             prop_assert!(r.round >= last_round, "recoveries out of order");

@@ -11,19 +11,15 @@
 //! `lowest_members` absorbs that residue so eviction tie-breaking — and
 //! hence the RNG stream — is identical.
 //!
-//! Two deliberate tolerances:
-//! - costs are compared to 1e-9, not bit-for-bit: when two *different*
-//!   assignments tie within the solver's `COST_EPS`, warm and cold
-//!   searches may surface either one, and the canonical re-costing
-//!   of distinct optima can differ in the last few ulps;
-//! - `warm nodes ≤ cold nodes` is asserted only for the sequential
-//!   solver — the parallel solver's node count depends on thread
-//!   interleaving, so on a multicore host the inequality is not a
-//!   theorem per run.
+//! One deliberate tolerance: costs are compared to 1e-9, not
+//! bit-for-bit. When two *different* assignments tie within the
+//! solver's `COST_EPS`, warm and cold searches may surface either one,
+//! and the canonical re-costing of distinct optima can differ in the
+//! last few ulps. Node counts are checked per round: `warm nodes ≤ cold
+//! nodes`.
 
-use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
+use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::{FormationOutcome, FormationScenario, Gsp};
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::TrustGraph;
 use proptest::prelude::*;
@@ -62,12 +58,11 @@ fn scenario_strategy() -> impl Strategy<Value = FormationScenario> {
 /// warm — and return both outcomes.
 fn run_pair(
     mech: fn(FormationConfig) -> Mechanism,
-    solver: SolverChoice,
     s: &FormationScenario,
     seed: u64,
 ) -> (FormationOutcome, FormationOutcome) {
-    let cold_cfg = FormationConfig { solver, warm_start: false, ..Default::default() };
-    let warm_cfg = FormationConfig { solver, warm_start: true, ..Default::default() };
+    let cold_cfg = FormationConfig { warm_start: false, ..Default::default() };
+    let warm_cfg = FormationConfig { warm_start: true, ..Default::default() };
     let mut cold_rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut warm_rng = rand::rngs::StdRng::seed_from_u64(seed);
     let cold = mech(cold_cfg).run(s, &mut cold_rng).expect("cold run");
@@ -77,11 +72,11 @@ fn run_pair(
 
 /// The differential oracle: warm and cold traces must match iteration
 /// by iteration — identical member sets, feasibility, eviction order,
-/// and costs to 1e-9 — and the selected VO must be the same.
+/// costs to 1e-9, and no more nodes warm than cold — and the selected
+/// VO must be the same.
 fn assert_trace_equivalent(
     cold: &FormationOutcome,
     warm: &FormationOutcome,
-    check_nodes: bool,
 ) -> std::result::Result<(), TestCaseError> {
     prop_assert_eq!(cold.iterations.len(), warm.iterations.len(), "trace lengths diverge");
     for (c, w) in cold.iterations.iter().zip(&warm.iterations) {
@@ -97,15 +92,13 @@ fn assert_trace_equivalent(
             (None, None) => {}
             other => prop_assert!(false, "iteration {} cost mismatch {other:?}", c.iteration),
         }
-        if check_nodes {
-            prop_assert!(
-                w.nodes <= c.nodes,
-                "iteration {}: warm expanded {} nodes, cold {}",
-                c.iteration,
-                w.nodes,
-                c.nodes
-            );
-        }
+        prop_assert!(
+            w.nodes <= c.nodes,
+            "iteration {}: warm expanded {} nodes, cold {}",
+            c.iteration,
+            w.nodes,
+            c.nodes
+        );
     }
     prop_assert_eq!(cold.feasible_vos.len(), warm.feasible_vos.len(), "feasible list L diverges");
     match (&cold.selected, &warm.selected) {
@@ -131,37 +124,20 @@ fn assert_trace_equivalent(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(110))]
 
-    /// TVOF, sequential exact solver: full differential equivalence
-    /// plus the per-round node inequality.
+    /// TVOF: full differential equivalence plus the per-round node
+    /// inequality.
     #[test]
     fn tvof_sequential_warm_matches_cold(s in scenario_strategy(), seed in 0u64..1000) {
-        let (cold, warm) = run_pair(Mechanism::tvof, SolverChoice::default(), &s, seed);
-        assert_trace_equivalent(&cold, &warm, true)?;
+        let (cold, warm) = run_pair(Mechanism::tvof, &s, seed);
+        assert_trace_equivalent(&cold, &warm)?;
     }
 
-    /// RVOF, sequential exact solver: the random-eviction RNG stream
-    /// must also be untouched by warm starts.
+    /// RVOF: the random-eviction RNG stream must also be untouched by
+    /// warm starts.
     #[test]
     fn rvof_sequential_warm_matches_cold(s in scenario_strategy(), seed in 0u64..1000) {
-        let (cold, warm) = run_pair(Mechanism::rvof, SolverChoice::default(), &s, seed);
-        assert_trace_equivalent(&cold, &warm, true)?;
-    }
-
-    /// TVOF, parallel exact solver: same trace, node counts unchecked
-    /// (thread interleaving makes them per-run noise on multicore).
-    #[test]
-    fn tvof_parallel_warm_matches_cold(s in scenario_strategy(), seed in 0u64..1000) {
-        let solver = SolverChoice::ExactParallel(ParallelBranchBound::default());
-        let (cold, warm) = run_pair(Mechanism::tvof, solver, &s, seed);
-        assert_trace_equivalent(&cold, &warm, false)?;
-    }
-
-    /// RVOF, parallel exact solver.
-    #[test]
-    fn rvof_parallel_warm_matches_cold(s in scenario_strategy(), seed in 0u64..1000) {
-        let solver = SolverChoice::ExactParallel(ParallelBranchBound::default());
-        let (cold, warm) = run_pair(Mechanism::rvof, solver, &s, seed);
-        assert_trace_equivalent(&cold, &warm, false)?;
+        let (cold, warm) = run_pair(Mechanism::rvof, &s, seed);
+        assert_trace_equivalent(&cold, &warm)?;
     }
 
     /// Warm runs must actually *use* the machinery: whenever a round
@@ -170,7 +146,7 @@ proptest! {
     /// incumbent source — i.e. the differential pass is not vacuous.
     #[test]
     fn warm_runs_record_incremental_telemetry(s in scenario_strategy(), seed in 0u64..1000) {
-        let (_, warm) = run_pair(Mechanism::tvof, SolverChoice::default(), &s, seed);
+        let (_, warm) = run_pair(Mechanism::tvof, &s, seed);
         for it in &warm.iterations {
             if it.feasible {
                 prop_assert!(it.power_iterations >= 1);

@@ -1,14 +1,12 @@
 //! Property-based tests for the solver substrate.
 //!
 //! The central property: on every random small instance, the
-//! branch-and-bound (sequential and parallel, seeded and unseeded)
-//! agrees **exactly** with the brute-force oracle — same feasibility
+//! branch-and-bound agrees **exactly** with the brute-force oracle — same feasibility
 //! verdict, same optimal cost. Heuristics must be sound (feasible or
 //! `None`) and never beat the optimum.
 
 use gridvo_solver::branch_bound::{BranchBound, Budget, IncumbentSource, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
-use gridvo_solver::parallel::ParallelBranchBound;
 use gridvo_solver::{brute, hungarian, repair, AssignmentInstance};
 use proptest::prelude::*;
 
@@ -85,30 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_matches_sequential(inst in small_instance()) {
-        let seq = BranchBound::default().solve(&inst);
-        let par = ParallelBranchBound::default().solve(&inst);
-        match (seq, par) {
-            (None, None) => {}
-            (Some(a), Some(b)) => prop_assert!((a.cost - b.cost).abs() < 1e-9,
-                "parallel {} vs sequential {}", b.cost, a.cost),
-            (a, b) => prop_assert!(false, "feasibility disagrees: {:?} vs {:?}",
-                a.map(|x| x.cost), b.map(|x| x.cost)),
-        }
-    }
-
-    #[test]
-    fn unseeded_search_matches_seeded(inst in small_instance()) {
-        let seeded = BranchBound { seed_incumbent: true, ..Default::default() }.solve(&inst);
-        let bare = BranchBound { seed_incumbent: false, ..Default::default() }.solve(&inst);
-        match (seeded, bare) {
-            (None, None) => {}
-            (Some(a), Some(b)) => prop_assert!((a.cost - b.cost).abs() < 1e-9),
-            _ => prop_assert!(false, "seeding changed feasibility"),
-        }
-    }
-
-    #[test]
     fn heuristics_sound_and_never_better_than_optimal(inst in small_instance()) {
         let optimal = BranchBound::default().solve(&inst).map(|o| o.cost);
         for kind in [Heuristic::GreedyCost, Heuristic::MinMin,
@@ -164,11 +138,10 @@ proptest! {
         }
     }
 
-    /// Gap soundness against the brute-force oracle, on both exact
-    /// backends (the parallel one applies the cap per subtree): under
-    /// any node budget, a feasible outcome's reported bracket must
-    /// contain the true optimum — `lower_bound ≤ optimum ≤ incumbent
-    /// cost` — and the gap must match its definition.
+    /// Gap soundness against the brute-force oracle: under any node
+    /// budget, a feasible outcome's reported bracket must contain the
+    /// true optimum — `lower_bound ≤ optimum ≤ incumbent cost` — and
+    /// the gap must match its definition.
     #[test]
     fn reported_gap_brackets_the_true_optimum(
         inst in small_instance(),
@@ -176,33 +149,28 @@ proptest! {
     ) {
         let oracle = brute::solve(&inst).expect("small instances enumerate");
         let budget = Budget { deadline: None, max_nodes };
-        for status in [
-            BranchBound::default().solve_status_with_budget(&inst, None, &budget),
-            ParallelBranchBound::default().solve_status_with_budget(&inst, None, &budget),
-        ] {
-            match status {
-                SolveStatus::Optimal(o) => {
-                    let (_, opt) = oracle.clone().expect("solver proved feasibility");
-                    prop_assert!((o.cost - opt).abs() < 1e-9);
-                    prop_assert_eq!(o.gap, Some(0.0));
-                    prop_assert_eq!(o.lower_bound, Some(o.cost));
-                }
-                SolveStatus::Feasible(o) => {
-                    let (_, opt) = oracle.clone().expect("solver found a feasible point");
-                    let lb = o.lower_bound.expect("truncated solves report a bound");
-                    let gap = o.gap.expect("truncated solves report a gap");
-                    prop_assert!(lb <= opt + 1e-9, "lower bound {lb} above optimum {opt}");
-                    prop_assert!(o.cost >= opt - 1e-9, "incumbent {} below optimum {opt}", o.cost);
-                    prop_assert!((0.0..=1.0).contains(&gap), "gap {gap} out of range");
-                    let expect = if o.cost.abs() <= 1e-9 { 0.0 }
-                        else { ((o.cost - lb) / o.cost).clamp(0.0, 1.0) };
-                    prop_assert!((gap - expect).abs() < 1e-12);
-                }
-                SolveStatus::Infeasible { .. } => {
-                    prop_assert!(oracle.is_none(), "solver claimed infeasible, oracle disagrees");
-                }
-                SolveStatus::Unknown { .. } => {} // budget too small to say anything
+        match BranchBound::default().solve_status_with_budget(&inst, None, &budget) {
+            SolveStatus::Optimal(o) => {
+                let (_, opt) = oracle.expect("solver proved feasibility");
+                prop_assert!((o.cost - opt).abs() < 1e-9);
+                prop_assert_eq!(o.gap, Some(0.0));
+                prop_assert_eq!(o.lower_bound, Some(o.cost));
             }
+            SolveStatus::Feasible(o) => {
+                let (_, opt) = oracle.expect("solver found a feasible point");
+                let lb = o.lower_bound.expect("truncated solves report a bound");
+                let gap = o.gap.expect("truncated solves report a gap");
+                prop_assert!(lb <= opt + 1e-9, "lower bound {lb} above optimum {opt}");
+                prop_assert!(o.cost >= opt - 1e-9, "incumbent {} below optimum {opt}", o.cost);
+                prop_assert!((0.0..=1.0).contains(&gap), "gap {gap} out of range");
+                let expect = if o.cost.abs() <= 1e-9 { 0.0 }
+                    else { ((o.cost - lb) / o.cost).clamp(0.0, 1.0) };
+                prop_assert!((gap - expect).abs() < 1e-12);
+            }
+            SolveStatus::Infeasible { .. } => {
+                prop_assert!(oracle.is_none(), "solver claimed infeasible, oracle disagrees");
+            }
+            SolveStatus::Unknown { .. } => {} // budget too small to say anything
         }
     }
 
