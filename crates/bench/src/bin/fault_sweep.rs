@@ -5,6 +5,11 @@
 //! a seeded fault plan is drawn (50% crashes, 30% slowdowns, 20%
 //! silent drops over 4 execution rounds) and the VO is executed under
 //! the repair-first recovery policy.
+//!
+//! **This binary is a gate**: it exits non-zero unless the rate-0 row
+//! shows the empty-plan pass-through — at least one run, every run
+//! completed at payoff retention exactly 1 (mean 1, std 0), and no
+//! recovery episode. CI runs it on every push.
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_sim::{experiments, report};
@@ -49,4 +54,28 @@ fn main() {
         )
     );
     args.write_artifact("BENCH_faults.json", &report::to_json(&points)).unwrap();
+
+    // The gate: with no faults, execution must echo the formed VO.
+    let clean = points.iter().find(|p| p.fault_rate == 0.0).expect("RATES includes 0");
+    let mut failures = Vec::new();
+    if clean.runs == 0 {
+        failures.push("no run formed a VO, so nothing was executed".to_string());
+    }
+    if clean.completion_rate != 1.0 {
+        failures.push(format!("completion rate {} != 1", clean.completion_rate));
+    }
+    let retention = &clean.payoff_retention;
+    if retention.mean != 1.0 || retention.std != 0.0 {
+        failures.push(format!("payoff retention {} ± {} != 1 ± 0", retention.mean, retention.std));
+    }
+    if clean.recovery_seconds.n > 0 {
+        failures.push(format!("{} recovery episodes without a fault", clean.recovery_seconds.n));
+    }
+    for f in &failures {
+        eprintln!("GATE FAILURE at fault rate 0: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!("gate passed: the fault-free row is a lossless pass-through");
 }

@@ -1,20 +1,25 @@
 //! # gridvo-bench
 //!
 //! Figure-regeneration binaries and Criterion benchmarks for the
-//! ICPP 2012 evaluation. One binary per paper artifact:
+//! ICPP 2012 evaluation, plus the beyond-paper sweeps:
 //!
-//! | binary | paper artifact |
+//! | binary | artifact |
 //! |---|---|
 //! | `table1_audit` | Table I (parameter audit of generated instances) |
-//! | `fig1_payoff` | Fig. 1 — individual payoff vs #tasks |
-//! | `fig2_vo_size` | Fig. 2 — final VO size vs #tasks |
-//! | `fig3_reputation` | Fig. 3 — average reputation vs #tasks |
+//! | `sweep_all` | Figs. 1, 2, 3 and 9 — payoff, final VO size, average reputation and run time vs #tasks, from one sweep |
 //! | `fig4_selection_rules` | Fig. 4 — per-program payoff, two selection rules |
 //! | `fig56_tvof_trace` | Figs. 5–6 — TVOF iteration traces (programs A, B) |
 //! | `fig78_rvof_trace` | Figs. 7–8 — RVOF iteration traces (programs A, B) |
-//! | `fig9_runtime` | Fig. 9 — mechanism execution time vs #tasks |
-//! | `fault_sweep` | beyond-paper: execution under injected faults (`BENCH_faults.json`) |
+//! | `fig9_runtime` | Fig. 9 — mechanism execution time vs #tasks, cold vs warm, and the anytime scale frontier (`BENCH_formation.json`) |
+//! | `fault_sweep` | beyond-paper: execution under injected faults (`BENCH_faults.json`; gate) |
+//! | `reputation_sweep` | beyond-paper: adversary economics under Beta reputation (`BENCH_reputation.json`; gate) |
+//! | `market_sweep` | beyond-paper: multi-VO market contention (`BENCH_market.json`; gate) |
+//! | `service_sweep` | beyond-paper: daemon load and admission control (`BENCH_service.json`) |
+//! | `persist_sweep` | beyond-paper: journal and replay overhead (`BENCH_persistence.json`) |
+//! | `dynamic_rounds` | beyond-paper: dynamic multi-round formation |
+//! | `core_emptiness` | beyond-paper: how often the formation game's core is empty |
 //! | `ablation_eviction` | beyond-paper: eviction-policy ablation |
+//! | `ablation_reputation` | beyond-paper: reputation-engine ablation |
 //! | `ablation_solver` | beyond-paper: exact vs heuristic solver inside TVOF |
 //! | `ablation_topology` | beyond-paper: trust-graph topology ablation |
 //! | `decay_freeze` | beyond-paper: the decaying-trust freeze critique |

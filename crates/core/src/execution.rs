@@ -10,13 +10,16 @@
 //! * **silent drop** — the member quietly fails to execute some of its
 //!   tasks, which must be redone elsewhere.
 //!
-//! Recovery is *repair-first*: orphaned tasks are greedily re-homed
-//! onto the survivors ([`gridvo_solver::repair`] for crashes, the same
-//! greedy rule for drops). When the greedy repair is infeasible the
-//! engine falls back to a **full re-solve** of the reduced IP with the
-//! mechanism's configured solver, and when even that is infeasible the
-//! VO is **abandoned** — the program cannot be completed. After every
-//! membership change the power method is re-run on the surviving trust
+//! Recovery is one ladder over the live VO, with two moves: a
+//! **re-solve in place** of the members' IP with the mechanism's
+//! solver, and an **eviction** — drop the member, greedily re-home its
+//! tasks onto the survivors ([`repair::repair_after_eviction`]), else
+//! re-solve over them, else **abandon**: the program cannot be
+//! completed. A crash evicts. A slowdown the deadline slack cannot
+//! absorb re-solves in place, then evicts. A silent drop of all the
+//! member holds evicts; a partial one re-homes the dropped tasks off
+//! the member ([`repair::rehome`]), else re-solves in place. After
+//! every recovery the power method re-runs on the surviving trust
 //! subgraph, so post-failure reputations are part of the telemetry.
 //!
 //! The key invariant (asserted by `tests/differential_faults.rs`):
@@ -452,14 +455,61 @@ impl ExecutionReceipt {
     }
 }
 
-/// Outcome of one eviction-based recovery attempt.
-enum EvictOutcome {
-    /// Greedy repair succeeded.
-    Repaired(Assignment, f64),
-    /// The reduced IP was re-solved.
-    Resolved(Assignment, f64, u64),
-    /// Nothing works on the survivors.
-    Infeasible(u64),
+/// The VO while it executes: the state every recovery rung acts on.
+struct LiveVo<'a> {
+    mechanism: &'a Mechanism,
+    scenario: &'a FormationScenario,
+    members: Vec<usize>,
+    assignment: Assignment,
+    cost: f64,
+    /// Accumulated slowdown factor per GSP (global ids).
+    time_factors: Vec<f64>,
+    /// Nodes spent by the re-solves of the recovery in progress.
+    resolve_nodes: u64,
+}
+
+impl LiveVo<'_> {
+    /// The instance `members` face under the accumulated slowdowns.
+    fn instance(&self, members: &[usize]) -> Option<AssignmentInstance> {
+        let factors: Vec<f64> = members.iter().map(|&g| self.time_factors[g]).collect();
+        self.scenario.instance_for(members)?.scale_gsp_times(&factors).ok()
+    }
+
+    /// Re-solve `inst` with the mechanism's solver and adopt the
+    /// optimum, if there is one; its nodes count either way.
+    fn resolve(&mut self, inst: &AssignmentInstance) -> bool {
+        let report = self.mechanism.solve_instance(inst, None, &Budget::unlimited());
+        self.resolve_nodes += report.nodes;
+        let Some((a, c, _)) = report.solved else { return false };
+        (self.assignment, self.cost) = (a, c);
+        true
+    }
+
+    /// Adopt a greedy `repaired` assignment on `inst`, else re-solve
+    /// `inst`. Returns the rung that recovered, if any.
+    fn recover(
+        &mut self,
+        repaired: Option<Assignment>,
+        inst: &AssignmentInstance,
+    ) -> Option<RecoveryKind> {
+        if let Some(a) = repaired {
+            (self.cost, self.assignment) = (a.total_cost(inst), a);
+            return Some(RecoveryKind::Repair);
+        }
+        self.resolve(inst).then_some(RecoveryKind::Resolve)
+    }
+
+    /// Drop the member at `local` and recover on the survivors. `None`
+    /// leaves the VO untouched: it is abandoned.
+    fn evict(&mut self, local: usize) -> Option<RecoveryKind> {
+        let mut survivors = self.members.clone();
+        survivors.remove(local);
+        let inst = self.instance(&survivors)?;
+        let kind =
+            self.recover(repair::repair_after_eviction(&self.assignment, local, &inst), &inst)?;
+        self.members = survivors;
+        Some(kind)
+    }
 }
 
 impl Mechanism {
@@ -474,11 +524,18 @@ impl Mechanism {
         vo: &VoRecord,
         plan: &FaultPlan,
     ) -> Result<ExecutionReport> {
+        use RecoveryKind::{Abandon, Absorbed, Resolve};
         let started = Instant::now();
-        let mut members = vo.members.clone();
-        let mut assignment = vo.assignment.clone();
-        let mut cost = vo.cost;
-        let mut time_factors = vec![1.0f64; scenario.gsp_count()];
+        let mut live = LiveVo {
+            mechanism: self,
+            scenario,
+            members: vo.members.clone(),
+            assignment: vo.assignment.clone(),
+            cost: vo.cost,
+            time_factors: vec![1.0f64; scenario.gsp_count()],
+            resolve_nodes: 0,
+        };
+        let lost = || CoreError::EmptyVo { context: "live VO lost its instance" };
         let mut recoveries: Vec<RecoveryRecord> = Vec::new();
         let mut abandoned_in: Option<usize> = None;
         let rounds = plan.horizon();
@@ -487,133 +544,52 @@ impl Mechanism {
             for ev in plan.events_at(round) {
                 // Faults on GSPs outside the VO (never members, or
                 // already crashed) hit nobody.
-                let Some(local) = members.iter().position(|&m| m == ev.gsp) else {
+                let Some(local) = live.members.iter().position(|&m| m == ev.gsp) else {
                     continue;
                 };
                 let rec_started = Instant::now();
-                let cost_before = cost;
-                let mut resolve_nodes = 0u64;
+                let cost_before = live.cost;
+                live.resolve_nodes = 0;
+                let held = live.assignment.tasks_of(local);
                 let (kind, orphaned) = match ev.kind {
-                    FaultKind::Crash => {
-                        let orphaned = assignment.tasks_of(local).len();
-                        let kind = match self.evict_and_recover(
-                            scenario,
-                            &members,
-                            &assignment,
-                            &time_factors,
-                            local,
-                            &mut resolve_nodes,
-                        ) {
-                            Some((survivors, a, c, k)) => {
-                                members = survivors;
-                                assignment = a;
-                                cost = c;
-                                k
-                            }
-                            None => RecoveryKind::Abandon,
-                        };
-                        (kind, orphaned)
-                    }
+                    FaultKind::Crash => (live.evict(local).unwrap_or(Abandon), held.len()),
                     FaultKind::Slowdown { factor } => {
                         if !factor.is_finite() || factor <= 0.0 {
                             continue; // malformed event: no fault occurs
                         }
-                        time_factors[ev.gsp] *= factor;
-                        let inst = self
-                            .scaled_instance(scenario, &members, &time_factors)
-                            .ok_or(CoreError::EmptyVo { context: "live VO lost its instance" })?;
-                        if assignment.is_feasible(&inst) {
-                            (RecoveryKind::Absorbed, 0)
+                        live.time_factors[ev.gsp] *= factor;
+                        let inst = live.instance(&live.members).ok_or_else(lost)?;
+                        if live.assignment.is_feasible(&inst) {
+                            (Absorbed, 0)
+                        } else if live.resolve(&inst) {
+                            (Resolve, 0)
                         } else {
-                            // Re-solve over the same members first …
-                            let report = self.solve_instance(&inst, None, &Budget::unlimited());
-                            resolve_nodes += report.nodes;
-                            match report.solved {
-                                Some((a, c, _)) => {
-                                    assignment = a;
-                                    cost = c;
-                                    (RecoveryKind::Resolve, 0)
-                                }
-                                None => {
-                                    // … else the slowed member must go.
-                                    let orphaned = assignment.tasks_of(local).len();
-                                    let kind = match self.evict_and_recover(
-                                        scenario,
-                                        &members,
-                                        &assignment,
-                                        &time_factors,
-                                        local,
-                                        &mut resolve_nodes,
-                                    ) {
-                                        Some((survivors, a, c, _)) => {
-                                            members = survivors;
-                                            assignment = a;
-                                            cost = c;
-                                            RecoveryKind::Resolve
-                                        }
-                                        None => RecoveryKind::Abandon,
-                                    };
-                                    (kind, orphaned)
-                                }
-                            }
+                            // The slowed member must go; whichever rung
+                            // then recovers, the record says `resolve`.
+                            (live.evict(local).map_or(Abandon, |_| Resolve), held.len())
                         }
                     }
                     FaultKind::SilentDrop { tasks } => {
-                        let mine = assignment.tasks_of(local);
-                        let dropped = tasks.min(mine.len());
+                        let dropped = tasks.min(held.len());
                         if dropped == 0 {
                             continue; // malformed event: nothing dropped
                         }
-                        if dropped == mine.len() {
+                        let kind = if dropped == held.len() {
                             // Delivered nothing: same as a crash.
-                            let kind = match self.evict_and_recover(
-                                scenario,
-                                &members,
-                                &assignment,
-                                &time_factors,
-                                local,
-                                &mut resolve_nodes,
-                            ) {
-                                Some((survivors, a, c, k)) => {
-                                    members = survivors;
-                                    assignment = a;
-                                    cost = c;
-                                    k
-                                }
-                                None => RecoveryKind::Abandon,
-                            };
-                            (kind, dropped)
+                            live.evict(local).unwrap_or(Abandon)
                         } else {
-                            let inst =
-                                self.scaled_instance(scenario, &members, &time_factors).ok_or(
-                                    CoreError::EmptyVo { context: "live VO lost its instance" },
-                                )?;
-                            match rehome_dropped(&assignment, local, &mine[..dropped], &inst) {
-                                Some(a) => {
-                                    cost = a.total_cost(&inst);
-                                    assignment = a;
-                                    (RecoveryKind::Repair, dropped)
-                                }
-                                None => {
-                                    // Transient fault: a full re-solve
-                                    // may re-trust the dropper.
-                                    let report =
-                                        self.solve_instance(&inst, None, &Budget::unlimited());
-                                    resolve_nodes += report.nodes;
-                                    match report.solved {
-                                        Some((a, c, _)) => {
-                                            assignment = a;
-                                            cost = c;
-                                            (RecoveryKind::Resolve, dropped)
-                                        }
-                                        None => (RecoveryKind::Abandon, dropped),
-                                    }
-                                }
-                            }
-                        }
+                            // A partial drop never evicts: re-home the
+                            // dropped tasks off the dropper, else re-solve
+                            // (which may trust it with them again).
+                            let inst = live.instance(&live.members).ok_or_else(lost)?;
+                            let rehomed =
+                                repair::rehome(&live.assignment, local, &held[..dropped], &inst);
+                            live.recover(rehomed, &inst).unwrap_or(Abandon)
+                        };
+                        (kind, dropped)
                     }
                 };
-                let reputation = self.config.reputation.compute(scenario.trust(), &members)?;
+                let reputation = self.config.reputation.compute(scenario.trust(), &live.members)?;
                 recoveries.push(RecoveryRecord {
                     round,
                     gsp: ev.gsp,
@@ -621,10 +597,10 @@ impl Mechanism {
                     recovery_kind: kind,
                     orphaned_tasks: orphaned,
                     cost_before,
-                    cost_after: cost,
-                    cost_delta: cost - cost_before,
-                    resolve_nodes,
-                    survivors: members.len(),
+                    cost_after: live.cost,
+                    cost_delta: live.cost - cost_before,
+                    resolve_nodes: live.resolve_nodes,
+                    survivors: live.members.len(),
                     avg_reputation_after: reputation.average,
                     seconds: rec_started.elapsed().as_secs_f64(),
                 });
@@ -635,6 +611,7 @@ impl Mechanism {
             }
         }
 
+        let LiveVo { members, assignment, cost, time_factors, .. } = live;
         let degraded = recoveries.iter().any(|r| r.recovery_kind != RecoveryKind::Absorbed);
         let status = match abandoned_in {
             Some(round) => ExecutionStatus::Abandoned { round },
@@ -668,106 +645,6 @@ impl Mechanism {
             total_seconds: started.elapsed().as_secs_f64(),
         })
     }
-
-    /// The instance a (possibly slowed) member set currently faces.
-    fn scaled_instance(
-        &self,
-        scenario: &FormationScenario,
-        members: &[usize],
-        time_factors: &[f64],
-    ) -> Option<AssignmentInstance> {
-        let inst = scenario.instance_for(members)?;
-        let factors: Vec<f64> = members.iter().map(|&g| time_factors[g]).collect();
-        inst.scale_gsp_times(&factors).ok()
-    }
-
-    /// Remove the member at `local` and recover: greedy repair first,
-    /// full re-solve second. Returns the surviving member set with the
-    /// new assignment and cost, or `None` when no recovery exists.
-    fn evict_and_recover(
-        &self,
-        scenario: &FormationScenario,
-        members: &[usize],
-        assignment: &Assignment,
-        time_factors: &[f64],
-        local: usize,
-        resolve_nodes: &mut u64,
-    ) -> Option<(Vec<usize>, Assignment, f64, RecoveryKind)> {
-        let survivors: Vec<usize> =
-            members.iter().enumerate().filter(|&(i, _)| i != local).map(|(_, &g)| g).collect();
-        let inst = self.scaled_instance(scenario, &survivors, time_factors)?;
-        match self.recover_on(&inst, assignment, local) {
-            EvictOutcome::Repaired(a, c) => Some((survivors, a, c, RecoveryKind::Repair)),
-            EvictOutcome::Resolved(a, c, nodes) => {
-                *resolve_nodes += nodes;
-                Some((survivors, a, c, RecoveryKind::Resolve))
-            }
-            EvictOutcome::Infeasible(nodes) => {
-                *resolve_nodes += nodes;
-                None
-            }
-        }
-    }
-
-    /// Repair-first, re-solve-second on an already-reduced instance.
-    fn recover_on(
-        &self,
-        inst: &AssignmentInstance,
-        prev: &Assignment,
-        evicted_local: usize,
-    ) -> EvictOutcome {
-        if let Some(a) = repair::repair_after_eviction(prev, evicted_local, inst) {
-            let c = a.total_cost(inst);
-            return EvictOutcome::Repaired(a, c);
-        }
-        let report = self.solve_instance(inst, None, &Budget::unlimited());
-        match report.solved {
-            Some((a, c, _)) => EvictOutcome::Resolved(a, c, report.nodes),
-            None => EvictOutcome::Infeasible(report.nodes),
-        }
-    }
-}
-
-/// Greedily re-home `dropped` tasks (currently on `dropper`) onto the
-/// *other* members — the dropper is not trusted with them again.
-/// Largest orphans first, cheapest deadline-feasible host, full
-/// feasibility audit at the end (mirrors
-/// [`gridvo_solver::repair::repair_after_eviction`]).
-fn rehome_dropped(
-    prev: &Assignment,
-    dropper: usize,
-    dropped: &[usize],
-    inst: &AssignmentInstance,
-) -> Option<Assignment> {
-    let k = inst.gsps();
-    let d = inst.deadline();
-    let mut gsp_of = prev.as_slice().to_vec();
-    let mut loads = prev.loads(inst);
-    for &t in dropped {
-        loads[dropper] -= inst.time(t, dropper);
-    }
-    let mut orphans = dropped.to_vec();
-    let min_time = |t: usize| {
-        (0..k).filter(|&g| g != dropper).map(|g| inst.time(t, g)).fold(f64::INFINITY, f64::min)
-    };
-    orphans.sort_by(|&a, &b| min_time(b).total_cmp(&min_time(a)));
-    for t in orphans {
-        let mut best: Option<(usize, f64)> = None;
-        for g in (0..k).filter(|&g| g != dropper) {
-            if loads[g] + inst.time(t, g) > d {
-                continue;
-            }
-            let c = inst.cost(t, g);
-            if best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((g, c));
-            }
-        }
-        let (g, _) = best?;
-        gsp_of[t] = g;
-        loads[g] += inst.time(t, g);
-    }
-    let a = Assignment::new(gsp_of);
-    a.is_feasible(inst).then_some(a)
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
 use gridvo_solver::heuristics::{self, Heuristic};
 use gridvo_solver::{repair, AssignmentInstance};
+use gridvo_trust::TrustError;
 use rand::Rng;
 use std::time::Instant;
 
@@ -265,6 +266,40 @@ impl Mechanism {
         })
     }
 
+    /// One market formation attempt over the free sub-pool `free`
+    /// (global ids, ascending) of `scenario`, through
+    /// [`Mechanism::run_cached_with_budget`].
+    ///
+    /// A full pool runs `scenario` itself. A smaller one runs the
+    /// restriction to `free` ([`FormationScenario::restrict`]) and lifts
+    /// the outcome back to global ids with
+    /// [`FormationOutcome::map_members`]. `Ok(None)`
+    /// means the sub-pool is *contended*: it cannot host the program,
+    /// or the power method does not converge on its trust subgraph.
+    /// A release may cure either, so the caller retries later. An
+    /// outcome with no selected VO only comes from the full pool: the
+    /// program is infeasible outright.
+    pub fn run_on_free_pool<R: Rng + ?Sized>(
+        &self,
+        scenario: &FormationScenario,
+        free: &[usize],
+        rng: &mut R,
+        cache: &mut dyn SolveCache,
+        budget: &Budget,
+    ) -> Result<Option<FormationOutcome>> {
+        if free.len() == scenario.gsp_count() {
+            return self.run_cached_with_budget(scenario, rng, cache, budget).map(Some);
+        }
+        let Some(sub) = scenario.restrict(free) else { return Ok(None) };
+        let mut outcome = match self.run_cached_with_budget(&sub, rng, cache, budget) {
+            Ok(outcome) if outcome.selected.is_some() => outcome,
+            Ok(_) | Err(CoreError::Trust(TrustError::NoConvergence { .. })) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        outcome.map_members(free);
+        Ok(Some(outcome))
+    }
+
     /// Solve the IP for a candidate VO, optionally warm-started with
     /// the previous round's assignment (`carry` = that assignment plus
     /// the evicted member's local index within the previous VO), going
@@ -460,6 +495,26 @@ mod tests {
         assert!(vo.optimal);
         // selected payoff equals the max over L
         assert_eq!(Some(vo.payoff_share), out.best_payoff_share());
+    }
+
+    #[test]
+    fn free_pool_attempts_lift_ids_and_report_contention() {
+        let s = scenario();
+        let mech = Mechanism::tvof(FormationConfig::default());
+        let attempt = |free: &[usize]| {
+            let mut rng = TestRng::seed_from_u64(5);
+            mech.run_on_free_pool(&s, free, &mut rng, &mut NoCache, &Budget::unlimited()).unwrap()
+        };
+        // The full pool is a plain run.
+        let full = attempt(&[0, 1, 2, 3]).expect("the full pool is never contended");
+        let plain = mech.run(&s, &mut TestRng::seed_from_u64(5)).unwrap();
+        assert_eq!(full.selected, plain.selected);
+        // A sub-pool's outcome speaks global ids.
+        let sub = attempt(&[1, 2]).expect("two trusting GSPs host the program");
+        assert!(sub.selected.unwrap().members.iter().all(|g| [1, 2].contains(g)));
+        assert!(sub.iterations.iter().all(|it| it.members.iter().all(|g| [1, 2].contains(g))));
+        // A sub-pool that cannot host the program is contention.
+        assert!(attempt(&[]).is_none());
     }
 
     #[test]

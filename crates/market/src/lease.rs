@@ -130,11 +130,6 @@ impl LeaseTable {
         ids
     }
 
-    /// Number of distinct committed GSPs (the committed-GSP gauge).
-    pub fn committed_count(&self) -> usize {
-        self.committed().len()
-    }
-
     /// The free sub-pool: global ids in `0..pool` held by no lease.
     pub fn free_members(&self, pool: usize) -> Vec<usize> {
         let committed = self.committed();

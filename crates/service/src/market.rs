@@ -3,11 +3,13 @@
 //!
 //! A `form --app` request must only see the **free sub-pool** — the
 //! GSPs held by no live lease. The server pins an
-//! [`EpochSnapshot`](crate::shard::EpochSnapshot), restricts the
-//! standing scenario to `snapshot.free` ([`free_scenario`]), runs the
-//! unchanged mechanism over the restricted scenario (whose GSPs are
-//! renumbered `0..k`), and lifts the resulting records back into
-//! global ids with [`gridvo_core::FormationOutcome::map_members`].
+//! [`EpochSnapshot`](crate::shard::EpochSnapshot) and forms through
+//! [`gridvo_core::Mechanism::run_on_free_pool`]: it restricts the
+//! standing scenario to `snapshot.free`, runs the unchanged mechanism
+//! over the restricted scenario (whose GSPs are renumbered `0..k`),
+//! and lifts the resulting records back into global ids with
+//! [`gridvo_core::FormationOutcome::map_members`]. [`free_scenario`]
+//! is that restriction on its own.
 //!
 //! Caching stays correct under contention because [`MarketCache`]
 //! mixes the snapshot's committed-set digest into every solve key: a
@@ -16,8 +18,8 @@
 //! digest is 0 and [`mix`] is the identity, so an idle market shares
 //! entries with plain (`--app`-less) formation byte-for-byte.
 //!
-//! These helpers are `pub` so the torture tests drive the exact code
-//! the server runs when they recompute a serial oracle's responses.
+//! These helpers are `pub` so the torture tests can recompute a serial
+//! oracle's responses from the same pieces the server uses.
 
 use gridvo_core::solve_cache::{CachedSolve, SolveCache};
 use gridvo_core::FormationScenario;

@@ -70,14 +70,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
-use gridvo_core::{CoreError, FaultPlan, FormationScenario};
+use gridvo_core::{FaultPlan, FormationScenario};
 use gridvo_market::{AppQueues, TokenBucket};
 use gridvo_solver::Budget;
-use gridvo_trust::TrustError;
 use rand::SeedableRng;
 
 use crate::cache::SharedSolveCache;
-use crate::market::{free_scenario, MarketCache};
+use crate::market::MarketCache;
 use crate::metrics::{MarketGauges, Metrics, MetricsSnapshot};
 use crate::persist::PersistConfig;
 use crate::protocol::{decode, encode, MechanismKind, Request, Response};
@@ -745,55 +744,34 @@ fn market_form(
     let mut free_len = 0;
     for _attempt in 0..3 {
         let snapshot = shared.registry.snapshot();
-        let free = snapshot.free.clone();
+        let free = &snapshot.free;
         free_len = free.len();
         if free_len < shared.min_free {
             break;
         }
-        let contended = free_len < snapshot.scenario.gsp_count();
-        let sub;
-        let scenario: &FormationScenario = if contended {
-            match free_scenario(&snapshot.scenario, &free) {
-                Some(s) => {
-                    sub = s;
-                    &sub
-                }
-                // The leftover sub-pool cannot host the program.
-                None => break,
-            }
-        } else {
-            &snapshot.scenario
-        };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         // Idle market (digest 0) shares cache entries with plain
         // `form`; any committed set salts the keys (see crate::market).
         let mut cache =
-            MarketCache::new(shared.cache.at_epoch(snapshot.epoch), snapshot.free_digest, &free);
-        let mut outcome = match mechanism_for(kind)
-            .run_cached_with_budget(scenario, &mut rng, &mut cache, budget)
-        {
-            Ok(o) => o,
-            // The power method need not converge on the trust graph
-            // of the leftovers; like leftovers that cannot host the
-            // program, that is contention, not a failure.
-            Err(CoreError::Trust(TrustError::NoConvergence { .. })) if contended => break,
+            MarketCache::new(shared.cache.at_epoch(snapshot.epoch), snapshot.free_digest, free);
+        let mut outcome = match mechanism_for(kind).run_on_free_pool(
+            &snapshot.scenario,
+            free,
+            &mut rng,
+            &mut cache,
+            budget,
+        ) {
+            Ok(Some(outcome)) => outcome,
+            // The leftovers cannot host the program: contention.
+            Ok(None) => break,
             Err(e) => return error_response(shared, e.to_string()),
         };
         outcome.zero_timings();
-        if contended {
-            outcome.map_members(&free);
-        }
-        let members = match &outcome.selected {
-            Some(vo) => vo.members.clone(),
-            None => {
-                if contended {
-                    // The full pool could host a VO; the leftovers
-                    // can't. That is contention, not infeasibility.
-                    break;
-                }
-                return market_form_response(shared, outcome, None, snapshot.epoch);
-            }
+        let Some(vo) = &outcome.selected else {
+            // Not even the whole pool can host the program.
+            return market_form_response(shared, outcome, None, snapshot.epoch);
         };
+        let members = vo.members.clone();
         match write(shared, Mutation::AcquireLease { app: app.to_string(), members }) {
             Ok(Committed { epoch, assigned: lease }) => {
                 shared.metrics.lease_acquired();

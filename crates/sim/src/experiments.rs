@@ -10,7 +10,7 @@ use crate::runner::{run_seeds, Aggregate};
 use crate::{Result, SimError};
 use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
 use gridvo_core::solve_cache::NoCache;
-use gridvo_core::{FormationOutcome, FormationScenario};
+use gridvo_core::FormationOutcome;
 use gridvo_solver::branch_bound::{BranchBound, Budget};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -589,17 +589,6 @@ pub fn reputation_sweep(rounds: usize, seeds: &[u64]) -> Result<Vec<ReputationPo
         });
     }
     Ok(points)
-}
-
-/// Run one mechanism on a prepared scenario (used by benches that want
-/// to time the mechanism without scenario-generation noise).
-pub fn run_on_scenario(
-    scenario: &FormationScenario,
-    mech: Mechanism,
-    seed: u64,
-) -> Result<FormationOutcome> {
-    let mut rng = crate::runner::seeded_rng(0xF9, seed);
-    Ok(mech.run(scenario, &mut rng)?)
 }
 
 #[cfg(test)]

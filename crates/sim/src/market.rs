@@ -18,8 +18,9 @@
 use std::collections::VecDeque;
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
-use gridvo_core::FormationScenario;
+use gridvo_core::solve_cache::NoCache;
 use gridvo_market::{stability, CommittedVo, LeaseTable};
+use gridvo_solver::Budget;
 use gridvo_workload::swf::{SwfJob, SwfStatus, SwfTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -207,32 +208,18 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
         if free.len() < cfg.min_free.max(1) {
             return Ok(None);
         }
-        let contended = free.len() < scenario.gsp_count();
-        let sub;
-        let view: &FormationScenario = if contended {
-            match scenario.restrict(&free) {
-                Some(s) => {
-                    sub = s;
-                    &sub
-                }
-                None => return Ok(None),
-            }
-        } else {
-            &scenario
-        };
         let mut job_rng = StdRng::seed_from_u64(cfg.seed ^ (job.idx as u64).wrapping_mul(0x9e37));
-        let mut outcome = mechanism.run(view, &mut job_rng).map_err(|e| {
-            // A mechanism error is a bug, not contention; surface it
-            // by treating the job as infeasible.
-            debug_assert!(false, "mechanism error in market sim: {e}");
-        })?;
-        if contended {
-            outcome.map_members(&free);
-        }
-        let Some(vo) = outcome.selected else {
-            // The idle pool cannot host this program at all.
-            return if contended { Ok(None) } else { Err(()) };
-        };
+        let outcome = mechanism
+            .run_on_free_pool(&scenario, &free, &mut job_rng, &mut NoCache, &Budget::unlimited())
+            .map_err(|e| {
+                // A mechanism error is a bug, not contention; surface it
+                // by treating the job as infeasible.
+                debug_assert!(false, "mechanism error in market sim: {e}");
+            })?;
+        let Some(outcome) = outcome else { return Ok(None) };
+        // Only the idle pool comes back without a VO: this program can
+        // never form.
+        let Some(vo) = outcome.selected else { return Err(()) };
         let app_name = format!("app-{}", job.app);
         let lease =
             table.acquire(&app_name, &vo.members, 0).expect("free-sub-pool members cannot be held");

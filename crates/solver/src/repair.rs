@@ -15,9 +15,14 @@
 //! back to the heuristic seed. Because a warm incumbent only tightens
 //! the initial upper bound of an exact search, a failed (or suboptimal)
 //! repair can never change the solved cost — only the node count.
+//!
+//! VO execution recovers from member faults with the same greedy
+//! placement: [`repair_after_eviction`] after a member is evicted, and
+//! [`rehome`] for tasks a member silently dropped.
 
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
+use std::cmp::Ordering;
 
 /// Repair `prev` — a feasible assignment onto a VO of `inst.gsps() + 1`
 /// members — after the member at local index `evicted` leaves.
@@ -26,9 +31,8 @@ use crate::solution::Assignment;
 /// GSP columns are the previous columns with `evicted` removed (the
 /// member order is otherwise preserved, matching
 /// `FormationScenario::instance_for` after `Vec::retain`). Survivors
-/// keep their tasks; each orphaned task moves to the survivor that can
-/// take it within the deadline at the lowest cost, largest-first so the
-/// hardest-to-place orphans see the most slack.
+/// keep their tasks; the orphans are re-homed by the greedy placement
+/// described at [`rehome`].
 ///
 /// Returns `None` when `prev` does not match the expected shape or when
 /// the greedy re-homing cannot produce a fully feasible assignment.
@@ -41,44 +45,78 @@ pub fn repair_after_eviction(
     if prev.len() != inst.tasks() || evicted > k {
         return None; // shape mismatch: prev must cover k + 1 GSPs
     }
-    let d = inst.deadline();
-    let mut gsp_of = vec![usize::MAX; inst.tasks()];
-    let mut loads = vec![0.0f64; k];
-    let mut orphans: Vec<usize> = Vec::new();
-    for (t, &g) in prev.as_slice().iter().enumerate() {
-        if g == evicted {
-            orphans.push(t);
-            continue;
-        }
+    let mut gsp_of = Vec::with_capacity(prev.len());
+    for &g in prev.as_slice() {
         if g > k {
             return None; // prev referenced a GSP beyond the old VO
         }
-        let g = if g > evicted { g - 1 } else { g };
-        gsp_of[t] = g;
-        loads[g] += inst.time(t, g);
+        // Columns right of the evicted one shift left by one.
+        gsp_of.push(if g == evicted { UNPLACED } else { g - usize::from(g > evicted) });
     }
+    place(gsp_of, None, inst)
+}
+
+/// Move `tasks` off `holder` onto the other members, leaving every
+/// other task where `prev` put it: `holder` is not trusted with them
+/// again. `inst` is the instance `prev` assigns onto.
+///
+/// The placement is greedy: the orphans go largest first (by their
+/// fastest possible execution time), each to the cheapest host that
+/// can still take it within the deadline, and the result must pass
+/// the full feasibility audit. Returns `None` when the shapes disagree
+/// or the placement is infeasible.
+pub fn rehome(
+    prev: &Assignment,
+    holder: usize,
+    tasks: &[usize],
+    inst: &AssignmentInstance,
+) -> Option<Assignment> {
+    if prev.len() != inst.tasks() {
+        return None;
+    }
+    let mut gsp_of = prev.as_slice().to_vec();
+    for &t in tasks {
+        *gsp_of.get_mut(t)? = UNPLACED;
+    }
+    place(gsp_of, Some(holder), inst)
+}
+
+/// A task [`place`] still has to find a host for.
+const UNPLACED: usize = usize::MAX;
+
+/// The greedy placement behind [`repair_after_eviction`] and
+/// [`rehome`]: every `UNPLACED` task gets a host other than `barred`.
+fn place(
+    mut gsp_of: Vec<usize>,
+    barred: Option<usize>,
+    inst: &AssignmentInstance,
+) -> Option<Assignment> {
+    let k = inst.gsps();
+    let mut loads = vec![0.0f64; k];
+    let mut orphans: Vec<usize> = Vec::new();
+    for (t, &g) in gsp_of.iter().enumerate() {
+        if g == UNPLACED {
+            orphans.push(t);
+        } else {
+            *loads.get_mut(g)? += inst.time(t, g);
+        }
+    }
+    let hosts = || (0..k).filter(|&g| Some(g) != barred);
     // Largest orphans first (by their fastest possible execution time):
     // they constrain the packing most, so place them while slack lasts.
-    let min_time = |t: usize| (0..k).map(|g| inst.time(t, g)).fold(f64::INFINITY, f64::min);
+    let min_time = |t: usize| hosts().map(|g| inst.time(t, g)).fold(f64::INFINITY, f64::min);
     orphans.sort_by(|&a, &b| min_time(b).total_cmp(&min_time(a)));
     for t in orphans {
-        let mut best: Option<(usize, f64)> = None;
-        #[allow(clippy::needless_range_loop)] // g indexes loads and the instance
-        for g in 0..k {
-            if loads[g] + inst.time(t, g) > d {
-                continue;
-            }
-            let c = inst.cost(t, g);
-            if best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((g, c));
-            }
-        }
-        let (g, _) = best?;
+        // The cheapest host with room left; the lowest index on ties.
+        let cost = |g: &usize| inst.cost(t, *g);
+        let g = hosts()
+            .filter(|&g| loads[g] + inst.time(t, g) <= inst.deadline())
+            .min_by(|a, b| cost(a).partial_cmp(&cost(b)).unwrap_or(Ordering::Equal))?;
         gsp_of[t] = g;
         loads[g] += inst.time(t, g);
     }
-    // Participation holds automatically when every survivor already had
-    // a task; the full audit also enforces the payment cap (10).
+    // Participation holds automatically when every host already had a
+    // task; the full audit also enforces the payment cap (10).
     let a = Assignment::new(gsp_of);
     a.is_feasible(inst).then_some(a)
 }
@@ -191,6 +229,31 @@ mod tests {
         // prev references a GSP the old VO never had
         let bad = Assignment::new(vec![0, 1, 5, 1]);
         assert!(repair_after_eviction(&bad, 0, &sub).is_none());
+    }
+
+    #[test]
+    fn rehome_moves_tasks_off_the_holder_to_the_cheapest_other_host() {
+        let full = inst3();
+        let prev = Assignment::new(vec![0, 1, 2, 0]);
+        // task 3 (cost row [1, 3, 2]) leaves GSP 0, its cheapest host:
+        // it must land on GSP 2, the cheapest of the others.
+        let moved = rehome(&prev, 0, &[3], &full).unwrap();
+        assert_eq!(moved.as_slice(), &[0, 1, 2, 2]);
+        // Moving both of GSP 0's tasks would leave it idle: the audit
+        // (participation) rejects that.
+        assert!(rehome(&prev, 0, &[0, 3], &full).is_none());
+        assert!(rehome(&Assignment::new(vec![0, 1]), 0, &[0], &full).is_none());
+        assert!(rehome(&prev, 0, &[9], &full).is_none());
+    }
+
+    #[test]
+    fn rehome_never_uses_the_holder_even_when_only_it_has_room() {
+        // GSP 1 is full at the deadline, so the dropped task fits only
+        // back on its holder: the re-homing must fail instead.
+        let inst = AssignmentInstance::new(3, 2, vec![1.0; 6], vec![1.0; 6], 2.0, 100.0).unwrap();
+        let prev = Assignment::new(vec![0, 1, 1]);
+        prev.check_feasible(&inst).unwrap();
+        assert!(rehome(&prev, 0, &[0], &inst).is_none());
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl BetaLedger {
         self.lambda
     }
 
-    /// Observations folded in so far.
-    pub fn observation_count(&self) -> u64 {
-        self.observations
-    }
-
     /// Whether no evidence has been recorded.
     pub fn is_empty(&self) -> bool {
         self.observations == 0

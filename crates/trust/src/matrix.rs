@@ -152,33 +152,6 @@ impl DenseMatrix {
         }
         t
     }
-
-    /// Dense matrix–matrix product `self · other`.
-    pub fn mul(&self, other: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != other.rows {
-            return Err(TrustError::DimensionMismatch { context: "matrix multiply" });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aik * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Maximum absolute entry (∞-norm of the vectorized matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DenseMatrix {
@@ -200,18 +173,6 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 #[inline]
 pub fn norm_l1(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
-}
-
-/// L2 (Euclidean) norm.
-#[inline]
-pub fn norm_l2(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
-/// ∞-norm `max|xᵢ|`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
 /// L1 distance `Σ|xᵢ − yᵢ|`; the convergence criterion of Algorithm 2.
@@ -290,18 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn matrix_multiply_small_example() {
-        let a = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let b = DenseMatrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let c = a.mul(&b).unwrap();
-        assert_eq!(c.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
-    }
-
-    #[test]
     fn mul_dimension_mismatch_is_error() {
         let a = DenseMatrix::zeros(2, 3);
-        let b = DenseMatrix::zeros(2, 3);
-        assert!(a.mul(&b).is_err());
         let x = vec![0.0; 2];
         let mut y = vec![0.0; 2];
         assert!(a.mul_vec_into(&x, &mut y).is_err());
@@ -311,8 +262,6 @@ mod tests {
     fn norms_agree_with_hand_computation() {
         let x = [3.0, -4.0];
         assert_eq!(norm_l1(&x), 7.0);
-        assert_eq!(norm_l2(&x), 5.0);
-        assert_eq!(norm_inf(&x), 4.0);
         assert_eq!(dist_l1(&x, &[0.0, 0.0]), 7.0);
         assert_eq!(dot(&x, &[1.0, 1.0]), -1.0);
     }
@@ -330,11 +279,5 @@ mod tests {
         let mut x = vec![0.0, 0.0];
         assert_eq!(normalize_l1(&mut x), 0.0);
         assert_eq!(x, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn max_abs_finds_extreme() {
-        let m = DenseMatrix::from_rows(2, 2, vec![1.0, -9.0, 3.0, 4.0]).unwrap();
-        assert_eq!(m.max_abs(), 9.0);
     }
 }

@@ -7,7 +7,9 @@
 //! must be deterministic (same plan → same report across repeats), and
 //! whatever execution calls "completed" must actually satisfy the
 //! deadline and payment constraints on the instance it claims to have
-//! run on (reconstructed from the reported slowdown factors).
+//! run on (reconstructed from the reported slowdown factors). A fixed
+//! seeded matrix reaches every rung of the recovery ladder and pins
+//! the bytes of its reports.
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::{
@@ -212,4 +214,106 @@ proptest! {
         prop_assert!(report.final_members.iter().all(|g| vo.members.contains(g)),
             "execution invented a member");
     }
+}
+
+/// One rung of the recovery ladder: (fault kind, `recovery_kind`,
+/// whether the member set shrank).
+type Rung = (&'static str, &'static str, bool);
+
+/// Every rung the recovery policy can reach. A partial silent drop
+/// that abandons (its in-place re-solve failing on an unchanged
+/// instance) is unreachable with an exact solver, so the drop
+/// `abandon` rung is the whole-drop eviction's.
+const RUNGS: [Rung; 12] = [
+    ("crash", "repair", true),
+    ("crash", "resolve", true),
+    ("crash", "abandon", false),
+    ("silent_drop", "repair", false),
+    ("silent_drop", "resolve", false),
+    ("silent_drop", "repair", true),
+    ("silent_drop", "resolve", true),
+    ("silent_drop", "abandon", false),
+    ("slowdown", "absorbed", false),
+    ("slowdown", "resolve", false),
+    ("slowdown", "resolve", true),
+    ("slowdown", "abandon", false),
+];
+
+/// FNV-1a over the rung matrix's timing-zeroed JSON reports, as the
+/// recovery policy produced them when the rung test was introduced.
+const RUNG_MATRIX_DIGEST: u64 = 0x8896_c4f1_7f22_12bf;
+
+/// A fixed, seeded matrix of faulted executions: `TableI::small` pools
+/// of 4 and 6 GSPs × 8 and 12 tasks, TVOF and RVOF, under crash-,
+/// slowdown- and drop-heavy fault models. Reports come back with
+/// their timings zeroed.
+fn rung_matrix() -> Vec<ExecutionReport> {
+    use gridvo_sim::faults::FaultModel;
+    use gridvo_sim::{runner, ScenarioGenerator, TableI};
+    let models = [
+        FaultModel { crash_rate: 0.3, ..FaultModel::with_rate(0.15, 4) },
+        FaultModel {
+            slowdown_rate: 0.4,
+            slowdown_range: (1.05, 6.0),
+            ..FaultModel::with_rate(0.1, 4)
+        },
+        FaultModel { drop_rate: 0.4, max_dropped_tasks: 3, ..FaultModel::with_rate(0.1, 4) },
+    ];
+    let mut reports = Vec::new();
+    for gsps in [4, 6] {
+        let generator = ScenarioGenerator::new(TableI { gsps, ..TableI::small() });
+        for tasks in [8, 12] {
+            for seed in 0..6u64 {
+                let mut rng = runner::seeded_rng(0xFA17_0000 + (gsps * 100 + tasks) as u64, seed);
+                let scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
+                for mech in [
+                    Mechanism::tvof(FormationConfig::default()),
+                    Mechanism::rvof(FormationConfig::default()),
+                ] {
+                    let outcome = mech.run(&scenario, &mut rng).expect("formation runs");
+                    let Some(vo) = outcome.selected else { continue };
+                    for model in &models {
+                        let plan = model.plan(&vo.members, &mut rng);
+                        let mut report =
+                            mech.execute(&scenario, &vo, &plan).expect("execution runs");
+                        report.zero_timings();
+                        reports.push(report);
+                    }
+                }
+            }
+        }
+    }
+    reports
+}
+
+/// The rung a recovery record stands on.
+fn rung_of(rec: &gridvo_core::RecoveryRecord, survivors_before: usize) -> Rung {
+    let fault = match rec.fault {
+        FaultKind::Crash => "crash",
+        FaultKind::Slowdown { .. } => "slowdown",
+        FaultKind::SilentDrop { .. } => "silent_drop",
+    };
+    (fault, rec.recovery_kind.as_str(), rec.survivors < survivors_before)
+}
+
+/// Pins the recovery policy rung by rung: the matrix must reach every
+/// rung of the ladder, and its reports must keep their bytes.
+#[test]
+fn every_recovery_rung_is_reached_with_pinned_bytes() {
+    let reports = rung_matrix();
+    let mut seen: std::collections::BTreeMap<Rung, usize> = std::collections::BTreeMap::new();
+    let mut digest = gridvo_solver::instance::Fnv1a::new();
+    for report in &reports {
+        let mut survivors = report.initial_members.len();
+        for rec in &report.recoveries {
+            *seen.entry(rung_of(rec, survivors)).or_default() += 1;
+            survivors = rec.survivors;
+        }
+        digest.write(serde_json::to_string(report).expect("report serializes").as_bytes());
+    }
+    for rung in RUNGS {
+        assert!(seen.contains_key(&rung), "rung {rung:?} never reached; saw {seen:?}");
+    }
+    assert_eq!(seen.len(), RUNGS.len(), "unexpected rung; saw {seen:?}");
+    assert_eq!(digest.finish(), RUNG_MATRIX_DIGEST, "recovery reports changed bytes");
 }
