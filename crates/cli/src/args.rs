@@ -54,8 +54,14 @@ impl Flags {
     pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid value for --{name}: {v:?}")),
+            Some(_) => self.require_num(name),
         }
+    }
+
+    /// Parsed numeric value of a required flag.
+    pub fn require_num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        let v = self.require(name)?;
+        v.parse().map_err(|_| format!("invalid value for --{name}: {v:?}"))
     }
 
     /// Boolean switch presence.

@@ -1,7 +1,7 @@
 //! `gridvo dynamic` — multi-round dynamic formation.
 
 use crate::args::Flags;
-use gridvo_core::mechanism::{FormationConfig, Mechanism};
+use crate::commands::mechanism;
 use gridvo_sim::dynamic::{mean_reliability, simulate, success_rate, DynamicConfig};
 use gridvo_sim::TableI;
 use rand::{Rng, SeedableRng};
@@ -24,11 +24,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let tasks: usize = flags.num("tasks", 64)?;
     let seed: u64 = flags.num("seed", 1)?;
     let flaky_every: usize = flags.num("flaky-every", 3)?;
-    let mech = match flags.get("mechanism").unwrap_or("tvof") {
-        "tvof" => Mechanism::tvof(FormationConfig::default()),
-        "rvof" => Mechanism::rvof(FormationConfig::default()),
-        other => return Err(format!("unknown mechanism {other:?} (tvof|rvof)")),
-    };
+    let mech = mechanism(&flags)?.mechanism();
     if tasks < gsps {
         return Err(format!("--tasks {tasks} must be ≥ --gsps {gsps}"));
     }

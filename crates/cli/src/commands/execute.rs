@@ -1,8 +1,7 @@
 //! `gridvo execute` — form a VO and run it against injected faults.
 
 use crate::args::Flags;
-use crate::commands::{load_scenario, write_json};
-use gridvo_core::mechanism::{FormationConfig, Mechanism};
+use crate::commands::{load_scenario, mechanism, write_json};
 use gridvo_core::{ExecutionStatus, FaultPlan};
 use gridvo_sim::faults::FaultModel;
 use rand::SeedableRng;
@@ -31,11 +30,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let seed: u64 = flags.num("seed", 1)?;
     let rate: f64 = flags.num("faults", 0.2)?;
     let rounds: usize = flags.num("fault-rounds", 4)?;
-    let mech = match flags.get("mechanism").unwrap_or("tvof") {
-        "tvof" => Mechanism::tvof(FormationConfig::default()),
-        "rvof" => Mechanism::rvof(FormationConfig::default()),
-        other => return Err(format!("unknown mechanism {other:?} (tvof|rvof)")),
-    };
+    let mech = mechanism(&flags)?.mechanism();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let outcome = mech.run(&scenario, &mut rng).map_err(|e| e.to_string())?;

@@ -1,8 +1,7 @@
 //! `gridvo form` — run TVOF/RVOF on a scenario file.
 
 use crate::args::Flags;
-use crate::commands::{load_scenario, write_json};
-use gridvo_core::mechanism::{FormationConfig, Mechanism};
+use crate::commands::{load_scenario, mechanism, write_json};
 use gridvo_core::stability;
 use rand::SeedableRng;
 
@@ -19,11 +18,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .map_err(|e| if e == "help" { HELP.to_string() } else { e })?;
     let scenario = load_scenario(flags.require("scenario")?)?;
     let seed: u64 = flags.num("seed", 1)?;
-    let mech = match flags.get("mechanism").unwrap_or("tvof") {
-        "tvof" => Mechanism::tvof(FormationConfig::default()),
-        "rvof" => Mechanism::rvof(FormationConfig::default()),
-        other => return Err(format!("unknown mechanism {other:?} (tvof|rvof)")),
-    };
+    let mech = mechanism(&flags)?.mechanism();
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let outcome = mech.run(&scenario, &mut rng).map_err(|e| e.to_string())?;

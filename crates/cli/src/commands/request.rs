@@ -1,9 +1,9 @@
 //! `gridvo request` — speak the daemon protocol from the shell.
 
 use crate::args::Flags;
-use crate::commands::write_json;
+use crate::commands::{mechanism, write_json};
 use gridvo_core::FaultPlan;
-use gridvo_service::protocol::{MechanismKind, Response};
+use gridvo_service::protocol::Response;
 use gridvo_service::ServiceClient;
 
 const HELP: &str = "\
@@ -75,7 +75,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "form-batch" => form_batch(&mut client, &flags),
         "execute" => execute(&mut client, &flags),
         "release-lease" => {
-            let lease: u64 = flags.num("lease", u64::MAX)?;
+            let lease: u64 = flags.require_num("lease")?;
             let abandon = flags.has("abandon");
             let epoch = client.release_lease(lease, abandon).map_err(|e| e.to_string())?;
             let how = if abandon { "abandoned" } else { "completed" };
@@ -166,15 +166,15 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
         }
         "report-trust" => {
-            let from: usize = flags.num("from", usize::MAX)?;
-            let to: usize = flags.num("to", usize::MAX)?;
-            let value: f64 = flags.num("value", f64::NAN)?;
+            let from: usize = flags.require_num("from")?;
+            let to: usize = flags.require_num("to")?;
+            let value: f64 = flags.require_num("value")?;
             let epoch = client.report_trust(from, to, value).map_err(|e| e.to_string())?;
             println!("trust {from} -> {to} = {value}; registry epoch now {epoch}");
             Ok(())
         }
         "report-receipt" => {
-            let gsp: usize = flags.num("gsp", usize::MAX)?;
+            let gsp: usize = flags.require_num("gsp")?;
             let round: usize = flags.num("round", 0)?;
             let reward: f64 = flags.num("reward", 0.0)?;
             let witnesses = flags
@@ -199,7 +199,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "remove-gsp" => {
-            let id: usize = flags.num("id", usize::MAX)?;
+            let id: usize = flags.require_num("id")?;
             let epoch = client.remove_gsp(id).map_err(|e| e.to_string())?;
             println!("GSP {id} removed; registry epoch now {epoch}");
             Ok(())
@@ -216,11 +216,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
         other => Err(format!("unknown request op {other:?}\n{HELP}")),
     }
-}
-
-fn mechanism(flags: &Flags) -> Result<MechanismKind, String> {
-    let name = flags.get("mechanism").unwrap_or("tvof");
-    MechanismKind::parse(name).ok_or_else(|| format!("unknown mechanism {name:?} (tvof|rvof)"))
 }
 
 fn deadline(flags: &Flags) -> Result<Option<u64>, String> {

@@ -223,6 +223,47 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn bad_mechanism_and_missing_ids_are_usage_errors() {
+    let dir = tmpdir("usage");
+    let scenario = dir.join("scenario.json");
+    let path = scenario.to_str().unwrap();
+    run_ok(gridvo().args(["generate", "scenario", "--out", path, "--tasks", "6", "--gsps", "3"]));
+    // A listener that hangs up at once: `gridvo request` connects, then
+    // must refuse its own flags before sending anything.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || listener.incoming().for_each(drop));
+
+    let mechanism_cases: [&[&str]; 4] = [
+        &["form", "--scenario", path, "--mechanism", "zvof"],
+        &["execute", "--scenario", path, "--mechanism", "zvof"],
+        &["dynamic", "--rounds", "1", "--gsps", "2", "--tasks", "4", "--mechanism", "zvof"],
+        &["request", "form", "--addr", &addr, "--mechanism", "zvof"],
+    ];
+    for args in mechanism_cases {
+        let out = gridvo().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(r#"unknown mechanism "zvof" (tvof|rvof)"#), "{args:?}: {stderr}");
+    }
+
+    // Ids used to default to sentinels that went over the wire.
+    let missing: [(&str, &[&str]); 4] = [
+        ("lease", &["release-lease"]),
+        ("id", &["remove-gsp"]),
+        ("gsp", &["report-receipt", "--witnesses", "0"]),
+        ("from", &["report-trust", "--to", "1", "--value", "0.5"]),
+    ];
+    for (flag, args) in missing {
+        let out = gridvo().args(["request"]).args(args).args(["--addr", &addr]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("missing required flag --{flag}")), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deterministic_scenarios_under_seed() {
     let dir = tmpdir("det");
     let a = dir.join("a.json");

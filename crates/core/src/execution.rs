@@ -31,11 +31,12 @@ use crate::scenario::FormationScenario;
 use crate::vo::VoRecord;
 use crate::{CoreError, Result};
 use gridvo_solver::{repair, Assignment, AssignmentInstance, Budget};
-use serde::{de_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// What goes wrong with one GSP in one execution round.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum FaultKind {
     /// The GSP disappears; all of its tasks are orphaned and it can
     /// never rejoin the VO.
@@ -55,33 +56,6 @@ pub enum FaultKind {
     },
 }
 
-impl Serialize for FaultKind {
-    fn to_value(&self) -> Value {
-        let tag = |s: &str| ("kind".to_string(), Value::Str(s.to_string()));
-        match self {
-            FaultKind::Crash => Value::Object(vec![tag("crash")]),
-            FaultKind::Slowdown { factor } => {
-                Value::Object(vec![tag("slowdown"), ("factor".to_string(), factor.to_value())])
-            }
-            FaultKind::SilentDrop { tasks } => {
-                Value::Object(vec![tag("silent_drop"), ("tasks".to_string(), tasks.to_value())])
-            }
-        }
-    }
-}
-
-impl Deserialize for FaultKind {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "crash" => Ok(FaultKind::Crash),
-            "slowdown" => Ok(FaultKind::Slowdown { factor: de_field(v, "factor")? }),
-            "silent_drop" => Ok(FaultKind::SilentDrop { tasks: de_field(v, "tasks")? }),
-            other => Err(Error::custom(format!("unknown fault kind {other:?}"))),
-        }
-    }
-}
-
 /// One scheduled fault: `gsp` suffers `kind` in execution round
 /// `round`. Events targeting GSPs no longer in the VO are skipped.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,15 +70,21 @@ pub struct FaultEvent {
 
 /// A deterministic fault schedule: the full list of faults an
 /// execution will face, drawn up front (seeded) so replays are exact.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "RawFaultPlan")]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
-impl Deserialize for FaultPlan {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let events: Vec<FaultEvent> = de_field(v, "events")?;
-        Ok(FaultPlan::new(events))
+/// Serde shadow: decoding sorts the events through [`FaultPlan::new`].
+#[derive(Deserialize)]
+struct RawFaultPlan {
+    events: Vec<FaultEvent>,
+}
+
+impl From<RawFaultPlan> for FaultPlan {
+    fn from(raw: RawFaultPlan) -> Self {
+        FaultPlan::new(raw.events)
     }
 }
 
@@ -150,7 +130,8 @@ impl FaultPlan {
 
 /// How one fault was absorbed (the per-recovery `recovery_kind`
 /// telemetry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum RecoveryKind {
     /// The fault required no reassignment (e.g. a slowdown within the
     /// current assignment's deadline slack).
@@ -171,25 +152,6 @@ impl RecoveryKind {
             RecoveryKind::Repair => "repair",
             RecoveryKind::Resolve => "resolve",
             RecoveryKind::Abandon => "abandon",
-        }
-    }
-}
-
-impl Serialize for RecoveryKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for RecoveryKind {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let s = String::from_value(v)?;
-        match s.as_str() {
-            "absorbed" => Ok(RecoveryKind::Absorbed),
-            "repair" => Ok(RecoveryKind::Repair),
-            "resolve" => Ok(RecoveryKind::Resolve),
-            "abandon" => Ok(RecoveryKind::Abandon),
-            other => Err(Error::custom(format!("unknown recovery kind {other:?}"))),
         }
     }
 }
@@ -228,7 +190,8 @@ pub struct RecoveryRecord {
 }
 
 /// Terminal state of an execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "status", rename_all = "snake_case")]
 pub enum ExecutionStatus {
     /// Every fault was recovered (or none struck); the program ran to
     /// completion.
@@ -242,31 +205,6 @@ pub enum ExecutionStatus {
         /// Round of the unrecoverable fault.
         round: usize,
     },
-}
-
-impl Serialize for ExecutionStatus {
-    fn to_value(&self) -> Value {
-        let tag = |s: &str| ("status".to_string(), Value::Str(s.to_string()));
-        match self {
-            ExecutionStatus::Completed { degraded } => {
-                Value::Object(vec![tag("completed"), ("degraded".to_string(), degraded.to_value())])
-            }
-            ExecutionStatus::Abandoned { round } => {
-                Value::Object(vec![tag("abandoned"), ("round".to_string(), round.to_value())])
-            }
-        }
-    }
-}
-
-impl Deserialize for ExecutionStatus {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let status: String = de_field(v, "status")?;
-        match status.as_str() {
-            "completed" => Ok(ExecutionStatus::Completed { degraded: de_field(v, "degraded")? }),
-            "abandoned" => Ok(ExecutionStatus::Abandoned { round: de_field(v, "round")? }),
-            other => Err(Error::custom(format!("unknown execution status {other:?}"))),
-        }
-    }
 }
 
 /// Full result of executing a selected VO against a fault plan.
@@ -430,8 +368,8 @@ impl ExecutionReceipt {
         for &w in witnesses {
             h.write_u64(w as u64);
         }
-        // Masked to 63 bits so the digest survives a JSON round trip
-        // as an exact integer (the wire format carries i64).
+        // Masked to 63 bits: journals hold masked digests, which
+        // `verify` must keep accepting (the wire itself carries any u64).
         h.finish() & (i64::MAX as u64)
     }
 

@@ -3,9 +3,10 @@
 //! One request per line, one response line per request, in order.
 //! Requests are tagged with `"op"`, responses with `"kind"`; both are
 //! plain JSON objects so any language (or `nc`) can speak the
-//! protocol. The enums carry manual `Serialize` / `Deserialize`
-//! impls because the vendored serde derive only covers named-field
-//! structs.
+//! protocol. Every wire shape is a derive attribute: the tag comes
+//! first, then the fields in declaration order; a `default` field
+//! reads as its default when absent or null; unknown keys are ignored
+//! and key order is free.
 //!
 //! Responses embedding mechanism results ([`Response::Form`],
 //! [`Response::Execute`]) carry timing-zeroed payloads (see
@@ -13,14 +14,16 @@
 //! canonicalizes before serializing so identical requests are
 //! byte-identical, cached or not.
 
+use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::{ExecutionReceipt, ExecutionReport, FaultPlan, FormationOutcome};
-use serde::{de_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::metrics::MetricsSnapshot;
 use crate::registry::RegistrySnapshot;
 
 /// Which formation mechanism a request runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum MechanismKind {
     /// Reputation-guided eviction (the paper's mechanism).
     #[default]
@@ -30,14 +33,6 @@ pub enum MechanismKind {
 }
 
 impl MechanismKind {
-    /// Wire name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MechanismKind::Tvof => "tvof",
-            MechanismKind::Rvof => "rvof",
-        }
-    }
-
     /// Parse a wire name.
     pub fn parse(s: &str) -> Option<MechanismKind> {
         match s {
@@ -46,18 +41,28 @@ impl MechanismKind {
             _ => None,
         }
     }
+
+    /// The mechanism this kind names, under the default configuration.
+    pub fn mechanism(self) -> Mechanism {
+        match self {
+            MechanismKind::Tvof => Mechanism::tvof(FormationConfig::default()),
+            MechanismKind::Rvof => Mechanism::rvof(FormationConfig::default()),
+        }
+    }
 }
 
 /// A client request. `Form`, `Execute` and `Ping` go through the
 /// bounded job queue (and are subject to admission control); the
 /// registry and snapshot operations are answered inline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "op", rename_all = "snake_case")]
 pub enum Request {
     /// Run Algorithm 1 against the current registry state.
     Form {
         /// RNG seed (eviction tie-breaks); same seed → same trace.
         seed: u64,
         /// TVOF or RVOF.
+        #[serde(default)]
         mechanism: MechanismKind,
         /// Per-request deadline override (ms); `None` uses the
         /// server's default.
@@ -68,6 +73,7 @@ pub enum Request {
         /// this application, and admission applies the per-application
         /// queue bound. `None` (the legacy wire form — the field is
         /// omitted, not null) is the contention-blind path.
+        #[serde(skip_serializing_if = "Option::is_none")]
         app: Option<String>,
     },
     /// Run Algorithm 1 once per seed, every seed against the *same*
@@ -80,6 +86,7 @@ pub enum Request {
         /// One formation per seed, in order.
         seeds: Vec<u64>,
         /// TVOF or RVOF (applied to every seed).
+        #[serde(default)]
         mechanism: MechanismKind,
         /// Per-request deadline override (ms) for the whole batch.
         deadline_ms: Option<u64>,
@@ -90,6 +97,7 @@ pub enum Request {
         /// RNG seed, as in `Form`.
         seed: u64,
         /// TVOF or RVOF.
+        #[serde(default)]
         mechanism: MechanismKind,
         /// The fault schedule to replay (empty = fault-free).
         faults: FaultPlan,
@@ -127,11 +135,13 @@ pub enum Request {
     },
     /// Release a lease acquired by `form` with an `app`: the VO
     /// completed (or was abandoned) and its GSPs return to the pool.
+    #[serde(rename = "release_lease")]
     Release {
         /// The lease id from the `form` response.
         lease: u64,
         /// True when the VO was abandoned rather than completed
         /// (recorded in the journal's release reason).
+        #[serde(default)]
         abandon: bool,
     },
     /// Fetch the live leases and the free sub-pool.
@@ -169,114 +179,9 @@ impl Request {
     }
 }
 
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("op".to_string(), Value::Str(self.op().to_string()))];
-        match self {
-            Request::Form { seed, mechanism, deadline_ms, app } => {
-                fields.push(("seed".to_string(), seed.to_value()));
-                fields.push(("mechanism".to_string(), Value::Str(mechanism.as_str().to_string())));
-                fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-                // Omitted (not null) when absent, so contention-blind
-                // requests stay byte-identical to the legacy wire form.
-                if app.is_some() {
-                    fields.push(("app".to_string(), app.to_value()));
-                }
-            }
-            Request::FormBatch { seeds, mechanism, deadline_ms } => {
-                fields.push(("seeds".to_string(), seeds.to_value()));
-                fields.push(("mechanism".to_string(), Value::Str(mechanism.as_str().to_string())));
-                fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-            }
-            Request::Execute { seed, mechanism, faults, deadline_ms } => {
-                fields.push(("seed".to_string(), seed.to_value()));
-                fields.push(("mechanism".to_string(), Value::Str(mechanism.as_str().to_string())));
-                fields.push(("faults".to_string(), faults.to_value()));
-                fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-            }
-            Request::AddGsp { speed_gflops, cost, time } => {
-                fields.push(("speed_gflops".to_string(), speed_gflops.to_value()));
-                fields.push(("cost".to_string(), cost.to_value()));
-                fields.push(("time".to_string(), time.to_value()));
-            }
-            Request::RemoveGsp { id } => fields.push(("id".to_string(), id.to_value())),
-            Request::ReportTrust { from, to, value } => {
-                fields.push(("from".to_string(), from.to_value()));
-                fields.push(("to".to_string(), to.to_value()));
-                fields.push(("value".to_string(), value.to_value()));
-            }
-            Request::ReportReceipt { receipt } => {
-                fields.push(("receipt".to_string(), receipt.to_value()));
-            }
-            Request::Release { lease, abandon } => {
-                fields.push(("lease".to_string(), lease.to_value()));
-                fields.push(("abandon".to_string(), abandon.to_value()));
-            }
-            Request::Leases | Request::Registry | Request::Metrics => {}
-            Request::Ping { sleep_ms } => {
-                fields.push(("sleep_ms".to_string(), sleep_ms.to_value()));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let op: String = de_field(v, "op")?;
-        let mechanism = |v: &Value| -> std::result::Result<MechanismKind, Error> {
-            match de_field::<Option<String>>(v, "mechanism")? {
-                None => Ok(MechanismKind::default()),
-                Some(name) => MechanismKind::parse(&name)
-                    .ok_or_else(|| Error::custom(format!("unknown mechanism {name:?}"))),
-            }
-        };
-        match op.as_str() {
-            "form" => Ok(Request::Form {
-                seed: de_field(v, "seed")?,
-                mechanism: mechanism(v)?,
-                deadline_ms: de_field(v, "deadline_ms")?,
-                app: de_field(v, "app")?,
-            }),
-            "form_batch" => Ok(Request::FormBatch {
-                seeds: de_field(v, "seeds")?,
-                mechanism: mechanism(v)?,
-                deadline_ms: de_field(v, "deadline_ms")?,
-            }),
-            "execute" => Ok(Request::Execute {
-                seed: de_field(v, "seed")?,
-                mechanism: mechanism(v)?,
-                faults: de_field(v, "faults")?,
-                deadline_ms: de_field(v, "deadline_ms")?,
-            }),
-            "add_gsp" => Ok(Request::AddGsp {
-                speed_gflops: de_field(v, "speed_gflops")?,
-                cost: de_field(v, "cost")?,
-                time: de_field(v, "time")?,
-            }),
-            "remove_gsp" => Ok(Request::RemoveGsp { id: de_field(v, "id")? }),
-            "report_trust" => Ok(Request::ReportTrust {
-                from: de_field(v, "from")?,
-                to: de_field(v, "to")?,
-                value: de_field(v, "value")?,
-            }),
-            "report_receipt" => Ok(Request::ReportReceipt { receipt: de_field(v, "receipt")? }),
-            "release_lease" => Ok(Request::Release {
-                lease: de_field(v, "lease")?,
-                abandon: de_field::<Option<bool>>(v, "abandon")?.unwrap_or(false),
-            }),
-            "leases" => Ok(Request::Leases),
-            "registry" => Ok(Request::Registry),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping { sleep_ms: de_field(v, "sleep_ms")? }),
-            other => Err(Error::custom(format!("unknown op {other:?}"))),
-        }
-    }
-}
-
 /// A server response, tagged with `"kind"`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "snake_case")]
 pub enum Response {
     /// Formation result (timings zeroed).
     Form {
@@ -295,14 +200,17 @@ pub enum Response {
         /// coalition. The three market fields are omitted from the
         /// wire (not null) on contention-blind responses, keeping
         /// legacy `form` lines byte-identical.
+        #[serde(skip_serializing_if = "Option::is_none")]
         lease: Option<u64>,
         /// Market mode only: the registry epoch the lease acquisition
         /// produced.
+        #[serde(skip_serializing_if = "Option::is_none")]
         lease_epoch: Option<u64>,
         /// Market mode only: the epoch of the pinned snapshot the
         /// formation was computed against (≤ `lease_epoch` − 1 when a
         /// lease was acquired; recorded so a serial replay can
         /// recompute this exact response).
+        #[serde(skip_serializing_if = "Option::is_none")]
         formed_epoch: Option<u64>,
     },
     /// Formation + execution result (timings zeroed). `report` is
@@ -431,106 +339,6 @@ impl Response {
             Response::Busy => "busy",
             Response::DeadlineExceeded => "deadline_exceeded",
             Response::Error { .. } => "error",
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> =
-            vec![("kind".to_string(), Value::Str(self.kind().to_string()))];
-        match self {
-            Response::Form { outcome, truncated, gap, lease, lease_epoch, formed_epoch } => {
-                fields.push(("outcome".to_string(), outcome.to_value()));
-                fields.push(("truncated".to_string(), truncated.to_value()));
-                fields.push(("gap".to_string(), gap.to_value()));
-                // Market fields are omitted (not null) on
-                // contention-blind responses — legacy lines keep
-                // their exact bytes.
-                if lease.is_some() {
-                    fields.push(("lease".to_string(), lease.to_value()));
-                }
-                if lease_epoch.is_some() {
-                    fields.push(("lease_epoch".to_string(), lease_epoch.to_value()));
-                }
-                if formed_epoch.is_some() {
-                    fields.push(("formed_epoch".to_string(), formed_epoch.to_value()));
-                }
-            }
-            Response::Execute { outcome, report } => {
-                fields.push(("outcome".to_string(), outcome.to_value()));
-                fields.push(("report".to_string(), report.to_value()));
-            }
-            Response::Ack { epoch, id } => {
-                fields.push(("epoch".to_string(), epoch.to_value()));
-                fields.push(("id".to_string(), id.to_value()));
-            }
-            Response::BatchEnd { epoch, served } => {
-                fields.push(("epoch".to_string(), epoch.to_value()));
-                fields.push(("served".to_string(), served.to_value()));
-            }
-            Response::Registry { snapshot, epoch } => {
-                fields.push(("snapshot".to_string(), snapshot.to_value()));
-                fields.push(("epoch".to_string(), epoch.to_value()));
-            }
-            Response::Metrics { snapshot } => {
-                fields.push(("snapshot".to_string(), snapshot.to_value()));
-            }
-            Response::Leases { leases, free, epoch } => {
-                fields.push(("leases".to_string(), leases.to_value()));
-                fields.push(("free".to_string(), free.to_value()));
-                fields.push(("epoch".to_string(), epoch.to_value()));
-            }
-            Response::PoolExhausted { free } => {
-                fields.push(("free".to_string(), free.to_value()));
-            }
-            Response::Pong | Response::Busy | Response::DeadlineExceeded | Response::Throttled => {}
-            Response::Error { message } => {
-                fields.push(("message".to_string(), Value::Str(message.clone())));
-            }
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> std::result::Result<Self, Error> {
-        let kind: String = de_field(v, "kind")?;
-        match kind.as_str() {
-            "form" => Ok(Response::Form {
-                outcome: de_field(v, "outcome")?,
-                truncated: de_field(v, "truncated")?,
-                gap: de_field(v, "gap")?,
-                lease: de_field(v, "lease")?,
-                lease_epoch: de_field(v, "lease_epoch")?,
-                formed_epoch: de_field(v, "formed_epoch")?,
-            }),
-            "execute" => Ok(Response::Execute {
-                outcome: de_field(v, "outcome")?,
-                report: de_field(v, "report")?,
-            }),
-            "ack" => Ok(Response::Ack { epoch: de_field(v, "epoch")?, id: de_field(v, "id")? }),
-            "batch_end" => Ok(Response::BatchEnd {
-                epoch: de_field(v, "epoch")?,
-                served: de_field(v, "served")?,
-            }),
-            "registry" => Ok(Response::Registry {
-                snapshot: de_field(v, "snapshot")?,
-                epoch: de_field(v, "epoch")?,
-            }),
-            "metrics" => Ok(Response::Metrics { snapshot: de_field(v, "snapshot")? }),
-            "leases" => Ok(Response::Leases {
-                leases: de_field(v, "leases")?,
-                free: de_field(v, "free")?,
-                epoch: de_field(v, "epoch")?,
-            }),
-            "pool_exhausted" => Ok(Response::PoolExhausted { free: de_field(v, "free")? }),
-            "throttled" => Ok(Response::Throttled),
-            "pong" => Ok(Response::Pong),
-            "busy" => Ok(Response::Busy),
-            "deadline_exceeded" => Ok(Response::DeadlineExceeded),
-            "error" => Ok(Response::Error { message: de_field(v, "message")? }),
-            other => Err(Error::custom(format!("unknown response kind {other:?}"))),
         }
     }
 }

@@ -69,7 +69,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use gridvo_core::mechanism::{FormationConfig, Mechanism};
+use gridvo_core::mechanism::FormationConfig;
 use gridvo_core::{FaultPlan, FormationScenario};
 use gridvo_market::{AppQueues, TokenBucket};
 use gridvo_solver::Budget;
@@ -699,13 +699,6 @@ fn serve(
     }
 }
 
-fn mechanism_for(kind: MechanismKind) -> Mechanism {
-    match kind {
-        MechanismKind::Tvof => Mechanism::tvof(FormationConfig::default()),
-        MechanismKind::Rvof => Mechanism::rvof(FormationConfig::default()),
-    }
-}
-
 /// Wrap a formation outcome for the wire, counting anytime serves.
 fn form_response(shared: &Arc<Shared>, outcome: gridvo_core::FormationOutcome) -> Response {
     let response = Response::form_from(outcome);
@@ -754,7 +747,7 @@ fn market_form(
         // `form`; any committed set salts the keys (see crate::market).
         let mut cache =
             MarketCache::new(shared.cache.at_epoch(snapshot.epoch), snapshot.free_digest, free);
-        let mut outcome = match mechanism_for(kind).run_on_free_pool(
+        let mut outcome = match kind.mechanism().run_on_free_pool(
             &snapshot.scenario,
             free,
             &mut rng,
@@ -803,7 +796,8 @@ fn run_formation(
     // already includes a mutation survive it. Deadline-truncated
     // solves are never stored at all (see `Mechanism::solve_vo`).
     let mut cache = shared.cache.at_epoch(snapshot.epoch);
-    let mut outcome = mechanism_for(kind)
+    let mut outcome = kind
+        .mechanism()
         .run_cached_with_budget(&snapshot.scenario, &mut rng, &mut cache, budget)
         .map_err(|e| e.to_string())?;
     outcome.zero_timings();
@@ -826,7 +820,8 @@ fn run_execution(
     let outcome = run_formation(shared, snapshot, seed, kind, budget)?;
     let report = match &outcome.selected {
         Some(vo) => {
-            let mut report = mechanism_for(kind)
+            let mut report = kind
+                .mechanism()
                 .execute(&snapshot.scenario, vo, faults)
                 .map_err(|e| e.to_string())?;
             report.zero_timings();

@@ -61,6 +61,26 @@ fn served_form_is_bit_identical_to_direct_call() {
     handle.shutdown();
 }
 
+/// Seeds above `i64::MAX` cross the wire as exact integers.
+#[test]
+fn served_form_with_a_seed_above_i64_max_is_bit_identical() {
+    let (handle, s) = spawn(ServerConfig::default());
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+
+    for seed in [1 << 63, u64::MAX] {
+        let served = match client.form(seed, MechanismKind::Tvof, None).unwrap() {
+            Response::Form { outcome, .. } => outcome,
+            other => panic!("seed {seed}: expected form response, got {other:?}"),
+        };
+        assert_eq!(
+            serde_json::to_string(&served).unwrap(),
+            serde_json::to_string(&direct_form(&s, seed)).unwrap(),
+            "seed {seed}: served formation differs from the direct library call"
+        );
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn repeated_form_is_served_from_cache_with_same_bytes() {
     let (handle, _s) = spawn(ServerConfig::default());

@@ -1,5 +1,6 @@
 //! Serialization round-trip and validation tests for the on-disk
-//! formats the CLI exchanges: scenarios (JSON) and traces (SWF).
+//! formats the CLI exchanges: scenarios (JSON) and traces (SWF), plus
+//! one test per `#[serde]` attribute the vendored derive supports.
 
 use gridvo_core::{FormationScenario, Gsp};
 use gridvo_sim::instance_gen::ScenarioGenerator;
@@ -105,4 +106,149 @@ fn outcome_serializes_for_archival() {
     assert!(json.contains("iterations"));
     let value: serde_json::Value = serde_json::from_str(&json).unwrap();
     assert!(value["iterations"].as_array().unwrap().len() == outcome.iterations.len());
+}
+
+/// Types exercising every derive attribute the workspace relies on.
+mod derive {
+    use serde::{Deserialize, Serialize};
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(tag = "op", rename_all = "snake_case")]
+    pub enum Shape {
+        UnitCircle,
+        RightTriangle {
+            base: f64,
+            height: f64,
+        },
+        #[serde(rename = "sq")]
+        Square {
+            side: u64,
+            #[serde(default)]
+            filled: bool,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            label: Option<String>,
+        },
+    }
+
+    #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+    #[serde(rename_all = "snake_case")]
+    pub enum Color {
+        #[default]
+        DeepRed,
+        Blue,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    pub struct Paint {
+        #[serde(default)]
+        pub color: Color,
+        pub coats: u8,
+    }
+
+    /// Decodes through `RawEven`, refusing odd numbers.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(try_from = "RawEven")]
+    pub struct Even {
+        pub n: u32,
+    }
+
+    #[derive(Deserialize)]
+    pub struct RawEven {
+        n: u32,
+    }
+
+    impl TryFrom<RawEven> for Even {
+        type Error = String;
+        fn try_from(raw: RawEven) -> Result<Self, String> {
+            match raw.n % 2 {
+                0 => Ok(Even { n: raw.n }),
+                _ => Err(format!("{} is odd", raw.n)),
+            }
+        }
+    }
+}
+
+use derive::{Color, Even, Paint, Shape};
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap()
+}
+
+fn parse<T: serde::Deserialize>(line: &str) -> Result<T, String> {
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+#[test]
+fn tag_and_rename_all_write_the_tag_first_in_snake_case() {
+    let triangle = Shape::RightTriangle { base: 3.0, height: 4.5 };
+    assert_eq!(json(&triangle), r#"{"op":"right_triangle","base":3.0,"height":4.5}"#);
+    assert_eq!(json(&Shape::UnitCircle), r#"{"op":"unit_circle"}"#);
+    assert_eq!(parse::<Shape>(r#"{"height":4.5,"op":"right_triangle","base":3}"#), Ok(triangle));
+    assert_eq!(parse::<Shape>(r#"{"op":"unit_circle","extra":[1]}"#), Ok(Shape::UnitCircle));
+}
+
+#[test]
+fn variant_rename_and_skip_serializing_if() {
+    let bare = Shape::Square { side: u64::MAX, filled: true, label: None };
+    assert_eq!(json(&bare), r#"{"op":"sq","side":18446744073709551615,"filled":true}"#);
+    let labelled = Shape::Square { side: 2, filled: false, label: Some("a".to_string()) };
+    assert_eq!(json(&labelled), r#"{"op":"sq","side":2,"filled":false,"label":"a"}"#);
+    assert_eq!(parse::<Shape>(&json(&bare)), Ok(bare));
+    assert_eq!(parse::<Shape>(&json(&labelled)), Ok(labelled));
+}
+
+#[test]
+fn default_fields_read_absent_and_null_as_default() {
+    let square = Shape::Square { side: 2, filled: false, label: None };
+    assert_eq!(parse::<Shape>(r#"{"op":"sq","side":2}"#), Ok(square));
+    let square = Shape::Square { side: 2, filled: false, label: None };
+    assert_eq!(parse::<Shape>(r#"{"op":"sq","side":2,"filled":null}"#), Ok(square));
+    let paint = Paint { color: Color::DeepRed, coats: 2 };
+    assert_eq!(parse::<Paint>(r#"{"coats":2}"#), Ok(paint));
+    let paint = Paint { color: Color::DeepRed, coats: 2 };
+    assert_eq!(parse::<Paint>(r#"{"coats":2,"color":null}"#), Ok(paint));
+    // A present value must still be well-formed.
+    assert!(parse::<Shape>(r#"{"op":"sq","side":2,"filled":1}"#).is_err());
+}
+
+#[test]
+fn unit_enums_travel_as_their_names() {
+    let paint = Paint { color: Color::Blue, coats: 1 };
+    assert_eq!(json(&paint), r#"{"color":"blue","coats":1}"#);
+    assert_eq!(json(&Color::DeepRed), r#""deep_red""#);
+    assert_eq!(parse::<Paint>(&json(&paint)), Ok(paint));
+}
+
+#[test]
+fn unknown_tags_and_names_are_refused_naming_the_value() {
+    assert_eq!(parse::<Shape>(r#"{"op":"hexagon"}"#), Err(r#"unknown op "hexagon""#.to_string()));
+    assert_eq!(parse::<Shape>(r#"{"side":2}"#), Err("missing field `op`".to_string()));
+    assert_eq!(parse::<Color>(r#""green""#), Err(r#"unknown variant "green""#.to_string()));
+    assert_eq!(
+        parse::<Paint>(r#"{"color":"green","coats":1}"#),
+        Err(r#"field `color`: unknown variant "green""#.to_string())
+    );
+    assert_eq!(parse::<Color>("3"), Err("expected string, found integer".to_string()));
+}
+
+#[test]
+fn try_from_converts_after_decoding_the_raw_type() {
+    assert_eq!(json(&Even { n: 4 }), r#"{"n":4}"#);
+    assert_eq!(parse::<Even>(r#"{"n":4}"#), Ok(Even { n: 4 }));
+    assert_eq!(parse::<Even>(r#"{"n":5}"#), Err("5 is odd".to_string()));
+}
+
+#[test]
+fn derived_objects_are_allocated_at_their_exact_length() {
+    use serde::{Serialize, Value};
+    let values = [
+        Paint { color: Color::Blue, coats: 1 }.to_value(),
+        Shape::UnitCircle.to_value(),
+        Shape::Square { side: 1, filled: false, label: None }.to_value(),
+        Shape::Square { side: 1, filled: false, label: Some(String::new()) }.to_value(),
+    ];
+    for value in values {
+        let Value::Object(fields) = &value else { panic!("expected an object: {value:?}") };
+        assert_eq!(fields.capacity(), fields.len(), "{value:?}");
+    }
 }
