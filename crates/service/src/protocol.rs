@@ -436,6 +436,16 @@ mod tests {
     }
 
     #[test]
+    fn a_trust_value_beyond_f64_is_refused_not_read_as_infinity() {
+        let line = r#"{"op":"report_trust","from":0,"to":2,"value":1e400}"#;
+        assert_eq!(decode::<Request>(line), Err("number out of range at byte 45".to_string()));
+        let twin = r#"{"op":"report_trust","from":0,"to":2,"value":1e308}"#;
+        let request = Request::ReportTrust { from: 0, to: 2, value: 1e308 };
+        assert_eq!(decode::<Request>(twin), Ok(request.clone()));
+        assert_eq!(decode::<Request>(&encode(&request)), Ok(request));
+    }
+
+    #[test]
     fn unknown_ops_are_typed_errors() {
         assert!(decode::<Request>(r#"{"op":"fly"}"#).is_err());
         assert!(decode::<Request>(r#"{"seed":3}"#).is_err());
