@@ -101,7 +101,7 @@ fn run_policy(
     events: u64,
 ) -> PolicyPoint {
     let config = policy.map(|fsync| PersistConfig {
-        data_dir: fresh_dir(scratch, label),
+        dir: fresh_dir(scratch, label),
         fsync,
         ..PersistConfig::new("unused")
     });
@@ -116,7 +116,7 @@ fn run_policy(
 
     let stats = durable.store_stats().unwrap_or_default();
     if let Some(config) = &config {
-        let _ = std::fs::remove_dir_all(&config.data_dir);
+        let _ = std::fs::remove_dir_all(&config.dir);
     }
     let journal = stats.journal_bytes_written.max(1);
     PolicyPoint {
@@ -136,7 +136,7 @@ fn run_policy(
 
 fn run_replay(s: &FormationScenario, scratch: &Path, events: u64) -> ReplayPoint {
     let config = PersistConfig {
-        data_dir: fresh_dir(scratch, &format!("replay-{events}")),
+        dir: fresh_dir(scratch, &format!("replay-{events}")),
         fsync: FsyncPolicy::Off,
         compact_bytes: u64::MAX, // keep every event in the journal
     };
@@ -152,7 +152,7 @@ fn run_replay(s: &FormationScenario, scratch: &Path, events: u64) -> ReplayPoint
     let replay_seconds = started.elapsed().as_secs_f64();
     assert_eq!(epoch, Some(events), "replay must land on the recorded epoch");
     assert_eq!(recovered.epoch(), events);
-    let _ = std::fs::remove_dir_all(&config.data_dir);
+    let _ = std::fs::remove_dir_all(&config.dir);
     ReplayPoint {
         events,
         journal_bytes,

@@ -17,7 +17,9 @@ The exact solver seeds its search with the cheapest of greedy,
 min-min and sufferage (greedy alone above 512 tasks) and returns that
 seed at once when it meets the root lower bound. --deadline-ms and
 --max-nodes bound the exact solve; a truncated solve prints its best
-anytime incumbent plus the relative optimality gap.";
+anytime incumbent plus the relative optimality gap. --max-nodes N
+sets the exact solver's node cap to N: 0 (the default) keeps the
+built-in 50000000, and a larger N raises it.";
 
 pub fn run(argv: &[String]) -> Result<(), String> {
     let flags =
@@ -39,13 +41,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             0 => None,
             ms => Some(Instant::now() + Duration::from_millis(ms)),
         },
-        max_nodes: match flags.num("max-nodes", 0u64)? {
-            0 => u64::MAX,
-            n => n,
-        },
+    };
+    let solver = match flags.num("max-nodes", 0u64)? {
+        0 => BranchBound::default(),
+        max_nodes => BranchBound { max_nodes },
     };
     let solved = match flags.get("solver").unwrap_or("exact") {
-        "exact" => match BranchBound::default().solve_status_with_budget(&inst, None, &budget) {
+        "exact" => match solver.solve_status_with_budget(&inst, None, &budget) {
             SolveStatus::Optimal(o) => {
                 println!(
                     "status: OPTIMAL (proven, {} nodes, incumbent: {})",

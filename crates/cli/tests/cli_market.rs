@@ -154,11 +154,8 @@ fn sigkill_mid_market_storm_recovers_the_exact_lease_set() {
 
     // Offline oracle: open the same data directory in-process (no
     // appends happen on open) and read off the expected lease table.
-    let persist = PersistConfig {
-        data_dir: data_dir.clone(),
-        fsync: FsyncPolicy::Off,
-        compact_bytes: u64::MAX,
-    };
+    let persist =
+        PersistConfig { dir: data_dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: u64::MAX };
     let s = scenario();
     let (oracle, oracle_epoch) =
         DurableRegistry::open(&s, FormationConfig::default().reputation, Some(&persist))

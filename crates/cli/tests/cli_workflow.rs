@@ -287,3 +287,23 @@ fn deterministic_scenarios_under_seed() {
     assert_eq!(ta, tb, "same seed must give identical scenario files");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn solve_max_nodes_caps_the_exact_search() {
+    let dir = tmpdir("max-nodes");
+    let scenario = dir.join("scenario.json");
+    let path = scenario.to_str().unwrap();
+    let generate = ["generate", "scenario", "--out", path, "--tasks", "12", "--gsps", "4"];
+    run_ok(gridvo().args(generate).args(["--seed", "1"]));
+    // The tree search, not the root, finds this scenario's optimum.
+    let full = run_ok(gridvo().args(["solve", "--scenario", path]));
+    assert!(full.starts_with("status: OPTIMAL (proven, "), "{full}");
+    assert!(full.lines().next().unwrap().ends_with("incumbent: search)"), "{full}");
+    // One node cannot prove it.
+    let capped = run_ok(gridvo().args(["solve", "--scenario", path, "--max-nodes", "1"]));
+    let status = capped.lines().next().unwrap();
+    assert!(status.contains("budget-truncated") || status.contains("UNKNOWN"), "{capped}");
+    // 0 means the default cap: the full solve.
+    assert_eq!(run_ok(gridvo().args(["solve", "--scenario", path, "--max-nodes", "0"])), full);
+    std::fs::remove_dir_all(&dir).ok();
+}

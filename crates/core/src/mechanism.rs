@@ -137,23 +137,22 @@ impl Mechanism {
     /// anytime [`Budget`] shared by every per-round solve.
     ///
     /// Every per-round solve first consults `cache` under
-    /// [`solve_key`] (instance content hash ⊕ warm incumbent ⊕ node
-    /// cap); misses are solved and stored. Because the key covers the
-    /// full solver input and the solvers are deterministic, a cached
-    /// run is **trace-identical** to an uncached one — same
-    /// assignments, costs, `nodes` and `incumbent_source` telemetry —
-    /// except for wall-clock timings. The `gridvo-service` daemon
-    /// passes its shared cache here; plain library callers use
-    /// [`Mechanism::run`].
+    /// [`solve_key`] (instance content hash ⊕ warm incumbent); misses
+    /// are solved and stored. Because the key covers the full solver
+    /// input and the solvers are deterministic, a cached run is
+    /// **trace-identical** to an uncached one — same assignments,
+    /// costs, `nodes` and `incumbent_source` telemetry — except for
+    /// wall-clock timings, provided the cache only ever serves this
+    /// solver configuration. The `gridvo-service` daemon passes its
+    /// shared cache here; plain library callers use [`Mechanism::run`].
     ///
-    /// Each solve honors the same absolute wall-clock deadline and
-    /// node cap, so the whole formation run — not just one round —
-    /// respects the caller's deadline (up to one solver bound-check
-    /// interval plus non-solver overhead). Rounds whose solve was
-    /// truncated carry their anytime incumbent with `optimal = false`
-    /// and a positive `gap`. Deadline-truncated solves are never
-    /// stored in `cache` (they are wall-clock-dependent); node-cap
-    /// truncation is deterministic and cached under a cap-tagged key.
+    /// Each solve honors the same absolute wall-clock deadline, so the
+    /// whole formation run — not just one round — respects the
+    /// caller's deadline (up to one solver bound-check interval plus
+    /// non-solver overhead). Rounds whose solve was truncated carry
+    /// their anytime incumbent with `optimal = false` and a positive
+    /// `gap`. Deadline-truncated solves are never stored in `cache`
+    /// (they are wall-clock-dependent).
     pub fn run_cached_with_budget<R: Rng + ?Sized>(
         &self,
         scenario: &FormationScenario,
@@ -324,15 +323,12 @@ impl Mechanism {
         };
         let warm =
             carry.and_then(|(prev, evicted)| repair::repair_after_eviction(prev, evicted, &inst));
-        // A finite node cap changes what a truncated solve returns, so
-        // it is part of the key (None ⇒ the pre-budget key values).
-        // The wall-clock deadline is NOT: it makes results
-        // non-reproducible, so deadline-hit solves are simply never
-        // stored. Cached entries from unlimited runs remain valid
+        // The wall-clock deadline is not part of the key: it makes
+        // results non-reproducible, so deadline-hit solves are simply
+        // never stored. Cached entries from unlimited runs remain valid
         // answers under any deadline — serving a cached proven optimum
         // early is strictly better than truncating a fresh search.
-        let node_cap = (budget.max_nodes != u64::MAX).then_some(budget.max_nodes);
-        let key = solve_key(&inst, warm.as_ref(), node_cap);
+        let key = solve_key(&inst, warm.as_ref());
         if let Some(hit) = cache.lookup(key) {
             return hit;
         }
@@ -342,10 +338,11 @@ impl Mechanism {
         };
         // Without a deadline every result (including node-cap
         // truncation and Unknown) is a deterministic function of the
-        // key. With one armed, anything short of a proven optimum —
-        // an anytime incumbent, or an empty result that may be a
-        // timed-out Unknown rather than an infeasibility proof —
-        // depends on wall-clock luck and is never stored.
+        // key and the solver configuration. With one armed, anything
+        // short of a proven optimum — an anytime incumbent, or an
+        // empty result that may be a timed-out Unknown rather than an
+        // infeasibility proof — depends on wall-clock luck and is
+        // never stored.
         if budget.deadline.is_none() || matches!(&solve.solved, Some((_, _, true))) {
             cache.store(key, &solve);
         }

@@ -19,6 +19,10 @@
 //! but with multiple cost-ties the *assignment* it lands on (and the
 //! `nodes` / `incumbent_source` telemetry) can depend on the seed, so
 //! two solves only share a cache slot when their entire input matches.
+//! The solver configuration is not part of the key, so one cache
+//! serves one configuration (the daemon's serves the default
+//! [`gridvo_solver::BranchBound`]); the node cap is that
+//! configuration's, and the key has no cap dimension.
 //!
 //! Because the key is derived purely from solver inputs, reputation /
 //! trust state is invisible to it: trust-only registry updates
@@ -87,17 +91,12 @@ impl SolveCache for NoCache {
 /// hash combined with the warm incumbent (task → local-GSP vector)
 /// seeded into the search, or a distinct tag when the solve is cold.
 ///
-/// A finite node cap changes what a truncated solve returns, so capped
-/// solves get their own key space (the cap is appended to the hash);
-/// `node_cap = None` — the unlimited default — appends nothing, keeping
-/// every pre-budget cache line addressable. Wall-clock deadlines are
-/// deliberately *not* part of any key: deadline-truncated results are
-/// not reproducible, so formation never stores them.
-pub fn solve_key(
-    inst: &AssignmentInstance,
-    warm: Option<&Assignment>,
-    node_cap: Option<u64>,
-) -> u64 {
+/// The solver configuration (its node cap included) is not part of the
+/// key: one cache serves one solver configuration, as the daemon's
+/// does. Wall-clock deadlines are deliberately *not* part of the key
+/// either: deadline-truncated results are not reproducible, so
+/// formation never stores them.
+pub fn solve_key(inst: &AssignmentInstance, warm: Option<&Assignment>) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(inst.canonical_hash());
     match warm {
@@ -108,10 +107,6 @@ pub fn solve_key(
             }
         }
         None => h.write(b"cold"),
-    }
-    if let Some(cap) = node_cap {
-        h.write(b"cap");
-        h.write_u64(cap);
     }
     h.finish()
 }
@@ -136,10 +131,10 @@ mod tests {
     fn warm_and_cold_keys_differ() {
         let i = inst();
         let warm = Assignment::new(vec![0, 1, 0]);
-        assert_ne!(solve_key(&i, None, None), solve_key(&i, Some(&warm), None));
+        assert_ne!(solve_key(&i, None), solve_key(&i, Some(&warm)));
         let other = Assignment::new(vec![0, 1, 1]);
-        assert_ne!(solve_key(&i, Some(&warm), None), solve_key(&i, Some(&other), None));
-        assert_eq!(solve_key(&i, Some(&warm), None), solve_key(&i, Some(&warm.clone()), None));
+        assert_ne!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&other)));
+        assert_eq!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&warm.clone())));
     }
 
     #[test]
@@ -163,15 +158,7 @@ mod tests {
         // line and every golden computed against it.
         let i = inst();
         let warm = Assignment::new(vec![0, 1, 0]);
-        assert_eq!(solve_key(&i, None, None), 0xb5f6_b244_0630_f172);
-        assert_eq!(solve_key(&i, Some(&warm), None), 0xb156_ac3f_a722_94dc);
-        assert_eq!(solve_key(&i, None, Some(1000)), 0x0ed7_e458_e286_7b6f);
-    }
-
-    #[test]
-    fn node_cap_gets_its_own_key_space_and_none_preserves_old_keys() {
-        let i = inst();
-        assert_ne!(solve_key(&i, None, None), solve_key(&i, None, Some(1000)));
-        assert_ne!(solve_key(&i, None, Some(1000)), solve_key(&i, None, Some(2000)));
+        assert_eq!(solve_key(&i, None), 0xb5f6_b244_0630_f172);
+        assert_eq!(solve_key(&i, Some(&warm)), 0xb156_ac3f_a722_94dc);
     }
 }

@@ -37,11 +37,9 @@
 //! that point: if it fails, the write is still acknowledged, the
 //! journal simply stays long, and the next append retries.
 
-use std::path::PathBuf;
-
 use gridvo_core::reputation::ReputationEngine;
 use gridvo_core::FormationScenario;
-use gridvo_store::{FsyncPolicy, Store, StoreConfig, StoreStats, DEFAULT_COMPACT_BYTES};
+use gridvo_store::{Store, StoreConfig, StoreStats};
 
 use crate::registry::GspRegistry;
 use crate::Result;
@@ -50,38 +48,10 @@ use crate::Result;
 /// around it; [`GspRegistry`] now owns its journal.
 pub type DurableRegistry = GspRegistry;
 
-/// Where and how durably to journal registry mutations.
-#[derive(Debug, Clone)]
-pub struct PersistConfig {
-    /// Data directory holding `journal.log` and snapshots. Created if
-    /// absent; a non-empty directory is recovered from.
-    pub data_dir: PathBuf,
-    /// When appends reach disk (see [`FsyncPolicy`]).
-    pub fsync: FsyncPolicy,
-    /// Journal size (bytes) that triggers snapshot + truncate
-    /// compaction.
-    pub compact_bytes: u64,
-}
-
-impl PersistConfig {
-    /// A config with the default fsync policy (per-epoch windows) and
-    /// compaction threshold.
-    pub fn new(data_dir: impl Into<PathBuf>) -> Self {
-        PersistConfig {
-            data_dir: data_dir.into(),
-            fsync: FsyncPolicy::default(),
-            compact_bytes: DEFAULT_COMPACT_BYTES,
-        }
-    }
-
-    fn store_config(&self) -> StoreConfig {
-        StoreConfig {
-            dir: self.data_dir.clone(),
-            fsync: self.fsync,
-            compact_bytes: self.compact_bytes,
-        }
-    }
-}
+/// Where and how durably to journal registry mutations: the store's
+/// own config. Its data directory holds `journal.log` and snapshots;
+/// it is created if absent, and a non-empty one is recovered from.
+pub type PersistConfig = StoreConfig;
 
 impl GspRegistry {
     /// Bootstrap or recover. With `persist == None` this is
@@ -102,7 +72,7 @@ impl GspRegistry {
         let Some(config) = persist else {
             return Ok((GspRegistry::from_scenario(scenario, engine)?, None));
         };
-        let (mut store, recovered) = Store::open(&config.store_config())?;
+        let (mut store, recovered) = Store::open(config)?;
         let mut registry = match &recovered {
             Some(rec) => {
                 let mut registry = GspRegistry::from_persisted(&rec.snapshot, engine)?;
@@ -197,7 +167,7 @@ mod tests {
         assert_eq!(epoch, Some(3));
         assert_eq!(serde_json::to_string(&recovered_reg.snapshot()).unwrap(), want_snapshot);
         assert_eq!(recovered_reg.reputation(), want_reputation);
-        let _ = std::fs::remove_dir_all(&config.data_dir);
+        let _ = std::fs::remove_dir_all(&config.dir);
     }
 
     #[test]
@@ -219,6 +189,6 @@ mod tests {
             DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
         assert_eq!(epoch, Some(6));
         assert_eq!(serde_json::to_string(&recovered.snapshot()).unwrap(), want);
-        let _ = std::fs::remove_dir_all(&config.data_dir);
+        let _ = std::fs::remove_dir_all(&config.dir);
     }
 }

@@ -647,7 +647,7 @@ fn serve(
     reply: &mpsc::Sender<Response>,
     deadline_at: Option<Instant>,
 ) {
-    let budget = Budget { deadline: deadline_at, max_nodes: u64::MAX };
+    let budget = Budget { deadline: deadline_at };
     match request {
         Request::Ping { sleep_ms } => {
             std::thread::sleep(Duration::from_millis(sleep_ms));

@@ -253,7 +253,7 @@ fn lease_table_survives_restart() {
     let dir = std::env::temp_dir().join(format!("gridvo-market-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let persist =
-        PersistConfig { data_dir: dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: u64::MAX };
+        PersistConfig { dir: dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: u64::MAX };
     let config = ServerConfig { persistence: Some(persist.clone()), ..ServerConfig::default() };
     let (handle, mut client) = spawn(config.clone());
     let (lease, members) = form_leased(&mut client, "atlas", 3);

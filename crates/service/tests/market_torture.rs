@@ -324,7 +324,7 @@ fn run_market_torture(persistence: Option<PersistConfig>) {
             serde_json::to_string(&oracle.snapshot()).unwrap(),
             "recovered registry state differs from the serial replay"
         );
-        let _ = std::fs::remove_dir_all(&persist.data_dir);
+        let _ = std::fs::remove_dir_all(&persist.dir);
     }
 }
 
@@ -340,7 +340,7 @@ fn market_torture_with_journal_recovers_the_lease_set() {
         std::env::temp_dir().join(format!("gridvo-market-torture-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     run_market_torture(Some(PersistConfig {
-        data_dir: dir,
+        dir,
         fsync: FsyncPolicy::Off,
         compact_bytes: u64::MAX,
     }));

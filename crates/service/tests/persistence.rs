@@ -51,7 +51,7 @@ fn paired_scenario() -> FormationScenario {
 }
 
 fn persist(dir: &Path) -> PersistConfig {
-    PersistConfig { data_dir: dir.to_path_buf(), fsync: FsyncPolicy::Off, compact_bytes: u64::MAX }
+    PersistConfig { dir: dir.to_path_buf(), fsync: FsyncPolicy::Off, compact_bytes: u64::MAX }
 }
 
 fn spawn(persistence: Option<PersistConfig>) -> ServerHandle {
@@ -189,7 +189,7 @@ fn reopening_without_new_mutations_is_idempotent() {
 fn aggressive_compaction_survives_restarts() {
     let dir = scratch("compact");
     let config = PersistConfig {
-        data_dir: dir.clone(),
+        dir: dir.clone(),
         fsync: FsyncPolicy::PerEpoch { every: 2 },
         compact_bytes: 1, // compact after every single append
     };
@@ -387,7 +387,7 @@ fn a_failed_reputation_refresh_commits_nothing() {
 #[test]
 fn a_failed_compaction_still_acks_the_journaled_write() {
     let dir = scratch("compact-fail");
-    let config = PersistConfig { data_dir: dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: 1 };
+    let config = PersistConfig { dir: dir.clone(), fsync: FsyncPolicy::Off, compact_bytes: 1 };
     let (mut durable, _) =
         DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
     // The store writes every snapshot through this fixed temporary

@@ -73,7 +73,7 @@ proptest! {
             .join(format!("gridvo-prop-journal-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = PersistConfig {
-            data_dir: dir.clone(),
+            dir: dir.clone(),
             fsync: FsyncPolicy::Off,
             compact_bytes: u64::MAX,
         };

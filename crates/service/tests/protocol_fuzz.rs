@@ -157,6 +157,29 @@ fn non_utf8_line_gets_a_typed_error_and_the_connection_survives() {
 }
 
 #[test]
+fn a_line_nested_past_the_limit_is_refused_and_the_connection_survives() {
+    let handle = ServerHandle::spawn(&scenario(), ServerConfig::default()).expect("bind loopback");
+    let mut conn = RawConn::connect(handle.addr());
+
+    // 200 000 levels under an unknown key (400 KB): deep enough to
+    // overflow a connection thread's stack if the reader recursed
+    // through all of them.
+    let levels = 200_000;
+    let deep =
+        format!(r#"{{"op":"ping","sleep_ms":0,"x":{}{}}}"#, "[".repeat(levels), "]".repeat(levels));
+    conn.send_raw(deep.as_bytes());
+    match conn.recv() {
+        Response::Error { message } => {
+            assert_eq!(message, "bad request: recursion limit exceeded at byte 157")
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    conn.send(&Request::Ping { sleep_ms: 0 });
+    assert_eq!(conn.recv(), Response::Pong);
+    handle.shutdown();
+}
+
+#[test]
 fn a_newline_split_across_writes_is_reassembled() {
     let handle = ServerHandle::spawn(&scenario(), ServerConfig::default()).expect("bind loopback");
     let mut conn = RawConn::connect(handle.addr());

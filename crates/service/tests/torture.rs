@@ -315,7 +315,7 @@ fn run_torture(persistence: Option<PersistConfig>) {
             serde_json::to_string(&oracle.snapshot()).unwrap(),
             "recovered state differs from the serial replay at the acked epoch"
         );
-        let _ = std::fs::remove_dir_all(&persist.data_dir);
+        let _ = std::fs::remove_dir_all(&persist.dir);
     }
 }
 
@@ -329,9 +329,5 @@ fn torture_with_journal_replays_to_the_acked_epoch() {
     let n = SCRATCH.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("gridvo-torture-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    run_torture(Some(PersistConfig {
-        data_dir: dir,
-        fsync: FsyncPolicy::Off,
-        compact_bytes: u64::MAX,
-    }));
+    run_torture(Some(PersistConfig { dir, fsync: FsyncPolicy::Off, compact_bytes: u64::MAX }));
 }

@@ -653,6 +653,22 @@ fn extra_keys_are_ignored_and_key_order_is_free() {
 }
 
 #[test]
+fn a_line_nested_past_128_levels_is_refused_at_its_129th_container() {
+    // The request object is level 1, so 127 arrays inside it are the
+    // deepest a line may nest, and the 128th array is refused.
+    let ping = |arrays: usize| {
+        format!(r#"{{"op":"ping","sleep_ms":0,"x":{}{}}}"#, "[".repeat(arrays), "]".repeat(arrays))
+    };
+    assert_eq!(decode::<Request>(&ping(127)), Ok(Request::Ping { sleep_ms: 0 }));
+    let refused = decode::<Request>(&ping(128)).unwrap_err();
+    assert_eq!(refused, "recursion limit exceeded at byte 157");
+    assert_eq!(
+        encode(&Response::Error { message: format!("bad request: {refused}") }),
+        r#"{"kind":"error","message":"bad request: recursion limit exceeded at byte 157"}"#
+    );
+}
+
+#[test]
 fn decoded_plan_events_come_back_sorted_by_round() {
     let line = r#"{"op":"execute","seed":1,"mechanism":"tvof","faults":{"events":[{"round":3,"gsp":0,"kind":{"kind":"crash"}},{"round":1,"gsp":2,"kind":{"kind":"silent_drop","tasks":1}},{"round":1,"gsp":1,"kind":{"kind":"crash"}}]},"deadline_ms":null}"#;
     let Request::Execute { faults, .. } = decode::<Request>(line).unwrap() else {

@@ -195,18 +195,6 @@ pub fn warm_cold_sweep(cfg: &TableI, seeds: &[u64]) -> Result<Vec<WarmColdPoint>
     Ok(points)
 }
 
-/// GSP counts above which the bit-identity cross-check is skipped
-/// (the unlimited exact baseline is out of reach there — that is the
-/// point of the anytime budget).
-const SCALE_EXACT_CHECK_MAX_GSPS: usize = 16;
-
-/// Node cap used by the bit-identity cross-check. Any value works —
-/// the property under test is that a [`Budget`] node cap truncates
-/// the exact solver *identically* to the same cap set as
-/// [`BranchBound::max_nodes`] — so it is kept small to bound the
-/// check's runtime.
-const SCALE_CHECK_NODE_CAP: u64 = 200_000;
-
 /// One GSP-count point of the anytime scale frontier
 /// (`BENCH_formation.json`'s `scale_frontier` section).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -228,20 +216,11 @@ pub struct ScalePoint {
     pub truncated_runs: usize,
     /// Runs that selected a VO.
     pub formed_runs: usize,
-    /// Bit-identity cross-check (small scales only): every seed's
-    /// trace under a [`Budget`] node cap equalled the trace under the
-    /// same cap set as [`BranchBound::max_nodes`]. `None` above 16
-    /// GSPs.
-    pub exact_match: Option<bool>,
 }
 
 /// The anytime scale frontier: formation with the exact solver under
 /// a fixed wall-clock [`Budget`] per run, swept over provider-pool
-/// sizes (2 tasks per GSP). At small scales every run is additionally
-/// replayed under a *node-capped* budget — the deterministic half of
-/// the budget — against the exact solver configured with the same cap
-/// as its [`BranchBound::max_nodes`], and the traces must agree bit for
-/// bit.
+/// sizes (2 tasks per GSP).
 pub fn scale_sweep(
     cfg: &TableI,
     gsp_counts: &[usize],
@@ -253,57 +232,26 @@ pub fn scale_sweep(
         let tasks = gsps * 2;
         let scale_cfg = TableI { gsps, task_sizes: vec![tasks], ..cfg.clone() };
         let generator = ScenarioGenerator::new(scale_cfg.clone());
-        let capped_cfg = FormationConfig {
-            solver: SolverChoice::Exact(BranchBound { max_nodes: u64::MAX }),
-            ..Default::default()
-        };
-        let exact_cfg = FormationConfig {
-            solver: SolverChoice::Exact(BranchBound { max_nodes: SCALE_CHECK_NODE_CAP }),
-            ..Default::default()
-        };
         let results = run_seeds(0x5CA10 + idx as u64, seeds, |seed, rng| {
             let scenario = generator.scenario(tasks, rng)?;
             // The budgeted anytime run: one wall-clock budget covers
             // the whole formation (every eviction round).
             let budget = Budget::with_deadline(Instant::now() + Duration::from_millis(budget_ms));
-            let outcome = Mechanism::tvof(FormationConfig::default())
+            Mechanism::tvof(FormationConfig::default())
                 .run_cached_with_budget(
                     &scenario,
                     &mut crate::runner::seeded_rng(0x5CA11, seed),
                     &mut NoCache,
                     &budget,
                 )
-                .map_err(SimError::from)?;
-            // Bit-identity cross-check under the deterministic half of
-            // the budget (node cap only), twin RNG streams.
-            let exact_match = if gsps <= SCALE_EXACT_CHECK_MAX_GSPS {
-                let cap = Budget { deadline: None, max_nodes: SCALE_CHECK_NODE_CAP };
-                let mut capped = Mechanism::tvof(capped_cfg)
-                    .run_cached_with_budget(
-                        &scenario,
-                        &mut crate::runner::seeded_rng(0x5CA12, seed),
-                        &mut NoCache,
-                        &cap,
-                    )
-                    .map_err(SimError::from)?;
-                let mut exact = Mechanism::tvof(exact_cfg)
-                    .run(&scenario, &mut crate::runner::seeded_rng(0x5CA12, seed))
-                    .map_err(SimError::from)?;
-                capped.zero_timings();
-                exact.zero_timings();
-                Some(capped == exact)
-            } else {
-                None
-            };
-            Ok::<_, SimError>((outcome, exact_match))
+                .map_err(SimError::from)
         });
         let mut secs = Vec::new();
         let mut nodes = 0u64;
         let mut gaps = Vec::new();
         let (mut truncated_runs, mut formed_runs) = (0usize, 0usize);
-        let mut exact_match: Option<bool> = None;
         for r in results {
-            let (outcome, matched) = r?;
+            let outcome = r?;
             secs.push(outcome.total_seconds);
             nodes += outcome.iterations.iter().map(|i| i.nodes).sum::<u64>();
             if outcome.feasible_vos.iter().any(|v| !v.optimal) {
@@ -312,9 +260,6 @@ pub fn scale_sweep(
             if let Some(vo) = &outcome.selected {
                 formed_runs += 1;
                 gaps.push(vo.gap.unwrap_or(0.0));
-            }
-            if let Some(m) = matched {
-                exact_match = Some(exact_match.unwrap_or(true) && m);
             }
         }
         let mean_gap =
@@ -329,7 +274,6 @@ pub fn scale_sweep(
             worst_gap,
             truncated_runs,
             formed_runs,
-            exact_match,
         });
     }
     Ok(points)

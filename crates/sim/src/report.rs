@@ -160,11 +160,11 @@ pub struct BenchFormation {
 /// CSV for the scale frontier: one row per GSP count.
 pub fn scale_csv(points: &[ScalePoint]) -> String {
     let mut out = String::from(
-        "gsps,tasks,seconds_mean,nodes,mean_gap,worst_gap,truncated_runs,formed_runs,exact_match\n",
+        "gsps,tasks,seconds_mean,nodes,mean_gap,worst_gap,truncated_runs,formed_runs\n",
     );
     for p in points {
         out.push_str(&format!(
-            "{},{},{:.6},{},{:.6},{:.6},{},{},{}\n",
+            "{},{},{:.6},{},{:.6},{:.6},{},{}\n",
             p.gsps,
             p.tasks,
             p.seconds.mean,
@@ -173,7 +173,6 @@ pub fn scale_csv(points: &[ScalePoint]) -> String {
             p.worst_gap,
             p.truncated_runs,
             p.formed_runs,
-            p.exact_match.map_or("n/a".to_string(), |m| m.to_string()),
         ));
     }
     out

@@ -22,11 +22,12 @@
 //! checked first, so a certified warm start skips the heuristic
 //! portfolio and the bound tables altogether.
 //!
-//! The search is exact; a configurable node budget and an optional
-//! wall-clock deadline (see [`Budget`]) turn it into an anytime
-//! algorithm, with [`SolveOutcome::optimal`] reporting whether the
-//! tree was exhausted and [`SolveOutcome::gap`] bounding how far the
-//! returned incumbent can be from the optimum.
+//! The search is exact; the solver's node cap
+//! ([`BranchBound::max_nodes`]) and the caller's optional wall-clock
+//! deadline (see [`Budget`]) turn it into an anytime algorithm, with
+//! [`SolveOutcome::optimal`] reporting whether the tree was exhausted
+//! and [`SolveOutcome::gap`] bounding how far the returned incumbent
+//! can be from the optimum.
 
 use std::time::Instant;
 
@@ -44,31 +45,29 @@ const COST_EPS: f64 = 1e-9;
 /// (microseconds-to-milliseconds).
 const CHECK_INTERVAL: u64 = 1024;
 
-/// A shared anytime budget for one solve: an optional absolute
-/// wall-clock deadline and a node cap. The deadline is checked every
-/// 1024 nodes; when either limit trips, the search returns its best
-/// incumbent so far (flagged non-optimal, with an optimality gap
-/// attached) instead of running to exhaustion.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The caller's anytime budget for one solve: an optional absolute
+/// wall-clock deadline, checked every 1024 nodes. When it passes, the
+/// search returns its best incumbent so far (flagged non-optimal, with
+/// an optimality gap attached) instead of running to exhaustion. The
+/// node cap is the solver's, [`BranchBound::max_nodes`]. The default
+/// is [`Budget::unlimited`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Budget {
     /// Absolute instant after which the search must stop. `None`
     /// disables the wall-clock limit.
     pub deadline: Option<Instant>,
-    /// Node cap for this solve, combined (min) with the solver's own
-    /// configured cap. `u64::MAX` disables it.
-    pub max_nodes: u64,
 }
 
 impl Budget {
-    /// No limits: the solve runs to proven optimality or exhaustion of
-    /// the solver's own configured node cap.
+    /// No deadline: the solve runs to proven optimality or to the
+    /// solver's node cap.
     pub fn unlimited() -> Self {
-        Budget { deadline: None, max_nodes: u64::MAX }
+        Budget { deadline: None }
     }
 
-    /// A wall-clock-only budget expiring at `deadline`.
+    /// A budget expiring at `deadline`.
     pub fn with_deadline(deadline: Instant) -> Self {
-        Budget { deadline: Some(deadline), max_nodes: u64::MAX }
+        Budget { deadline: Some(deadline) }
     }
 
     /// True when the wall-clock deadline has already passed.
@@ -77,19 +76,13 @@ impl Budget {
     }
 }
 
-impl Default for Budget {
-    fn default() -> Self {
-        Budget::unlimited()
-    }
-}
-
 /// Configuration of the exact branch-and-bound solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchBound {
     /// Maximum number of search-tree nodes to expand before returning
-    /// the best incumbent found so far (anytime mode). The default is
-    /// large enough that every instance in the paper's parameter range
-    /// solves to proven optimality.
+    /// the best incumbent found so far (anytime mode): the solve's only
+    /// node cap. A node-capped result is a deterministic function of
+    /// the instance, the warm incumbent and this cap.
     pub max_nodes: u64,
 }
 
@@ -194,8 +187,8 @@ impl BranchBound {
     /// Solve with full status reporting, optionally seeded with a warm
     /// incumbent (e.g. the previous eviction round's repaired optimum)
     /// and bounded by `budget`: the search stops at `budget.deadline`
-    /// or after `budget.max_nodes` nodes, returning the best incumbent
-    /// found so far with an optimality gap.
+    /// or after [`BranchBound::max_nodes`] nodes, returning the best
+    /// incumbent found so far with an optimality gap.
     ///
     /// An infeasible or wrong-shaped warm assignment is silently
     /// ignored, so callers can pass whatever the repair produced
@@ -246,8 +239,7 @@ impl BranchBound {
         };
 
         // The DFS, from the seed.
-        let mut search =
-            Searcher::new(inst, &tables, self.max_nodes.min(budget.max_nodes), budget.deadline);
+        let mut search = Searcher::new(inst, &tables, self.max_nodes, budget.deadline);
         if let Some((assignment, cost, source)) = seed {
             search.install_incumbent(assignment.as_slice().to_vec(), cost, source);
         }
@@ -648,8 +640,8 @@ mod tests {
         assert_eq!(heuristics::seed_incumbent(&i), None);
         let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
         assert_eq!(opt, 12.0);
-        let truncated = Budget { deadline: None, max_nodes: 1 };
-        match BranchBound::default().solve_status_with_budget(&i, None, &truncated) {
+        let truncated = BranchBound { max_nodes: 1 };
+        match truncated.solve_status_with_budget(&i, None, &Budget::unlimited()) {
             SolveStatus::Unknown { .. } => {}
             other => panic!("expected Unknown, got {other:?}"),
         }
@@ -762,9 +754,9 @@ mod tests {
         // Node caps (unlike wall-clock deadlines) are reproducible:
         // two identical solves must agree bit for bit.
         let i = structured(25, 4, 25.0, 1e6);
-        let budget = Budget { deadline: None, max_nodes: 100 };
-        let a = BranchBound::default().solve_status_with_budget(&i, None, &budget);
-        let b = BranchBound::default().solve_status_with_budget(&i, None, &budget);
+        let bb = BranchBound { max_nodes: 100 };
+        let a = bb.solve_status_with_budget(&i, None, &Budget::unlimited());
+        let b = bb.solve_status_with_budget(&i, None, &Budget::unlimited());
         assert_eq!(a, b);
     }
 

@@ -25,8 +25,9 @@
 //! unlimited shorthand), which reads top to bottom: root certificates
 //! (Hungarian infeasibility cut, warm-incumbent certificate, seed
 //! certificate), the heuristic seed, the depth-first search under the
-//! anytime [`Budget`], and the status (canonical cost, lower bound and
-//! gap, [`branch_bound::SolveStatus`]).
+//! solver's node cap ([`BranchBound::max_nodes`]) and the caller's
+//! deadline ([`Budget`]), and the status (canonical cost, lower bound
+//! and gap, [`branch_bound::SolveStatus`]).
 //!
 //! ## Quick example
 //!

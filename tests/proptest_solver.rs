@@ -139,7 +139,7 @@ proptest! {
     }
 
     /// Gap soundness against the brute-force oracle: under any node
-    /// budget, a feasible outcome's reported bracket must contain the
+    /// cap, a feasible outcome's reported bracket must contain the
     /// true optimum — `lower_bound ≤ optimum ≤ incumbent cost` — and
     /// the gap must match its definition.
     #[test]
@@ -148,8 +148,8 @@ proptest! {
         max_nodes in prop_oneof![Just(0u64), Just(1), Just(4), Just(32), Just(u64::MAX)],
     ) {
         let oracle = brute::solve(&inst).expect("small instances enumerate");
-        let budget = Budget { deadline: None, max_nodes };
-        match BranchBound::default().solve_status_with_budget(&inst, None, &budget) {
+        let solver = BranchBound { max_nodes };
+        match solver.solve_status_with_budget(&inst, None, &Budget::unlimited()) {
             SolveStatus::Optimal(o) => {
                 let (_, opt) = oracle.expect("solver proved feasibility");
                 prop_assert!((o.cost - opt).abs() < 1e-9);
@@ -170,7 +170,7 @@ proptest! {
             SolveStatus::Infeasible { .. } => {
                 prop_assert!(oracle.is_none(), "solver claimed infeasible, oracle disagrees");
             }
-            SolveStatus::Unknown { .. } => {} // budget too small to say anything
+            SolveStatus::Unknown { .. } => {} // cap too small to say anything
         }
     }
 
