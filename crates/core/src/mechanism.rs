@@ -13,7 +13,7 @@
 
 use crate::reputation::ReputationEngine;
 use crate::scenario::FormationScenario;
-use crate::solve_cache::{solve_key, CachedSolve, NoCache, SolveCache};
+use crate::solve_cache::{round_key, CachedSolve, NoCache, SolveCache};
 use crate::vo::{FormationOutcome, IterationRecord, VoRecord};
 use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
@@ -137,8 +137,12 @@ impl Mechanism {
     /// anytime [`Budget`] shared by every per-round solve.
     ///
     /// Every per-round solve first consults `cache` under
-    /// [`solve_key`] (instance content hash ⊕ warm incumbent); misses
-    /// are solved and stored. Because the key covers the full solver
+    /// [`round_key`]: the scenario instance's canonical hash (computed
+    /// once per call), the round's member ids and the carried warm
+    /// start (previous assignment and evicted local index) or a cold
+    /// tag. A hit costs only that key; the reduced instance is built,
+    /// the carry repaired and the IP solved only after a miss, and the
+    /// result is stored. Because the key determines the full solver
     /// input and the solvers are deterministic, a cached run is
     /// **trace-identical** to an uncached one — same assignments,
     /// costs, `nodes` and `incumbent_source` telemetry — except for
@@ -161,6 +165,7 @@ impl Mechanism {
         budget: &Budget,
     ) -> Result<FormationOutcome> {
         let started = Instant::now();
+        let pool = scenario.instance().canonical_hash();
         let mut members: Vec<usize> = (0..scenario.gsp_count()).collect();
         let mut iterations = Vec::new();
         let mut feasible_vos: Vec<VoRecord> = Vec::new();
@@ -186,7 +191,7 @@ impl Mechanism {
                     .map(|local| (prev_assignment, local)),
                 _ => None,
             };
-            let report = self.solve_vo(scenario, &members, warm_seed, cache, budget);
+            let report = self.solve_vo(scenario, pool, &members, warm_seed, cache, budget);
             let solve_seconds = solve_started.elapsed().as_secs_f64();
 
             let rep_start: Option<Vec<f64>> = match (&prev_reputation, self.config.warm_start) {
@@ -302,16 +307,26 @@ impl Mechanism {
     /// Solve the IP for a candidate VO, optionally warm-started with
     /// the previous round's assignment (`carry` = that assignment plus
     /// the evicted member's local index within the previous VO), going
-    /// through the memo table first.
+    /// through the memo table first under [`round_key`] (`pool` is the
+    /// scenario instance's canonical hash).
     fn solve_vo(
         &self,
         scenario: &FormationScenario,
+        pool: u64,
         members: &[usize],
         carry: Option<(&gridvo_solver::Assignment, usize)>,
         cache: &mut dyn SolveCache,
         budget: &Budget,
     ) -> CachedSolve {
-        let Some(inst): Option<AssignmentInstance> = scenario.instance_for(members) else {
+        // A VO that cannot host the program is infeasible without a
+        // solve, so it is neither looked up nor stored. A hit needs
+        // only the key: the reduced instance and the repaired warm
+        // incumbent are built after a miss.
+        let key = scenario.can_host(members.len()).then(|| round_key(pool, members, carry));
+        if let Some(hit) = key.and_then(|key| cache.lookup(key)) {
+            return hit;
+        }
+        let Some((key, inst)) = key.zip(scenario.instance_for(members)) else {
             return CachedSolve {
                 solved: None,
                 nodes: 0,
@@ -323,19 +338,15 @@ impl Mechanism {
         };
         let warm =
             carry.and_then(|(prev, evicted)| repair::repair_after_eviction(prev, evicted, &inst));
+        let solve = CachedSolve {
+            members: members.to_vec(),
+            ..self.solve_instance(&inst, warm.as_ref(), budget)
+        };
         // The wall-clock deadline is not part of the key: it makes
         // results non-reproducible, so deadline-hit solves are simply
         // never stored. Cached entries from unlimited runs remain valid
         // answers under any deadline — serving a cached proven optimum
         // early is strictly better than truncating a fresh search.
-        let key = solve_key(&inst, warm.as_ref());
-        if let Some(hit) = cache.lookup(key) {
-            return hit;
-        }
-        let solve = CachedSolve {
-            members: members.to_vec(),
-            ..self.solve_instance(&inst, warm.as_ref(), budget)
-        };
         // Without a deadline every result (including node-cap
         // truncation and Unknown) is a deterministic function of the
         // key and the solver configuration. With one armed, anything

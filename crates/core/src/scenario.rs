@@ -89,12 +89,19 @@ impl FormationScenario {
         self.instance.deadline()
     }
 
+    /// Whether a VO of `size` members can possibly host the program:
+    /// it is non-empty and has no more members than tasks (with more,
+    /// constraint (13) is infeasible).
+    pub(crate) fn can_host(&self, size: usize) -> bool {
+        size > 0 && size <= self.instance.tasks()
+    }
+
     /// The IP a candidate VO (given by global GSP indices) faces.
     /// Returns `None` when the VO cannot possibly host the program
     /// (fewer tasks than members — constraint (13) infeasible — or an
     /// empty member list).
     pub fn instance_for(&self, members: &[usize]) -> Option<AssignmentInstance> {
-        if members.is_empty() || self.instance.tasks() < members.len() {
+        if !self.can_host(members.len()) {
             return None;
         }
         self.instance.restrict_gsps(members).ok()

@@ -10,15 +10,30 @@
 //!
 //! ## Keying
 //!
-//! The key ([`solve_key`]) combines
-//! [`AssignmentInstance::canonical_hash`] — a canonical, field-order-
-//! independent content hash of the reduced IP — with a hash of the
-//! warm incumbent seeded into the solve (if any). Including the warm
-//! seed keeps cached replays *bit-identical* to fresh runs: an exact
-//! solver always returns an optimal cost regardless of its incumbent,
-//! but with multiple cost-ties the *assignment* it lands on (and the
-//! `nodes` / `incumbent_source` telemetry) can depend on the seed, so
-//! two solves only share a cache slot when their entire input matches.
+//! A round's key ([`round_key`]) is built without the reduced IP, so a
+//! hit costs one key and a lookup. It combines
+//!
+//! * the pool's [`AssignmentInstance::canonical_hash`] — a canonical,
+//!   field-order-independent content hash of the scenario's whole
+//!   cost/time instance, computed once per formation run;
+//! * the round's member ids, in VO order (the columns the reduced IP
+//!   keeps);
+//! * the carried warm start — the previous round's assignment and the
+//!   evicted member's local index within the previous VO — or a cold
+//!   tag.
+//!
+//! Together these determine the whole solver input: the reduced
+//! instance is a function of the pool's content and the member
+//! columns, and the warm incumbent is the carry repaired against that
+//! instance. So cached replays stay *bit-identical* to fresh runs
+//! (with cost-ties the *assignment* an exact solver lands on, and the
+//! `nodes` / `incumbent_source` telemetry, can depend on its seed).
+//! The carry enters the key as content, not as the previous round's
+//! key: a deadline-truncated round is never stored, and its assignment
+//! is not a function of its key. The price is sharing: equal reduced
+//! inputs reached through another carry or another pool no longer
+//! share a slot.
+//!
 //! The solver configuration is not part of the key, so one cache
 //! serves one configuration (the daemon's serves the default
 //! [`gridvo_solver::BranchBound`]); the node cap is that
@@ -27,9 +42,11 @@
 //! Because the key is derived purely from solver inputs, reputation /
 //! trust state is invisible to it: trust-only registry updates
 //! invalidate **nothing** solver-side.
+//!
+//! [`AssignmentInstance::canonical_hash`]: gridvo_solver::AssignmentInstance::canonical_hash
 
 use gridvo_solver::instance::Fnv1a;
-use gridvo_solver::{Assignment, AssignmentInstance};
+use gridvo_solver::Assignment;
 
 /// One memoized IP solve: exactly the data the formation driver
 /// consumes from a solver run.
@@ -44,11 +61,10 @@ pub struct CachedSolve {
     /// Relative optimality gap of the original solve (`Some(0.0)` when
     /// proven optimal; positive when a node cap truncated it).
     pub gap: Option<f64>,
-    /// Global ids of the candidate VO the solve was for. Not part of
-    /// the key — the instance content hash already covers the member
-    /// columns — but carried so cache owners can *target* eviction at
-    /// entries whose member set includes a given GSP instead of
-    /// flushing everything.
+    /// Global ids of the candidate VO the solve was for. The key hashes
+    /// the same ids, but only a tag can be read back, so cache owners
+    /// can *target* eviction at entries whose member set includes a
+    /// given GSP instead of flushing everything.
     pub members: Vec<usize>,
     /// Registry epoch the solve ran against. Like `members`, not part
     /// of the key: cache owners use it to *age* eviction — a mutation
@@ -60,7 +76,7 @@ pub struct CachedSolve {
     pub epoch: u64,
 }
 
-/// A memo table for exact IP solves, keyed by [`solve_key`].
+/// A memo table for exact IP solves, keyed by [`round_key`].
 ///
 /// Implementations decide storage, capacity and eviction; the driver
 /// only promises that anything it `store`s under a key is a valid
@@ -76,7 +92,8 @@ pub trait SolveCache {
 
 /// The no-op cache: every lookup misses, every store is dropped.
 /// [`crate::mechanism::Mechanism::run`] uses this — plain library
-/// calls pay zero caching overhead.
+/// calls pay only the key hashing (one pool hash per run, one short
+/// key per round).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoCache;
 
@@ -87,22 +104,30 @@ impl SolveCache for NoCache {
     fn store(&mut self, _key: u64, _value: &CachedSolve) {}
 }
 
-/// Cache key of one exact solve: the instance's canonical content
-/// hash combined with the warm incumbent (task → local-GSP vector)
-/// seeded into the search, or a distinct tag when the solve is cold.
+/// Cache key of one round's exact solve: the pool's canonical content
+/// hash `pool`, the round's `members` (ids into that pool, in VO
+/// order), and the `carry` seeded into the search — the previous
+/// round's assignment (task → local GSP of the previous VO) and the
+/// evicted member's local index — or a distinct tag when the solve is
+/// cold.
 ///
 /// The solver configuration (its node cap included) is not part of the
 /// key: one cache serves one solver configuration, as the daemon's
 /// does. Wall-clock deadlines are deliberately *not* part of the key
 /// either: deadline-truncated results are not reproducible, so
 /// formation never stores them.
-pub fn solve_key(inst: &AssignmentInstance, warm: Option<&Assignment>) -> u64 {
+pub fn round_key(pool: u64, members: &[usize], carry: Option<(&Assignment, usize)>) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(inst.canonical_hash());
-    match warm {
-        Some(a) => {
+    h.write_u64(pool);
+    h.write_u64(members.len() as u64);
+    for &m in members {
+        h.write_u64(m as u64);
+    }
+    match carry {
+        Some((prev, evicted)) => {
             h.write(b"warm");
-            for &g in a.as_slice() {
+            h.write_u64(evicted as u64);
+            for &g in prev.as_slice() {
                 h.write_u64(g as u64);
             }
         }
@@ -114,13 +139,14 @@ pub fn solve_key(inst: &AssignmentInstance, warm: Option<&Assignment>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridvo_solver::AssignmentInstance;
 
     fn inst() -> AssignmentInstance {
         AssignmentInstance::new(
             3,
-            2,
-            vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0],
-            vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+            3,
+            vec![1.0, 4.0, 2.0, 1.0, 3.0, 2.0, 2.0, 1.0, 3.0],
+            vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 1.0, 2.0],
             4.0,
             100.0,
         )
@@ -128,13 +154,23 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_keys_differ() {
-        let i = inst();
-        let warm = Assignment::new(vec![0, 1, 0]);
-        assert_ne!(solve_key(&i, None), solve_key(&i, Some(&warm)));
-        let other = Assignment::new(vec![0, 1, 1]);
-        assert_ne!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&other)));
-        assert_eq!(solve_key(&i, Some(&warm)), solve_key(&i, Some(&warm.clone())));
+    fn each_key_input_separates_keys() {
+        let pool = inst().canonical_hash();
+        let members = [0, 2];
+        let prev = Assignment::new(vec![0, 1, 2]);
+        let base = round_key(pool, &members, Some((&prev, 1)));
+        assert_eq!(base, round_key(pool, &members, Some((&prev.clone(), 1))));
+        // Cold and carried solves of the same round.
+        assert_ne!(base, round_key(pool, &members, None));
+        // The pool digest.
+        assert_ne!(base, round_key(pool ^ 1, &members, Some((&prev, 1))));
+        // One member id.
+        assert_ne!(base, round_key(pool, &[1, 2], Some((&prev, 1))));
+        // The evicted index.
+        assert_ne!(base, round_key(pool, &members, Some((&prev, 0))));
+        // One carried task.
+        let moved = Assignment::new(vec![0, 1, 0]);
+        assert_ne!(base, round_key(pool, &members, Some((&moved, 1))));
     }
 
     #[test]
@@ -154,11 +190,12 @@ mod tests {
 
     #[test]
     fn keys_keep_their_bytes() {
-        // Pinned values: a key change would orphan every stored cache
-        // line and every golden computed against it.
-        let i = inst();
-        let warm = Assignment::new(vec![0, 1, 0]);
-        assert_eq!(solve_key(&i, None), 0xb5f6_b244_0630_f172);
-        assert_eq!(solve_key(&i, Some(&warm)), 0xb156_ac3f_a722_94dc);
+        // Pinned values: a key change orphans every stored cache entry.
+        // Keys live only in memory (no journal, snapshot or wire line
+        // holds one), so a re-pin only empties a running cache.
+        let pool = inst().canonical_hash();
+        let prev = Assignment::new(vec![0, 1, 2]);
+        assert_eq!(round_key(pool, &[0, 2], None), 0x04ad_db37_b58b_3e05);
+        assert_eq!(round_key(pool, &[0, 2], Some((&prev, 1))), 0xd1ea_7709_1c06_c384);
     }
 }

@@ -9,11 +9,16 @@
 //! cache hit rate.
 //!
 //! Correctness needs no invalidation logic: the key
-//! ([`gridvo_core::solve_cache::solve_key`]) is a content hash of the
-//! full solver input, so any registry mutation that changes what a
-//! solve *means* (costs, times, membership) changes the key, while
-//! trust-only mutations — which the solver never sees — keep every
-//! entry valid. The capacity bound exists purely to bound memory.
+//! ([`gridvo_core::solve_cache::round_key`]) hashes the pool's content
+//! digest, the round's member ids and the carried warm start, which
+//! together determine the full solver input. Any registry mutation
+//! that changes what a solve *means* (costs, times, membership)
+//! changes the pool digest and so every key, while trust-only
+//! mutations — which the solver never sees — keep every entry valid.
+//! Entries stored before a pool change (an `add_gsp`, say) are never
+//! looked up again and age out of the LRU, and equal reduced inputs
+//! reached through another carry or another pool do not share a slot.
+//! The capacity bound exists purely to bound memory.
 //!
 //! Eviction on trust / receipt mutations is therefore a *hygiene*
 //! concern, and a doubly narrow one: each entry is tagged with the

@@ -24,10 +24,11 @@
 //!   serial replay of the acked mutation order);
 //! * [`cache::SharedSolveCache`] — a bounded, shared memo table for
 //!   the per-round exact IP solves, keyed by
-//!   [`gridvo_core::solve_cache::solve_key`]. Repeated or overlapping
-//!   formation requests against an unchanged registry replay
-//!   branch-and-bound results bit-identically; trust-only updates
-//!   invalidate nothing (the key covers solver inputs only);
+//!   [`gridvo_core::solve_cache::round_key`] (pool digest, member ids,
+//!   carried warm start). Repeated formation requests against an
+//!   unchanged registry replay branch-and-bound results
+//!   bit-identically at the cost of one key per round; trust-only
+//!   updates invalidate nothing (the key covers solver inputs only);
 //! * [`server`] — a bounded job queue drained by a `std::thread`
 //!   worker pool (each solve single-threaded), with admission
 //!   control: a full queue sheds load with a typed

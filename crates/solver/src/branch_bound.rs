@@ -424,11 +424,13 @@ impl<'a> Searcher<'a> {
         if self.truncated {
             return;
         }
-        self.nodes += 1;
-        if self.nodes > self.budget {
+        // The cap is checked before the node is counted, so `nodes`
+        // counts expanded nodes only and a capped search reports the cap.
+        if self.nodes >= self.budget {
             self.truncated = true;
             return;
         }
+        self.nodes += 1;
         if self.nodes.is_multiple_of(CHECK_INTERVAL)
             && self.deadline.is_some_and(|d| Instant::now() >= d)
         {
@@ -625,18 +627,22 @@ mod tests {
         assert_eq!(solve(&broke, None), SolveStatus::Infeasible { nodes: 0 });
     }
 
-    #[test]
-    fn budget_truncation_reports_nonoptimal_or_unknown() {
-        // Feasible (optimum 12), but greedy-cost, min-min and sufferage
-        // all fail on it, so a truncated search has no incumbent at all.
-        let i = inst(
+    /// Feasible (optimum 12), but greedy-cost, min-min and sufferage
+    /// all fail on it, so a truncated search has no incumbent at all.
+    fn unseeded() -> AssignmentInstance {
+        inst(
             5,
             3,
             vec![9.0, 3.0, 6.0, 3.0, 7.0, 9.0, 6.0, 5.0, 1.0, 4.0, 1.0, 6.0, 3.0, 1.0, 3.0],
             vec![5.0, 1.0, 2.0, 6.0, 8.0, 7.0, 1.0, 6.0, 7.0, 2.0, 5.0, 3.0, 6.0, 7.0, 9.0],
             9.0,
             13.0,
-        );
+        )
+    }
+
+    #[test]
+    fn budget_truncation_reports_nonoptimal_or_unknown() {
+        let i = unseeded();
         assert_eq!(heuristics::seed_incumbent(&i), None);
         let (_, opt) = crate::brute::solve(&i).unwrap().expect("feasible");
         assert_eq!(opt, 12.0);
@@ -648,6 +654,18 @@ mod tests {
         let o = BranchBound::default().solve(&i).expect("feasible");
         assert!(o.optimal);
         assert_eq!(o.cost, opt);
+    }
+
+    #[test]
+    fn a_capped_search_reports_the_nodes_it_expanded() {
+        // No heuristic seeds this instance, so the cap alone stops the
+        // search.
+        let i = unseeded();
+        for max_nodes in [1, 2, 5] {
+            let status =
+                BranchBound { max_nodes }.solve_status_with_budget(&i, None, &Budget::unlimited());
+            assert_eq!(status, SolveStatus::Unknown { nodes: max_nodes }, "cap {max_nodes}");
+        }
     }
 
     #[test]

@@ -194,11 +194,11 @@ impl AssignmentInstance {
     /// compare equal (negative zeros are normalized to `+0.0` first,
     /// matching `==` on the entries).
     ///
-    /// This is the solve-cache key of the service layer: a repeated
-    /// formation request over an unchanged registry re-derives the
-    /// same reduced instances and therefore the same hashes, while
+    /// Over a scenario's whole instance, this is the pool digest in the
+    /// formation driver's solve-cache key: a repeated formation request
+    /// over an unchanged registry hashes the same pool, while
     /// trust-only registry updates — which never touch cost/time
-    /// matrices — leave every hash intact.
+    /// matrices — leave the hash intact.
     pub fn canonical_hash(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write(b"gridvo.instance.v1");

@@ -17,13 +17,20 @@
 //! and the canonical re-costing of distinct optima can differ in the
 //! last few ulps. Node counts are checked per round: `warm nodes ≤ cold
 //! nodes`.
+//!
+//! The same file holds the solve cache's transparency property: a run
+//! through a cache shared with other runs, pools and sub-pools equals
+//! its uncached run exactly.
 
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
+use gridvo_core::solve_cache::{CachedSolve, NoCache, SolveCache};
 use gridvo_core::{FormationOutcome, FormationScenario, Gsp};
+use gridvo_solver::branch_bound::Budget;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::TrustGraph;
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Random scenario: 2–5 GSPs, gsps..(gsps+6) tasks, random matrices,
 /// payment generous enough that feasibility varies with the deadline
@@ -121,8 +128,98 @@ fn assert_trace_equivalent(
     Ok(())
 }
 
+/// An unsalted, unbounded in-memory solve cache that counts its hits.
+#[derive(Default)]
+struct MapCache {
+    map: HashMap<u64, CachedSolve>,
+    hits: usize,
+}
+
+impl SolveCache for MapCache {
+    fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
+        let hit = self.map.get(&key).cloned();
+        self.hits += usize::from(hit.is_some());
+        hit
+    }
+    fn store(&mut self, key: u64, value: &CachedSolve) {
+        self.map.insert(key, value.clone());
+    }
+}
+
+/// A pool of the same shape as `s` whose content differs: task 0
+/// costs half as much on every GSP, so each feasible round's cost
+/// moves while every member list and carry can recur.
+fn repriced(s: &FormationScenario) -> FormationScenario {
+    let inst = s.instance();
+    let (n, m) = (inst.tasks(), inst.gsps());
+    let mut cost = Vec::with_capacity(n * m);
+    let mut time = Vec::with_capacity(n * m);
+    for t in 0..n {
+        for g in 0..m {
+            cost.push(if t == 0 { inst.cost(t, g) / 2.0 } else { inst.cost(t, g) });
+            time.push(inst.time(t, g));
+        }
+    }
+    let inst = AssignmentInstance::new(n, m, cost, time, inst.deadline(), inst.payment())
+        .expect("valid instance");
+    FormationScenario::new(s.gsps().to_vec(), s.trust().clone(), inst).expect("same shape")
+}
+
+/// One formation over the sub-pool `free` (`None` = the whole pool),
+/// through `cache`, with wall-clock timings zeroed.
+fn form(
+    mech: &Mechanism,
+    s: &FormationScenario,
+    free: Option<&[usize]>,
+    seed: u64,
+    cache: &mut dyn SolveCache,
+) -> Option<FormationOutcome> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let budget = Budget::unlimited();
+    let mut outcome = match free {
+        Some(free) => {
+            mech.run_on_free_pool(s, free, &mut rng, cache, &budget).expect("sub-pool run")
+        }
+        None => Some(mech.run_cached_with_budget(s, &mut rng, cache, &budget).expect("run")),
+    };
+    if let Some(o) = outcome.as_mut() {
+        o.zero_timings();
+    }
+    outcome
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(110))]
+
+    /// Cache transparency: TVOF and RVOF, warm and cold, over several
+    /// seeds, on two same-shape pools and one sub-pool, all share one
+    /// cache, and every run equals its uncached run exactly. Equal
+    /// member lists recur across seeds, mechanisms, configs and pools
+    /// with different carries and pool contents, so a key that missed
+    /// any input the solver sees would serve a wrong replay.
+    #[test]
+    fn cached_runs_equal_uncached_runs(s in scenario_strategy(), seed in 0u64..1000) {
+        let other = repriced(&s);
+        let free: Vec<usize> = (1..s.gsp_count()).collect();
+        let runs: [(&FormationScenario, Option<&[usize]>); 3] =
+            [(&s, None), (&other, None), (&s, Some(&free))];
+        let mut cache = MapCache::default();
+        for warm_start in [true, false] {
+            let config = FormationConfig { warm_start, ..Default::default() };
+            for mech in [Mechanism::tvof(config), Mechanism::rvof(config)] {
+                for seed in seed..seed + 3 {
+                    for &(pool, free) in &runs {
+                        let cached = form(&mech, pool, free, seed, &mut cache);
+                        let uncached = form(&mech, pool, free, seed, &mut NoCache);
+                        prop_assert_eq!(cached, uncached, "warm {} seed {} sub-pool {:?}",
+                            warm_start, seed, free);
+                    }
+                }
+            }
+        }
+        // Every grand-coalition round after the first is a hit.
+        prop_assert!(cache.hits > 0, "the shared cache never served a replay");
+    }
 
     /// TVOF: full differential equivalence plus the per-round node
     /// inequality.
