@@ -138,7 +138,7 @@ impl Mechanism {
     ///
     /// Every per-round solve first consults `cache` under
     /// [`round_key`]: the scenario instance's canonical hash (computed
-    /// once per call), the round's member ids and the carried warm
+    /// once per scenario), the round's member ids and the carried warm
     /// start (previous assignment and evicted local index) or a cold
     /// tag. A hit costs only that key; the reduced instance is built,
     /// the carry repaired and the IP solved only after a miss, and the
@@ -165,7 +165,7 @@ impl Mechanism {
         budget: &Budget,
     ) -> Result<FormationOutcome> {
         let started = Instant::now();
-        let pool = scenario.instance().canonical_hash();
+        let pool = scenario.pool_digest();
         let mut members: Vec<usize> = (0..scenario.gsp_count()).collect();
         let mut iterations = Vec::new();
         let mut feasible_vos: Vec<VoRecord> = Vec::new();

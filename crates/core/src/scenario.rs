@@ -1,6 +1,8 @@
 //! The input to a formation run: GSPs, trust, and the grand-coalition
 //! assignment instance.
 
+use std::sync::OnceLock;
+
 use crate::gsp::Gsp;
 use crate::{CoreError, Result};
 use gridvo_solver::AssignmentInstance;
@@ -21,6 +23,11 @@ pub struct FormationScenario {
     gsps: Vec<Gsp>,
     trust: TrustGraph,
     instance: AssignmentInstance,
+    /// `instance`'s canonical hash, computed on first use: a daemon
+    /// snapshot serves many formations over one pool. Lazy, because
+    /// every registry write builds a scenario that may never form.
+    #[serde(skip)]
+    pool_digest: OnceLock<u64>,
 }
 
 /// Serde shadow: deserialization re-runs the cross-shape validation,
@@ -51,7 +58,7 @@ impl FormationScenario {
         if instance.gsps() != m {
             return Err(CoreError::ShapeMismatch { context: "instance columns vs GSP count" });
         }
-        Ok(FormationScenario { gsps, trust, instance })
+        Ok(FormationScenario { gsps, trust, instance, pool_digest: OnceLock::new() })
     }
 
     /// Number of GSPs `m`.
@@ -77,6 +84,13 @@ impl FormationScenario {
     /// The grand-coalition assignment instance.
     pub fn instance(&self) -> &AssignmentInstance {
         &self.instance
+    }
+
+    /// The pool digest that keys every round's solve
+    /// ([`AssignmentInstance::canonical_hash`] of
+    /// [`FormationScenario::instance`]), computed once per scenario.
+    pub(crate) fn pool_digest(&self) -> u64 {
+        *self.pool_digest.get_or_init(|| self.instance.canonical_hash())
     }
 
     /// The payment `P`.
@@ -126,7 +140,7 @@ impl FormationScenario {
         let trust = self.trust_for(ids).ok()?;
         let gsps =
             ids.iter().enumerate().map(|(k, &g)| Gsp::new(k, self.gsps[g].speed_gflops)).collect();
-        Some(FormationScenario { gsps, trust, instance })
+        Some(FormationScenario { gsps, trust, instance, pool_digest: OnceLock::new() })
     }
 }
 
@@ -226,6 +240,20 @@ mod tests {
         let full = pool(4);
         assert!(full.restrict(&[]).is_none());
         assert!(full.restrict(&[0, 9]).is_none());
+    }
+
+    #[test]
+    fn the_pool_digest_memo_stays_off_the_wire() {
+        let scenario = pool(4);
+        let before = serde_json::to_string(&scenario).unwrap();
+        let digest = scenario.pool_digest();
+        assert_eq!(digest, scenario.instance().canonical_hash());
+        assert_eq!(serde_json::to_string(&scenario).unwrap(), before, "the memo is not serialized");
+        assert!(!before.contains("pool_digest") && !before.contains(&digest.to_string()));
+        let back: FormationScenario = serde_json::from_str(&before).unwrap();
+        assert_eq!(back.pool_digest(), digest);
+        let sub = scenario.restrict(&[0, 2, 3]).unwrap();
+        assert_eq!(sub.pool_digest(), sub.instance().canonical_hash());
     }
 
     #[test]

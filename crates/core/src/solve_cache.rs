@@ -15,7 +15,8 @@
 //!
 //! * the pool's [`AssignmentInstance::canonical_hash`] — a canonical,
 //!   field-order-independent content hash of the scenario's whole
-//!   cost/time instance, computed once per formation run;
+//!   cost/time instance, computed once per scenario and memoized in
+//!   it (a daemon snapshot hashes its pool on its first formation);
 //! * the round's member ids, in VO order (the columns the reduced IP
 //!   keeps);
 //! * the carried warm start — the previous round's assignment and the

@@ -3,10 +3,10 @@
 //! A bounded **LRU** memo table behind an `Arc<Mutex<…>>`,
 //! implementing [`SolveCache`] so worker threads can hand it straight
 //! to [`gridvo_core::Mechanism::run_cached_with_budget`]. Hits and
-//! re-stores refresh an entry's recency, so a standing program's hot
-//! solves survive a churn of one-off requests that plain FIFO would
-//! let evict them. Hit / miss counters feed the metrics snapshot's
-//! cache hit rate.
+//! re-stores refresh an entry's recency, in O(1) however many entries
+//! are resident, so a standing program's hot solves survive a churn of
+//! one-off requests that plain FIFO would let evict them. Hit / miss
+//! counters feed the metrics snapshot's cache hit rate.
 //!
 //! Correctness needs no invalidation logic: the key
 //! ([`gridvo_core::solve_cache::round_key`]) hashes the pool's content
@@ -36,29 +36,78 @@
 //! differential guarantee: cached and uncached daemons stay
 //! byte-identical across interleaved mutations and formations.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gridvo_core::solve_cache::{CachedSolve, SolveCache};
 
-#[derive(Debug, Default)]
+/// The null link of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident solve, linked into the recency list.
+#[derive(Debug)]
+struct Node {
+    key: u64,
+    solve: CachedSolve,
+    prev: usize,
+    next: usize,
+}
+
+/// The LRU table: a map from key to node, and the nodes in one
+/// doubly linked recency list threaded through `nodes` by index, least
+/// recent at `head`. A hit or a store moves one node to the tail and
+/// an eviction unlinks the head, so recency costs O(1) per use and a
+/// hit hashes its key once. A dropped node goes on `free` for reuse
+/// (keeping its solve until then), so `nodes` never outgrows the
+/// capacity plus one.
+#[derive(Debug)]
 struct Inner {
-    map: HashMap<u64, CachedSolve>,
-    /// Recency order, least-recently-used at the front. Touch cost is
-    /// O(len) — negligible against the solves the cache memoizes.
-    order: VecDeque<u64>,
+    map: HashMap<u64, usize>,
+    nodes: Vec<Node>,
+    free: Vec<usize>,
+    head: usize,
+    tail: usize,
     capacity: usize,
     hits: u64,
     misses: u64,
 }
 
 impl Inner {
-    /// Move `key` to the most-recently-used position.
-    fn touch(&mut self, key: u64) {
-        if let Some(pos) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(pos);
+    fn unlink(&mut self, at: usize) {
+        let Node { prev, next, .. } = self.nodes[at];
+        match prev {
+            NIL => self.head = next,
+            prev => self.nodes[prev].next = next,
         }
-        self.order.push_back(key);
+        match next {
+            NIL => self.tail = prev,
+            next => self.nodes[next].prev = prev,
+        }
+    }
+
+    /// Link the unlinked node `at` in as the most recently used.
+    fn push_back(&mut self, at: usize) {
+        (self.nodes[at].prev, self.nodes[at].next) = (self.tail, NIL);
+        match self.tail {
+            NIL => self.head = at,
+            tail => self.nodes[tail].next = at,
+        }
+        self.tail = at;
+    }
+
+    /// Make the resident node `at` the most recently used.
+    fn refresh(&mut self, at: usize) {
+        if at != self.tail {
+            self.unlink(at);
+            self.push_back(at);
+        }
+    }
+
+    /// Unlink the resident node `at` and free it.
+    fn drop_node(&mut self, at: usize) {
+        self.unlink(at);
+        self.map.remove(&self.nodes[at].key);
+        self.free.push(at);
     }
 }
 
@@ -91,7 +140,16 @@ impl SharedSolveCache {
     /// every lookup misses and nothing is stored).
     pub fn new(capacity: usize) -> Self {
         SharedSolveCache {
-            inner: Arc::new(Mutex::new(Inner { capacity, ..Inner::default() })),
+            inner: Arc::new(Mutex::new(Inner {
+                map: HashMap::new(),
+                nodes: Vec::new(),
+                free: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                capacity,
+                hits: 0,
+                misses: 0,
+            })),
             stamp: 0,
         }
     }
@@ -102,9 +160,17 @@ impl SharedSolveCache {
         SharedSolveCache { inner: Arc::clone(&self.inner), stamp: epoch }
     }
 
+    /// The table. Nothing that runs under its lock panics (it only
+    /// relinks indices it holds and allocates), so a poisoned lock
+    /// leaves a valid table and is recovered rather than failing every
+    /// later formation.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats { hits: inner.hits, misses: inner.misses, entries: inner.map.len() }
     }
 
@@ -115,62 +181,69 @@ impl SharedSolveCache {
     /// post-mutation state — resident. Returns how many entries were
     /// dropped.
     pub fn invalidate_members(&self, touched: &[usize], before_epoch: u64) -> usize {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        let doomed: Vec<u64> = inner
-            .map
-            .iter()
-            .filter(|(_, v)| {
-                v.epoch < before_epoch && v.members.iter().any(|m| touched.contains(m))
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        for key in &doomed {
-            inner.map.remove(key);
-            if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                inner.order.remove(pos);
+        let mut inner = self.lock();
+        let (mut at, mut dropped) = (inner.head, 0);
+        while at != NIL {
+            let Node { solve, next, .. } = &inner.nodes[at];
+            let (next, stale) = (*next, solve.epoch < before_epoch);
+            if stale && solve.members.iter().any(|m| touched.contains(m)) {
+                inner.drop_node(at);
+                dropped += 1;
             }
+            at = next;
         }
-        doomed.len()
+        dropped
     }
 
     /// Drop everything (id-renumbering membership churn: the member
     /// tags can no longer address entries).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.map.clear();
-        inner.order.clear();
+        inner.nodes.clear();
+        inner.free.clear();
+        (inner.head, inner.tail) = (NIL, NIL);
     }
 }
 
 impl SolveCache for SharedSolveCache {
     fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        match inner.map.get(&key).cloned() {
-            Some(v) => {
-                inner.hits += 1;
-                inner.touch(key);
-                Some(v)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        let mut inner = self.lock();
+        let Some(&at) = inner.map.get(&key) else {
+            inner.misses += 1;
+            return None;
+        };
+        inner.hits += 1;
+        inner.refresh(at);
+        Some(inner.nodes[at].solve.clone())
     }
 
     fn store(&mut self, key: u64, value: &CachedSolve) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         if inner.capacity == 0 {
             return;
         }
-        let mut stored = value.clone();
-        stored.epoch = self.stamp;
-        inner.map.insert(key, stored);
-        inner.touch(key);
-        while inner.map.len() > inner.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
+        let solve = CachedSolve { epoch: self.stamp, ..value.clone() };
+        if let Some(&at) = inner.map.get(&key) {
+            inner.nodes[at].solve = solve;
+            return inner.refresh(at);
+        }
+        let node = Node { key, solve, prev: NIL, next: NIL };
+        let at = match inner.free.pop() {
+            Some(at) => {
+                inner.nodes[at] = node;
+                at
             }
+            None => {
+                inner.nodes.push(node);
+                inner.nodes.len() - 1
+            }
+        };
+        inner.map.insert(key, at);
+        inner.push_back(at);
+        if inner.map.len() > inner.capacity {
+            let lru = inner.head;
+            inner.drop_node(lru);
         }
     }
 }
@@ -178,6 +251,8 @@ impl SolveCache for SharedSolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn entry(nodes: u64) -> CachedSolve {
         CachedSolve {
@@ -304,6 +379,116 @@ mod tests {
         // Capacity 2 with entry 1 gone: both 2 and 3 must fit.
         assert!(c.lookup(2).is_some());
         assert!(c.lookup(3).is_some());
+    }
+
+    /// The reference LRU: resident entries in recency order, least
+    /// recent first.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(u64, CachedSolve)>,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl Model {
+        fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
+            let Some(at) = self.entries.iter().position(|(k, _)| *k == key) else {
+                self.misses += 1;
+                return None;
+            };
+            self.hits += 1;
+            let used = self.entries.remove(at);
+            self.entries.push(used);
+            self.entries.last().map(|(_, v)| v.clone())
+        }
+
+        fn store(&mut self, key: u64, value: CachedSolve) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.entries.retain(|(k, _)| *k != key);
+            self.entries.push((key, value));
+            if self.entries.len() > self.capacity {
+                self.entries.remove(0);
+            }
+        }
+
+        fn invalidate(&mut self, touched: &[usize], before_epoch: u64) -> usize {
+            let resident = self.entries.len();
+            self.entries.retain(|(_, v)| {
+                v.epoch >= before_epoch || !v.members.iter().any(|m| touched.contains(m))
+            });
+            resident - self.entries.len()
+        }
+    }
+
+    #[derive(Debug)]
+    enum Op {
+        Lookup(u64),
+        Store { key: u64, epoch: u64, members: Vec<usize> },
+        Invalidate { touched: Vec<usize>, before_epoch: u64 },
+        Clear,
+    }
+
+    /// Mostly lookups and stores over 12 keys, so entries get reused,
+    /// refreshed and evicted; now and then an invalidation or a clear.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..100, 0u64..12, 0u64..5, collection::vec(0usize..5, 0..3)).prop_map(
+            |(roll, key, epoch, members)| match roll {
+                0..=44 => Op::Lookup(key),
+                45..=89 => Op::Store { key, epoch, members },
+                90..=97 => Op::Invalidate { touched: members, before_epoch: epoch },
+                _ => Op::Clear,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn the_cache_agrees_with_a_reference_lru(
+            capacity in 0usize..=8,
+            ops in collection::vec(op(), 0..120),
+        ) {
+            let cache = SharedSolveCache::new(capacity);
+            let mut model = Model { capacity, ..Model::default() };
+            for op in &ops {
+                match op {
+                    Op::Lookup(key) => {
+                        let found = cache.clone().lookup(*key);
+                        prop_assert_eq!(found, model.lookup(*key), "lookup {}", key);
+                    }
+                    Op::Store { key, epoch, members } => {
+                        let value = CachedSolve { epoch: *epoch, ..entry_for(*key, members.clone()) };
+                        cache.at_epoch(*epoch).store(*key, &value);
+                        model.store(*key, value);
+                    }
+                    Op::Invalidate { touched, before_epoch } => prop_assert_eq!(
+                        cache.invalidate_members(touched, *before_epoch),
+                        model.invalidate(touched, *before_epoch)
+                    ),
+                    Op::Clear => {
+                        cache.clear();
+                        model.entries.clear();
+                    }
+                }
+                // The recency list, least recent first, and the map
+                // hold exactly the model's entries in the model's order.
+                let inner = cache.lock();
+                let (mut order, mut at) = (Vec::new(), inner.head);
+                while at != NIL && order.len() <= inner.nodes.len() {
+                    order.push(inner.nodes[at].key);
+                    at = inner.nodes[at].next;
+                }
+                let expected: Vec<u64> = model.entries.iter().map(|(k, _)| *k).collect();
+                prop_assert_eq!(&order, &expected, "recency order after {:?}", op);
+                prop_assert!(order.iter().all(|k| inner.map.contains_key(k)));
+                prop_assert_eq!(inner.map.len(), expected.len());
+                prop_assert!(inner.nodes.len() <= capacity + 1);
+                prop_assert_eq!((inner.hits, inner.misses), (model.hits, model.misses));
+            }
+        }
     }
 
     #[test]

@@ -182,7 +182,8 @@ pub struct MetricsSnapshot {
     pub cache_hit_rate: f64,
     /// Time jobs spent queued before a worker picked them up.
     pub queue_wait_ms: HistogramSnapshot,
-    /// Time workers spent actually serving jobs.
+    /// Time workers spent actually serving jobs, including encoding
+    /// each reply line (workers hand the connection finished bytes).
     pub service_ms: HistogramSnapshot,
     /// Leases acquired by market formations.
     pub leases_acquired: u64,
@@ -300,7 +301,8 @@ impl Metrics {
         self.with(|m| m.queue_wait.record_ms(ms));
     }
 
-    /// Record how long a job took to serve once dequeued.
+    /// Record how long a job took to serve once dequeued, reply
+    /// encoding included.
     pub fn record_service_ms(&self, ms: f64) {
         self.with(|m| m.service_time.record_ms(ms));
     }

@@ -14,12 +14,18 @@
 //!   answered inline from the current [`EpochSnapshot`] without
 //!   taking any registry lock. Solve-bearing requests (`form`,
 //!   `form_batch`, `execute`, `ping`) are enqueued for the worker
-//!   pool and the connection streams reply lines off a per-job
-//!   channel — so one slow client never ties up a worker with I/O,
-//!   and a batch's per-seed lines go out as they are computed.
+//!   pool and the connection writes the wire lines it receives off a
+//!   per-job channel — so one slow client never ties up a worker with
+//!   I/O, and a batch's per-seed lines go out as they are computed.
+//!   Accepted streams read and write with the same 50 ms timeout: an
+//!   idle connection and one whose client stopped reading both notice
+//!   shutdown, and a write that times out resumes where it stopped.
 //! * **Workers** — `workers` threads popping the bounded queue
 //!   (Mutex + Condvar). Each solve is single-threaded; the pool is the
-//!   only place request-level concurrency happens.
+//!   only place request-level concurrency happens. A worker encodes
+//!   each reply into its wire line (JSON plus `\n`) where it builds
+//!   it, so the channel carries bytes and the connection thread only
+//!   writes them; inline replies are encoded on the connection thread.
 //!
 //! ## Snapshot consistency
 //!
@@ -135,10 +141,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued solve-bearing request. The worker sends one `Response`
-/// per reply line (a batch sends several) and drops the sender when
-/// the job is done; the connection thread streams until the channel
-/// closes.
+/// How often a connection thread wakes from a blocked read or write
+/// to check for shutdown.
+const POLL: Duration = Duration::from_millis(50);
+
+/// One queued solve-bearing request. The worker sends one wire line
+/// per reply (a batch sends several) and drops the sender when the job
+/// is done; the connection thread streams until the channel closes.
 struct Job {
     request: Request,
     enqueued: Instant,
@@ -146,7 +155,7 @@ struct Job {
     /// Market requests hold a per-application queue slot from
     /// admission until the worker finishes (or sheds) them.
     app: Option<String>,
-    reply: mpsc::Sender<Response>,
+    reply: mpsc::Sender<Vec<u8>>,
 }
 
 /// State shared by every thread of one server.
@@ -280,7 +289,7 @@ impl ServerHandle {
         // Flush any jobs the workers never picked up.
         let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
         while let Some(job) = queue.pop_front() {
-            let _ = job.reply.send(Response::Busy);
+            let _ = job.reply.send(wire_line(&Response::Busy));
         }
     }
 }
@@ -311,30 +320,57 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 /// How a dispatched request answers: one line, or a worker-fed stream
-/// of lines (each written and flushed as it arrives).
+/// of lines (each written as it arrives).
 enum Dispatched {
-    // Boxed: `Response` can carry a whole `FormationOutcome`, which
-    // would otherwise dwarf the `Stream` variant.
-    One(Box<Response>),
-    Stream(mpsc::Receiver<Response>),
+    One(Vec<u8>),
+    Stream(mpsc::Receiver<Vec<u8>>),
 }
 
 impl Dispatched {
+    /// An inline reply, encoded on the connection thread.
     fn one(response: Response) -> Self {
-        Dispatched::One(Box::new(response))
+        Dispatched::One(wire_line(&response))
     }
 }
 
-fn write_line(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    let mut wire = encode(response);
-    wire.push('\n');
-    writer.write_all(wire.as_bytes())?;
-    writer.flush()
+/// `response` as one wire line: its JSON and the newline.
+fn wire_line(response: &Response) -> Vec<u8> {
+    let mut line = encode(response);
+    line.push('\n');
+    line.into_bytes()
+}
+
+/// Write all of `line`. A write that times out (the client is not
+/// reading) resumes where it stopped, until the client drains it or
+/// shutdown is requested.
+fn write_line(writer: &mut TcpStream, mut line: &[u8], shared: &Shared) -> std::io::Result<()> {
+    while !line.is_empty() {
+        match writer.write(line) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(written) => line = &line[written..],
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) =>
+            {
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    return Err(e);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    // Short read timeout so the thread notices shutdown while idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // Short timeouts so the thread notices shutdown while the client
+    // is idle or not reading.
+    let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -398,8 +434,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
         };
         buf.clear();
         match dispatched {
-            Dispatched::One(response) => {
-                if write_line(&mut writer, &response).is_err() {
+            Dispatched::One(line) => {
+                if write_line(&mut writer, &line, shared).is_err() {
                     return;
                 }
             }
@@ -407,8 +443,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 // The worker drops the sender when the job is done
                 // (or the shutdown flush answers `Busy`); either way
                 // the iterator ends.
-                for response in rx {
-                    if write_line(&mut writer, &response).is_err() {
+                for line in rx {
+                    if write_line(&mut writer, &line, shared).is_err() {
                         return;
                     }
                 }
@@ -624,7 +660,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(at) = deadline_at {
             if Instant::now() >= at {
                 shared.metrics.deadline_rejected();
-                let _ = job.reply.send(Response::DeadlineExceeded);
+                let _ = job.reply.send(wire_line(&Response::DeadlineExceeded));
                 leave_app(shared, job.app.as_deref());
                 continue;
             }
@@ -637,21 +673,22 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one dequeued job, streaming reply lines into `reply`.
-/// Solves run against the epoch snapshot pinned at the start of the
-/// job — no registry lock is held during a solve, and every seed of a
-/// batch sees the same epoch.
+/// Execute one dequeued job, streaming its reply lines, encoded here,
+/// into `reply`. Solves run against the epoch snapshot pinned at the
+/// start of the job — no registry lock is held during a solve, and
+/// every seed of a batch sees the same epoch.
 fn serve(
     request: Request,
     shared: &Arc<Shared>,
-    reply: &mpsc::Sender<Response>,
+    reply: &mpsc::Sender<Vec<u8>>,
     deadline_at: Option<Instant>,
 ) {
     let budget = Budget { deadline: deadline_at };
+    let send = |response: Response| reply.send(wire_line(&response));
     match request {
         Request::Ping { sleep_ms } => {
             std::thread::sleep(Duration::from_millis(sleep_ms));
-            let _ = reply.send(Response::Pong);
+            let _ = send(Response::Pong);
         }
         Request::Form { seed, mechanism, app, .. } => {
             let response = match app {
@@ -664,7 +701,7 @@ fn serve(
                     }
                 }
             };
-            let _ = reply.send(response);
+            let _ = send(response);
         }
         Request::FormBatch { seeds, mechanism, .. } => {
             let snapshot = shared.registry.snapshot();
@@ -677,11 +714,11 @@ fn serve(
                     }
                     Err(message) => error_response(shared, message),
                 };
-                if reply.send(response).is_err() {
+                if send(response).is_err() {
                     return; // client gone: stop solving for it
                 }
             }
-            let _ = reply.send(Response::BatchEnd { epoch: snapshot.epoch, served });
+            let _ = send(Response::BatchEnd { epoch: snapshot.epoch, served });
         }
         Request::Execute { seed, mechanism, faults, .. } => {
             let snapshot = shared.registry.snapshot();
@@ -690,11 +727,10 @@ fn serve(
                 Ok((outcome, report)) => Response::Execute { outcome, report },
                 Err(message) => error_response(shared, message),
             };
-            let _ = reply.send(response);
+            let _ = send(response);
         }
         other => {
-            let _ =
-                reply.send(error_response(shared, format!("op {:?} is not queueable", other.op())));
+            let _ = send(error_response(shared, format!("op {:?} is not queueable", other.op())));
         }
     }
 }
