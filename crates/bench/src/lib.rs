@@ -8,8 +8,7 @@
 //! | `table1_audit` | Table I (parameter audit of generated instances) |
 //! | `sweep_all` | Figs. 1, 2, 3 and 9 — payoff, final VO size, average reputation and run time vs #tasks, from one sweep; cold vs warm and the anytime scale frontier (`BENCH_formation.json`; gate) |
 //! | `fig4_selection_rules` | Fig. 4 — per-program payoff, two selection rules |
-//! | `fig56_tvof_trace` | Figs. 5–6 — TVOF iteration traces (programs A, B) |
-//! | `fig78_rvof_trace` | Figs. 7–8 — RVOF iteration traces (programs A, B) |
+//! | `fig5678_traces` | Figs. 5–8 — TVOF and RVOF iteration traces (programs A, B), each program formed once per mechanism |
 //! | `fault_sweep` | beyond-paper: execution under injected faults (`BENCH_faults.json`; gate) |
 //! | `reputation_sweep` | beyond-paper: adversary economics under Beta reputation (`BENCH_reputation.json`; gate) |
 //! | `market_sweep` | beyond-paper: multi-VO market contention (`BENCH_market.json`; gate) |

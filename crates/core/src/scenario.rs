@@ -81,6 +81,16 @@ impl FormationScenario {
         &self.trust
     }
 
+    /// Replace the trust graph over the same GSPs. The instance, and
+    /// with it the memoized pool digest, is kept.
+    pub fn replace_trust(&mut self, trust: TrustGraph) -> Result<()> {
+        if trust.node_count() != self.gsps.len() {
+            return Err(CoreError::ShapeMismatch { context: "trust graph vs GSP count" });
+        }
+        self.trust = trust;
+        Ok(())
+    }
+
     /// The grand-coalition assignment instance.
     pub fn instance(&self) -> &AssignmentInstance {
         &self.instance
@@ -254,6 +264,22 @@ mod tests {
         assert_eq!(back.pool_digest(), digest);
         let sub = scenario.restrict(&[0, 2, 3]).unwrap();
         assert_eq!(sub.pool_digest(), sub.instance().canonical_hash());
+    }
+
+    #[test]
+    fn replace_trust_keeps_the_instance_and_its_digest() {
+        let mut scenario = pool(4);
+        let digest = scenario.pool_digest();
+        let mut trust = TrustGraph::new(4);
+        trust.set_trust(3, 0, 0.9);
+        scenario.replace_trust(trust).unwrap();
+        assert_eq!(scenario.trust().trust(3, 0), 0.9);
+        assert_eq!(scenario.trust().trust(0, 1), 0.0);
+        assert_eq!(scenario.pool_digest(), digest);
+        assert_eq!(scenario.pool_digest(), scenario.instance().canonical_hash());
+        let wrong = scenario.replace_trust(TrustGraph::new(5));
+        assert!(matches!(wrong, Err(CoreError::ShapeMismatch { .. })));
+        assert_eq!(scenario.trust().trust(3, 0), 0.9, "a refused graph changes nothing");
     }
 
     #[test]

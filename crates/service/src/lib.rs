@@ -15,12 +15,13 @@
 //!   power-method warm start), journal it ([`persist`]), then swap it
 //!   in at the next epoch. Journal replay runs the same path;
 //! * [`shard::ShardedRegistry`] — the concurrency shell around the
-//!   pool: writes stage on per-GSP-id shard locks, then commit and
-//!   publish a fresh immutable [`shard::EpochSnapshot`] (Arc-swapped)
-//!   in one short critical section; reads — formations,
-//!   batches, registry dumps — clone the current `Arc` and never
-//!   block a writer, so every response is consistent with exactly one
-//!   epoch (`tests/torture.rs` proves this byte-for-byte against a
+//!   pool: a write commits and publishes a fresh immutable
+//!   [`shard::EpochSnapshot`] (Arc-swapped) under one writer lock
+//!   (the per-GSP-id shard locks it also takes add no write
+//!   concurrency, since staging runs inside the commit); reads —
+//!   formations, batches, registry dumps — clone the current `Arc`
+//!   and never block a writer, so every response is consistent with
+//!   exactly one epoch (`tests/torture.rs` proves this byte-for-byte against a
 //!   serial replay of the acked mutation order);
 //! * [`cache::SharedSolveCache`] — a bounded, shared memo table for
 //!   the per-round exact IP solves, keyed by

@@ -1,8 +1,9 @@
 //! The live GSP pool a daemon serves requests against.
 //!
-//! A [`GspRegistry`] is a [`FormationScenario`] made mutable: the set
-//! of providers, the trust graph over them, and the per-task cost /
-//! time columns evolve between requests. Every mutation bumps a
+//! A [`GspRegistry`] holds the one [`FormationScenario`] it serves
+//! and replaces it as the pool evolves between requests: the set of
+//! providers, the trust graph over them (receipt evidence included),
+//! and the per-task cost / time columns. Every mutation bumps a
 //! monotone **epoch** and appends to an event log, so clients can
 //! correlate responses with the registry state that produced them.
 //!
@@ -10,8 +11,9 @@
 //!
 //! Every write is a typed `Mutation` passed to
 //! `GspRegistry::commit`, which applies it to a staged copy of the
-//! pool, journals its [`RegistryEvent`], and only then swaps the copy
-//! in (see [`crate::persist`] for the ordering contract). Replay
+//! pool (so staging produces the next scenario served), journals its
+//! [`RegistryEvent`], and only then swaps the copy in (see
+//! [`crate::persist`] for the ordering contract). Replay
 //! decodes each event back into its mutation and commits it the same
 //! way, so live and recovered state agree by construction.
 //!
@@ -27,7 +29,7 @@
 //! iterations instead of a cold solve.
 
 use gridvo_core::reputation::ReputationEngine;
-use gridvo_core::{ExecutionReceipt, FormationScenario, Gsp};
+use gridvo_core::{CoreError, ExecutionReceipt, FormationScenario, Gsp};
 use gridvo_market::{Lease, LeaseError, LeaseTable};
 use gridvo_solver::AssignmentInstance;
 use gridvo_store::Store;
@@ -261,17 +263,12 @@ pub struct RegistrySnapshot {
 /// each mutation to a copy of it.
 #[derive(Debug, Clone)]
 struct Pool {
-    gsps: Vec<Gsp>,
-    trust: TrustGraph,
-    /// `tasks × m` row-major cost matrix.
-    cost: Vec<f64>,
-    /// `tasks × m` row-major time matrix.
-    time: Vec<f64>,
-    tasks: usize,
-    deadline: f64,
-    payment: f64,
+    /// The served pool: GSPs, the cost and time instance, and the one
+    /// trust graph, whose receipt-evidenced edges hold their Beta
+    /// posteriors and whose other edges hold the last reported trust.
+    scenario: FormationScenario,
     engine: ReputationEngine,
-    /// Last pool-wide reputation vector (aligned with `gsps`); the
+    /// Last pool-wide reputation vector (aligned with the GSPs); the
     /// warm start of the next refresh.
     reputation: Vec<f64>,
     power_iterations: usize,
@@ -285,33 +282,6 @@ struct Pool {
 }
 
 impl Pool {
-    /// Field extraction shared by the bootstrap paths: everything but
-    /// the reputation state.
-    fn new(scenario: &FormationScenario, engine: ReputationEngine) -> Self {
-        let inst = scenario.instance();
-        let (tasks, m) = (inst.tasks(), inst.gsps());
-        let mut cost = Vec::with_capacity(tasks * m);
-        let mut time = Vec::with_capacity(tasks * m);
-        for t in 0..tasks {
-            cost.extend_from_slice(inst.cost_row(t));
-            time.extend_from_slice(inst.time_row(t));
-        }
-        Pool {
-            gsps: scenario.gsps().to_vec(),
-            trust: scenario.trust().clone(),
-            cost,
-            time,
-            tasks,
-            deadline: inst.deadline(),
-            payment: inst.payment(),
-            engine,
-            reputation: Vec::new(),
-            power_iterations: 0,
-            beta: None,
-            market: LeaseTable::new(),
-        }
-    }
-
     /// Apply `mutation` in place as the write producing `epoch`, and
     /// refresh the reputation vector when trust or membership changed.
     /// Returns the [`Committed::assigned`] id. An error may leave the
@@ -323,7 +293,10 @@ impl Pool {
             }
             Mutation::RemoveGsp { id } => self.leave(*id).map(|()| 0)?,
             Mutation::ReportTrust { from, to, value } => {
-                self.trust.try_set_trust(*from, *to, *value).map(|()| 0)?
+                let mut trust = self.scenario.trust().clone();
+                trust.try_set_trust(*from, *to, *value)?;
+                self.scenario.replace_trust(trust)?;
+                0
             }
             Mutation::ReportReceipt(receipt) => self.fold(receipt).map(|()| 0)?,
             // A lease changes availability, not trust: no refresh.
@@ -337,39 +310,43 @@ impl Pool {
         Ok(assigned)
     }
 
-    /// [`Mutation::AddGsp`]; returns the new id.
+    /// [`Mutation::AddGsp`]; returns the new id. The grown instance is
+    /// validated like any other, so a GSP the task count cannot cover
+    /// is refused here.
     fn join(&mut self, speed_gflops: f64, cost: &[f64], time: &[f64]) -> Result<u64> {
+        let (inst, m) = (self.scenario.instance(), self.scenario.gsp_count());
+        let tasks = inst.tasks();
         if !speed_gflops.is_finite() || speed_gflops <= 0.0 {
             return Err(ServiceError::BadColumn { context: "speed must be finite and positive" });
         }
-        if cost.len() != self.tasks || time.len() != self.tasks {
+        if cost.len() != tasks || time.len() != tasks {
             return Err(ServiceError::BadColumn { context: "column length != task count" });
         }
         if cost.iter().chain(time.iter()).any(|v| !v.is_finite() || *v <= 0.0) {
             return Err(ServiceError::BadColumn { context: "entries must be finite and positive" });
         }
-        let m = self.gsps.len();
-        // Grow the trust graph by one isolated node (copy all edges).
-        let mut grown = TrustGraph::new(m + 1);
-        for (i, j, w) in self.trust.edges() {
-            grown.try_set_trust(i, j, w)?;
+        // Append the new column to each task's row.
+        let splice = |row: fn(&AssignmentInstance, usize) -> &[f64], column: &[f64]| {
+            (0..tasks).flat_map(|t| row(inst, t).iter().chain(&column[t..=t])).copied().collect()
+        };
+        let (deadline, payment) = (inst.deadline(), inst.payment());
+        let (cost, time) = (
+            splice(AssignmentInstance::cost_row, cost),
+            splice(AssignmentInstance::time_row, time),
+        );
+        let grown = AssignmentInstance::new(tasks, m + 1, cost, time, deadline, payment)
+            .map_err(CoreError::from)?;
+        // The newcomer enters with no trust edges.
+        let mut trust = TrustGraph::new(m + 1);
+        for (i, j, w) in self.scenario.trust().edges() {
+            trust.try_set_trust(i, j, w)?;
         }
-        self.trust = grown;
+        let mut gsps = self.scenario.gsps().to_vec();
+        gsps.push(Gsp::new(m, speed_gflops));
+        self.scenario = FormationScenario::new(gsps, trust, grown)?;
         if let Some(ledger) = &mut self.beta {
             ledger.grow();
         }
-        // Splice the new column into the row-major matrices.
-        let mut new_cost = Vec::with_capacity(self.tasks * (m + 1));
-        let mut new_time = Vec::with_capacity(self.tasks * (m + 1));
-        for t in 0..self.tasks {
-            new_cost.extend_from_slice(&self.cost[t * m..(t + 1) * m]);
-            new_cost.push(cost[t]);
-            new_time.extend_from_slice(&self.time[t * m..(t + 1) * m]);
-            new_time.push(time[t]);
-        }
-        self.cost = new_cost;
-        self.time = new_time;
-        self.gsps.push(Gsp::new(m, speed_gflops));
         // The warm start no longer matches the pool size; the refresh
         // falls back to a cold solve for this one recompute.
         self.reputation.clear();
@@ -378,40 +355,24 @@ impl Pool {
 
     /// [`Mutation::RemoveGsp`].
     fn leave(&mut self, id: usize) -> Result<()> {
-        if id >= self.gsps.len() {
+        let m = self.scenario.gsp_count();
+        if id >= m {
             return Err(ServiceError::UnknownGsp { id });
         }
-        if self.gsps.len() == 1 {
-            return Err(ServiceError::LastGsp);
-        }
+        // The survivors of a valid pool can host its program unless
+        // there are none.
+        let survivors: Vec<usize> = (0..m).filter(|&g| g != id).collect();
+        let rest = self.scenario.restrict(&survivors).ok_or(ServiceError::LastGsp)?;
         if let Some(held) = self.market.holder_of(id) {
             return Err(ServiceError::Leased { id, lease: held.id });
         }
-        let m = self.gsps.len();
-        let (trust, survivors) = self.trust.remove_node(id)?;
-        self.trust = trust;
         if let Some(ledger) = &mut self.beta {
             ledger.remove(id)?;
         }
-        let keep = |row: &[f64]| -> Vec<f64> {
-            row.iter().enumerate().filter(|&(g, _)| g != id).map(|(_, &v)| v).collect()
-        };
-        let mut new_cost = Vec::with_capacity(self.tasks * (m - 1));
-        let mut new_time = Vec::with_capacity(self.tasks * (m - 1));
-        for t in 0..self.tasks {
-            new_cost.extend(keep(&self.cost[t * m..(t + 1) * m]));
-            new_time.extend(keep(&self.time[t * m..(t + 1) * m]));
-        }
-        self.cost = new_cost;
-        self.time = new_time;
-        // Reassign compacted ids and carry the survivors' scores as
-        // the next refresh's warm start.
+        self.scenario = rest;
+        // Carry the survivors' scores as the next refresh's warm start.
         let prev = std::mem::take(&mut self.reputation);
         self.reputation = survivors.iter().filter_map(|&old| prev.get(old).copied()).collect();
-        self.gsps.remove(id);
-        for (k, g) in self.gsps.iter_mut().enumerate() {
-            g.id = k;
-        }
         self.market.shift_down(id);
         Ok(())
     }
@@ -421,7 +382,7 @@ impl Pool {
         if !receipt.verify() {
             return Err(ServiceError::BadReceipt { context: "digest does not match content" });
         }
-        let m = self.gsps.len();
+        let m = self.scenario.gsp_count();
         if receipt.gsp >= m {
             return Err(ServiceError::UnknownGsp { id: receipt.gsp });
         }
@@ -440,7 +401,7 @@ impl Pool {
 
     /// [`Mutation::AcquireLease`] at `epoch`; returns the lease id.
     fn lease(&mut self, app: &str, members: &[usize], epoch: u64) -> Result<u64> {
-        if let Some(&id) = members.iter().find(|&&id| id >= self.gsps.len()) {
+        if let Some(&id) = members.iter().find(|&&id| id >= self.scenario.gsp_count()) {
             return Err(ServiceError::UnknownGsp { id });
         }
         match self.market.acquire(app, members, epoch) {
@@ -452,26 +413,23 @@ impl Pool {
         }
     }
 
-    /// The trust graph requests actually see: declared edges, with
-    /// every receipt-evidenced edge overridden by its Beta posterior.
-    /// With no receipts this is exactly the declared graph, keeping
-    /// the zero-receipt path bit-identical to pre-receipt behavior.
-    fn effective_trust(&self) -> Result<TrustGraph> {
-        match &self.beta {
-            None => Ok(self.trust.clone()),
-            Some(ledger) => Ok(ledger.apply_to(&self.trust)?),
-        }
-    }
-
+    /// Overlay the Beta evidence onto the served trust graph (every
+    /// evidenced edge takes its posterior; the registry never erases
+    /// evidence, so overlaying onto the last served graph equals
+    /// overlaying onto the reported one), then recompute the
+    /// pool-wide reputation from the previous vector.
     fn refresh_reputation(&mut self) -> Result<()> {
-        let members: Vec<usize> = (0..self.gsps.len()).collect();
+        if let Some(ledger) = &self.beta {
+            let served = ledger.apply_to(self.scenario.trust())?;
+            self.scenario.replace_trust(served)?;
+        }
+        let members: Vec<usize> = (0..self.scenario.gsp_count()).collect();
         let start = if self.reputation.len() == members.len() {
             Some(self.reputation.as_slice())
         } else {
             None
         };
-        let graph = self.effective_trust()?;
-        let rep = self.engine.compute_with_start(&graph, &members, start)?;
+        let rep = self.engine.compute_with_start(self.scenario.trust(), &members, start)?;
         self.reputation = rep.scores;
         self.power_iterations = rep.iterations;
         Ok(())
@@ -493,7 +451,14 @@ impl GspRegistry {
     /// Bootstrap a registry from a scenario (the `gridvo serve`
     /// startup path: scenario file or `gridvo-sim` generation).
     pub fn from_scenario(scenario: &FormationScenario, engine: ReputationEngine) -> Result<Self> {
-        let mut pool = Pool::new(scenario, engine);
+        let mut pool = Pool {
+            scenario: scenario.clone(),
+            engine,
+            reputation: Vec::new(),
+            power_iterations: 0,
+            beta: None,
+            market: LeaseTable::new(),
+        };
         pool.refresh_reputation()?;
         Ok(GspRegistry { pool, epoch: 0, events: Vec::new(), journal: None })
     }
@@ -502,30 +467,42 @@ impl GspRegistry {
     /// [`GspRegistry::from_scenario`] this restores the epoch and the
     /// exact reputation vector instead of recomputing cold — so
     /// subsequent refreshes continue the uninterrupted run's
-    /// warm-start chain bit-for-bit. The event log starts empty.
+    /// warm-start chain bit-for-bit. The snapshot's scenario is the
+    /// served pool, whose trust graph already carries the ledger's
+    /// posteriors. The event log starts empty.
     pub fn from_persisted(state: &PersistedState, engine: ReputationEngine) -> Result<Self> {
-        let mut pool = Pool::new(&state.scenario, engine);
-        if state.reputation.len() != pool.gsps.len() {
+        let m = state.scenario.gsp_count();
+        if state.reputation.len() != m {
             return Err(ServiceError::Storage(format!(
-                "snapshot reputation has {} entries for {} GSPs",
-                state.reputation.len(),
-                pool.gsps.len()
+                "snapshot reputation has {} entries for {m} GSPs",
+                state.reputation.len()
             )));
         }
-        pool.reputation = state.reputation.clone();
-        pool.power_iterations = state.power_iterations;
-        pool.beta = state.beta.clone();
-        pool.market = state.market.clone().unwrap_or_default();
+        if let Some(ledger) = state.beta.as_ref().filter(|l| l.gsp_count() != m) {
+            return Err(ServiceError::Storage(format!(
+                "snapshot Beta ledger covers {} GSPs for {m} GSPs",
+                ledger.gsp_count()
+            )));
+        }
+        let pool = Pool {
+            scenario: state.scenario.clone(),
+            engine,
+            reputation: state.reputation.clone(),
+            power_iterations: state.power_iterations,
+            beta: state.beta.clone(),
+            market: state.market.clone().unwrap_or_default(),
+        };
         Ok(GspRegistry { pool, epoch: state.epoch, events: Vec::new(), journal: None })
     }
 
     /// The registry's complete durable state (what compaction
-    /// snapshots).
+    /// snapshots). Never fails; the `Result` is kept for callers that
+    /// chain it.
     pub fn persisted_state(&self) -> Result<PersistedState> {
         let market = &self.pool.market;
         Ok(PersistedState {
             epoch: self.epoch,
-            scenario: self.scenario()?,
+            scenario: self.pool.scenario.clone(),
             reputation: self.pool.reputation.clone(),
             power_iterations: self.pool.power_iterations,
             beta: self.pool.beta.clone(),
@@ -592,7 +569,7 @@ impl GspRegistry {
 
     /// Number of GSPs in the pool.
     pub fn gsp_count(&self) -> usize {
-        self.pool.gsps.len()
+        self.pool.scenario.gsp_count()
     }
 
     /// The events committed since this registry was bootstrapped or
@@ -637,9 +614,8 @@ impl GspRegistry {
 
     /// Ingest one execution receipt: every witness contributes a
     /// reward-weighted Beta observation about `receipt.gsp`, and the
-    /// pool's *effective* trust (declared edges overridden by Beta
-    /// posteriors wherever evidence exists) feeds the next reputation
-    /// refresh. The receipt's digest must verify — a signed-shape
+    /// served trust graph takes the Beta posterior on every edge with
+    /// evidence before the reputation refresh. The receipt's digest must verify — a signed-shape
     /// integrity check on what is, in practice, replayed from a
     /// journal. Returns the new epoch.
     pub fn report_receipt(&mut self, receipt: &ExecutionReceipt) -> Result<u64> {
@@ -672,7 +648,7 @@ impl GspRegistry {
     /// Global ids of the GSPs held by no live lease — the sub-pool
     /// market-aware formation runs against.
     pub fn free_members(&self) -> Vec<usize> {
-        self.pool.market.free_members(self.pool.gsps.len())
+        self.pool.market.free_members(self.gsp_count())
     }
 
     /// Live leases, in acquisition order.
@@ -686,23 +662,24 @@ impl GspRegistry {
         self.pool.beta.as_ref()
     }
 
-    /// Materialize the current pool as an immutable scenario — what a
-    /// formation / execution request actually runs against. Cheap
-    /// relative to a solve (one matrix clone).
+    /// The served pool — what a formation / execution request runs
+    /// against.
+    pub(crate) fn served(&self) -> &FormationScenario {
+        &self.pool.scenario
+    }
+
+    /// A copy of the served pool. Never fails; the `Result` is kept for
+    /// callers that chain it.
     pub fn scenario(&self) -> Result<FormationScenario> {
-        let pool = &self.pool;
-        let (m, cost, time) = (pool.gsps.len(), pool.cost.clone(), pool.time.clone());
-        let inst = AssignmentInstance::new(pool.tasks, m, cost, time, pool.deadline, pool.payment)
-            .map_err(gridvo_core::CoreError::from)?;
-        Ok(FormationScenario::new(pool.gsps.clone(), pool.effective_trust()?, inst)?)
+        Ok(self.served().clone())
     }
 
     /// A serializable view for `registry` requests.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             epoch: self.epoch,
-            gsps: self.pool.gsps.len(),
-            tasks: self.pool.tasks,
+            gsps: self.gsp_count(),
+            tasks: self.pool.scenario.task_count(),
             reputation: self.pool.reputation.clone(),
             power_iterations: self.pool.power_iterations,
             // Every epoch logs exactly one event.
@@ -796,6 +773,22 @@ mod tests {
         assert!(reg.add_gsp(90.0, &[1.0, 1.0, f64::NAN, 1.0], &[1.0; 4]).is_err());
         assert!(reg.add_gsp(-5.0, &[1.0; 4], &[1.0; 4]).is_err());
         assert_eq!(reg.epoch(), 0);
+    }
+
+    #[test]
+    fn a_join_past_the_task_count_changes_nothing() {
+        let mut reg = registry();
+        reg.add_gsp(90.0, &[2.0; 4], &[1.5; 4]).unwrap(); // 4 GSPs over 4 tasks
+        let events = reg.events().to_vec();
+        let scenario = serde_json::to_string(&reg.scenario().unwrap()).unwrap();
+        let refused = reg.add_gsp(70.0, &[1.0; 4], &[1.0; 4]).unwrap_err();
+        assert_eq!(
+            refused.to_string(),
+            "core error: solver error: 4 tasks cannot cover 5 GSPs (constraint 13 infeasible)"
+        );
+        assert_eq!(reg.epoch(), 1);
+        assert_eq!(reg.events(), events);
+        assert_eq!(serde_json::to_string(&reg.scenario().unwrap()).unwrap(), scenario);
     }
 
     #[test]
@@ -942,6 +935,20 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_whose_state_disagrees_with_the_pool_are_refused() {
+        let mut reg = registry();
+        reg.report_receipt(&ExecutionReceipt::new(0, 1, true, 4.0, vec![0, 2])).unwrap();
+        let mut state = reg.persisted_state().unwrap();
+        state.beta = Some(BetaLedger::new(4, DEFAULT_LAMBDA));
+        let loaded = GspRegistry::from_persisted(&state, ReputationEngine::default());
+        assert!(matches!(loaded, Err(ServiceError::Storage(_))));
+        state.beta = None;
+        state.reputation.pop();
+        let loaded = GspRegistry::from_persisted(&state, ReputationEngine::default());
+        assert!(matches!(loaded, Err(ServiceError::Storage(_))));
+    }
+
+    #[test]
     fn pristine_market_is_absent_from_snapshots() {
         let reg = registry();
         assert!(reg.persisted_state().unwrap().market.is_none());
@@ -971,7 +978,7 @@ mod tests {
 
     #[test]
     fn scenario_round_trips_the_bootstrap_input() {
-        // With no mutations, the materialized scenario must equal the
+        // With no mutations, the served scenario must equal the
         // bootstrap scenario (the differential tests depend on this).
         let gsps = vec![Gsp::new(0, 100.0), Gsp::new(1, 80.0)];
         let mut trust = TrustGraph::new(2);

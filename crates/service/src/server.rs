@@ -560,16 +560,15 @@ fn leave_app(shared: &Arc<Shared>, app: Option<&str>) {
     shared.metrics.set_app_depth(app, queues.depth(app));
 }
 
-/// The daemon's one write path: stage `mutation` on the shards it
-/// touches, commit it, and evict the solve-cache entries it left
-/// stale.
+/// The daemon's one write path: lock the shards `mutation` touches,
+/// commit it, and evict the solve-cache entries it left stale.
 fn write(shared: &Shared, mutation: Mutation) -> crate::Result<Committed> {
-    // Trust reports and receipts keep ids stable: they stage on their
+    // Trust reports and receipts keep ids stable: they lock their
     // GSPs' shards and evict only solves over those shards stored
     // before this epoch (to keep untouched shards hot; the solve key
-    // already covers solver inputs). A lease stages on its members.
-    // Churn and releases drain every shard, and a removal, which
-    // renumbers ids, flushes the cache.
+    // already covers solver inputs). A lease locks its members'
+    // shards. Churn and releases lock every shard, and a removal,
+    // which renumbers ids, flushes the cache.
     let (ids, evict) = match &mutation {
         Mutation::ReportTrust { from, to, .. } => (vec![*from, *to], true),
         Mutation::ReportReceipt(receipt) => (vec![receipt.gsp], true),

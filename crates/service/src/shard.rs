@@ -7,9 +7,9 @@
 //!
 //! * **Reads** ([`ShardedRegistry::snapshot`]) return an
 //!   `Arc<EpochSnapshot>` — an immutable, epoch-stamped image of the
-//!   pool (the materialized [`FormationScenario`] plus the
-//!   serializable [`RegistrySnapshot`] view) built once per mutation
-//!   and swapped in behind an `RwLock<Arc<…>>`. A reader takes the
+//!   pool (the served [`FormationScenario`] plus the serializable
+//!   [`RegistrySnapshot`] view) copied once per mutation and swapped
+//!   in behind an `RwLock<Arc<…>>`. A reader takes the
 //!   read lock only long enough to clone the `Arc`; formations,
 //!   registry dumps and batch requests then run against their pinned
 //!   snapshot for as long as they like without blocking a single
@@ -18,18 +18,20 @@
 //!   response can mix state from two epochs, which is exactly what
 //!   `tests/torture.rs` hammers on.
 //!
-//! * **Writes** ([`ShardedRegistry::mutate`]) stage on per-shard
-//!   locks keyed by GSP id (`id % shards`), then run
-//!   `GspRegistry::commit` — stage, journal, swap — under one short
-//!   writer lock. The commit itself must stay globally serialized —
-//!   the journal is a single total order and the epoch *is* that
-//!   order — but the sharding means two trust reports on disjoint
-//!   shards never queue behind each other's staging, and a pool-wide
-//!   membership change (`add`/`remove`) drains every shard before
-//!   renumbering ids. A successful commit is journaled before its
-//!   fresh `EpochSnapshot` is built and published, still under the
-//!   writer lock, so snapshot epoch order equals journal order and no
-//!   reader sees an epoch the journal lacks. A refused commit changes
+//! * **Writes** ([`ShardedRegistry::mutate`]) lock the shards they
+//!   touch, keyed by GSP id (`id % shards`), then run
+//!   `GspRegistry::commit` — stage, journal, swap — under one writer
+//!   lock. Staging runs inside the commit, so the writer lock
+//!   serializes all of a write's work and the shard locks add no write
+//!   concurrency: they stamp per-shard counters and set the
+//!   cache-eviction granularity below. The commit itself must stay
+//!   globally serialized — the journal is a single total order and
+//!   the epoch *is* that order. A successful commit is journaled
+//!   before its fresh `EpochSnapshot` is built and published, still
+//!   under the writer lock, so snapshot epoch order equals journal
+//!   order and no reader sees an epoch the journal lacks. The build
+//!   copies the registry's served scenario and cannot fail, so a
+//!   committed write always publishes; a refused commit changes
 //!   nothing, so nothing is published.
 //!
 //! The shard map also narrows cache hygiene: a mutation touching GSP
@@ -51,8 +53,8 @@ use crate::Result;
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// An immutable, consistent image of the registry at one epoch.
-/// Everything a read-side request needs is materialized here once,
-/// at mutation time, instead of per-request under a lock.
+/// Everything a read-side request needs is copied here once, at
+/// mutation time, instead of per-request under a lock.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// The epoch this snapshot reflects (mutations since bootstrap).
@@ -73,30 +75,32 @@ pub struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    fn build(reg: &GspRegistry) -> Result<EpochSnapshot> {
-        Ok(EpochSnapshot {
+    /// Copy what `reg` serves; nothing here can fail, so a committed
+    /// write always publishes.
+    fn build(reg: &GspRegistry) -> EpochSnapshot {
+        EpochSnapshot {
             epoch: reg.epoch(),
-            scenario: reg.scenario()?,
+            scenario: reg.served().clone(),
             view: reg.snapshot(),
             free: reg.free_members(),
             free_digest: reg.market().free_digest(),
             leases: reg.leases().to_vec(),
-        })
+        }
     }
 }
 
-/// Which GSP ids a mutation touches, for shard staging.
+/// Which GSP ids a mutation touches, for shard locking.
 #[derive(Debug, Clone, Copy)]
 pub enum Touched<'a> {
     /// Trust / receipt mutations: the ids whose edges or evidence
     /// change. Ids keep their meaning across the mutation.
     Ids(&'a [usize]),
     /// Membership churn (`add_gsp` / `remove_gsp`): ids renumber, so
-    /// every shard must drain before the commit.
+    /// the write locks every shard.
     All,
 }
 
-/// Per-shard staging state (telemetry; the lock itself is the point).
+/// Per-shard write counters.
 #[derive(Debug, Default)]
 struct ShardState {
     /// Epoch of the last commit staged through this shard.
@@ -120,7 +124,7 @@ pub struct ShardStat {
 pub struct ShardedRegistry {
     shards: Vec<Mutex<ShardState>>,
     /// The commit lock: owns the registry and its journal. Held only
-    /// for the commit and the snapshot rebuild.
+    /// for the commit and the snapshot build.
     writer: Mutex<GspRegistry>,
     /// The published snapshot. Readers clone the `Arc` and get out.
     current: RwLock<Arc<EpochSnapshot>>,
@@ -136,7 +140,7 @@ impl ShardedRegistry {
         persist: Option<&PersistConfig>,
     ) -> Result<(Self, Option<u64>)> {
         let (registry, recovered) = GspRegistry::open(scenario, engine, persist)?;
-        let snapshot = Arc::new(EpochSnapshot::build(&registry)?);
+        let snapshot = Arc::new(EpochSnapshot::build(&registry));
         let sharded = ShardedRegistry {
             shards: (0..shards.max(1)).map(|_| Mutex::new(ShardState::default())).collect(),
             writer: Mutex::new(registry),
@@ -181,14 +185,13 @@ impl ShardedRegistry {
         self.writer.lock().expect("writer lock poisoned").store_stats()
     }
 
-    /// Run one write: stage on the touched shards (ascending-index
-    /// order, so concurrent writes can never deadlock), commit under
-    /// the writer lock, then publish the new snapshot and stamp the
-    /// staged shards. The snapshot is rebuilt and swapped *before* the
-    /// writer lock drops, so the published epoch sequence is exactly
-    /// the journal's. `f` commits through the registry's one write
-    /// path; when it fails, nothing was committed and nothing is
-    /// published.
+    /// Run one write: lock the touched shards (ascending-index order,
+    /// so concurrent writes can never deadlock), commit under the
+    /// writer lock, then publish the new snapshot and stamp the locked
+    /// shards. The snapshot is built and swapped *before* the writer
+    /// lock drops, so the published epoch sequence is exactly the
+    /// journal's. `f` commits through the registry's one write path;
+    /// when it fails, nothing was committed and nothing is published.
     pub fn mutate<T>(
         &self,
         touched: Touched<'_>,
@@ -208,7 +211,7 @@ impl ShardedRegistry {
 
         let mut writer = self.writer.lock().expect("writer lock poisoned");
         let out = f(&mut writer)?;
-        let snapshot = Arc::new(EpochSnapshot::build(&writer)?);
+        let snapshot = Arc::new(EpochSnapshot::build(&writer));
         *self.current.write().expect("snapshot lock poisoned") = snapshot;
         for guard in &mut guards {
             guard.last_epoch = writer.epoch();

@@ -10,11 +10,12 @@ use gridvo_core::reputation::ReputationEngine;
 use gridvo_core::{ExecutionReceipt, FormationScenario, Gsp};
 use gridvo_service::protocol::{MechanismKind, Response};
 use gridvo_service::{
-    DurableRegistry, GspRegistry, PersistConfig, RegistryEvent, ServerConfig, ServerHandle,
-    ServiceClient,
+    ClientError, DurableRegistry, GspRegistry, PersistConfig, PersistedState, RegistryEvent,
+    ServerConfig, ServerHandle, ServiceClient,
 };
 use gridvo_sim::config::TableI;
 use gridvo_sim::instance_gen::ScenarioGenerator;
+use gridvo_solver::instance::Fnv1a;
 use gridvo_solver::AssignmentInstance;
 use gridvo_store::{FsyncPolicy, JOURNAL_FILE};
 use gridvo_trust::TrustGraph;
@@ -413,5 +414,111 @@ fn a_failed_compaction_still_acks_the_journaled_write() {
         DurableRegistry::open(&scenario(), ReputationEngine::default(), Some(&config)).unwrap();
     assert_eq!(epoch, Some(2));
     assert_eq!(serde_json::to_string(&recovered.snapshot()).unwrap(), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a registry serves after a write: its scenario, its `registry`
+/// dump and its durable state, as JSON lines.
+fn served_bytes(reg: &GspRegistry) -> String {
+    format!(
+        "{}\n{}\n{}\n",
+        serde_json::to_string(&reg.scenario().unwrap()).unwrap(),
+        serde_json::to_string(&reg.snapshot()).unwrap(),
+        serde_json::to_string(&reg.persisted_state().unwrap()).unwrap()
+    )
+}
+
+/// The scenario (with its receipt-overlaid trust graph), `registry`
+/// dump and snapshot state after every kind of write are pinned by one
+/// digest, and a registry resumed from a mid-stream snapshot agrees.
+#[test]
+fn served_bytes_are_pinned_across_every_kind_of_write() {
+    type Write = fn(&mut GspRegistry) -> gridvo_service::Result<u64>;
+    let writes: [Write; 9] = [
+        |r| r.report_trust(0, 2, 0.9),
+        |r| r.report_receipt(&ExecutionReceipt::new(0, 1, true, 8.0, vec![0, 2])),
+        // Edge (0, 1) now has Beta evidence, so the posterior, not
+        // this report, is what formations see on it.
+        |r| r.report_trust(0, 1, 0.2),
+        |r| r.add_gsp(120.0, &[2.0; 12], &[0.5; 12]).map(|(_, epoch)| epoch),
+        |r| r.acquire_lease("atlas", &[1, 3]).map(|(_, epoch)| epoch),
+        |r| r.report_receipt(&ExecutionReceipt::new(1, 4, false, 5.5, vec![0, 5])),
+        |r| r.remove_gsp(2),
+        |r| r.release_lease(1, "complete"),
+        |r| r.report_trust(4, 0, 0.6),
+    ];
+    let engine = ReputationEngine::default;
+    let mut reg = GspRegistry::from_scenario(&scenario(), engine()).unwrap();
+    let mut resumed: Option<GspRegistry> = None;
+    let mut digest = Fnv1a::new();
+    for (k, write) in writes.iter().enumerate() {
+        let epoch = k as u64 + 1;
+        assert_eq!(write(&mut reg), Ok(epoch), "write {epoch}");
+        if epoch == 3 {
+            let served = reg.scenario().unwrap().trust().trust(0, 1);
+            assert_eq!(Some(served), reg.beta().unwrap().posterior(0, 1));
+        }
+        let bytes = served_bytes(&reg);
+        digest.write(bytes.as_bytes());
+        // A registry loaded from a mid-stream snapshot and fed the
+        // rest of the stream serves the same bytes.
+        if let Some(resumed) = &mut resumed {
+            assert_eq!(write(resumed), Ok(epoch), "resumed write {epoch}");
+            assert_eq!(served_bytes(resumed), bytes, "resumed registry diverged at epoch {epoch}");
+        }
+        if epoch == 4 {
+            let json = serde_json::to_string(&reg.persisted_state().unwrap()).unwrap();
+            let state: PersistedState = serde_json::from_str(&json).unwrap();
+            resumed = Some(GspRegistry::from_persisted(&state, engine()).unwrap());
+        }
+    }
+    assert_eq!(digest.finish(), 0x277c_90b9_3654_9500, "served bytes moved");
+}
+
+/// Four GSPs over five tasks: room for exactly one more.
+fn full_pool() -> FormationScenario {
+    let gsps = (0..4).map(|k| Gsp::new(k, 100.0 - 10.0 * k as f64)).collect();
+    let mut trust = TrustGraph::new(4);
+    for from in 0..4 {
+        for to in (0..4).filter(|&to| to != from) {
+            trust.set_trust(from, to, 0.5);
+        }
+    }
+    let inst = AssignmentInstance::new(5, 4, vec![1.0; 20], vec![1.0; 20], 10.0, 100.0).unwrap();
+    FormationScenario::new(gsps, trust, inst).unwrap()
+}
+
+#[test]
+fn a_join_past_the_task_count_commits_nothing() {
+    let dir = scratch("full-pool");
+    let journal = dir.join(JOURNAL_FILE);
+    let config = ServerConfig { persistence: Some(persist(&dir)), ..ServerConfig::default() };
+    let handle = ServerHandle::spawn(&full_pool(), config.clone()).unwrap();
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.add_gsp(90.0, vec![2.0; 5], vec![1.5; 5]).unwrap(), (4, 1));
+    let journaled = std::fs::read_to_string(&journal).unwrap();
+    match client.add_gsp(70.0, vec![1.0; 5], vec![1.0; 5]) {
+        Err(ClientError::Protocol(message)) => assert_eq!(
+            message,
+            "core error: solver error: 5 tasks cannot cover 6 GSPs (constraint 13 infeasible)"
+        ),
+        other => panic!("a sixth GSP over five tasks must be refused, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read_to_string(&journal).unwrap(),
+        journaled,
+        "a refused join must journal nothing"
+    );
+    assert_eq!(client.report_trust(0, 1, 0.7).unwrap(), 2, "the next write must ack");
+    let registry = client.registry().unwrap();
+    assert_eq!((registry.epoch, registry.gsps), (2, 5));
+    let want = serde_json::to_string(&registry).unwrap();
+    handle.shutdown();
+
+    let handle = ServerHandle::spawn(&full_pool(), config).unwrap();
+    assert_eq!(handle.recovered_epoch(), Some(2));
+    let mut client = ServiceClient::connect(handle.addr()).unwrap();
+    assert_eq!(serde_json::to_string(&client.registry().unwrap()).unwrap(), want);
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

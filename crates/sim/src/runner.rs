@@ -2,12 +2,14 @@
 //!
 //! The paper reports "a series of ten experiments for each case,
 //! \[representing\] the average of the obtained results". The runner
-//! executes seeds in parallel (rayon) — each seed derives its own
+//! executes seeds in parallel on scoped threads, one contiguous chunk
+//! of seeds per available core — each seed derives its own
 //! deterministic RNG, so results are reproducible regardless of thread
 //! scheduling.
 
+use std::num::NonZeroUsize;
+
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Deterministic per-seed RNG: a `StdRng` keyed by (experiment, seed).
@@ -51,20 +53,28 @@ impl Aggregate {
 }
 
 /// Run `per_seed` for every seed in parallel, preserving seed order in
-/// the output. Failures are surfaced per seed.
+/// the output: the seeds split into at most `available_parallelism()`
+/// contiguous chunks, one scoped thread each. Failures are surfaced
+/// per seed; a panic in `per_seed` resumes on the caller.
 pub fn run_seeds<T, E, F>(experiment_tag: u64, seeds: &[u64], per_seed: F) -> Vec<Result<T, E>>
 where
     T: Send,
     E: Send,
     F: Fn(u64, &mut rand::rngs::StdRng) -> Result<T, E> + Sync,
 {
-    seeds
-        .par_iter()
-        .map(|&seed| {
-            let mut rng = seeded_rng(experiment_tag, seed);
-            per_seed(seed, &mut rng)
-        })
-        .collect()
+    let run = |chunk: &[u64]| -> Vec<Result<T, E>> {
+        chunk.iter().map(|&seed| per_seed(seed, &mut seeded_rng(experiment_tag, seed))).collect()
+    };
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let chunk = seeds.len().div_ceil(cores).max(1);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let workers: Vec<_> = seeds.chunks(chunk).map(|c| scope.spawn(move || run(c))).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -105,6 +115,18 @@ mod tests {
         let out: Vec<Result<u64, ()>> = run_seeds(0, &seeds, |seed, _rng| Ok(seed * 10));
         let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, vec![50, 10, 90, 30]);
+    }
+
+    #[test]
+    fn run_seeds_uses_at_most_one_thread_per_core() {
+        let seeds: Vec<u64> = (0..64).collect();
+        let out: Vec<Result<(u64, std::thread::ThreadId), ()>> =
+            run_seeds(0, &seeds, |seed, _| Ok((seed, std::thread::current().id())));
+        let (order, mut threads): (Vec<u64>, Vec<_>) = out.into_iter().map(Result::unwrap).unzip();
+        assert_eq!(order, seeds);
+        threads.dedup();
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert!(threads.len() <= cores, "{} threads for {cores} cores", threads.len());
     }
 
     #[test]
