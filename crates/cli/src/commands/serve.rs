@@ -14,7 +14,7 @@ use rand::SeedableRng;
 const HELP: &str = "\
 usage: gridvo serve [--scenario FILE | --tasks N --gsps M --seed S]
                     [--addr 127.0.0.1:0] [--workers W] [--queue Q]
-                    [--cache C] [--deadline-ms D] [--shards S]
+                    [--cache C] [--deadline-ms D]
                     [--data-dir DIR] [--fsync POLICY] [--compact-bytes B]
                     [--rate-limit R] [--app-queue Q] [--min-free K]
                     [--lease-ttl-ms T]
@@ -25,14 +25,13 @@ The provider pool is bootstrapped from --scenario, or generated from
 Table-I parameters when no file is given. Prints `listening on
 HOST:PORT` once ready; runs until SIGTERM (or, when stdin is a
 supervising pipe, until that pipe closes), then shuts
-down cleanly (exit 0).
+down cleanly (exit 0). Registry writes commit one at a time;
+formations read lock-free epoch snapshots.
 
   --workers      worker threads draining the job queue (default 2)
   --queue        job-queue bound; beyond it requests get Busy (default 64)
   --cache        solve-cache capacity in entries, 0 disables (default 4096)
   --deadline-ms  default per-request deadline, 0 = none (default 0)
-  --shards       registry write shards (GSP id modulo S; default 8) —
-                 readers always run on lock-free epoch snapshots
 
 Durability (off by default — without --data-dir the registry lives
 purely in memory):
@@ -114,7 +113,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             "queue",
             "cache",
             "deadline-ms",
-            "shards",
             "data-dir",
             "fsync",
             "compact-bytes",
@@ -173,7 +171,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         queue_capacity: flags.num("queue", 64)?,
         cache_capacity: flags.num("cache", 4096)?,
         default_deadline_ms: flags.num("deadline-ms", 0)?,
-        shards: flags.num("shards", gridvo_service::DEFAULT_SHARDS)?,
         persistence,
         rate_limit: match flags.get("rate-limit") {
             None => None,

@@ -2,7 +2,7 @@
 //! game → stats, through real files in a temp directory.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn gridvo() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gridvo"))
@@ -219,6 +219,20 @@ fn errors_are_reported_not_panicked() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown solver"), "--solver {solver}: {stderr}");
     }
+    // The registry has no write shards to size. A closed stdin pipe
+    // stops a daemon that would accept the flag instead of hanging.
+    let mut serve = gridvo()
+        .args(["serve", "--shards", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(serve.stdin.take());
+    let out = serve.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "serve --shards");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --shards"), "serve --shards: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

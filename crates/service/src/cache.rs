@@ -37,9 +37,11 @@
 //! byte-identical across interleaved mutations and formations.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gridvo_core::solve_cache::{CachedSolve, SolveCache};
+
+use crate::recover;
 
 /// The null link of the recency list.
 const NIL: usize = usize::MAX;
@@ -160,12 +162,9 @@ impl SharedSolveCache {
         SharedSolveCache { inner: Arc::clone(&self.inner), stamp: epoch }
     }
 
-    /// The table. Nothing that runs under its lock panics (it only
-    /// relinks indices it holds and allocates), so a poisoned lock
-    /// leaves a valid table and is recovered rather than failing every
-    /// later formation.
+    /// The table, recovered if poisoned (see `crate::recover`).
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        recover(self.inner.lock())
     }
 
     /// Current counters.

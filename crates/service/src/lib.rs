@@ -16,20 +16,21 @@
 //!   in at the next epoch. Journal replay runs the same path;
 //! * [`shard::ShardedRegistry`] — the concurrency shell around the
 //!   pool: a write commits and publishes a fresh immutable
-//!   [`shard::EpochSnapshot`] (Arc-swapped) under one writer lock
-//!   (the per-GSP-id shard locks it also takes add no write
-//!   concurrency, since staging runs inside the commit); reads —
-//!   formations, batches, registry dumps — clone the current `Arc`
-//!   and never block a writer, so every response is consistent with
-//!   exactly one epoch (`tests/torture.rs` proves this byte-for-byte against a
-//!   serial replay of the acked mutation order);
+//!   [`shard::EpochSnapshot`] (Arc-swapped) under one writer lock;
+//!   reads — formations, batches, registry dumps — clone the current
+//!   `Arc` and never block a writer, so every response is consistent
+//!   with exactly one epoch (`tests/torture.rs` proves this
+//!   byte-for-byte against a serial replay of the acked mutation
+//!   order);
 //! * [`cache::SharedSolveCache`] — a bounded, shared memo table for
 //!   the per-round exact IP solves, keyed by
 //!   [`gridvo_core::solve_cache::round_key`] (pool digest, member ids,
 //!   carried warm start). Repeated formation requests against an
 //!   unchanged registry replay branch-and-bound results
 //!   bit-identically at the cost of one key per round; trust-only
-//!   updates invalidate nothing (the key covers solver inputs only);
+//!   updates invalidate nothing (the key covers solver inputs only),
+//!   and a write evicts, to free memory, just the solves whose
+//!   members include a GSP it touched;
 //! * [`server`] — a bounded job queue drained by a `std::thread`
 //!   worker pool (each solve single-threaded), with admission
 //!   control: a full queue sheds load with a typed
@@ -51,6 +52,8 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+
+use std::sync::{LockResult, PoisonError};
 
 pub mod cache;
 pub mod client;
@@ -156,3 +159,44 @@ impl From<gridvo_store::StoreError> for ServiceError {
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ServiceError>;
+
+/// The guard of `result` (a `Mutex::lock`, an `RwLock` read or write,
+/// or a `Condvar` wait), recovered when a thread panicked while holding
+/// the lock. Every daemon lock goes through here, so one panicking
+/// thread cannot wedge the others.
+///
+/// This is sound because nothing run under a daemon lock leaves its
+/// state half-updated at a panic point:
+/// - the registry's writer lock: `GspRegistry::commit` stages the write
+///   on a copy; after the journal append there are only assignments and
+///   a compaction whose steps are each crash-safe, so a panic leaves the
+///   registry at its old state or at its new, fully committed one, which
+///   the next committed write publishes along with its own;
+/// - the published-snapshot lock only swaps an `Arc`;
+/// - the job queue, the lease clock and the per-application queues only
+///   push, pop, retain or count;
+/// - the metrics lock only adds to counters and histograms;
+/// - the solve cache only relinks indices it holds.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn recover_returns_the_data_of_a_poisoned_mutex() {
+        let shared = Arc::new(Mutex::new(vec![1, 2]));
+        let holder = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let mut data = holder.lock().unwrap();
+            data.push(3);
+            panic!("panic while holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.is_poisoned(), "the panic poisoned the mutex");
+        assert_eq!(*super::recover(shared.lock()), vec![1, 2, 3]);
+    }
+}

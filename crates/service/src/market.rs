@@ -51,7 +51,7 @@ pub fn mix(key: u64, salt: u64) -> u64 {
 /// A [`SolveCache`] view for one market formation: keys are salted
 /// with the pinned snapshot's committed-set digest, and stored
 /// entries' member tags are lifted from sub-pool-local ids to global
-/// ids (so shard-targeted eviction still finds them).
+/// ids (so member-id eviction still finds them).
 #[derive(Debug, Clone)]
 pub struct MarketCache {
     inner: SharedSolveCache,

@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
+use crate::recover;
 
 /// Upper bounds (ms) of the latency buckets; observations beyond the
 /// last bound land in the snapshot's `overflow` counter (JSON has no
@@ -107,7 +108,6 @@ struct Inner {
     deadline_rejections: u64,
     anytime_served: u64,
     request_errors: u64,
-    queue_depth: usize,
     queue_wait: Histogram,
     service_time: Histogram,
     leases_acquired: u64,
@@ -115,7 +115,6 @@ struct Inner {
     leases_expired: u64,
     pool_exhausted_rejections: u64,
     throttled_rejections: u64,
-    app_depths: std::collections::BTreeMap<String, usize>,
 }
 
 /// Shared, thread-safe metrics registry (clones share storage).
@@ -133,14 +132,21 @@ pub struct AppQueueDepth {
     pub depth: usize,
 }
 
-/// The market gauges the server passes into [`Metrics::snapshot`]
-/// (read from the current epoch snapshot, like the cache counters).
-#[derive(Debug, Clone, Copy, Default)]
+/// The admission gauges the server passes into [`Metrics::snapshot`],
+/// each read from its owner when the snapshot is taken (like the cache
+/// counters): the job queue, the current epoch snapshot's leases and
+/// the per-application queues.
+#[derive(Debug, Clone, Default)]
 pub struct MarketGauges {
+    /// Jobs queued right now.
+    pub queue_depth: usize,
     /// Distinct GSPs committed to a live lease right now.
     pub committed_gsps: usize,
     /// Live leases right now.
     pub live_leases: usize,
+    /// Non-zero per-application depths in app-name order, as
+    /// `gridvo_market::AppQueues::depths` lists them.
+    pub app_depths: Vec<(String, usize)>,
 }
 
 /// What a `metrics` request returns.
@@ -211,7 +217,8 @@ impl Metrics {
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
-        f(&mut self.inner.lock().expect("metrics lock poisoned"))
+        let mut inner = recover(self.inner.lock());
+        f(&mut inner)
     }
 
     /// Count one received request of the given protocol op.
@@ -279,23 +286,6 @@ impl Metrics {
         self.with(|m| m.throttled_rejections += 1);
     }
 
-    /// Record one application's current outstanding-request depth
-    /// (dropping the entry when it reaches 0).
-    pub fn set_app_depth(&self, app: &str, depth: usize) {
-        self.with(|m| {
-            if depth == 0 {
-                m.app_depths.remove(app);
-            } else {
-                m.app_depths.insert(app.to_string(), depth);
-            }
-        });
-    }
-
-    /// Record the current queue depth (after a push or pop).
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.with(|m| m.queue_depth = depth);
-    }
-
     /// Record how long a job waited in the queue.
     pub fn record_queue_wait_ms(&self, ms: f64) {
         self.with(|m| m.queue_wait.record_ms(ms));
@@ -308,8 +298,8 @@ impl Metrics {
     }
 
     /// Snapshot everything, merging in the solve cache's counters and
-    /// the market gauges.
-    pub fn snapshot(&self, cache: CacheStats, market: MarketGauges) -> MetricsSnapshot {
+    /// the admission gauges.
+    pub fn snapshot(&self, cache: CacheStats, gauges: MarketGauges) -> MetricsSnapshot {
         self.with(|m| {
             let lookups = cache.hits + cache.misses;
             MetricsSnapshot {
@@ -324,7 +314,7 @@ impl Metrics {
                 deadline_rejections: m.deadline_rejections,
                 anytime_served: m.anytime_served,
                 request_errors: m.request_errors,
-                queue_depth: m.queue_depth,
+                queue_depth: gauges.queue_depth,
                 cache_hits: cache.hits,
                 cache_misses: cache.misses,
                 cache_entries: cache.entries,
@@ -336,12 +326,12 @@ impl Metrics {
                 leases_expired: m.leases_expired,
                 pool_exhausted_rejections: m.pool_exhausted_rejections,
                 throttled_rejections: m.throttled_rejections,
-                committed_gsps: market.committed_gsps,
-                live_leases: market.live_leases,
-                app_queue_depths: m
+                committed_gsps: gauges.committed_gsps,
+                live_leases: gauges.live_leases,
+                app_queue_depths: gauges
                     .app_depths
-                    .iter()
-                    .map(|(app, &depth)| AppQueueDepth { app: app.clone(), depth })
+                    .into_iter()
+                    .map(|(app, depth)| AppQueueDepth { app, depth })
                     .collect(),
             }
         })
@@ -391,8 +381,8 @@ mod tests {
         m.deadline_rejected();
         m.anytime_served();
         m.request_errored();
-        m.set_queue_depth(4);
-        let s = m.snapshot(CacheStats { hits: 3, misses: 1, entries: 2 }, MarketGauges::default());
+        let gauges = MarketGauges { queue_depth: 4, ..MarketGauges::default() };
+        let s = m.snapshot(CacheStats { hits: 3, misses: 1, entries: 2 }, gauges);
         assert_eq!(s.requests_total, 10);
         assert_eq!(s.form_requests, 2);
         assert_eq!(s.batch_requests, 1);
@@ -415,13 +405,14 @@ mod tests {
         m.lease_released(true);
         m.pool_exhausted_shed();
         m.throttled();
-        m.set_app_depth("beta", 2);
-        m.set_app_depth("atlas", 1);
-        m.set_app_depth("gone", 3);
-        m.set_app_depth("gone", 0); // dropped at depth 0
         let s = m.snapshot(
             CacheStats { hits: 0, misses: 0, entries: 0 },
-            MarketGauges { committed_gsps: 5, live_leases: 2 },
+            MarketGauges {
+                committed_gsps: 5,
+                live_leases: 2,
+                app_depths: vec![("atlas".to_string(), 1), ("beta".to_string(), 2)],
+                ..MarketGauges::default()
+            },
         );
         assert_eq!(s.leases_acquired, 2);
         assert_eq!((s.leases_released, s.leases_expired), (1, 1));
@@ -430,7 +421,7 @@ mod tests {
         assert_eq!((s.committed_gsps, s.live_leases), (5, 2));
         let depths: Vec<(&str, usize)> =
             s.app_queue_depths.iter().map(|d| (d.app.as_str(), d.depth)).collect();
-        assert_eq!(depths, vec![("atlas", 1), ("beta", 2)], "app-name order, zeros dropped");
+        assert_eq!(depths, vec![("atlas", 1), ("beta", 2)]);
     }
 
     #[test]
@@ -440,10 +431,14 @@ mod tests {
         m.record_queue_wait_ms(1.5);
         m.record_service_ms(12.0);
         m.lease_acquired();
-        m.set_app_depth("atlas", 1);
         let s = m.snapshot(
             CacheStats { hits: 0, misses: 0, entries: 0 },
-            MarketGauges { committed_gsps: 3, live_leases: 1 },
+            MarketGauges {
+                committed_gsps: 3,
+                live_leases: 1,
+                app_depths: vec![("atlas".to_string(), 1)],
+                ..MarketGauges::default()
+            },
         );
         let json = serde_json::to_string(&s).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();

@@ -10,7 +10,7 @@
 //! * **Connection threads** — read one JSON line at a time (raw
 //!   bytes; a non-UTF-8 line gets a typed error instead of killing
 //!   the connection). Registry mutations are answered inline through
-//!   the sharded write path; registry / metrics snapshots are
+//!   the registry's one write path; registry / metrics snapshots are
 //!   answered inline from the current [`EpochSnapshot`] without
 //!   taking any registry lock. Solve-bearing requests (`form`,
 //!   `form_batch`, `execute`, `ping`) are enqueued for the worker
@@ -26,6 +26,10 @@
 //!   each reply into its wire line (JSON plus `\n`) where it builds
 //!   it, so the channel carries bytes and the connection thread only
 //!   writes them; inline replies are encoded on the connection thread.
+//!
+//! Every lock the daemon takes recovers a poisoned guard (see
+//! `crate::recover`), so one thread that panics under a lock leaves
+//! the others serving.
 //!
 //! ## Snapshot consistency
 //!
@@ -86,6 +90,7 @@ use crate::market::MarketCache;
 use crate::metrics::{MarketGauges, Metrics, MetricsSnapshot};
 use crate::persist::PersistConfig;
 use crate::protocol::{decode, encode, MechanismKind, Request, Response};
+use crate::recover;
 use crate::registry::{Committed, Mutation};
 use crate::shard::{EpochSnapshot, ShardedRegistry, Touched, DEFAULT_SHARDS};
 
@@ -102,8 +107,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Default per-request deadline in ms; 0 means no deadline.
     pub default_deadline_ms: u64,
-    /// Registry write shards (GSP id modulo `shards`); clamped ≥ 1.
-    pub shards: usize,
     /// Journal registry mutations to this data directory; `None` (the
     /// default) keeps the registry purely in memory, exactly the
     /// pre-durability behavior.
@@ -131,7 +134,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 4096,
             default_deadline_ms: 0,
-            shards: DEFAULT_SHARDS,
             persistence: None,
             rate_limit: None,
             app_queue_capacity: 16,
@@ -178,12 +180,18 @@ struct Shared {
 }
 
 impl Shared {
+    /// The metrics, with each gauge read from its owner: the queues
+    /// under their own locks, the leases from the current snapshot.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let snapshot = self.registry.snapshot();
         let committed: std::collections::BTreeSet<usize> =
             snapshot.leases.iter().flat_map(|l| l.members.iter().copied()).collect();
-        let gauges =
-            MarketGauges { committed_gsps: committed.len(), live_leases: snapshot.leases.len() };
+        let gauges = MarketGauges {
+            queue_depth: recover(self.queue.lock()).len(),
+            committed_gsps: committed.len(),
+            live_leases: snapshot.leases.len(),
+            app_depths: recover(self.app_queues.lock()).depths(),
+        };
         self.metrics.snapshot(self.cache.stats(), gauges)
     }
 }
@@ -207,7 +215,7 @@ impl ServerHandle {
         let (registry, recovered_epoch) = ShardedRegistry::open(
             scenario,
             FormationConfig::default().reputation,
-            config.shards,
+            DEFAULT_SHARDS,
             config.persistence.as_ref(),
         )
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -287,7 +295,7 @@ impl ServerHandle {
             let _ = t.join();
         }
         // Flush any jobs the workers never picked up.
-        let mut queue = self.shared.queue.lock().expect("queue lock poisoned");
+        let mut queue = recover(self.shared.queue.lock());
         while let Some(job) = queue.pop_front() {
             let _ = job.reply.send(wire_line(&Response::Busy));
         }
@@ -488,8 +496,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
             if matches!(response, Response::Ack { .. }) {
                 shared.metrics.lease_released(false);
                 if shared.lease_ttl.is_some() {
-                    let mut clock = shared.lease_clock.lock().expect("lease clock poisoned");
-                    clock.retain(|(id, _)| *id != lease);
+                    recover(shared.lease_clock.lock()).retain(|(id, _)| *id != lease);
                 }
             }
             Dispatched::one(response)
@@ -513,13 +520,9 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
                 shared.metrics.pool_exhausted_shed();
                 return Dispatched::one(Response::PoolExhausted { free });
             }
-            {
-                let mut queues = shared.app_queues.lock().expect("app queues poisoned");
-                if !queues.try_enter(&app) {
-                    shared.metrics.busy_rejected();
-                    return Dispatched::one(Response::Busy);
-                }
-                shared.metrics.set_app_depth(&app, queues.depth(&app));
+            if !recover(shared.app_queues.lock()).try_enter(&app) {
+                shared.metrics.busy_rejected();
+                return Dispatched::one(Response::Busy);
             }
             enqueue(Request::Form { app: Some(app), seed, mechanism, deadline_ms }, shared)
         }
@@ -539,7 +542,7 @@ fn sweep_expired(shared: &Arc<Shared>) {
     }
     let now = Instant::now();
     let due: Vec<u64> = {
-        let mut clock = shared.lease_clock.lock().expect("lease clock poisoned");
+        let mut clock = recover(shared.lease_clock.lock());
         let due = clock.iter().filter(|(_, at)| *at <= now).map(|(id, _)| *id).collect();
         clock.retain(|(_, at)| *at > now);
         due
@@ -554,34 +557,30 @@ fn sweep_expired(shared: &Arc<Shared>) {
 
 /// Release a job's per-application queue slot, if it held one.
 fn leave_app(shared: &Arc<Shared>, app: Option<&str>) {
-    let Some(app) = app else { return };
-    let mut queues = shared.app_queues.lock().expect("app queues poisoned");
-    queues.leave(app);
-    shared.metrics.set_app_depth(app, queues.depth(app));
+    if let Some(app) = app {
+        recover(shared.app_queues.lock()).leave(app);
+    }
 }
 
-/// The daemon's one write path: lock the shards `mutation` touches,
-/// commit it, and evict the solve-cache entries it left stale.
+/// The daemon's one write path: commit `mutation`, and evict the
+/// solve-cache entries it left stale.
 fn write(shared: &Shared, mutation: Mutation) -> crate::Result<Committed> {
-    // Trust reports and receipts keep ids stable: they lock their
-    // GSPs' shards and evict only solves over those shards stored
-    // before this epoch (to keep untouched shards hot; the solve key
-    // already covers solver inputs). A lease locks its members'
-    // shards. Churn and releases lock every shard, and a removal,
-    // which renumbers ids, flushes the cache.
-    let (ids, evict) = match &mutation {
-        Mutation::ReportTrust { from, to, .. } => (vec![*from, *to], true),
-        Mutation::ReportReceipt(receipt) => (vec![receipt.gsp], true),
-        Mutation::AcquireLease { members, .. } => (members.clone(), false),
-        _ => (Vec::new(), false),
+    // The solve key already covers every solver input, so eviction only
+    // frees memory. Trust reports and receipts keep ids stable: they
+    // evict the solves stored before this epoch whose members include
+    // a GSP they touch. A removal renumbers ids, so it flushes the
+    // cache; other writes evict nothing.
+    let touched = match &mutation {
+        Mutation::ReportTrust { from, to, .. } => vec![*from, *to],
+        Mutation::ReportReceipt(receipt) => vec![receipt.gsp],
+        _ => Vec::new(),
     };
     let flush = matches!(mutation, Mutation::RemoveGsp { .. });
-    let touched = if ids.is_empty() { Touched::All } else { Touched::Ids(&ids) };
-    let committed = shared.registry.mutate(touched, |reg| reg.commit(mutation))?;
+    let committed = shared.registry.mutate(Touched::All, |reg| reg.commit(mutation))?;
     if flush {
         shared.cache.clear();
-    } else if evict {
-        shared.cache.invalidate_members(&shared.registry.shard_members(&ids), committed.epoch);
+    } else if !touched.is_empty() {
+        shared.cache.invalidate_members(&touched, committed.epoch);
     }
     Ok(committed)
 }
@@ -616,7 +615,7 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
     };
     let (tx, rx) = mpsc::channel();
     {
-        let mut queue = shared.queue.lock().expect("queue lock poisoned");
+        let mut queue = recover(shared.queue.lock());
         if queue.len() >= shared.queue_capacity {
             // A market form already holds its app slot; give it back.
             drop(queue);
@@ -625,7 +624,6 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
             return Dispatched::one(Response::Busy);
         }
         queue.push_back(Job { request, enqueued: Instant::now(), deadline, app, reply: tx });
-        shared.metrics.set_queue_depth(queue.len());
     }
     shared.queue_cv.notify_one();
     Dispatched::Stream(rx)
@@ -634,20 +632,15 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue lock poisoned");
+            let mut queue = recover(shared.queue.lock());
             loop {
                 if let Some(job) = queue.pop_front() {
-                    shared.metrics.set_queue_depth(queue.len());
                     break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("queue lock poisoned");
-                queue = q;
+                queue = recover(shared.queue_cv.wait_timeout(queue, Duration::from_millis(100))).0;
             }
         };
         let waited = job.enqueued.elapsed();
@@ -683,7 +676,14 @@ fn serve(
     deadline_at: Option<Instant>,
 ) {
     let budget = Budget { deadline: deadline_at };
-    let send = |response: Response| reply.send(wire_line(&response));
+    // Every reply leaves through here, so anytime answers are counted
+    // in one place.
+    let send = |response: Response| {
+        if matches!(response, Response::Form { truncated: Some(true), .. }) {
+            shared.metrics.anytime_served();
+        }
+        reply.send(wire_line(&response))
+    };
     match request {
         Request::Ping { sleep_ms } => {
             std::thread::sleep(Duration::from_millis(sleep_ms));
@@ -695,7 +695,7 @@ fn serve(
                 None => {
                     let snapshot = shared.registry.snapshot();
                     match run_formation(shared, &snapshot, seed, mechanism, &budget) {
-                        Ok(outcome) => form_response(shared, outcome),
+                        Ok(outcome) => Response::form_from(outcome),
                         Err(message) => error_response(shared, message),
                     }
                 }
@@ -709,7 +709,7 @@ fn serve(
                 let response = match run_formation(shared, &snapshot, seed, mechanism, &budget) {
                     Ok(outcome) => {
                         served += 1;
-                        form_response(shared, outcome)
+                        Response::form_from(outcome)
                     }
                     Err(message) => error_response(shared, message),
                 };
@@ -732,29 +732,6 @@ fn serve(
             let _ = send(error_response(shared, format!("op {:?} is not queueable", other.op())));
         }
     }
-}
-
-/// Wrap a formation outcome for the wire, counting anytime serves.
-fn form_response(shared: &Arc<Shared>, outcome: gridvo_core::FormationOutcome) -> Response {
-    let response = Response::form_from(outcome);
-    if matches!(response, Response::Form { truncated: Some(true), .. }) {
-        shared.metrics.anytime_served();
-    }
-    response
-}
-
-/// Like [`form_response`], carrying the market fields.
-fn market_form_response(
-    shared: &Arc<Shared>,
-    outcome: gridvo_core::FormationOutcome,
-    leased: Option<(u64, u64)>,
-    formed_epoch: u64,
-) -> Response {
-    let response = Response::market_form_from(outcome, leased, formed_epoch);
-    if matches!(response, Response::Form { truncated: Some(true), .. }) {
-        shared.metrics.anytime_served();
-    }
-    response
 }
 
 /// One market formation: pin a snapshot, form over its free sub-pool,
@@ -797,17 +774,16 @@ fn market_form(
         outcome.zero_timings();
         let Some(vo) = &outcome.selected else {
             // Not even the whole pool can host the program.
-            return market_form_response(shared, outcome, None, snapshot.epoch);
+            return Response::market_form_from(outcome, None, snapshot.epoch);
         };
         let members = vo.members.clone();
         match write(shared, Mutation::AcquireLease { app: app.to_string(), members }) {
             Ok(Committed { epoch, assigned: lease }) => {
                 shared.metrics.lease_acquired();
                 if let Some(ttl) = shared.lease_ttl {
-                    let mut clock = shared.lease_clock.lock().expect("lease clock poisoned");
-                    clock.push((lease, Instant::now() + ttl));
+                    recover(shared.lease_clock.lock()).push((lease, Instant::now() + ttl));
                 }
-                return market_form_response(shared, outcome, Some((lease, epoch)), snapshot.epoch);
+                return Response::market_form_from(outcome, Some((lease, epoch)), snapshot.epoch);
             }
             Err(crate::ServiceError::Leased { .. }) => continue,
             Err(e) => return error_response(shared, e.to_string()),

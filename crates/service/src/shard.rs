@@ -1,9 +1,10 @@
-//! Sharded write path + epoch-stamped immutable read snapshots.
+//! The registry's write path and its epoch-stamped immutable read
+//! snapshots.
 //!
 //! The daemon used to put one `Mutex` around the registry in front of
 //! everything: every formation cloned the scenario under the same
 //! lock every trust report was fighting for. [`ShardedRegistry`]
-//! splits the two sides:
+//! splits the two sides, with two locks in all:
 //!
 //! * **Reads** ([`ShardedRegistry::snapshot`]) return an
 //!   `Arc<EpochSnapshot>` — an immutable, epoch-stamped image of the
@@ -18,38 +19,39 @@
 //!   response can mix state from two epochs, which is exactly what
 //!   `tests/torture.rs` hammers on.
 //!
-//! * **Writes** ([`ShardedRegistry::mutate`]) lock the shards they
-//!   touch, keyed by GSP id (`id % shards`), then run
-//!   `GspRegistry::commit` — stage, journal, swap — under one writer
-//!   lock. Staging runs inside the commit, so the writer lock
-//!   serializes all of a write's work and the shard locks add no write
-//!   concurrency: they stamp per-shard counters and set the
-//!   cache-eviction granularity below. The commit itself must stay
-//!   globally serialized — the journal is a single total order and
-//!   the epoch *is* that order. A successful commit is journaled
-//!   before its fresh `EpochSnapshot` is built and published, still
-//!   under the writer lock, so snapshot epoch order equals journal
-//!   order and no reader sees an epoch the journal lacks. The build
-//!   copies the registry's served scenario and cannot fail, so a
-//!   committed write always publishes; a refused commit changes
-//!   nothing, so nothing is published.
+//! * **Writes** ([`ShardedRegistry::mutate`]) run `GspRegistry::commit`
+//!   — stage, journal, swap — under one writer lock, so commits
+//!   exclude each other and the journal is a single total order whose
+//!   position *is* the epoch. A successful commit is journaled before
+//!   its fresh `EpochSnapshot` is built and published, still under the
+//!   writer lock, so snapshot epoch order equals journal order and no
+//!   reader sees an epoch the journal lacks. The build copies the
+//!   registry's served scenario and cannot fail, so a committed write
+//!   always publishes; a refused commit changes nothing, so nothing is
+//!   published.
 //!
-//! The shard map also narrows cache hygiene: a mutation touching GSP
-//! `g` expands to the member ids sharing `g`'s shard
-//! ([`ShardedRegistry::shard_members`]), and eviction skips entries
-//! stored at-or-after the mutation's epoch (see
-//! [`crate::cache::SharedSolveCache::invalidate_members`]).
+//! Both locks recover a poisoned guard (see `crate::recover`): a
+//! panicking write leaves the registry at its old or its new state, so
+//! it cannot wedge the writes after it.
+//!
+//! [`Touched`], [`DEFAULT_SHARDS`], the `shards` argument of
+//! [`ShardedRegistry::open`] and [`ShardedRegistry::shard_members`] are
+//! kept because the daemon benchmark (`gvbench`) still calls them; the
+//! registry has no shards, so `mutate` and `open` ignore what they are
+//! passed.
 
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use gridvo_core::reputation::ReputationEngine;
 use gridvo_core::FormationScenario;
 
 use crate::persist::PersistConfig;
+use crate::recover;
 use crate::registry::{GspRegistry, RegistrySnapshot};
 use crate::Result;
 
-/// Default shard count (`gridvo serve --shards`).
+/// The `shards` argument the daemon passes to
+/// [`ShardedRegistry::open`], which ignores it.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// An immutable, consistent image of the registry at one epoch.
@@ -89,40 +91,21 @@ impl EpochSnapshot {
     }
 }
 
-/// Which GSP ids a mutation touches, for shard locking.
+/// Which GSP ids a mutation touches. [`ShardedRegistry::mutate`]
+/// ignores it; the daemon benchmark still passes one.
 #[derive(Debug, Clone, Copy)]
 pub enum Touched<'a> {
     /// Trust / receipt mutations: the ids whose edges or evidence
     /// change. Ids keep their meaning across the mutation.
     Ids(&'a [usize]),
-    /// Membership churn (`add_gsp` / `remove_gsp`): ids renumber, so
-    /// the write locks every shard.
+    /// Membership churn (`add_gsp` / `remove_gsp`): ids renumber.
     All,
 }
 
-/// Per-shard write counters.
-#[derive(Debug, Default)]
-struct ShardState {
-    /// Epoch of the last commit staged through this shard.
-    last_epoch: u64,
-    /// Commits staged through this shard.
-    mutations: u64,
-}
-
-/// Per-shard counters, for tests and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Epoch of the last mutation staged through the shard.
-    pub last_epoch: u64,
-    /// Mutations staged through the shard.
-    pub mutations: u64,
-}
-
-/// The daemon's registry: sharded writes, lock-free-after-`Arc`-clone
-/// snapshot reads. See the module docs.
+/// The daemon's registry: writes under one lock, snapshot reads that
+/// never wait for a write. See the module docs.
 #[derive(Debug)]
 pub struct ShardedRegistry {
-    shards: Vec<Mutex<ShardState>>,
     /// The commit lock: owns the registry and its journal. Held only
     /// for the commit and the snapshot build.
     writer: Mutex<GspRegistry>,
@@ -132,91 +115,53 @@ pub struct ShardedRegistry {
 
 impl ShardedRegistry {
     /// Bootstrap or recover (see [`GspRegistry::open`]) and publish
-    /// the initial snapshot. `shards` is clamped to ≥ 1.
+    /// the initial snapshot. `shards` is ignored; it is kept for
+    /// callers that pass it.
     pub fn open(
         scenario: &FormationScenario,
         engine: ReputationEngine,
-        shards: usize,
+        _shards: usize,
         persist: Option<&PersistConfig>,
     ) -> Result<(Self, Option<u64>)> {
         let (registry, recovered) = GspRegistry::open(scenario, engine, persist)?;
         let snapshot = Arc::new(EpochSnapshot::build(&registry));
-        let sharded = ShardedRegistry {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(ShardState::default())).collect(),
-            writer: Mutex::new(registry),
-            current: RwLock::new(snapshot),
-        };
+        let sharded =
+            ShardedRegistry { writer: Mutex::new(registry), current: RwLock::new(snapshot) };
         Ok((sharded, recovered))
-    }
-
-    /// The shard owning GSP `id`.
-    pub fn shard_of(&self, id: usize) -> usize {
-        id % self.shards.len()
     }
 
     /// The current snapshot. This is the entire read path: one brief
     /// read lock to clone an `Arc`.
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
-        Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
+        Arc::clone(&*recover(self.current.read()))
     }
 
-    /// Expand `touched` ids to every pool id sharing a shard with one
-    /// of them — the eviction granularity of the solve cache.
+    /// The pool ids among `touched`, ascending and without repeats:
+    /// the member ids whose cached solves the daemon evicts after a
+    /// trust report or receipt about `touched`.
     pub fn shard_members(&self, touched: &[usize]) -> Vec<usize> {
-        let pool = self.snapshot().view.gsps;
-        (0..pool)
-            .filter(|&g| touched.iter().any(|&t| self.shard_of(t) == self.shard_of(g)))
-            .collect()
-    }
-
-    /// Per-shard staging counters.
-    pub fn shard_stats(&self) -> Vec<ShardStat> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("shard lock poisoned");
-                ShardStat { last_epoch: s.last_epoch, mutations: s.mutations }
-            })
-            .collect()
+        (0..self.snapshot().view.gsps).filter(|g| touched.contains(g)).collect()
     }
 
     /// Journal / snapshot counters, when persistence is on.
     pub fn store_stats(&self) -> Option<gridvo_store::StoreStats> {
-        self.writer.lock().expect("writer lock poisoned").store_stats()
+        recover(self.writer.lock()).store_stats()
     }
 
-    /// Run one write: lock the touched shards (ascending-index order,
-    /// so concurrent writes can never deadlock), commit under the
-    /// writer lock, then publish the new snapshot and stamp the locked
-    /// shards. The snapshot is built and swapped *before* the writer
-    /// lock drops, so the published epoch sequence is exactly the
-    /// journal's. `f` commits through the registry's one write path;
-    /// when it fails, nothing was committed and nothing is published.
+    /// Run one write: `f` commits through the registry's one write path
+    /// under the writer lock, and the new snapshot is built and swapped
+    /// in *before* the writer lock drops, so the published epoch
+    /// sequence is exactly the journal's. When `f` fails, nothing was
+    /// committed and nothing is published. `touched` is ignored; it is
+    /// kept for callers that pass it.
     pub fn mutate<T>(
         &self,
-        touched: Touched<'_>,
+        _touched: Touched<'_>,
         f: impl FnOnce(&mut GspRegistry) -> Result<T>,
     ) -> Result<T> {
-        let staged: Vec<usize> = match touched {
-            Touched::Ids(ids) => {
-                let mut shards: Vec<usize> = ids.iter().map(|&id| self.shard_of(id)).collect();
-                shards.sort_unstable();
-                shards.dedup();
-                shards
-            }
-            Touched::All => (0..self.shards.len()).collect(),
-        };
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            staged.iter().map(|&i| self.shards[i].lock().expect("shard lock poisoned")).collect();
-
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let mut writer = recover(self.writer.lock());
         let out = f(&mut writer)?;
-        let snapshot = Arc::new(EpochSnapshot::build(&writer));
-        *self.current.write().expect("snapshot lock poisoned") = snapshot;
-        for guard in &mut guards {
-            guard.last_epoch = writer.epoch();
-            guard.mutations += 1;
-        }
+        *recover(self.current.write()) = Arc::new(EpochSnapshot::build(&writer));
         Ok(out)
     }
 }
@@ -243,13 +188,15 @@ mod tests {
         FormationScenario::new(gsps, trust, inst).unwrap()
     }
 
-    fn open(shards: usize) -> ShardedRegistry {
-        ShardedRegistry::open(&scenario(), ReputationEngine::default(), shards, None).unwrap().0
+    fn open() -> ShardedRegistry {
+        ShardedRegistry::open(&scenario(), ReputationEngine::default(), DEFAULT_SHARDS, None)
+            .unwrap()
+            .0
     }
 
     #[test]
     fn snapshots_are_pinned_while_mutations_publish_new_epochs() {
-        let reg = open(4);
+        let reg = open();
         let before = reg.snapshot();
         assert_eq!(before.epoch, 0);
         let epoch = reg.mutate(Touched::Ids(&[0, 1]), |r| r.report_trust(0, 1, 0.9)).unwrap();
@@ -265,28 +212,27 @@ mod tests {
     }
 
     #[test]
-    fn shard_staging_stamps_only_touched_shards() {
-        let reg = open(3);
-        reg.mutate(Touched::Ids(&[1]), |r| r.report_trust(1, 2, 0.7)).unwrap();
-        let stats = reg.shard_stats();
-        assert_eq!(stats[1], ShardStat { last_epoch: 1, mutations: 1 });
-        assert_eq!(stats[0].mutations, 0);
-        // Membership churn drains every shard.
-        reg.mutate(Touched::All, |r| r.add_gsp(90.0, &[2.0; 4], &[1.5; 4])).unwrap();
-        assert!(reg.shard_stats().iter().all(|s| s.last_epoch == 2));
+    fn shard_members_are_the_touched_pool_ids() {
+        let reg = open(); // pool ids 0, 1, 2
+        assert_eq!(reg.shard_members(&[0]), vec![0]);
+        assert_eq!(reg.shard_members(&[2, 0, 2]), vec![0, 2], "ascending, no repeats");
+        assert_eq!(reg.shard_members(&[1, 9]), vec![1], "ids outside the pool are dropped");
     }
 
     #[test]
-    fn shard_members_expand_to_whole_shards() {
-        let reg = open(2); // shards: {0, 2} and {1}
-        assert_eq!(reg.shard_members(&[0]), vec![0, 2]);
-        assert_eq!(reg.shard_members(&[1]), vec![1]);
-        assert_eq!(reg.shard_members(&[0, 1]), vec![0, 1, 2]);
+    fn a_panicking_write_does_not_wedge_the_registry() {
+        let reg = open();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.mutate(Touched::All, |_| -> Result<()> { panic!("write panicked") })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(reg.mutate(Touched::Ids(&[0, 1]), |r| r.report_trust(0, 1, 0.9)), Ok(1));
+        assert_eq!(reg.snapshot().epoch, 1);
     }
 
     #[test]
     fn failed_mutations_leave_the_snapshot_alone() {
-        let reg = open(2);
+        let reg = open();
         let err = reg.mutate(Touched::Ids(&[0]), |r| r.report_trust(0, 99, 0.5));
         assert!(err.is_err());
         assert_eq!(reg.snapshot().epoch, 0, "no epoch, no publish");
@@ -294,7 +240,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_produce_a_gapless_epoch_order() {
-        let reg = std::sync::Arc::new(open(4));
+        let reg = std::sync::Arc::new(open());
         let mut handles = Vec::new();
         for w in 0..4usize {
             let reg = std::sync::Arc::clone(&reg);

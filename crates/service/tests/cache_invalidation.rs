@@ -12,11 +12,13 @@
 //! the cached daemon diverges from the uncached one and the
 //! interleaving here catches it.
 
-use gridvo_core::{ExecutionReceipt, FormationScenario};
-use gridvo_service::protocol::MechanismKind;
+use gridvo_core::{ExecutionReceipt, FormationScenario, Gsp};
+use gridvo_service::protocol::{MechanismKind, Response};
 use gridvo_service::{ServerConfig, ServerHandle, ServiceClient};
 use gridvo_sim::config::TableI;
 use gridvo_sim::instance_gen::ScenarioGenerator;
+use gridvo_solver::AssignmentInstance;
+use gridvo_trust::TrustGraph;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -169,4 +171,36 @@ proptest! {
         let (cached_bytes, uncached_bytes, _hits) = differential(&s, &steps);
         prop_assert_eq!(cached_bytes, uncached_bytes);
     }
+}
+
+/// A receipt evicts exactly the cached solves whose members include
+/// its subject. On a 10-GSP × 20-task pool in which no GSP trusts
+/// GSP 9, TVOF evicts GSP 9 first, so of one formation's ten cached
+/// round solves only round 0's contains it.
+#[test]
+fn a_receipt_evicts_only_the_solves_that_contain_its_subject() {
+    let (tasks, gsps) = (20, 10);
+    let mut trust = TrustGraph::new(gsps);
+    for from in 0..gsps {
+        for to in (0..9).filter(|&to| to != from) {
+            trust.set_trust(from, to, 0.5);
+        }
+    }
+    let cost: Vec<f64> = (0..tasks * gsps).map(|k| 1.0 + (k % 7) as f64 * 0.25).collect();
+    let inst = AssignmentInstance::new(tasks, gsps, cost.clone(), cost, 1e6, 1e4).unwrap();
+    let pool = (0..gsps).map(|g| Gsp::new(g, 50.0 + g as f64)).collect();
+    let s = FormationScenario::new(pool, trust, inst).unwrap();
+
+    let daemon = ServerHandle::spawn(&s, ServerConfig::default()).expect("bind loopback");
+    let mut client = ServiceClient::connect(daemon.addr()).unwrap();
+    let Response::Form { outcome, .. } = client.form(3, MechanismKind::Tvof, None).unwrap() else {
+        panic!("form did not answer a formation");
+    };
+    assert_eq!(outcome.iterations.len(), 10, "one round per VO size");
+    assert_eq!(outcome.iterations[0].evicted, Some(9), "GSP 9 is evicted first");
+    assert_eq!(client.metrics().unwrap().cache_entries, 10, "one cached solve per round");
+
+    client.report_receipt(ExecutionReceipt::new(0, 9, false, 5.0, vec![0])).unwrap();
+    assert_eq!(client.metrics().unwrap().cache_entries, 9, "only round 0's solve held GSP 9");
+    daemon.shutdown();
 }

@@ -167,18 +167,6 @@ impl TrustGraph {
         Ok(TrustGraph { weights: w })
     }
 
-    /// Remove one node, returning the restricted graph and the mapping
-    /// from new index → old index.
-    pub fn remove_node(&self, node: NodeId) -> Result<(TrustGraph, Vec<NodeId>)> {
-        let n = self.node_count();
-        if node >= n {
-            return Err(TrustError::NodeOutOfRange { node, len: n });
-        }
-        let members: Vec<NodeId> = (0..n).filter(|&i| i != node).collect();
-        let g = self.restrict(&members)?;
-        Ok((g, members))
-    }
-
     /// True if every ordered pair of distinct nodes is connected by a
     /// directed path of positive-weight edges (strong connectivity).
     /// Strongly connected trust graphs give strictly positive
@@ -312,19 +300,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_node_returns_mapping() {
-        let g = triangle();
-        let (sub, map) = g.remove_node(1).unwrap();
-        assert_eq!(map, vec![0, 2]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.trust(1, 0), 3.0); // old 2→0
-    }
-
-    #[test]
     fn strong_connectivity() {
         let g = triangle();
         assert!(g.is_strongly_connected());
-        let (sub, _) = g.remove_node(1).unwrap();
+        let sub = g.restrict(&[0, 2]).unwrap();
         // 2→0 remains, but no path 0→2
         assert!(!sub.is_strongly_connected());
         assert!(!TrustGraph::new(0).is_strongly_connected());
