@@ -11,7 +11,6 @@ use gridvo_core::reputation::ReputationEngine;
 use gridvo_sim::experiments::paper_config;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::{seeded_rng, Aggregate};
-use gridvo_trust::propagation::PathCombine;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -22,8 +21,8 @@ fn main() {
     let engines: Vec<(&str, ReputationEngine)> = vec![
         ("power method (paper)", ReputationEngine::default()),
         ("pagerank 0.85", ReputationEngine::pagerank(0.85)),
-        ("path propagation 3-hop", ReputationEngine::propagation(3, PathCombine::Aggregate)),
-        ("in-degree", ReputationEngine::in_degree()),
+        ("path propagation 3-hop", ReputationEngine::PathPropagation { max_hops: 3 }),
+        ("in-degree", ReputationEngine::InDegree),
     ];
 
     let mut rows = Vec::new();

@@ -353,6 +353,10 @@ fn shed(response: Response) -> Result<(), String> {
         Response::PoolExhausted { free } => {
             Err(format!("pool exhausted ({free} free GSP(s)) — release a lease or retry later"))
         }
+        Response::ReaderStalled { unread_bytes } => Err(format!(
+            "batch stopped: {unread_bytes} reply bytes were left unread (read the reply as it \
+             streams)"
+        )),
         Response::Error { message } => Err(format!("server error: {message}")),
         other => Err(format!("unexpected response kind {:?}", other.kind())),
     }

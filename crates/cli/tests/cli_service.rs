@@ -135,3 +135,28 @@ fn request_subcommand_fails_cleanly_without_a_daemon() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot connect"));
 }
+
+#[test]
+fn form_batch_exits_nonzero_on_a_stalled_reader_line() {
+    // A scripted peer answers the batch the way the daemon ends one
+    // whose client fell behind.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("the CLI connects");
+        let mut request = String::new();
+        BufReader::new(stream.try_clone().expect("clone")).read_line(&mut request).expect("read");
+        let reply = "{\"kind\":\"reader_stalled\",\"unread_bytes\":4196196}\n\
+                     {\"kind\":\"batch_end\",\"epoch\":0,\"served\":0}\n";
+        std::io::Write::write_all(&mut &stream, reply.as_bytes()).expect("reply");
+        request
+    });
+    let out = gridvo()
+        .args(["request", "form-batch", "--addr", &addr, "--seeds", "1,2"])
+        .output()
+        .expect("binary runs");
+    assert!(peer.join().expect("peer thread").contains("\"op\":\"form_batch\""));
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("batch stopped: 4196196 reply bytes were left unread"), "{stderr}");
+}

@@ -2,7 +2,7 @@
 //!
 //! **TVOF** — the trust-based virtual-organization formation mechanism
 //! of Mashayekhy & Grosu (ICPP 2012) — together with the **RVOF**
-//! random baseline, pluggable eviction/selection policies, and the
+//! random baseline, pluggable eviction policies, and the
 //! stability / Pareto audits of the paper's Theorems 1–2.
 //!
 //! ## The mechanism (Algorithm 1)
@@ -71,7 +71,7 @@ pub use execution::{
     RecoveryKind, RecoveryRecord,
 };
 pub use gsp::Gsp;
-pub use mechanism::{EvictionPolicy, FormationConfig, Mechanism, SelectionRule};
+pub use mechanism::{EvictionPolicy, FormationConfig, Mechanism};
 pub use scenario::FormationScenario;
 pub use vo::{FormationOutcome, IterationRecord, VoRecord};
 

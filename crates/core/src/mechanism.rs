@@ -7,9 +7,10 @@
 //! ([`EvictionPolicy::HighestCost`], [`EvictionPolicy::LowestSpeed`])
 //! support the eviction-policy ablation.
 //!
-//! Likewise the final choice from the feasible list `L` is a
-//! [`SelectionRule`]; the paper uses maximum payoff share, and Fig. 4
-//! compares it against the payoff × reputation product.
+//! The final choice from the feasible list `L` is the paper's: the VO
+//! with the highest per-member payoff (Alg. 1 l. 14). Fig. 4 compares
+//! it with the payoff × reputation product after the fact, through
+//! [`FormationOutcome::best_product_vo`].
 
 use crate::reputation::ReputationEngine;
 use crate::scenario::FormationScenario;
@@ -37,18 +38,6 @@ pub enum EvictionPolicy {
     LowestSpeed,
 }
 
-/// How the final VO is chosen from the feasible list `L`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionRule {
-    /// Highest per-member payoff share (the paper's rule, Alg. 1 l.14).
-    #[default]
-    MaxPayoff,
-    /// Highest payoff share × average reputation (Fig. 4's comparison).
-    MaxPayoffReputationProduct,
-    /// Highest average reputation.
-    MaxReputation,
-}
-
 /// Which solver the driver uses for the IP each iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolverChoice {
@@ -71,8 +60,6 @@ pub struct FormationConfig {
     pub solver: SolverChoice,
     /// Reputation engine (Algorithm 2 settings).
     pub reputation: ReputationEngine,
-    /// Final-selection rule.
-    pub selection: SelectionRule,
     /// Incremental engine: carry each round's optimal assignment
     /// (repaired after eviction) into the next round's exact solve as a
     /// warm incumbent, and warm-start the power method from the
@@ -89,7 +76,6 @@ impl Default for FormationConfig {
         FormationConfig {
             solver: SolverChoice::default(),
             reputation: ReputationEngine::default(),
-            selection: SelectionRule::default(),
             warm_start: true,
         }
     }
@@ -444,15 +430,10 @@ impl Mechanism {
         }
     }
 
+    /// Algorithm 1, l. 14: the VO of `L` with the highest per-member
+    /// payoff, the last one among equal maxima.
     fn select<'a>(&self, vos: &'a [VoRecord]) -> Option<&'a VoRecord> {
-        let key = |v: &VoRecord| -> f64 {
-            match self.config.selection {
-                SelectionRule::MaxPayoff => v.payoff_share,
-                SelectionRule::MaxPayoffReputationProduct => v.payoff_reputation_product(),
-                SelectionRule::MaxReputation => v.avg_reputation,
-            }
-        };
-        vos.iter().max_by(|a, b| key(a).total_cmp(&key(b)))
+        vos.iter().max_by(|a, b| a.payoff_share.total_cmp(&b.payoff_share))
     }
 }
 
@@ -589,19 +570,26 @@ mod tests {
     }
 
     #[test]
-    fn selection_rules_pick_different_vos_when_they_should() {
-        let s = scenario();
-        let mut rng = TestRng::seed_from_u64(6);
-        let out = Mechanism::tvof(FormationConfig::default()).run(&s, &mut rng).unwrap();
-        // MaxReputation must pick a VO whose avg reputation is maximal in L
-        let max_rep =
-            out.feasible_vos.iter().map(|v| v.avg_reputation).fold(f64::NEG_INFINITY, f64::max);
-        let mech = Mechanism::tvof(FormationConfig {
-            selection: SelectionRule::MaxReputation,
-            ..Default::default()
-        });
-        let picked = mech.select(&out.feasible_vos).unwrap();
-        assert!((picked.avg_reputation - max_rep).abs() < 1e-12);
+    fn selection_takes_the_last_of_tied_maximum_payoff_shares() {
+        let vo = |members: Vec<usize>, payoff_share: f64, avg_reputation: f64| VoRecord {
+            assignment: gridvo_solver::Assignment::new(vec![0; 4]),
+            cost: 1.0,
+            value: payoff_share * members.len() as f64,
+            payoff_share,
+            avg_reputation,
+            optimal: true,
+            gap: Some(0.0),
+            members,
+        };
+        let list = [
+            vo(vec![0, 1, 2, 3], 4.0, 0.9),
+            vo(vec![0, 1, 2], 6.0, 0.5),
+            vo(vec![0, 1], 6.0, 0.2),
+            vo(vec![0], 5.0, 0.1),
+        ];
+        let mech = Mechanism::tvof(FormationConfig::default());
+        assert_eq!(mech.select(&list).map(|v| v.members.clone()), Some(vec![0, 1]));
+        assert!(mech.select(&[]).is_none());
     }
 
     #[test]

@@ -7,77 +7,42 @@
 //! performs exactly that, mapping scores back to global GSP ids.
 
 use crate::Result;
-use gridvo_trust::normalize::DanglingPolicy;
-use gridvo_trust::propagation::{propagation_scores, PathCombine};
+use gridvo_trust::propagation::propagation_scores;
 use gridvo_trust::{PowerMethod, TrustGraph};
 
 /// Which algorithm turns the VO's trust subgraph into per-member
 /// reputation scores. The paper uses the power method; the others
 /// back the reputation-engine ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EngineKind {
+pub enum ReputationEngine {
     /// The paper's Algorithm 2: power iteration to the left principal
-    /// eigenvector (eigenvector centrality). `PowerMethod::damped`
+    /// eigenvector (eigenvector centrality) of eq. (1)'s normalized
+    /// trust, where a member who trusts nobody inside the VO spreads
+    /// its trust uniformly over the others. `PowerMethod::damped`
     /// gives the PageRank variant.
     Power(PowerMethod),
     /// Hang-et-al. path propagation: concatenate trust along simple
-    /// paths (≤ `max_hops`), combine parallel paths with `combine`,
-    /// score each member by the mean trust it receives.
+    /// paths (≤ `max_hops`), aggregate parallel paths by probabilistic
+    /// sum, and score each member by the mean trust it receives.
     PathPropagation {
         /// Maximum path length explored (exponential in this; ≤ ~6).
         max_hops: usize,
-        /// Parallel-path combination rule.
-        combine: PathCombine,
     },
     /// Weighted in-degree: total direct trust received. The cheapest
     /// possible engine; ignores transitivity entirely.
     InDegree,
 }
 
-/// Reputation engine configuration used by the mechanism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReputationEngine {
-    /// Scoring algorithm.
-    pub kind: EngineKind,
-    /// Dangling-row policy for members who trust nobody inside the VO
-    /// (power-method engines only).
-    pub dangling: DanglingPolicy,
-}
-
 impl Default for ReputationEngine {
     fn default() -> Self {
-        ReputationEngine {
-            kind: EngineKind::Power(PowerMethod::default()),
-            dangling: DanglingPolicy::Uniform,
-        }
+        ReputationEngine::Power(PowerMethod::default())
     }
 }
 
 impl ReputationEngine {
-    /// The paper's engine with explicit power-method settings.
-    pub fn power(power: PowerMethod) -> Self {
-        ReputationEngine { kind: EngineKind::Power(power), ..Default::default() }
-    }
-
     /// PageRank-style damped engine.
     pub fn pagerank(alpha: f64) -> Self {
-        ReputationEngine {
-            kind: EngineKind::Power(PowerMethod::damped(alpha)),
-            ..Default::default()
-        }
-    }
-
-    /// Path-propagation engine.
-    pub fn propagation(max_hops: usize, combine: PathCombine) -> Self {
-        ReputationEngine {
-            kind: EngineKind::PathPropagation { max_hops, combine },
-            ..Default::default()
-        }
-    }
-
-    /// In-degree engine.
-    pub fn in_degree() -> Self {
-        ReputationEngine { kind: EngineKind::InDegree, ..Default::default() }
+        ReputationEngine::Power(PowerMethod::damped(alpha))
     }
 }
 
@@ -154,25 +119,25 @@ impl ReputationEngine {
         start: Option<&[f64]>,
     ) -> Result<VoReputation> {
         let sub = trust.restrict(members)?;
-        let (mut scores, iterations) = match self.kind {
-            EngineKind::Power(power) => {
-                let a = gridvo_trust::normalize::row_normalize(&sub, self.dangling);
+        let (mut scores, iterations) = match *self {
+            ReputationEngine::Power(power) => {
+                let a = gridvo_trust::normalize::row_normalize(&sub);
                 let report = match start {
                     Some(s) => power.run_with_start(&a, s)?,
                     None => power.run(&a)?,
                 };
                 (report.scores, report.iterations)
             }
-            EngineKind::PathPropagation { max_hops, combine } => {
+            ReputationEngine::PathPropagation { max_hops } => {
                 // propagation needs weights in [0, 1]: rescale by max
                 let max_w = sub.edges().map(|(_, _, w)| w).fold(1.0f64, f64::max);
                 let mut unit = TrustGraph::new(sub.node_count());
                 for (i, j, w) in sub.edges() {
                     unit.set_trust(i, j, w / max_w);
                 }
-                (propagation_scores(&unit, max_hops, combine)?, 1)
+                (propagation_scores(&unit, max_hops)?, 1)
             }
-            EngineKind::InDegree => {
+            ReputationEngine::InDegree => {
                 let scores: Vec<f64> = (0..sub.node_count()).map(|j| sub.in_trust_sum(j)).collect();
                 (scores, 1)
             }
@@ -302,14 +267,13 @@ mod engine_tests {
         let engines = [
             ReputationEngine::default(),
             ReputationEngine::pagerank(0.85),
-            ReputationEngine::propagation(3, PathCombine::Aggregate),
-            ReputationEngine::propagation(3, PathCombine::SelectBest),
-            ReputationEngine::in_degree(),
+            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::InDegree,
         ];
         for e in engines {
             let rep = e.compute(&g, &[0, 1, 2, 3]).unwrap();
             let sum: f64 = rep.scores.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "{:?} not a distribution", e.kind);
+            assert!((sum - 1.0).abs() < 1e-9, "{e:?} not a distribution");
             assert!(rep.scores.iter().all(|&s| s >= 0.0));
         }
     }
@@ -320,18 +284,18 @@ mod engine_tests {
         let g = trusty();
         for e in [
             ReputationEngine::default(),
-            ReputationEngine::propagation(3, PathCombine::Aggregate),
-            ReputationEngine::in_degree(),
+            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::InDegree,
         ] {
             let rep = e.compute(&g, &[0, 1, 2, 3]).unwrap();
-            assert_eq!(rep.lowest_members(), vec![3], "{:?} missed the outcast", e.kind);
+            assert_eq!(rep.lowest_members(), vec![3], "{e:?} missed the outcast");
         }
     }
 
     #[test]
     fn in_degree_matches_hand_computation() {
         let g = trusty();
-        let rep = ReputationEngine::in_degree().compute(&g, &[0, 1, 2]).unwrap();
+        let rep = ReputationEngine::InDegree.compute(&g, &[0, 1, 2]).unwrap();
         // in-degrees inside {0,1,2}: 0 ← 1.0+0.5 = 1.5; 1 ← 1.0; 2 ← 0.8
         let total = 1.5 + 1.0 + 0.8;
         assert!((rep.scores[0] - 1.5 / total).abs() < 1e-12);
@@ -339,10 +303,62 @@ mod engine_tests {
         assert!((rep.scores[2] - 0.8 / total).abs() < 1e-12);
     }
 
+    /// Every engine's scores, average and iteration count, bit for
+    /// bit, cold and warm-started, on a graph whose GSP 3 trusts
+    /// nobody (a dangling row) and on the pure 2-cycle, where a skewed
+    /// start converges only through the lazy step.
+    #[test]
+    fn engine_outputs_are_pinned_bit_for_bit() {
+        let mut dangling = TrustGraph::new(4);
+        dangling.set_trust(0, 1, 0.9);
+        dangling.set_trust(1, 2, 0.6);
+        dangling.set_trust(2, 0, 0.7);
+        dangling.set_trust(0, 3, 0.2);
+        dangling.set_trust(1, 3, 0.4);
+        let mut cycle = TrustGraph::new(2);
+        cycle.set_trust(0, 1, 1.0);
+        cycle.set_trust(1, 0, 1.0);
+        let cases: [(&TrustGraph, &[usize], &[f64]); 2] =
+            [(&dangling, &[0, 1, 2, 3], &[0.7, 0.1, 0.15, 0.05]), (&cycle, &[0, 1], &[0.9, 0.1])];
+        let engines = [
+            ReputationEngine::default(),
+            ReputationEngine::pagerank(0.85),
+            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::InDegree,
+        ];
+        let digests: Vec<u64> = engines
+            .iter()
+            .map(|engine| {
+                let mut h = gridvo_solver::instance::Fnv1a::new();
+                for (graph, members, start) in cases {
+                    for start in [None, Some(start)] {
+                        let rep = engine.compute_with_start(graph, members, start).unwrap();
+                        h.write_u64(rep.iterations as u64);
+                        h.write_u64(rep.average.to_bits());
+                        for s in &rep.scores {
+                            h.write_u64(s.to_bits());
+                        }
+                    }
+                }
+                h.finish()
+            })
+            .collect();
+        let pinned = [
+            0xe5fc_49d9_daad_15f7,
+            0x6ef3_dbb1_759c_c3da,
+            0xbd47_5c30_82df_d0fd,
+            0xb806_193e_f40c_4aa9,
+        ];
+        assert_eq!(digests, pinned, "{digests:#018x?}");
+        // From the skewed start, one lazy step lands on the fixed point.
+        let rep = engines[0].compute_with_start(&cycle, &[0, 1], Some(&[0.9, 0.1])).unwrap();
+        assert_eq!((rep.scores, rep.iterations), (vec![0.5, 0.5], 2));
+    }
+
     #[test]
     fn trustless_vo_scores_uniform() {
         let g = TrustGraph::new(3);
-        let rep = ReputationEngine::in_degree().compute(&g, &[0, 1, 2]).unwrap();
+        let rep = ReputationEngine::InDegree.compute(&g, &[0, 1, 2]).unwrap();
         for &s in &rep.scores {
             assert!((s - 1.0 / 3.0).abs() < 1e-12);
         }

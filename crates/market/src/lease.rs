@@ -136,10 +136,10 @@ impl LeaseTable {
         (0..pool).filter(|id| committed.binary_search(id).is_err()).collect()
     }
 
-    /// FNV-1a digest of the committed set, used to salt solve-cache
-    /// keys so a cached optimum is never served against a different
-    /// available pool. Returns 0 when nothing is committed, so an
-    /// idle market shares cache entries with plain formation.
+    /// FNV-1a digest of the committed set; 0 when nothing is
+    /// committed. The daemon does not read it (a market solve-cache
+    /// key hashes the free sub-pool's own instance); the daemon
+    /// benchmark does.
     pub fn free_digest(&self) -> u64 {
         let committed = self.committed();
         if committed.is_empty() {
@@ -152,7 +152,7 @@ impl LeaseTable {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
-        hash.max(1) // never collide with the idle-market salt
+        hash.max(1) // never collide with the idle-market 0
     }
 
     /// Renumber members after GSP `removed` left the registry: every

@@ -126,7 +126,9 @@ impl ServiceClient {
     /// server streams one reply line per seed (each byte-identical to
     /// the equivalent sequential `form`) followed by a terminating
     /// [`Response::BatchEnd`]; this returns every line in order. A
-    /// shed batch returns a single `Busy` / `DeadlineExceeded`.
+    /// shed batch returns a single `Busy` / `DeadlineExceeded`, and a
+    /// batch whose reader fell too far behind carries a
+    /// [`Response::ReaderStalled`] line before its `BatchEnd`.
     pub fn form_batch(
         &mut self,
         seeds: &[u64],

@@ -1,5 +1,5 @@
-//! Market-aware formation glue: free-sub-pool scenarios, member
-//! remapping, and lease-salted cache keys.
+//! Market-aware formation glue: free-sub-pool scenarios and member
+//! remapping.
 //!
 //! A `form --app` request must only see the **free sub-pool** — the
 //! GSPs held by no live lease. The server pins an
@@ -11,12 +11,15 @@
 //! [`gridvo_core::FormationOutcome::map_members`]. [`free_scenario`]
 //! is that restriction on its own.
 //!
-//! Caching stays correct under contention because [`MarketCache`]
-//! mixes the snapshot's committed-set digest into every solve key: a
-//! cached optimum computed while GSP 3 was leased can never answer a
-//! request made after GSP 3 returned. When nothing is committed the
-//! digest is 0 and [`mix`] is the identity, so an idle market shares
-//! entries with plain (`--app`-less) formation byte-for-byte.
+//! Caching stays correct under contention without any market state in
+//! the key. The restricted scenario has its own pool digest, which
+//! [`round_key`](gridvo_core::solve_cache::round_key) hashes, so a
+//! cached solve computed while GSP 3 was leased answers a request made
+//! after GSP 3 returned only if the two sub-pools' cost/time instances
+//! are equal — and then it is the right answer for both. An idle
+//! market runs the full scenario and shares entries with plain
+//! (`--app`-less) formation. [`MarketCache`] only lifts the member
+//! tags of stored solves to global ids.
 //!
 //! These helpers are `pub` so the torture tests can recompute a serial
 //! oracle's responses from the same pieces the server uses.
@@ -34,50 +37,36 @@ pub fn free_scenario(full: &FormationScenario, free: &[usize]) -> Option<Formati
     full.restrict(free)
 }
 
-/// Mix a free-set digest into a solve key. Identity when `salt == 0`
-/// (the idle-market case), an FNV-1a-style scramble otherwise — so
-/// the same sub-scenario content under different committed sets can
-/// never collide onto one entry.
-pub fn mix(key: u64, salt: u64) -> u64 {
-    if salt == 0 {
-        return key;
-    }
-    let mut h = key ^ salt;
-    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    h ^= h >> 29;
-    h.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// A [`SolveCache`] view for one market formation: keys are salted
-/// with the pinned snapshot's committed-set digest, and stored
-/// entries' member tags are lifted from sub-pool-local ids to global
-/// ids (so member-id eviction still finds them).
+/// A [`SolveCache`] view for one market formation: stored entries'
+/// member tags are lifted from sub-pool-local ids to global ids (so
+/// member-id eviction still finds them). Keys pass through unchanged.
 #[derive(Debug, Clone)]
 pub struct MarketCache {
     inner: SharedSolveCache,
-    salt: u64,
     free: Vec<usize>,
 }
 
 impl MarketCache {
     /// Wrap `inner` (already epoch-stamped via
-    /// [`SharedSolveCache::at_epoch`]) for a formation over `free`
-    /// under committed-set digest `salt`.
-    pub fn new(inner: SharedSolveCache, salt: u64, free: &[usize]) -> Self {
-        MarketCache { inner, salt, free: free.to_vec() }
+    /// [`SharedSolveCache::at_epoch`]) for a formation over `free`.
+    /// `_salt` is ignored: the key needs no market state (see the
+    /// module docs). The daemon benchmark passes a committed-set
+    /// digest there.
+    pub fn new(inner: SharedSolveCache, _salt: u64, free: &[usize]) -> Self {
+        MarketCache { inner, free: free.to_vec() }
     }
 }
 
 impl SolveCache for MarketCache {
     fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
-        self.inner.lookup(mix(key, self.salt))
+        self.inner.lookup(key)
     }
 
     fn store(&mut self, key: u64, value: &CachedSolve) {
         let mut lifted = value.clone();
         lifted.members =
             lifted.members.iter().map(|&m| self.free.get(m).copied().unwrap_or(m)).collect();
-        self.inner.store(mix(key, self.salt), &lifted);
+        self.inner.store(key, &lifted);
     }
 }
 
@@ -85,8 +74,9 @@ impl SolveCache for MarketCache {
 mod tests {
     use super::*;
     use gridvo_core::reputation::ReputationEngine;
+    use gridvo_core::solve_cache::NoCache;
     use gridvo_core::{FormationConfig, Gsp, Mechanism};
-    use gridvo_solver::AssignmentInstance;
+    use gridvo_solver::{AssignmentInstance, Budget};
     use gridvo_trust::TrustGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -106,13 +96,6 @@ mod tests {
         let time: Vec<f64> = (0..tasks * m).map(|k| 0.5 + (k % 5) as f64 * 0.3).collect();
         let inst = AssignmentInstance::new(tasks, m, cost, time, 50.0, 400.0).unwrap();
         FormationScenario::new(gsps, trust, inst).unwrap()
-    }
-
-    #[test]
-    fn mix_is_identity_only_when_idle() {
-        assert_eq!(mix(42, 0), 42);
-        assert_ne!(mix(42, 7), 42);
-        assert_ne!(mix(42, 7), mix(42, 8));
     }
 
     #[test]
@@ -142,19 +125,57 @@ mod tests {
             members: vec![0, 1], // sub-pool-local ids
             epoch: 0,
         };
-        let free = vec![2, 3];
-        let mut salted = MarketCache::new(shared.at_epoch(1), 99, &free);
-        salted.store(7, &entry);
-        // The salted entry answers the same salted lookup...
-        let hit = salted.lookup(7).expect("salted hit");
+        let mut market = MarketCache::new(shared.at_epoch(1), 99, &[2, 3]);
+        market.store(7, &entry);
+        let hit = market.lookup(7).expect("hit");
         assert_eq!(hit.members, vec![2, 3], "member tags lift to global ids");
-        // ...but is invisible at the raw key and under other salts.
-        assert!(shared.at_epoch(1).lookup(7).is_none());
-        assert!(MarketCache::new(shared.at_epoch(1), 98, &free).lookup(7).is_none());
-        // Salt 0 shares entries with the plain path.
-        let mut idle = MarketCache::new(shared.at_epoch(1), 0, &[0, 1]);
-        idle.store(11, &entry);
-        assert!(shared.at_epoch(1).lookup(11).is_some());
+    }
+
+    /// Five GSPs in which 0 and 1 are twins: equal speeds, cost and
+    /// time columns, and trust rows and columns. So the sub-pools
+    /// {1, 2, 3, 4} and {0, 2, 3, 4} restrict to one scenario.
+    fn twin_pool() -> FormationScenario {
+        let (m, tasks) = (5, 10);
+        let class = |g: usize| g.max(1);
+        let gsps: Vec<Gsp> = (0..m).map(|i| Gsp::new(i, 100.0 - 10.0 * class(i) as f64)).collect();
+        let mut trust = TrustGraph::new(m);
+        for i in 0..m {
+            for j in (0..m).filter(|&j| j != i) {
+                trust.set_trust(i, j, 0.4 + 0.1 * ((2 * class(i) + class(j)) % 4) as f64);
+            }
+        }
+        let cell = |k: usize| (k / m, class(k % m));
+        let cost = (0..tasks * m).map(cell).map(|(t, g)| 1.0 + ((3 * t + 5 * g) % 7) as f64);
+        let time = (0..tasks * m).map(cell).map(|(t, g)| 0.5 + ((t + 2 * g) % 5) as f64 * 0.3);
+        let inst =
+            AssignmentInstance::new(tasks, m, cost.collect(), time.collect(), 50.0, 400.0).unwrap();
+        FormationScenario::new(gsps, trust, inst).unwrap()
+    }
+
+    #[test]
+    fn equal_sub_pools_share_cached_solves_whatever_is_committed() {
+        let full = twin_pool();
+        let mechanism = Mechanism::tvof(FormationConfig::default());
+        let form = |free: &[usize], cache: &mut dyn SolveCache| {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut outcome = mechanism
+                .run_on_free_pool(&full, free, &mut rng, cache, &Budget::unlimited())
+                .unwrap()
+                .expect("the sub-pool hosts the program");
+            outcome.zero_timings();
+            outcome
+        };
+        // Two committed sets (GSP 0 leased, then GSP 1 leased), each
+        // with its own digest, over one shared cache.
+        let shared = SharedSolveCache::new(64);
+        form(&[1, 2, 3, 4], &mut MarketCache::new(shared.at_epoch(1), 11, &[1, 2, 3, 4]));
+        let before = shared.stats();
+        let cached =
+            form(&[0, 2, 3, 4], &mut MarketCache::new(shared.at_epoch(2), 22, &[0, 2, 3, 4]));
+        let after = shared.stats();
+        assert_eq!(after.hits - before.hits, cached.iterations.len() as u64, "every round hits");
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(cached, form(&[0, 2, 3, 4], &mut NoCache));
     }
 
     #[test]

@@ -237,6 +237,14 @@ pub enum Response {
         /// streamed before this one).
         served: u64,
     },
+    /// The client stopped reading a `form_batch` reply, so the worker
+    /// stopped solving its seeds. Sent just before the batch's
+    /// [`Response::BatchEnd`], whose `served` counts the forms sent.
+    ReaderStalled {
+        /// Reply bytes the daemon held for the connection, unread,
+        /// when the batch stopped.
+        unread_bytes: u64,
+    },
     /// Registry snapshot.
     Registry {
         /// The current pool state.
@@ -330,6 +338,7 @@ impl Response {
             Response::Execute { .. } => "execute",
             Response::Ack { .. } => "ack",
             Response::BatchEnd { .. } => "batch_end",
+            Response::ReaderStalled { .. } => "reader_stalled",
             Response::Registry { .. } => "registry",
             Response::Metrics { .. } => "metrics",
             Response::Leases { .. } => "leases",

@@ -20,6 +20,11 @@
 //!   Accepted streams read and write with the same 50 ms timeout: an
 //!   idle connection and one whose client stopped reading both notice
 //!   shutdown, and a write that times out resumes where it stopped.
+//!   The channel counts the bytes it holds: once a connection has more
+//!   than [`MAX_UNREAD_BYTES`] unread, its batch stops with
+//!   [`Response::ReaderStalled`], so a client that stops reading holds
+//!   a bounded share of the daemon's memory and a worker never waits
+//!   on a socket.
 //! * **Workers** — `workers` threads popping the bounded queue
 //!   (Mutex + Condvar). Each solve is single-threaded; the pool is the
 //!   only place request-level concurrency happens. A worker encodes
@@ -74,7 +79,7 @@
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -147,6 +152,25 @@ impl Default for ServerConfig {
 /// to check for shutdown.
 const POLL: Duration = Duration::from_millis(50);
 
+/// Reply bytes a connection may leave unread before a worker stops
+/// solving its batch: 4 MiB, the ceiling the kernel lets a loopback
+/// socket's send buffer grow to by default.
+pub const MAX_UNREAD_BYTES: usize = 4 << 20;
+
+/// A job's reply channel. It counts the bytes sent and not yet taken
+/// off by the connection thread.
+struct Reply {
+    lines: mpsc::Sender<Vec<u8>>,
+    unread: Arc<AtomicUsize>,
+}
+
+impl Reply {
+    fn send(&self, line: Vec<u8>) -> Result<(), mpsc::SendError<Vec<u8>>> {
+        self.unread.fetch_add(line.len(), Ordering::SeqCst);
+        self.lines.send(line)
+    }
+}
+
 /// One queued solve-bearing request. The worker sends one wire line
 /// per reply (a batch sends several) and drops the sender when the job
 /// is done; the connection thread streams until the channel closes.
@@ -157,7 +181,7 @@ struct Job {
     /// Market requests hold a per-application queue slot from
     /// admission until the worker finishes (or sheds) them.
     app: Option<String>,
-    reply: mpsc::Sender<Vec<u8>>,
+    reply: Reply,
 }
 
 /// State shared by every thread of one server.
@@ -328,10 +352,11 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
 }
 
 /// How a dispatched request answers: one line, or a worker-fed stream
-/// of lines (each written as it arrives).
+/// of lines (each written as it arrives) with its [`Reply`]'s count of
+/// unread bytes.
 enum Dispatched {
     One(Vec<u8>),
-    Stream(mpsc::Receiver<Vec<u8>>),
+    Stream(mpsc::Receiver<Vec<u8>>, Arc<AtomicUsize>),
 }
 
 impl Dispatched {
@@ -447,11 +472,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                     return;
                 }
             }
-            Dispatched::Stream(rx) => {
+            Dispatched::Stream(rx, unread) => {
                 // The worker drops the sender when the job is done
                 // (or the shutdown flush answers `Busy`); either way
                 // the iterator ends.
                 for line in rx {
+                    unread.fetch_sub(line.len(), Ordering::SeqCst);
                     if write_line(&mut writer, &line, shared).is_err() {
                         return;
                     }
@@ -613,7 +639,9 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
         Request::Form { app, .. } => app.clone(),
         _ => None,
     };
-    let (tx, rx) = mpsc::channel();
+    let (lines, rx) = mpsc::channel();
+    let unread = Arc::new(AtomicUsize::new(0));
+    let reply = Reply { lines, unread: Arc::clone(&unread) };
     {
         let mut queue = recover(shared.queue.lock());
         if queue.len() >= shared.queue_capacity {
@@ -623,10 +651,10 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
             shared.metrics.busy_rejected();
             return Dispatched::one(Response::Busy);
         }
-        queue.push_back(Job { request, enqueued: Instant::now(), deadline, app, reply: tx });
+        queue.push_back(Job { request, enqueued: Instant::now(), deadline, app, reply });
     }
     shared.queue_cv.notify_one();
-    Dispatched::Stream(rx)
+    Dispatched::Stream(rx, unread)
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
@@ -669,12 +697,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// into `reply`. Solves run against the epoch snapshot pinned at the
 /// start of the job — no registry lock is held during a solve, and
 /// every seed of a batch sees the same epoch.
-fn serve(
-    request: Request,
-    shared: &Arc<Shared>,
-    reply: &mpsc::Sender<Vec<u8>>,
-    deadline_at: Option<Instant>,
-) {
+fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Option<Instant>) {
     let budget = Budget { deadline: deadline_at };
     // Every reply leaves through here, so anytime answers are counted
     // in one place.
@@ -706,6 +729,12 @@ fn serve(
             let snapshot = shared.registry.snapshot();
             let mut served = 0u64;
             for &seed in &seeds {
+                let unread_bytes = reply.unread.load(Ordering::SeqCst);
+                if unread_bytes > MAX_UNREAD_BYTES {
+                    // The client stopped reading: solve nothing more.
+                    let _ = send(Response::ReaderStalled { unread_bytes: unread_bytes as u64 });
+                    break;
+                }
                 let response = match run_formation(shared, &snapshot, seed, mechanism, &budget) {
                     Ok(outcome) => {
                         served += 1;
@@ -755,10 +784,9 @@ fn market_form(
             break;
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Idle market (digest 0) shares cache entries with plain
-        // `form`; any committed set salts the keys (see crate::market).
-        let mut cache =
-            MarketCache::new(shared.cache.at_epoch(snapshot.epoch), snapshot.free_digest, free);
+        // The round keys hash the sub-pool's own instance, so the
+        // committed set needs no place in them (see crate::market).
+        let mut cache = MarketCache::new(shared.cache.at_epoch(snapshot.epoch), 0, free);
         let mut outcome = match kind.mechanism().run_on_free_pool(
             &snapshot.scenario,
             free,

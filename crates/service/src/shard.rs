@@ -68,9 +68,10 @@ pub struct EpochSnapshot {
     /// Global ids of the GSPs held by no live lease — the sub-pool a
     /// market-aware formation (`form --app`) runs against.
     pub free: Vec<usize>,
-    /// Digest of the committed set (0 when nothing is committed);
-    /// salts market solve-cache keys so a cached optimum is never
-    /// served against a different available pool.
+    /// Digest of the committed set (0 when nothing is committed). The
+    /// daemon does not read it: market solve-cache keys need no market
+    /// state (see `crate::market`). The daemon benchmark passes it to
+    /// `MarketCache::new`.
     pub free_digest: u64,
     /// Live leases at this epoch, in acquisition order.
     pub leases: Vec<gridvo_market::Lease>,

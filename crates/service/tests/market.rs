@@ -87,8 +87,8 @@ fn lease_lifecycle_over_the_wire() {
 fn plain_form_bytes_are_unchanged_and_idle_market_matches_them() {
     // The market must not perturb the pre-market wire contract: a
     // plain `form` is byte-identical to the direct library call, and
-    // an idle-market `form --app` computes the *same outcome* (salt 0
-    // shares the cache with the plain path).
+    // an idle-market `form --app` computes the *same outcome* (it runs
+    // the full scenario, so it shares the cache with the plain path).
     let s = scenario(6);
     let handle = ServerHandle::spawn(&s, ServerConfig::default()).expect("server spawns");
     let mut client = ServiceClient::connect(handle.addr()).expect("client connects");

@@ -1,7 +1,9 @@
 //! A client that sends a large `form_batch` and then stops reading
-//! must hold up neither the worker pool nor shutdown. The batch's
-//! reply is sized well past what the loopback socket buffers hold, so
-//! the connection thread ends up blocked writing it.
+//! must hold up neither the worker pool nor shutdown, and must not
+//! make the daemon hold its whole reply. The batch's reply is sized
+//! well past what the loopback socket buffers hold, so the connection
+//! thread ends up blocked writing it and the unread lines pile up in
+//! the daemon until the worker stops the batch.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,8 +18,9 @@ use gridvo_trust::TrustGraph;
 
 /// Seeds in the stalled batch: about 18 MB of reply, four times what
 /// the kernel lets a loopback socket's send buffer grow to (4 MB by
-/// default). Eight distinct seeds repeat, so after the first few
-/// every formation is a cache hit.
+/// default), and more than the socket buffers plus the daemon's
+/// 4 MiB bound on unread bytes. Eight distinct seeds repeat, so after
+/// the first few every formation is a cache hit.
 const BATCH: u64 = 4_000;
 
 /// How long computing and reading the batch may take before the test
@@ -89,21 +92,29 @@ fn workers_finish_a_stalled_batch_and_serve_the_next_client() {
     let handle = one_worker();
     let stalled = stall(handle.addr());
     assert_eq!(ping(handle.addr()), Response::Pong);
-    // The batch was computed, not dropped: the stalled client can
-    // still read every line of it.
+    // The worker stopped solving once the client fell behind: the
+    // stalled client reads the forms sent so far, a `reader_stalled`
+    // line and the batch's end.
     stalled.set_read_timeout(Some(PATIENCE)).expect("read timeout");
     let mut reply = BufReader::new(stalled);
-    let mut forms = 0;
+    let (mut forms, mut stalled_lines) = (0, 0);
     loop {
         let mut line = String::new();
         assert!(reply.read_line(&mut line).expect("read the batch") > 0, "connection closed");
+        if line.contains(r#""kind":"reader_stalled""#) {
+            stalled_lines += 1;
+            continue;
+        }
         match decode(line.trim()) {
             Ok(Response::Form { .. }) => forms += 1,
-            Ok(Response::BatchEnd { served, .. }) => break assert_eq!(served, BATCH),
+            Ok(Response::BatchEnd { served, .. }) => {
+                assert!(served < BATCH, "all {BATCH} seeds were computed for a stalled reader");
+                break assert_eq!(served, forms);
+            }
             other => panic!("unexpected reply line: {other:?}"),
         }
     }
-    assert_eq!(forms, BATCH);
+    assert_eq!(stalled_lines, 1);
     within(SHUTDOWN, "shutdown", move || handle.shutdown());
 }
 
@@ -112,8 +123,8 @@ fn shutdown_returns_while_a_client_has_stopped_reading() {
     let handle = one_worker();
     let stalled = stall(handle.addr());
     assert_eq!(ping(handle.addr()), Response::Pong);
-    // The whole reply now waits in the connection's channel and the
-    // socket buffers are full: its thread is blocked writing.
+    // What the worker sent now waits in the connection's channel and
+    // the socket buffers are full: its thread is blocked writing.
     within(SHUTDOWN, "shutdown with a client that stopped reading", move || handle.shutdown());
     drop(stalled);
 }

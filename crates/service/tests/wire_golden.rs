@@ -470,6 +470,10 @@ fn every_response_kind_bytes_are_frozen() {
         (Response::Ack { epoch: 4, id: Some(2) }, r#"{"kind":"ack","epoch":4,"id":2}"#),
         (Response::Ack { epoch: 5, id: None }, r#"{"kind":"ack","epoch":5,"id":null}"#),
         (
+            Response::ReaderStalled { unread_bytes: 4_196_196 },
+            r#"{"kind":"reader_stalled","unread_bytes":4196196}"#,
+        ),
+        (
             Response::Registry {
                 snapshot: RegistrySnapshot {
                     epoch: 3,
@@ -536,6 +540,7 @@ fn op_and_kind_name_the_encoded_tag() {
         Response::Execute { outcome: empty_outcome(), report: Some(completed) },
         Response::Ack { epoch: 1, id: None },
         Response::BatchEnd { epoch: 1, served: 0 },
+        Response::ReaderStalled { unread_bytes: 0 },
         Response::Registry {
             snapshot: RegistrySnapshot {
                 epoch: 0,

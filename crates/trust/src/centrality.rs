@@ -11,7 +11,7 @@
 //! are short. All measures return one score per node, higher = more
 //! central/reputable.
 
-use crate::normalize::{row_normalize, DanglingPolicy};
+use crate::normalize::row_normalize;
 use crate::power::PowerMethod;
 use crate::{Result, TrustGraph};
 
@@ -99,17 +99,16 @@ pub fn betweenness(graph: &TrustGraph) -> Vec<f64> {
 }
 
 /// Eigenvector centrality: the paper's reputation metric. Thin wrapper
-/// over [`PowerMethod`] with uniform dangling handling.
+/// over [`PowerMethod`].
 pub fn eigenvector(graph: &TrustGraph) -> Result<Vec<f64>> {
-    Ok(PowerMethod::default().run_on_graph(graph, DanglingPolicy::Uniform)?.scores)
+    Ok(PowerMethod::default().run_on_graph(graph)?.scores)
 }
 
 /// PageRank with damping `alpha` (typically 0.85): eigenvector
 /// centrality made unconditionally convergent. Included as the
 /// reputation-engine ablation's alternative.
 pub fn pagerank(graph: &TrustGraph, alpha: f64) -> Result<Vec<f64>> {
-    let a = row_normalize(graph, DanglingPolicy::Uniform);
-    Ok(PowerMethod::damped(alpha).run(&a)?.scores)
+    Ok(PowerMethod::damped(alpha).run(&row_normalize(graph))?.scores)
 }
 
 /// Dijkstra shortest distances from `src` with edge length `1/trust`.

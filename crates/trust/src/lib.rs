@@ -22,8 +22,8 @@
 //!   paper's §IV-A, plus Watts–Strogatz and Barabási–Albert for topology
 //!   ablations);
 //! * [`propagation`] — path-based trust propagation operators
-//!   (concatenation / aggregation / selection, after Hang et al.), an
-//!   alternative reputation engine;
+//!   (concatenation and aggregation, after Hang et al.), an alternative
+//!   reputation engine;
 //! * [`decay`] — an interaction ledger with Azzedin–Maheswaran style
 //!   time-decaying direct trust, used to study why decaying trust freezes
 //!   VO formation (the paper's critique of that model).
@@ -31,8 +31,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use gridvo_trust::{TrustGraph, normalize::{row_normalize, DanglingPolicy},
-//!                    power::PowerMethod};
+//! use gridvo_trust::{TrustGraph, normalize::row_normalize, power::PowerMethod};
 //!
 //! // Three GSPs: 0 trusts 1 strongly, everyone trusts 2 a bit.
 //! let mut g = TrustGraph::new(3);
@@ -42,7 +41,7 @@
 //! g.set_trust(2, 0, 0.5);
 //! g.set_trust(1, 0, 0.2);
 //!
-//! let a = row_normalize(&g, DanglingPolicy::Uniform);
+//! let a = row_normalize(&g);
 //! let rep = PowerMethod::default().run(&a).unwrap();
 //! assert_eq!(rep.scores.len(), 3);
 //! // Reputation scores form a probability vector.

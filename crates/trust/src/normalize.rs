@@ -7,61 +7,35 @@
 //!
 //! A GSP with no outgoing trust at all (a *dangling* row) is undefined
 //! under eq. (1); the paper's experiments avoid this by construction.
-//! We make the policy explicit via [`DanglingPolicy`] so the library is
-//! total over all graphs.
+//! [`row_normalize`] spreads such a row uniformly over the other GSPs
+//! (the EigenTrust convention: a silent GSP defers to the crowd), so
+//! the library is total over all graphs.
 
 use crate::graph::TrustGraph;
 use crate::matrix::DenseMatrix;
 
-/// How to normalize a row whose trust sum is zero (a GSP that trusts
-/// nobody).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DanglingPolicy {
-    /// Spread trust uniformly over all *other* GSPs (`1/(m-1)` each,
-    /// `0` on the diagonal). This is the EigenTrust convention and the
-    /// default: a silent GSP defers to the crowd.
-    #[default]
-    Uniform,
-    /// Put all trust on the GSP itself (`a_ii = 1`). Isolates the GSP:
-    /// its opinion stops propagating.
-    SelfLoop,
-    /// Leave the row all-zero. The matrix is then sub-stochastic and
-    /// reputation mass leaks; use only when the caller renormalizes.
-    Zero,
-}
-
 /// Compute the normalized trust matrix `A` of eq. (1) from the raw
-/// trust graph, applying `policy` to dangling rows.
+/// trust graph. A dangling row puts `1/(m-1)` on every other GSP and
+/// `0` on the diagonal (a lone GSP trusts itself).
 ///
-/// The result satisfies `a_ij ∈ [0, 1]` and (except under
-/// [`DanglingPolicy::Zero`]) `Σ_j a_ij = 1` for every row `i`.
-pub fn row_normalize(graph: &TrustGraph, policy: DanglingPolicy) -> DenseMatrix {
+/// The result satisfies `a_ij ∈ [0, 1]` and `Σ_j a_ij = 1` for every
+/// row `i`.
+pub fn row_normalize(graph: &TrustGraph) -> DenseMatrix {
     let n = graph.node_count();
     let mut a = DenseMatrix::zeros(n, n);
     for i in 0..n {
         let sum = graph.out_trust_sum(i);
+        let row = a.row_mut(i);
         if sum > 0.0 {
-            let row = a.row_mut(i);
             for (j, slot) in row.iter_mut().enumerate() {
                 *slot = graph.trust(i, j) / sum;
             }
+        } else if n == 1 {
+            row[0] = 1.0;
         } else {
-            match policy {
-                DanglingPolicy::Uniform => {
-                    if n > 1 {
-                        let w = 1.0 / (n as f64 - 1.0);
-                        let row = a.row_mut(i);
-                        for (j, slot) in row.iter_mut().enumerate() {
-                            *slot = if j == i { 0.0 } else { w };
-                        }
-                    } else if n == 1 {
-                        a[(0, 0)] = 1.0;
-                    }
-                }
-                DanglingPolicy::SelfLoop => {
-                    a[(i, i)] = 1.0;
-                }
-                DanglingPolicy::Zero => {}
+            let w = 1.0 / (n as f64 - 1.0);
+            for (j, slot) in row.iter_mut().enumerate() {
+                *slot = if j == i { 0.0 } else { w };
             }
         }
     }
@@ -69,23 +43,16 @@ pub fn row_normalize(graph: &TrustGraph, policy: DanglingPolicy) -> DenseMatrix 
 }
 
 /// Check that `a` is row-stochastic to within `tol` (every entry in
-/// `[0, 1]`, every row summing to 1). Rows of all zeros are accepted
-/// when `allow_zero_rows` is set (for [`DanglingPolicy::Zero`] output).
-pub fn is_row_stochastic(a: &DenseMatrix, tol: f64, allow_zero_rows: bool) -> bool {
+/// `[0, 1]`, every row summing to 1).
+pub fn is_row_stochastic(a: &DenseMatrix, tol: f64) -> bool {
     if !a.is_square() {
         return false;
     }
-    for i in 0..a.rows() {
+    (0..a.rows()).all(|i| {
         let row = a.row(i);
-        if row.iter().any(|&v| !(-tol..=1.0 + tol).contains(&v)) {
-            return false;
-        }
-        let s: f64 = row.iter().sum();
-        if (s - 1.0).abs() > tol && !(allow_zero_rows && s.abs() <= tol) {
-            return false;
-        }
-    }
-    true
+        row.iter().all(|v| (-tol..=1.0 + tol).contains(v))
+            && (row.iter().sum::<f64>() - 1.0).abs() <= tol
+    })
 }
 
 #[cfg(test)]
@@ -104,7 +71,7 @@ mod tests {
     #[test]
     fn normalization_matches_eq1() {
         let g = graph_with_dangling();
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         assert!((a[(0, 1)] - 0.75).abs() < 1e-12);
         assert!((a[(0, 2)] - 0.25).abs() < 1e-12);
         assert!((a[(1, 0)] - 1.0).abs() < 1e-12);
@@ -113,51 +80,34 @@ mod tests {
     #[test]
     fn dangling_uniform_spreads_over_others() {
         let g = graph_with_dangling();
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         assert_eq!(a[(2, 2)], 0.0);
         assert!((a[(2, 0)] - 0.5).abs() < 1e-12);
         assert!((a[(2, 1)] - 0.5).abs() < 1e-12);
-        assert!(is_row_stochastic(&a, 1e-12, false));
-    }
-
-    #[test]
-    fn dangling_self_loop() {
-        let g = graph_with_dangling();
-        let a = row_normalize(&g, DanglingPolicy::SelfLoop);
-        assert_eq!(a[(2, 2)], 1.0);
-        assert!(is_row_stochastic(&a, 1e-12, false));
-    }
-
-    #[test]
-    fn dangling_zero_leaves_zero_row() {
-        let g = graph_with_dangling();
-        let a = row_normalize(&g, DanglingPolicy::Zero);
-        assert!(a.row(2).iter().all(|&v| v == 0.0));
-        assert!(is_row_stochastic(&a, 1e-12, true));
-        assert!(!is_row_stochastic(&a, 1e-12, false));
+        assert!(is_row_stochastic(&a, 1e-12));
     }
 
     #[test]
     fn single_node_graph_uniform() {
         let g = TrustGraph::new(1);
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         assert_eq!(a[(0, 0)], 1.0);
     }
 
     #[test]
     fn empty_graph_normalizes_to_empty() {
         let g = TrustGraph::new(0);
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         assert_eq!(a.rows(), 0);
     }
 
     #[test]
     fn is_row_stochastic_rejects_bad_matrices() {
         let bad = DenseMatrix::from_rows(1, 1, vec![2.0]).unwrap();
-        assert!(!is_row_stochastic(&bad, 1e-9, false));
+        assert!(!is_row_stochastic(&bad, 1e-9));
         let neg = DenseMatrix::from_rows(2, 2, vec![1.5, -0.5, 0.5, 0.5]).unwrap();
-        assert!(!is_row_stochastic(&neg, 1e-9, false));
+        assert!(!is_row_stochastic(&neg, 1e-9));
         let rect = DenseMatrix::zeros(2, 3);
-        assert!(!is_row_stochastic(&rect, 1e-9, false));
+        assert!(!is_row_stochastic(&rect, 1e-9));
     }
 }

@@ -1,16 +1,24 @@
 //! The power method — Algorithm 2 of the paper (`REPUTATION(C, E)`).
 //!
-//! Starting from the uniform vector `x⁰ = 1/|C|`, iterate
-//! `x^{q+1} = Aᵀ x^q` until `‖x^{q+1} − x^q‖ < ε`. The fixed point is
-//! the left principal eigenvector of the normalized trust matrix `A`
-//! (eq. (6)), whose `i`-th component is the *global reputation* of GSP
-//! `i` — its eigenvector centrality in the trust graph.
+//! Starting from the uniform vector `x⁰ = 1/|C|`, iterate until
+//! `‖x^{q+1} − x^q‖ < ε`. The fixed point is the left principal
+//! eigenvector of the normalized trust matrix `A` (eq. (6)), whose
+//! `i`-th component is the *global reputation* of GSP `i` — its
+//! eigenvector centrality in the trust graph.
+//!
+//! Each step is the *lazy* one, `x ← (Aᵀx + x) / 2`, rather than the
+//! literal `x^{q+1} = Aᵀ x^q`. The fixed points of `Aᵀx = x` are
+//! unchanged, but the shift makes the chain aperiodic, so the iteration
+//! converges on periodic trust graphs (a pure 2-cycle, a bipartite
+//! graph) where the literal Algorithm 2 oscillates forever. The paper's
+//! Erdős–Rényi graphs are aperiodic almost surely, so there both reach
+//! the same fixed point. When such trust iterations converge, and how
+//! fast, is what Awasthi & Singh analyse (PAPERS.md).
 //!
 //! Because `A` is row-stochastic, `Aᵀ` preserves the L1 mass of
 //! non-negative vectors, so no renormalization is mathematically needed;
 //! we renormalize anyway every iteration to keep the computation robust
-//! under [`crate::normalize::DanglingPolicy::Zero`] (sub-stochastic `A`)
-//! and against floating-point drift on long runs.
+//! against floating-point drift on long runs.
 
 use crate::matrix::{dist_l1, normalize_l1, DenseMatrix};
 use crate::{Result, TrustError};
@@ -22,27 +30,20 @@ pub struct PowerMethod {
     /// iterates. The paper leaves `ε` unspecified; `1e-10` makes the
     /// returned scores stable to well beyond plotting precision.
     pub epsilon: f64,
-    /// Hard cap on iterations, guarding against periodic chains (e.g. a
-    /// pure 2-cycle, whose power iteration oscillates forever).
+    /// Hard cap on iterations, guarding against slowly mixing chains
+    /// (a nearly decomposable trust graph).
     pub max_iterations: usize,
-    /// Optional uniform damping `α ∈ (0, 1]`: iterate
-    /// `x ← α·Aᵀx + (1−α)·u` with `u` uniform. `α = 1` (default) is the
+    /// Optional uniform damping `α ∈ (0, 1]` of each lazy step `x'`:
+    /// `x ← α·x' + (1−α)·u` with `u` uniform. `α = 1` (default) is the
     /// paper's undamped Algorithm 2; `α < 1` (e.g. 0.85) makes
     /// convergence unconditional (PageRank-style) and is used in the
     /// reputation-engine ablation.
     pub damping: f64,
-    /// Lazy (shifted) iteration `x ← (Aᵀx + x) / 2`. The fixed points
-    /// of `Aᵀx = x` are unchanged, but the shift makes the chain
-    /// aperiodic, so the iteration converges even on bipartite/periodic
-    /// trust graphs where the literal Algorithm 2 oscillates forever.
-    /// Enabled by default; [`PowerMethod::paper`] disables it for a
-    /// bit-faithful Algorithm 2.
-    pub lazy: bool,
 }
 
 impl Default for PowerMethod {
     fn default() -> Self {
-        PowerMethod { epsilon: 1e-10, max_iterations: 10_000, damping: 1.0, lazy: true }
+        PowerMethod { epsilon: 1e-10, max_iterations: 10_000, damping: 1.0 }
     }
 }
 
@@ -95,13 +96,6 @@ impl PowerMethod {
         PowerMethod { damping: alpha, ..Default::default() }
     }
 
-    /// The literal Algorithm 2 of the paper: undamped, non-lazy
-    /// iteration `x^{q+1} = Aᵀ x^q`. May oscillate on periodic graphs;
-    /// the paper's Erdős–Rényi experiments are aperiodic almost surely.
-    pub fn paper() -> Self {
-        PowerMethod { lazy: false, ..Default::default() }
-    }
-
     /// Run Algorithm 2 on a normalized trust matrix `a` (output of
     /// [`crate::normalize::row_normalize`]).
     ///
@@ -149,24 +143,18 @@ impl PowerMethod {
         let mut residual = f64::INFINITY;
         for it in 1..=self.max_iterations {
             a.mul_transpose_vec_into(&x, &mut next)?;
-            if self.lazy {
-                for (v, &xi) in next.iter_mut().zip(x.iter()) {
-                    *v = 0.5 * (*v + xi);
-                }
+            // The lazy step (see the module docs).
+            for (v, &xi) in next.iter_mut().zip(x.iter()) {
+                *v = 0.5 * (*v + xi);
             }
             if alpha < 1.0 {
                 for v in next.iter_mut() {
                     *v = alpha * *v + (1.0 - alpha) * uniform;
                 }
             }
-            // Keep the iterate on the probability simplex (robust to
-            // sub-stochastic A; a no-op in exact arithmetic otherwise).
-            let mass = normalize_l1(&mut next);
-            if mass == 0.0 {
-                // All trust leaked (possible only with Zero dangling
-                // policy and a sink-free graph): fall back to uniform.
-                next.fill(uniform);
-            }
+            // Keep the iterate on the probability simplex (a no-op in
+            // exact arithmetic).
+            normalize_l1(&mut next);
             residual = dist_l1(&next, &x);
             std::mem::swap(&mut x, &mut next);
             if residual < self.epsilon {
@@ -177,15 +165,10 @@ impl PowerMethod {
         Err(TrustError::NoConvergence { iterations: self.max_iterations, residual })
     }
 
-    /// Convenience: normalize a raw trust graph with the given dangling
-    /// policy and run the power method on it.
-    pub fn run_on_graph(
-        &self,
-        graph: &crate::TrustGraph,
-        policy: crate::normalize::DanglingPolicy,
-    ) -> Result<ReputationReport> {
-        let a = crate::normalize::row_normalize(graph, policy);
-        self.run(&a)
+    /// Convenience: normalize a raw trust graph (eq. (1)) and run the
+    /// power method on it.
+    pub fn run_on_graph(&self, graph: &crate::TrustGraph) -> Result<ReputationReport> {
+        self.run(&crate::normalize::row_normalize(graph))
     }
 }
 
@@ -201,7 +184,7 @@ fn rayleigh(a: &DenseMatrix, x: &[f64]) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize::{row_normalize, DanglingPolicy};
+    use crate::normalize::row_normalize;
     use crate::TrustGraph;
 
     fn ring(n: usize) -> TrustGraph {
@@ -217,7 +200,7 @@ mod tests {
     #[test]
     fn uniform_fixed_point_on_symmetric_ring() {
         let g = ring(5);
-        let rep = PowerMethod::default().run_on_graph(&g, DanglingPolicy::Uniform).unwrap();
+        let rep = PowerMethod::default().run_on_graph(&g).unwrap();
         for &s in &rep.scores {
             assert!((s - 0.2).abs() < 1e-8, "symmetric ring must be uniform, got {s}");
         }
@@ -232,7 +215,7 @@ mod tests {
         g.set_trust(2, 3, 0.9);
         g.set_trust(3, 0, 0.2);
         g.set_trust(0, 2, 0.1);
-        let rep = PowerMethod::default().run_on_graph(&g, DanglingPolicy::Uniform).unwrap();
+        let rep = PowerMethod::default().run_on_graph(&g).unwrap();
         assert!((rep.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(rep.scores.iter().all(|&s| s >= 0.0));
     }
@@ -246,7 +229,7 @@ mod tests {
         g.set_trust(2, 3, 1.0);
         g.set_trust(3, 1, 1.0);
         g.set_trust(3, 0, 0.25);
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let rep = PowerMethod { epsilon: 1e-13, ..Default::default() }.run(&a).unwrap();
         // check Aᵀx ≈ λx componentwise
         let mut ax = vec![0.0; 4];
@@ -269,7 +252,7 @@ mod tests {
         for j in 1..4 {
             g.set_trust(0, j, 1.0);
         }
-        let rep = PowerMethod::default().run_on_graph(&g, DanglingPolicy::Uniform).unwrap();
+        let rep = PowerMethod::default().run_on_graph(&g).unwrap();
         assert_eq!(rep.highest(), Some(0));
         assert!(rep.scores[0] > rep.scores[2]);
         assert!(rep.scores[0] > rep.scores[3]);
@@ -285,7 +268,7 @@ mod tests {
         g.set_trust(3, 1, 1.0);
         g.set_trust(0, 2, 0.1);
         g.set_trust(1, 3, 0.1);
-        let rep = PowerMethod::default().run_on_graph(&g, DanglingPolicy::Uniform).unwrap();
+        let rep = PowerMethod::default().run_on_graph(&g).unwrap();
         let lows = rep.lowest();
         assert_eq!(lows, vec![2, 3]);
     }
@@ -296,14 +279,14 @@ mod tests {
         let mut g = TrustGraph::new(2);
         g.set_trust(0, 1, 1.0);
         g.set_trust(1, 0, 1.0);
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         // Undamped from uniform start actually converges instantly
         // (uniform is the fixed point), so perturb via a 3-node cycle:
         let mut g3 = TrustGraph::new(3);
         g3.set_trust(0, 1, 1.0);
         g3.set_trust(1, 0, 1.0);
         g3.set_trust(2, 0, 1.0); // 2 is a source: graph is periodic-ish
-        let a3 = row_normalize(&g3, DanglingPolicy::Uniform);
+        let a3 = row_normalize(&g3);
         let undamped = PowerMethod { max_iterations: 200, ..Default::default() }.run(&a3);
         let damped = PowerMethod::damped(0.85).run(&a3).unwrap();
         assert!((damped.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -329,7 +312,7 @@ mod tests {
     #[test]
     fn single_node_graph_scores_one() {
         let g = TrustGraph::new(1);
-        let rep = PowerMethod::default().run_on_graph(&g, DanglingPolicy::Uniform).unwrap();
+        let rep = PowerMethod::default().run_on_graph(&g).unwrap();
         assert_eq!(rep.scores, vec![1.0]);
         assert_eq!(rep.average(), 1.0);
     }
@@ -355,7 +338,7 @@ mod tests {
                 }
             }
         }
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let pm = PowerMethod::default();
         let cold = pm.run(&a).unwrap();
         // warm-start from the converged scores: must agree and be fast
@@ -373,7 +356,7 @@ mod tests {
         g.set_trust(0, 1, 1.0);
         g.set_trust(1, 0, 1.0);
         g.set_trust(2, 0, 1.0);
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let pm = PowerMethod::default();
         let base = pm.run(&a).unwrap();
         for bad in [vec![0.0; 3], vec![1.0; 2], vec![f64::NAN, 1.0, 1.0], vec![-1.0, 2.0, 0.0]] {
@@ -382,18 +365,5 @@ mod tests {
                 assert!((x - y).abs() < 1e-6);
             }
         }
-    }
-
-    #[test]
-    fn zero_policy_still_produces_probability_vector() {
-        let mut g = TrustGraph::new(3);
-        g.set_trust(0, 1, 1.0);
-        g.set_trust(1, 0, 1.0);
-        // node 2 dangling, Zero policy leaks its mass; renormalization
-        // inside the power method must keep the iterate a distribution.
-        g.set_trust(2, 0, 1.0);
-        let a = row_normalize(&g, DanglingPolicy::Zero);
-        let rep = PowerMethod::damped(0.9).run(&a).unwrap();
-        assert!((rep.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

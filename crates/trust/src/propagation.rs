@@ -1,20 +1,19 @@
 //! Path-based trust propagation (after Hang, Wang & Singh, AAMAS 2009).
 //!
 //! The paper's related work describes an alternative family of
-//! reputation engines built from three operators on trust paths:
+//! reputation engines built from operators on trust paths. This module
+//! uses two:
 //!
 //! * **concatenation** — the trust of a path is the product of its edge
 //!   trusts (trust transitivity: if A trusts B at 0.8 and B trusts C at
 //!   0.5, A trusts C at 0.4 through that path);
-//! * **aggregation** — multiple disjoint paths combine by probabilistic
-//!   sum `a ⊕ b = a + b − a·b` (independent evidence accumulates);
-//! * **selection** — alternatively, take only the single most
-//!   trustworthy path (`max`).
+//! * **aggregation** — multiple paths combine by probabilistic sum
+//!   `a ⊕ b = a + b − a·b` (independent evidence accumulates).
 //!
-//! [`propagated_trust`] computes pairwise inferred trust under either
-//! combination rule, with a bounded path length; [`propagation_scores`]
-//! reduces that to one score per node (average inferred trust received)
-//! so it can stand in for the power method in ablations.
+//! [`propagated_trust`] computes pairwise inferred trust with a bounded
+//! path length; [`propagation_scores`] reduces that to one score per
+//! node (average inferred trust received) so it can stand in for the
+//! power method in ablations.
 //!
 //! Edge trusts must lie in `[0, 1]` for the probabilistic-sum to be
 //! meaningful; callers should pass a normalized graph (see
@@ -22,15 +21,6 @@
 //! to `[0, 1]`.
 
 use crate::{Result, TrustError, TrustGraph};
-
-/// How parallel paths are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathCombine {
-    /// Probabilistic sum over paths: `a ⊕ b = a + b − ab` (aggregation).
-    Aggregate,
-    /// Maximum over paths (selection of the best path).
-    SelectBest,
-}
 
 /// Pairwise trust inferred through paths of length ≤ `max_hops`.
 ///
@@ -40,11 +30,7 @@ pub enum PathCombine {
 /// nodes), found by depth-first enumeration — exponential in
 /// `max_hops`, intended for the small graphs of this domain (the paper
 /// uses m = 16).
-pub fn propagated_trust(
-    graph: &TrustGraph,
-    max_hops: usize,
-    combine: PathCombine,
-) -> Result<Vec<f64>> {
+pub fn propagated_trust(graph: &TrustGraph, max_hops: usize) -> Result<Vec<f64>> {
     let n = graph.node_count();
     if n == 0 {
         return Err(TrustError::EmptyGraph);
@@ -60,7 +46,7 @@ pub fn propagated_trust(
         visited.fill(false);
         visited[src] = true;
         let mut acc = vec![0.0f64; n];
-        dfs(graph, src, 1.0, max_hops, &mut visited, combine, &mut acc);
+        dfs(graph, src, 1.0, max_hops, &mut visited, &mut acc);
         for j in 0..n {
             if j != src {
                 out[src * n + j] = acc[j];
@@ -76,7 +62,6 @@ fn dfs(
     path_trust: f64,
     hops_left: usize,
     visited: &mut [bool],
-    combine: PathCombine,
     acc: &mut [f64],
 ) {
     if hops_left == 0 || path_trust == 0.0 {
@@ -87,12 +72,9 @@ fn dfs(
             continue;
         }
         let t = path_trust * graph.trust(node, next); // concatenation
-        acc[next] = match combine {
-            PathCombine::Aggregate => acc[next] + t - acc[next] * t,
-            PathCombine::SelectBest => acc[next].max(t),
-        };
+        acc[next] = acc[next] + t - acc[next] * t; // aggregation
         visited[next] = true;
-        dfs(graph, next, t, hops_left - 1, visited, combine, acc);
+        dfs(graph, next, t, hops_left - 1, visited, acc);
         visited[next] = false;
     }
 }
@@ -101,13 +83,9 @@ fn dfs(
 /// the mean trust each node *receives* from every other node. This is
 /// the propagation-based analogue of the paper's global reputation
 /// vector, usable as a drop-in alternative engine.
-pub fn propagation_scores(
-    graph: &TrustGraph,
-    max_hops: usize,
-    combine: PathCombine,
-) -> Result<Vec<f64>> {
+pub fn propagation_scores(graph: &TrustGraph, max_hops: usize) -> Result<Vec<f64>> {
     let n = graph.node_count();
-    let pairwise = propagated_trust(graph, max_hops, combine)?;
+    let pairwise = propagated_trust(graph, max_hops)?;
     let mut scores = vec![0.0; n];
     if n <= 1 {
         return Ok(scores);
@@ -135,7 +113,7 @@ mod tests {
         let mut g = TrustGraph::new(3);
         g.set_trust(0, 1, 0.8);
         g.set_trust(1, 2, 0.5);
-        let t = propagated_trust(&g, 3, PathCombine::SelectBest).unwrap();
+        let t = propagated_trust(&g, 3).unwrap();
         assert!((t[0 * 3 + 2] - 0.4).abs() < 1e-12);
         assert!((t[0 * 3 + 1] - 0.8).abs() < 1e-12);
     }
@@ -148,11 +126,9 @@ mod tests {
         g.set_trust(1, 3, 0.5);
         g.set_trust(0, 2, 0.6);
         g.set_trust(2, 3, 0.5);
-        let agg = propagated_trust(&g, 3, PathCombine::Aggregate).unwrap();
+        let agg = propagated_trust(&g, 3).unwrap();
         // 0.4 ⊕ 0.3 = 0.4 + 0.3 - 0.12 = 0.58
         assert!((agg[3] - 0.58).abs() < 1e-12);
-        let best = propagated_trust(&g, 3, PathCombine::SelectBest).unwrap();
-        assert!((best[3] - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -161,10 +137,10 @@ mod tests {
         g.set_trust(0, 1, 1.0);
         g.set_trust(1, 2, 1.0);
         g.set_trust(2, 3, 1.0);
-        let t1 = propagated_trust(&g, 1, PathCombine::Aggregate).unwrap();
+        let t1 = propagated_trust(&g, 1).unwrap();
         assert_eq!(t1[0 * 4 + 3], 0.0);
         assert_eq!(t1[0 * 4 + 1], 1.0);
-        let t3 = propagated_trust(&g, 3, PathCombine::Aggregate).unwrap();
+        let t3 = propagated_trust(&g, 3).unwrap();
         assert_eq!(t3[0 * 4 + 3], 1.0);
     }
 
@@ -175,7 +151,7 @@ mod tests {
         g.set_trust(0, 1, 0.5);
         g.set_trust(1, 0, 0.5);
         g.set_trust(1, 2, 0.5);
-        let t = propagated_trust(&g, 10, PathCombine::Aggregate).unwrap();
+        let t = propagated_trust(&g, 10).unwrap();
         assert!((t[0 * 3 + 2] - 0.25).abs() < 1e-12);
     }
 
@@ -183,13 +159,13 @@ mod tests {
     fn weights_above_one_rejected() {
         let mut g = TrustGraph::new(2);
         g.set_trust(0, 1, 1.5);
-        assert!(propagated_trust(&g, 2, PathCombine::Aggregate).is_err());
+        assert!(propagated_trust(&g, 2).is_err());
     }
 
     #[test]
     fn empty_graph_is_error() {
         let g = TrustGraph::new(0);
-        assert!(propagated_trust(&g, 2, PathCombine::Aggregate).is_err());
+        assert!(propagated_trust(&g, 2).is_err());
     }
 
     #[test]
@@ -199,7 +175,7 @@ mod tests {
         g.set_trust(0, 2, 0.9);
         g.set_trust(1, 2, 0.9);
         g.set_trust(2, 0, 0.1);
-        let s = propagation_scores(&g, 3, PathCombine::Aggregate).unwrap();
+        let s = propagation_scores(&g, 3).unwrap();
         assert!(s[2] > s[0]);
         assert!(s[2] > s[1]);
     }
@@ -207,7 +183,7 @@ mod tests {
     #[test]
     fn scores_on_singleton_are_zero() {
         let g = TrustGraph::new(1);
-        assert_eq!(propagation_scores(&g, 3, PathCombine::Aggregate).unwrap(), vec![0.0]);
+        assert_eq!(propagation_scores(&g, 3).unwrap(), vec![0.0]);
     }
 
     #[test]
@@ -220,7 +196,7 @@ mod tests {
                 }
             }
         }
-        let t = propagated_trust(&g, 4, PathCombine::Aggregate).unwrap();
+        let t = propagated_trust(&g, 4).unwrap();
         for &v in &t {
             assert!((0.0..=1.0 + 1e-12).contains(&v), "aggregate out of [0,1]: {v}");
         }

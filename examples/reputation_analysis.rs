@@ -14,7 +14,7 @@
 
 use gridvo_trust::centrality;
 use gridvo_trust::generators;
-use gridvo_trust::propagation::{propagation_scores, PathCombine};
+use gridvo_trust::propagation::propagation_scores;
 use gridvo_trust::TrustGraph;
 use rand::SeedableRng;
 
@@ -80,8 +80,7 @@ fn main() {
         let indeg = centrality::in_degree(graph);
         let close = centrality::closeness(graph);
         let betw = centrality::betweenness(graph);
-        let prop =
-            propagation_scores(&unit_weights(graph), 3, PathCombine::Aggregate).expect("non-empty");
+        let prop = propagation_scores(&unit_weights(graph), 3).expect("non-empty");
 
         let engines: Vec<(&str, &Vec<f64>)> = vec![
             ("power method (paper)", &eigen),

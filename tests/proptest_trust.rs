@@ -2,8 +2,8 @@
 
 use gridvo_trust::decay::{DecayModel, InteractionLedger, Outcome};
 use gridvo_trust::generators;
-use gridvo_trust::normalize::{is_row_stochastic, row_normalize, DanglingPolicy};
-use gridvo_trust::propagation::{propagated_trust, PathCombine};
+use gridvo_trust::normalize::{is_row_stochastic, row_normalize};
+use gridvo_trust::propagation::propagated_trust;
 use gridvo_trust::{DenseMatrix, PowerMethod, TrustGraph};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -33,17 +33,12 @@ proptest! {
 
     #[test]
     fn normalization_is_row_stochastic(g in trust_graph()) {
-        for policy in [DanglingPolicy::Uniform, DanglingPolicy::SelfLoop] {
-            let a = row_normalize(&g, policy);
-            prop_assert!(is_row_stochastic(&a, 1e-9, false));
-        }
-        let a = row_normalize(&g, DanglingPolicy::Zero);
-        prop_assert!(is_row_stochastic(&a, 1e-9, true));
+        prop_assert!(is_row_stochastic(&row_normalize(&g), 1e-9));
     }
 
     #[test]
     fn normalization_preserves_proportions(g in trust_graph()) {
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let n = g.node_count();
         for i in 0..n {
             let sum = g.out_trust_sum(i);
@@ -57,7 +52,7 @@ proptest! {
 
     #[test]
     fn power_method_returns_probability_fixed_point(g in trust_graph()) {
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let rep = PowerMethod::default().run(&a).expect("lazy iteration converges");
         let sum: f64 = rep.scores.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-8, "not a distribution: {sum}");
@@ -74,7 +69,7 @@ proptest! {
 
     #[test]
     fn damped_power_method_always_converges(g in trust_graph()) {
-        let a = row_normalize(&g, DanglingPolicy::Uniform);
+        let a = row_normalize(&g);
         let rep = PowerMethod::damped(0.85).run(&a).expect("damped always converges");
         prop_assert!(rep.iterations < 10_000);
     }
@@ -152,8 +147,8 @@ proptest! {
             }
         }
         let pm = PowerMethod::default();
-        let rg = pm.run(&row_normalize(&g, DanglingPolicy::Uniform)).unwrap();
-        let rh = pm.run(&row_normalize(&h, DanglingPolicy::Uniform)).unwrap();
+        let rg = pm.run(&row_normalize(&g)).unwrap();
+        let rh = pm.run(&row_normalize(&h)).unwrap();
         for (i, &p) in perm.iter().enumerate() {
             prop_assert!(
                 (rg.scores[i] - rh.scores[p]).abs() < 1e-7,
@@ -267,41 +262,34 @@ proptest! {
 
     /// Propagated trust stays inside the unit interval (the
     /// row-stochastic property of the propagation operator on `[0,1]`
-    /// weights), with a zero diagonal; the best path is at least the
-    /// direct edge, and aggregation dominates best-path selection.
+    /// weights), with a zero diagonal, and aggregating every path is
+    /// at least the direct edge.
     #[test]
     fn propagation_stays_in_unit_interval(g in trust_graph(), hops in 1usize..=4) {
         let n = g.node_count();
-        let agg = propagated_trust(&g, hops, PathCombine::Aggregate).expect("valid weights");
-        let best = propagated_trust(&g, hops, PathCombine::SelectBest).expect("valid weights");
+        let agg = propagated_trust(&g, hops).expect("valid weights");
         for i in 0..n {
             prop_assert_eq!(agg[i * n + i], 0.0);
-            prop_assert_eq!(best[i * n + i], 0.0);
             for j in 0..n {
-                let (a, b) = (agg[i * n + j], best[i * n + j]);
+                let a = agg[i * n + j];
                 prop_assert!((0.0..=1.0 + 1e-12).contains(&a), "aggregate {a} out of unit");
-                prop_assert!((0.0..=1.0 + 1e-12).contains(&b), "best {b} out of unit");
-                prop_assert!(a >= b - 1e-12, "aggregate {a} below best-path {b}");
                 if i != j {
-                    prop_assert!(b >= g.trust(i, j) - 1e-12,
-                        "best path below the direct edge {} -> {}", i, j);
+                    prop_assert!(a >= g.trust(i, j) - 1e-12,
+                        "aggregate below the direct edge {} -> {}", i, j);
                 }
             }
         }
     }
 
     /// More hops can only reveal more paths: propagated trust is
-    /// pointwise monotone in `max_hops` for both combination rules.
+    /// pointwise monotone in `max_hops`.
     #[test]
     fn propagation_is_monotone_in_hops(g in trust_graph(), hops in 1usize..=3) {
         let n = g.node_count();
-        for combine in [PathCombine::Aggregate, PathCombine::SelectBest] {
-            let short = propagated_trust(&g, hops, combine).expect("valid weights");
-            let long = propagated_trust(&g, hops + 1, combine).expect("valid weights");
-            for k in 0..n * n {
-                prop_assert!(long[k] >= short[k] - 1e-12,
-                    "trust dropped with more hops under {combine:?}");
-            }
+        let short = propagated_trust(&g, hops).expect("valid weights");
+        let long = propagated_trust(&g, hops + 1).expect("valid weights");
+        for k in 0..n * n {
+            prop_assert!(long[k] >= short[k] - 1e-12, "trust dropped with more hops");
         }
     }
 
@@ -311,13 +299,11 @@ proptest! {
     fn propagation_engine_scores_are_a_distribution(g in trust_graph(), hops in 1usize..=3) {
         use gridvo_core::reputation::ReputationEngine;
         let members: Vec<usize> = (0..g.node_count()).collect();
-        for combine in [PathCombine::Aggregate, PathCombine::SelectBest] {
-            let rep = ReputationEngine::propagation(hops, combine)
-                .compute(&g, &members)
-                .expect("propagation engine runs");
-            let sum: f64 = rep.scores.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-9, "scores sum to {sum}, not 1");
-            prop_assert!(rep.scores.iter().all(|&s| s >= 0.0));
-        }
+        let rep = ReputationEngine::PathPropagation { max_hops: hops }
+            .compute(&g, &members)
+            .expect("propagation engine runs");
+        let sum: f64 = rep.scores.iter().sum();
+        prop_assert!((sum - 1.0).abs() < 1e-9, "scores sum to {sum}, not 1");
+        prop_assert!(rep.scores.iter().all(|&s| s >= 0.0));
     }
 }
