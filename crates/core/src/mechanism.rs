@@ -14,7 +14,7 @@
 
 use crate::reputation::ReputationEngine;
 use crate::scenario::FormationScenario;
-use crate::solve_cache::{round_key, CachedSolve, NoCache, SolveCache};
+use crate::solve_cache::{reputation_tag, round_key, CachedSolve, NoCache, SolveCache};
 use crate::vo::{FormationOutcome, IterationRecord, VoRecord};
 use crate::{CoreError, Result};
 use gridvo_solver::branch_bound::{BranchBound, Budget, SolveStatus};
@@ -136,6 +136,16 @@ impl Mechanism {
     /// solver configuration. The `gridvo-service` daemon passes its
     /// shared cache here; plain library callers use [`Mechanism::run`].
     ///
+    /// The round's entry also carries its reputation, tagged by
+    /// [`reputation_tag`]: the engine, the scenario's trust digest and
+    /// the power method's warm start. A hit with a matching tag serves
+    /// the stored reputation and the power method does not run. Any
+    /// other round computes the reputation and, when its solve is in
+    /// the cache (a hit, or a miss the deadline rule stored), stores
+    /// the entry again with the reputation attached. The power method
+    /// is a deterministic function of those inputs and the member ids,
+    /// so this keeps the run trace-identical too.
+    ///
     /// Each solve honors the same absolute wall-clock deadline, so the
     /// whole formation run — not just one round — respects the
     /// caller's deadline (up to one solver bound-check interval plus
@@ -152,6 +162,7 @@ impl Mechanism {
     ) -> Result<FormationOutcome> {
         let started = Instant::now();
         let pool = scenario.pool_digest();
+        let trust = scenario.trust_digest();
         let mut members: Vec<usize> = (0..scenario.gsp_count()).collect();
         let mut iterations = Vec::new();
         let mut feasible_vos: Vec<VoRecord> = Vec::new();
@@ -177,7 +188,8 @@ impl Mechanism {
                     .map(|local| (prev_assignment, local)),
                 _ => None,
             };
-            let report = self.solve_vo(scenario, pool, &members, warm_seed, cache, budget);
+            let (mut report, cached_at) =
+                self.solve_vo(scenario, pool, &members, warm_seed, cache, budget);
             let solve_seconds = solve_started.elapsed().as_secs_f64();
 
             let rep_start: Option<Vec<f64>> = match (&prev_reputation, self.config.warm_start) {
@@ -186,11 +198,25 @@ impl Mechanism {
                 }
                 _ => None,
             };
-            let reputation = self.config.reputation.compute_with_start(
-                scenario.trust(),
-                &members,
-                rep_start.as_deref(),
-            )?;
+            let tag = reputation_tag(&self.config.reputation, trust, rep_start.as_deref());
+            let reputation = match report.reputation.take() {
+                Some((stored, reputation)) if stored == tag => reputation,
+                _ => {
+                    let reputation = self.config.reputation.compute_with_start(
+                        scenario.trust(),
+                        &members,
+                        rep_start.as_deref(),
+                    )?;
+                    if let Some(key) = cached_at {
+                        // A hit's member tags may be lifted (the market
+                        // cache's); the cache lifts what it is given.
+                        report.members.clone_from(&members);
+                        report.reputation = Some((tag, reputation.clone()));
+                        cache.store(key, &report);
+                    }
+                    reputation
+                }
+            };
 
             let feasible = report.solved.is_some();
             let (cost, payoff_share) = match &report.solved {
@@ -294,7 +320,8 @@ impl Mechanism {
     /// the previous round's assignment (`carry` = that assignment plus
     /// the evicted member's local index within the previous VO), going
     /// through the memo table first under [`round_key`] (`pool` is the
-    /// scenario instance's canonical hash).
+    /// scenario instance's canonical hash). Also returns the key when
+    /// the cache holds the solve: it was a hit, or it was stored.
     fn solve_vo(
         &self,
         scenario: &FormationScenario,
@@ -303,24 +330,26 @@ impl Mechanism {
         carry: Option<(&gridvo_solver::Assignment, usize)>,
         cache: &mut dyn SolveCache,
         budget: &Budget,
-    ) -> CachedSolve {
+    ) -> (CachedSolve, Option<u64>) {
         // A VO that cannot host the program is infeasible without a
         // solve, so it is neither looked up nor stored. A hit needs
         // only the key: the reduced instance and the repaired warm
         // incumbent are built after a miss.
         let key = scenario.can_host(members.len()).then(|| round_key(pool, members, carry));
         if let Some(hit) = key.and_then(|key| cache.lookup(key)) {
-            return hit;
+            return (hit, key);
         }
         let Some((key, inst)) = key.zip(scenario.instance_for(members)) else {
-            return CachedSolve {
+            let infeasible = CachedSolve {
                 solved: None,
                 nodes: 0,
                 incumbent_source: None,
                 gap: None,
                 members: members.to_vec(),
                 epoch: 0,
+                reputation: None,
             };
+            return (infeasible, None);
         };
         let warm =
             carry.and_then(|(prev, evicted)| repair::repair_after_eviction(prev, evicted, &inst));
@@ -340,10 +369,11 @@ impl Mechanism {
         // empty result that may be a timed-out Unknown rather than an
         // infeasibility proof — depends on wall-clock luck and is
         // never stored.
-        if budget.deadline.is_none() || matches!(&solve.solved, Some((_, _, true))) {
+        let stored = budget.deadline.is_none() || matches!(&solve.solved, Some((_, _, true)));
+        if stored {
             cache.store(key, &solve);
         }
-        solve
+        (solve, stored.then_some(key))
     }
 
     /// Solve one assignment instance with the configured solver under
@@ -378,7 +408,15 @@ impl Mechanism {
                 (solved, 0, None, None)
             }
         };
-        CachedSolve { solved, nodes, incumbent_source, gap, members: Vec::new(), epoch: 0 }
+        CachedSolve {
+            solved,
+            nodes,
+            incumbent_source,
+            gap,
+            members: Vec::new(),
+            epoch: 0,
+            reputation: None,
+        }
     }
 
     /// The member leaving the VO this round. Errors (instead of
@@ -629,6 +667,46 @@ mod tests {
             .run(&s, &mut rng)
             .unwrap();
         assert_eq!(out.iterations[0].evicted, Some(3));
+    }
+
+    /// A cache that keeps every entry and counts stores.
+    #[derive(Default)]
+    struct CountingCache {
+        map: std::collections::HashMap<u64, CachedSolve>,
+        stores: usize,
+    }
+
+    impl SolveCache for CountingCache {
+        fn lookup(&mut self, key: u64) -> Option<CachedSolve> {
+            self.map.get(&key).cloned()
+        }
+
+        fn store(&mut self, key: u64, value: &CachedSolve) {
+            self.stores += 1;
+            self.map.insert(key, value.clone());
+        }
+    }
+
+    #[test]
+    fn a_replayed_run_is_served_solves_and_reputations_from_the_cache() {
+        let s = scenario();
+        let mech = Mechanism::tvof(FormationConfig::default());
+        let mut cache = CountingCache::default();
+        let run = |cache: &mut CountingCache| {
+            let mut rng = TestRng::seed_from_u64(12);
+            let budget = Budget::unlimited();
+            let mut out = mech.run_cached_with_budget(&s, &mut rng, cache, &budget).unwrap();
+            out.zero_timings();
+            out
+        };
+        let first = run(&mut cache);
+        // Each round stores its solve, then attaches its reputation.
+        assert_eq!(cache.stores, 2 * first.iterations.len());
+        assert!(cache.map.values().all(|entry| entry.reputation.is_some()));
+        // The replay hits every round's solve and reputation: it
+        // stores nothing.
+        assert_eq!(run(&mut cache), first);
+        assert_eq!(cache.stores, 2 * first.iterations.len());
     }
 
     #[test]

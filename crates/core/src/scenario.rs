@@ -5,6 +5,7 @@ use std::sync::OnceLock;
 
 use crate::gsp::Gsp;
 use crate::{CoreError, Result};
+use gridvo_solver::instance::Fnv1a;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::TrustGraph;
 use serde::{Deserialize, Serialize};
@@ -28,6 +29,11 @@ pub struct FormationScenario {
     /// every registry write builds a scenario that may never form.
     #[serde(skip)]
     pool_digest: OnceLock<u64>,
+    /// A digest of `trust`'s weight bits, computed on first use and
+    /// reset by [`FormationScenario::replace_trust`]: it tags the
+    /// reputations the solve cache carries.
+    #[serde(skip)]
+    trust_digest: OnceLock<u64>,
 }
 
 /// Serde shadow: deserialization re-runs the cross-shape validation,
@@ -58,7 +64,13 @@ impl FormationScenario {
         if instance.gsps() != m {
             return Err(CoreError::ShapeMismatch { context: "instance columns vs GSP count" });
         }
-        Ok(FormationScenario { gsps, trust, instance, pool_digest: OnceLock::new() })
+        Ok(FormationScenario {
+            gsps,
+            trust,
+            instance,
+            pool_digest: OnceLock::new(),
+            trust_digest: OnceLock::new(),
+        })
     }
 
     /// Number of GSPs `m`.
@@ -82,12 +94,14 @@ impl FormationScenario {
     }
 
     /// Replace the trust graph over the same GSPs. The instance, and
-    /// with it the memoized pool digest, is kept.
+    /// with it the memoized pool digest, is kept; the trust digest is
+    /// computed afresh on its next use.
     pub fn replace_trust(&mut self, trust: TrustGraph) -> Result<()> {
         if trust.node_count() != self.gsps.len() {
             return Err(CoreError::ShapeMismatch { context: "trust graph vs GSP count" });
         }
         self.trust = trust;
+        self.trust_digest = OnceLock::new();
         Ok(())
     }
 
@@ -101,6 +115,20 @@ impl FormationScenario {
     /// [`FormationScenario::instance`]), computed once per scenario.
     pub(crate) fn pool_digest(&self) -> u64 {
         *self.pool_digest.get_or_init(|| self.instance.canonical_hash())
+    }
+
+    /// A digest of the trust graph's size and weight bit patterns,
+    /// computed once per trust graph: the trust input of
+    /// [`crate::solve_cache::reputation_tag`].
+    pub(crate) fn trust_digest(&self) -> u64 {
+        *self.trust_digest.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            h.write_u64(self.trust.node_count() as u64);
+            for w in self.trust.weight_matrix().as_slice() {
+                h.write_u64(w.to_bits());
+            }
+            h.finish()
+        })
     }
 
     /// The payment `P`.
@@ -150,7 +178,13 @@ impl FormationScenario {
         let trust = self.trust_for(ids).ok()?;
         let gsps =
             ids.iter().enumerate().map(|(k, &g)| Gsp::new(k, self.gsps[g].speed_gflops)).collect();
-        Some(FormationScenario { gsps, trust, instance, pool_digest: OnceLock::new() })
+        Some(FormationScenario {
+            gsps,
+            trust,
+            instance,
+            pool_digest: OnceLock::new(),
+            trust_digest: OnceLock::new(),
+        })
     }
 }
 
@@ -280,6 +314,32 @@ mod tests {
         let wrong = scenario.replace_trust(TrustGraph::new(5));
         assert!(matches!(wrong, Err(CoreError::ShapeMismatch { .. })));
         assert_eq!(scenario.trust().trust(3, 0), 0.9, "a refused graph changes nothing");
+    }
+
+    #[test]
+    fn the_trust_digest_follows_the_trust_graph() {
+        let mut scenario = pool(4);
+        let text = serde_json::to_string(&scenario).unwrap();
+        let digest = scenario.trust_digest();
+        assert_eq!(serde_json::to_string(&scenario).unwrap(), text, "the memo is not serialized");
+        let back: FormationScenario = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.trust_digest(), digest);
+        // A restriction digests its own trust graph.
+        let sub = scenario.restrict(&[0, 2, 3]).unwrap();
+        let (gsps, trust) = (sub.gsps().to_vec(), sub.trust().clone());
+        let fresh = FormationScenario::new(gsps, trust, sub.instance().clone()).unwrap();
+        assert_eq!(sub.trust_digest(), fresh.trust_digest());
+        assert_ne!(sub.trust_digest(), digest);
+        // Replacing the trust graph resets the memo, for one edge too;
+        // a clone taken before keeps the old digest.
+        let before = scenario.clone();
+        let mut trust = scenario.trust().clone();
+        trust.set_trust(3, 0, 0.9);
+        scenario.replace_trust(trust).unwrap();
+        assert_ne!(scenario.trust_digest(), digest);
+        assert_eq!(before.trust_digest(), digest);
+        scenario.replace_trust(before.trust().clone()).unwrap();
+        assert_eq!(scenario.trust_digest(), digest);
     }
 
     #[test]

@@ -40,12 +40,23 @@
 //! [`gridvo_solver::BranchBound`]); the node cap is that
 //! configuration's, and the key has no cap dimension.
 //!
-//! Because the key is derived purely from solver inputs, reputation /
-//! trust state is invisible to it: trust-only registry updates
-//! invalidate **nothing** solver-side.
+//! ## The round's reputation
+//!
+//! An entry also carries the round's reputation, under a tag
+//! ([`reputation_tag`]) that digests every input of
+//! [`ReputationEngine::compute_with_start`] the key leaves out: the
+//! engine, the scenario's trust weights and the warm-start vector. A
+//! hit whose tag matches skips the power method; any other round
+//! computes the reputation and attaches it to its entry. Trust stays
+//! out of the key, so a trust-only registry update leaves every solve
+//! valid: the next hit's tag differs, and only the reputation is
+//! recomputed. The warm start stays out of the key too: its bits
+//! depend on the whole tie-broken eviction chain, so keying on them
+//! would split one solve into many entries.
 //!
 //! [`AssignmentInstance::canonical_hash`]: gridvo_solver::AssignmentInstance::canonical_hash
 
+use crate::reputation::{ReputationEngine, VoReputation};
 use gridvo_solver::instance::Fnv1a;
 use gridvo_solver::Assignment;
 
@@ -75,6 +86,11 @@ pub struct CachedSolve {
     /// epoch-ignorant and stamps `0`; epoch-aware owners re-stamp on
     /// store (see `gridvo-service`'s `SharedSolveCache::at_epoch`).
     pub epoch: u64,
+    /// `(tag, reputation)` of the round the solve was for, once the
+    /// driver has computed it: a later hit serves the reputation when
+    /// its own [`reputation_tag`] equals `tag`. Its member ids are the
+    /// formation's own, never lifted like `members`.
+    pub reputation: Option<(u64, VoReputation)>,
 }
 
 /// A memo table for exact IP solves, keyed by [`round_key`].
@@ -137,6 +153,42 @@ pub fn round_key(pool: u64, members: &[usize], carry: Option<(&Assignment, usize
     h.finish()
 }
 
+/// Tag of one round's reputation: a digest of `engine`, of the
+/// scenario's trust weights (`trust`, see
+/// `FormationScenario::trust_digest`) and of the warm-start vector's
+/// bits, or a distinct tag when the power method starts cold. With
+/// the member ids, which the entry's [`round_key`] holds, these are
+/// every input of [`ReputationEngine::compute_with_start`], a
+/// deterministic function of them.
+pub fn reputation_tag(engine: &ReputationEngine, trust: u64, start: Option<&[f64]>) -> u64 {
+    let mut h = Fnv1a::new();
+    match *engine {
+        ReputationEngine::Power(power) => {
+            h.write(b"power");
+            h.write_u64(power.epsilon.to_bits());
+            h.write_u64(power.max_iterations as u64);
+            h.write_u64(power.damping.to_bits());
+        }
+        ReputationEngine::PathPropagation { max_hops } => {
+            h.write(b"path");
+            h.write_u64(max_hops as u64);
+        }
+        ReputationEngine::InDegree => h.write(b"in-degree"),
+    }
+    h.write_u64(trust);
+    match start {
+        Some(start) => {
+            h.write(b"warm");
+            h.write_u64(start.len() as u64);
+            for s in start {
+                h.write_u64(s.to_bits());
+            }
+        }
+        None => h.write(b"cold"),
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +227,26 @@ mod tests {
     }
 
     #[test]
+    fn each_reputation_input_separates_tags() {
+        let engine = ReputationEngine::default();
+        let start = [0.25, 0.75];
+        let base = reputation_tag(&engine, 7, Some(&start));
+        assert_eq!(base, reputation_tag(&engine, 7, Some(&[0.25, 0.75])));
+        // A cold start.
+        assert_ne!(base, reputation_tag(&engine, 7, None));
+        // The trust digest.
+        assert_ne!(base, reputation_tag(&engine, 8, Some(&start)));
+        // One bit of the start vector.
+        let nudged = f64::from_bits(0.75f64.to_bits() + 1);
+        assert_ne!(base, reputation_tag(&engine, 7, Some(&[0.25, nudged])));
+        // The engine and its settings.
+        assert_ne!(base, reputation_tag(&ReputationEngine::pagerank(0.85), 7, Some(&start)));
+        assert_ne!(base, reputation_tag(&ReputationEngine::InDegree, 7, Some(&start)));
+        let path = |max_hops| ReputationEngine::PathPropagation { max_hops };
+        assert_ne!(reputation_tag(&path(2), 7, None), reputation_tag(&path(3), 7, None));
+    }
+
+    #[test]
     fn no_cache_never_hits() {
         let mut c = NoCache;
         let v = CachedSolve {
@@ -184,6 +256,7 @@ mod tests {
             gap: None,
             members: vec![0, 1],
             epoch: 0,
+            reputation: None,
         };
         c.store(7, &v);
         assert_eq!(c.lookup(7), None);

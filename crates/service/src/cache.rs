@@ -14,7 +14,9 @@
 //! together determine the full solver input. Any registry mutation
 //! that changes what a solve *means* (costs, times, membership)
 //! changes the pool digest and so every key, while trust-only
-//! mutations — which the solver never sees — keep every entry valid.
+//! mutations — which the solver never sees — keep every solve valid
+//! (an entry's reputation carries its own tag of the trust it was
+//! computed from, so the driver recomputes a stale one).
 //! Entries stored before a pool change (an `add_gsp`, say) are never
 //! looked up again and age out of the LRU, and equal reduced inputs
 //! reached through another carry or another pool do not share a slot.
@@ -261,11 +263,20 @@ mod tests {
             gap: None,
             members: vec![0, 1],
             epoch: 0,
+            reputation: None,
         }
     }
 
     fn entry_for(nodes: u64, members: Vec<usize>) -> CachedSolve {
-        CachedSolve { solved: None, nodes, incumbent_source: None, gap: None, members, epoch: 0 }
+        CachedSolve {
+            solved: None,
+            nodes,
+            incumbent_source: None,
+            gap: None,
+            members,
+            epoch: 0,
+            reputation: None,
+        }
     }
 
     /// Mutations in the pre-epoch tests all "happen after" every

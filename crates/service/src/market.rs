@@ -124,6 +124,7 @@ mod tests {
             gap: None,
             members: vec![0, 1], // sub-pool-local ids
             epoch: 0,
+            reputation: None,
         };
         let mut market = MarketCache::new(shared.at_epoch(1), 99, &[2, 3]);
         market.store(7, &entry);

@@ -3,10 +3,10 @@
 //!
 //! ## Thread model
 //!
-//! * **Listener** — polls a non-blocking `TcpListener` (loopback),
-//!   spawning one connection thread per accepted client. Polling
-//!   (rather than a blocking `accept`) lets shutdown work without a
-//!   self-connect trick.
+//! * **Listener** — blocks in `accept` on a `TcpListener` (loopback),
+//!   spawning one connection thread per accepted client, so a new
+//!   client is served at once. Shutdown wakes it with one connection
+//!   of its own, which it drops before it exits.
 //! * **Connection threads** — read one JSON line at a time (raw
 //!   bytes; a non-UTF-8 line gets a typed error instead of killing
 //!   the connection). Registry mutations are answered inline through
@@ -78,7 +78,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -179,7 +179,7 @@ struct Job {
     enqueued: Instant,
     deadline: Option<Duration>,
     /// Market requests hold a per-application queue slot from
-    /// admission until the worker finishes (or sheds) them.
+    /// admission until the worker has their answer (or sheds them).
     app: Option<String>,
     reply: Reply,
 }
@@ -244,7 +244,6 @@ impl ServerHandle {
         )
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let shared = Arc::new(Shared {
@@ -315,6 +314,15 @@ impl ServerHandle {
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
+        // Wake the listener from `accept`: it sees the flag and exits.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         for t in self.threads {
             let _ = t.join();
         }
@@ -328,22 +336,20 @@ impl ServerHandle {
 
 fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Without this, Nagle holds every streamed line after
-                // the first until the client's delayed ACK (~40 ms):
-                // a multi-line `form_batch` response would be slower
-                // than the sequential forms it replaces.
-                stream.set_nodelay(true).ok();
-                let shared = Arc::clone(shared);
-                connections.push(std::thread::spawn(move || connection_loop(stream, &shared)));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        // Once shutdown is flagged, the stream is its wake-up call (or
+        // a client too late to be served): drop it.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        // Without this, Nagle holds every streamed line after the
+        // first until the client's delayed ACK (~40 ms): a multi-line
+        // `form_batch` response would be slower than the sequential
+        // forms it replaces.
+        stream.set_nodelay(true).ok();
+        let shared = Arc::clone(shared);
+        connections.push(std::thread::spawn(move || connection_loop(stream, &shared)));
         connections.retain(|c| !c.is_finished());
     }
     for c in connections {
@@ -539,7 +545,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
         Request::Form { app: Some(app), seed, mechanism, deadline_ms } => {
             // Market admission, cheapest gate first: shed while the
             // pool is exhausted, then claim a per-application slot
-            // (held until the worker finishes the job).
+            // (held until the worker has the answer).
             sweep_expired(shared);
             let free = shared.registry.snapshot().free.len();
             if free < shared.min_free {
@@ -680,15 +686,14 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Some(at) = deadline_at {
             if Instant::now() >= at {
                 shared.metrics.deadline_rejected();
-                let _ = job.reply.send(wire_line(&Response::DeadlineExceeded));
                 leave_app(shared, job.app.as_deref());
+                let _ = job.reply.send(wire_line(&Response::DeadlineExceeded));
                 continue;
             }
         }
         let served_at = Instant::now();
         serve(job.request, shared, &job.reply, deadline_at);
         shared.metrics.record_service_ms(served_at.elapsed().as_secs_f64() * 1e3);
-        leave_app(shared, job.app.as_deref());
         // `job.reply` drops here, closing the connection's stream.
     }
 }
@@ -713,8 +718,8 @@ fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Opt
             let _ = send(Response::Pong);
         }
         Request::Form { seed, mechanism, app, .. } => {
-            let response = match app {
-                Some(app) => market_form(shared, &app, seed, mechanism, &budget),
+            let response = match &app {
+                Some(app) => market_form(shared, app, seed, mechanism, &budget),
                 None => {
                     let snapshot = shared.registry.snapshot();
                     match run_formation(shared, &snapshot, seed, mechanism, &budget) {
@@ -723,6 +728,9 @@ fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Opt
                     }
                 }
             };
+            // Free the app's slot before the client can read the
+            // answer: its next form for the app may follow at once.
+            leave_app(shared, app.as_deref());
             let _ = send(response);
         }
         Request::FormBatch { seeds, mechanism, .. } => {
