@@ -527,7 +527,11 @@ impl Mechanism {
                         (kind, dropped)
                     }
                 };
-                let reputation = self.config.reputation.compute(scenario.trust(), &live.members)?;
+                let reputation = self.config.reputation.compute_with_start(
+                    scenario.trust(),
+                    &live.members,
+                    None,
+                )?;
                 recoveries.push(RecoveryRecord {
                     round,
                     gsp: ev.gsp,
@@ -561,9 +565,7 @@ impl Mechanism {
         let final_payoff_share = match status {
             ExecutionStatus::Abandoned { .. } => 0.0,
             ExecutionStatus::Completed { .. } if recoveries.is_empty() => vo.payoff_share,
-            ExecutionStatus::Completed { .. } => {
-                (scenario.payment() - cost).max(0.0) / members.len() as f64
-            }
+            ExecutionStatus::Completed { .. } => scenario.payoff(cost, members.len()).1,
         };
         let payoff_retention =
             if vo.payoff_share > 0.0 { final_payoff_share / vo.payoff_share } else { 1.0 };

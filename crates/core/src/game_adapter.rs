@@ -20,14 +20,13 @@ pub type VoGame<'a> = MemoCharacteristic<FnGame<Box<dyn Fn(Coalition) -> f64 + '
 /// Build the (memoized) VO game for a scenario, using `solver` for
 /// every coalition's IP.
 pub fn vo_game(scenario: &FormationScenario, solver: BranchBound) -> VoGame<'_> {
-    let payment = scenario.payment();
     let f: Box<dyn Fn(Coalition) -> f64 + '_> = Box::new(move |c: Coalition| {
         if c.is_empty() {
             return 0.0;
         }
         let members = c.to_vec();
         match scenario.instance_for(&members).and_then(|inst| solver.solve(&inst)) {
-            Some(o) => (payment - o.cost).max(0.0),
+            Some(o) => scenario.payoff(o.cost, members.len()).0,
             None => 0.0,
         }
     });

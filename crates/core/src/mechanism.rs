@@ -218,14 +218,9 @@ impl Mechanism {
                 }
             };
 
-            let feasible = report.solved.is_some();
-            let (cost, payoff_share) = match &report.solved {
-                Some((_, cost, _)) => {
-                    let value = (scenario.payment() - cost).max(0.0);
-                    (Some(*cost), Some(value / members.len() as f64))
-                }
-                None => (None, None),
-            };
+            let cost = report.solved.as_ref().map(|&(_, cost, _)| cost);
+            let payoff = cost.map(|cost| scenario.payoff(cost, members.len()));
+            let feasible = cost.is_some();
 
             // Algorithm 1 exits at the first infeasible VO.
             let evicted = if feasible && members.len() > 1 {
@@ -234,15 +229,16 @@ impl Mechanism {
                 None
             };
 
-            if let Some((assignment, cost, optimal)) = report.solved {
-                let value = (scenario.payment() - cost).max(0.0);
+            if let Some(((assignment, cost, optimal), (value, payoff_share))) =
+                report.solved.zip(payoff)
+            {
                 carry = evicted.map(|g| (members.clone(), assignment.clone(), g));
                 feasible_vos.push(VoRecord {
                     members: members.clone(),
                     assignment,
                     cost,
                     value,
-                    payoff_share: value / members.len() as f64,
+                    payoff_share,
                     avg_reputation: reputation.average,
                     optimal,
                     gap: report.gap,
@@ -254,7 +250,7 @@ impl Mechanism {
                 members: members.clone(),
                 feasible,
                 cost,
-                payoff_share,
+                payoff_share: payoff.map(|(_, share)| share),
                 avg_reputation: reputation.average,
                 reputation_scores: reputation.scores.clone(),
                 evicted,

@@ -7,6 +7,8 @@
 //! performs exactly that, mapping scores back to global GSP ids.
 
 use crate::Result;
+use gridvo_trust::centrality::in_degree;
+use gridvo_trust::normalize::row_normalize;
 use gridvo_trust::propagation::propagation_scores;
 use gridvo_trust::{PowerMethod, TrustGraph};
 
@@ -98,20 +100,16 @@ impl ReputationEngine {
     /// `trust` is the *global* graph; `members` the VO's global GSP
     /// ids. All engines return an L1-normalized (probability) score
     /// vector so eviction decisions are engine-comparable.
-    pub fn compute(&self, trust: &TrustGraph, members: &[usize]) -> Result<VoReputation> {
-        self.compute_with_start(trust, members, None)
-    }
-
-    /// [`ReputationEngine::compute`] with an optional warm start.
     ///
-    /// `start` is aligned with `members` — typically the previous
-    /// eviction round's scores restricted to the survivors (the power
-    /// method renormalizes it onto the probability simplex itself).
-    /// The fixed point is start-independent, so warm and cold runs
-    /// agree to the power method's ε; only `iterations` shrinks. A
-    /// degenerate start (wrong length, zero mass, negative or
-    /// non-finite entries) falls back to the cold uniform start, and
-    /// the non-iterative engines ignore `start` entirely.
+    /// `start` is an optional warm start aligned with `members` —
+    /// typically the previous eviction round's scores restricted to
+    /// the survivors (the power method renormalizes it onto the
+    /// probability simplex itself). The fixed point is
+    /// start-independent, so warm and cold runs agree to the power
+    /// method's ε; only `iterations` shrinks. A degenerate start (wrong
+    /// length, zero mass, negative or non-finite entries) falls back
+    /// to the cold uniform start, and the non-iterative engines ignore
+    /// `start` entirely.
     pub fn compute_with_start(
         &self,
         trust: &TrustGraph,
@@ -121,26 +119,13 @@ impl ReputationEngine {
         let sub = trust.restrict(members)?;
         let (mut scores, iterations) = match *self {
             ReputationEngine::Power(power) => {
-                let a = gridvo_trust::normalize::row_normalize(&sub);
-                let report = match start {
-                    Some(s) => power.run_with_start(&a, s)?,
-                    None => power.run(&a)?,
-                };
+                let report = power.run(&row_normalize(&sub), start)?;
                 (report.scores, report.iterations)
             }
             ReputationEngine::PathPropagation { max_hops } => {
-                // propagation needs weights in [0, 1]: rescale by max
-                let max_w = sub.edges().map(|(_, _, w)| w).fold(1.0f64, f64::max);
-                let mut unit = TrustGraph::new(sub.node_count());
-                for (i, j, w) in sub.edges() {
-                    unit.set_trust(i, j, w / max_w);
-                }
-                (propagation_scores(&unit, max_hops)?, 1)
+                (propagation_scores(&sub, max_hops)?, 1)
             }
-            ReputationEngine::InDegree => {
-                let scores: Vec<f64> = (0..sub.node_count()).map(|j| sub.in_trust_sum(j)).collect();
-                (scores, 1)
-            }
+            ReputationEngine::InDegree => (in_degree(&sub), 1),
         };
         let mass: f64 = scores.iter().sum();
         if mass > 0.0 {
@@ -191,7 +176,8 @@ mod tests {
 
     #[test]
     fn scores_are_probability_vector() {
-        let rep = ReputationEngine::default().compute(&trust4(), &[0, 1, 2, 3]).unwrap();
+        let rep =
+            ReputationEngine::default().compute_with_start(&trust4(), &[0, 1, 2, 3], None).unwrap();
         assert_eq!(rep.members, vec![0, 1, 2, 3]);
         assert!((rep.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // L2 average lies in [1/k, 1/sqrt(k)]
@@ -200,15 +186,31 @@ mod tests {
 
     #[test]
     fn untrusted_member_is_lowest() {
-        let rep = ReputationEngine::default().compute(&trust4(), &[0, 1, 2, 3]).unwrap();
+        let rep =
+            ReputationEngine::default().compute_with_start(&trust4(), &[0, 1, 2, 3], None).unwrap();
         let lows = rep.lowest_members();
         assert_eq!(lows, vec![3]);
     }
 
     #[test]
+    fn lowest_returns_all_tied_minima() {
+        let mut g = TrustGraph::new(4);
+        // 2 and 3 are symmetric satellites around a 0↔1 pair
+        g.set_trust(0, 1, 1.0);
+        g.set_trust(1, 0, 1.0);
+        g.set_trust(2, 0, 1.0);
+        g.set_trust(3, 1, 1.0);
+        g.set_trust(0, 2, 0.1);
+        g.set_trust(1, 3, 0.1);
+        let rep = ReputationEngine::default().compute_with_start(&g, &[0, 1, 2, 3], None).unwrap();
+        assert_eq!(rep.lowest_members(), vec![2, 3]);
+    }
+
+    #[test]
     fn restriction_changes_scores() {
         // After evicting 3, scores are recomputed among {0,1,2}.
-        let rep = ReputationEngine::default().compute(&trust4(), &[0, 1, 2]).unwrap();
+        let rep =
+            ReputationEngine::default().compute_with_start(&trust4(), &[0, 1, 2], None).unwrap();
         assert_eq!(rep.members, vec![0, 1, 2]);
         assert!((rep.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         // 2 is the least trusted of the trio
@@ -219,7 +221,7 @@ mod tests {
 
     #[test]
     fn score_of_by_global_id() {
-        let rep = ReputationEngine::default().compute(&trust4(), &[1, 2]).unwrap();
+        let rep = ReputationEngine::default().compute_with_start(&trust4(), &[1, 2], None).unwrap();
         assert!(rep.score_of(1).is_some());
         assert!(rep.score_of(0).is_none());
     }
@@ -228,7 +230,7 @@ mod tests {
     fn average_peaks_at_uniform_scores() {
         // {0,1} trust each other symmetrically: scores are uniform and
         // the L2 average attains its 1/√2 maximum.
-        let rep = ReputationEngine::default().compute(&trust4(), &[0, 1]).unwrap();
+        let rep = ReputationEngine::default().compute_with_start(&trust4(), &[0, 1], None).unwrap();
         assert!((rep.average - 1.0 / 2.0f64.sqrt()).abs() < 1e-6);
     }
 
@@ -271,7 +273,7 @@ mod engine_tests {
             ReputationEngine::InDegree,
         ];
         for e in engines {
-            let rep = e.compute(&g, &[0, 1, 2, 3]).unwrap();
+            let rep = e.compute_with_start(&g, &[0, 1, 2, 3], None).unwrap();
             let sum: f64 = rep.scores.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{e:?} not a distribution");
             assert!(rep.scores.iter().all(|&s| s >= 0.0));
@@ -287,7 +289,7 @@ mod engine_tests {
             ReputationEngine::PathPropagation { max_hops: 3 },
             ReputationEngine::InDegree,
         ] {
-            let rep = e.compute(&g, &[0, 1, 2, 3]).unwrap();
+            let rep = e.compute_with_start(&g, &[0, 1, 2, 3], None).unwrap();
             assert_eq!(rep.lowest_members(), vec![3], "{e:?} missed the outcast");
         }
     }
@@ -295,7 +297,7 @@ mod engine_tests {
     #[test]
     fn in_degree_matches_hand_computation() {
         let g = trusty();
-        let rep = ReputationEngine::InDegree.compute(&g, &[0, 1, 2]).unwrap();
+        let rep = ReputationEngine::InDegree.compute_with_start(&g, &[0, 1, 2], None).unwrap();
         // in-degrees inside {0,1,2}: 0 ← 1.0+0.5 = 1.5; 1 ← 1.0; 2 ← 0.8
         let total = 1.5 + 1.0 + 0.8;
         assert!((rep.scores[0] - 1.5 / total).abs() < 1e-12);
@@ -358,7 +360,7 @@ mod engine_tests {
     #[test]
     fn trustless_vo_scores_uniform() {
         let g = TrustGraph::new(3);
-        let rep = ReputationEngine::InDegree.compute(&g, &[0, 1, 2]).unwrap();
+        let rep = ReputationEngine::InDegree.compute_with_start(&g, &[0, 1, 2], None).unwrap();
         for &s in &rep.scores {
             assert!((s - 1.0 / 3.0).abs() < 1e-12);
         }

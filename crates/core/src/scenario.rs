@@ -136,6 +136,14 @@ impl FormationScenario {
         self.instance.payment()
     }
 
+    /// A VO's value and each member's share when its IP costs `cost`:
+    /// eq. (15)'s `v(C) = max(P − C(T, C), 0)` and eq. (18)'s equal
+    /// split `v(C) / |C|` over `size` members.
+    pub fn payoff(&self, cost: f64, size: usize) -> (f64, f64) {
+        let value = (self.payment() - cost).max(0.0);
+        (value, value / size as f64)
+    }
+
     /// The deadline `d`.
     pub fn deadline(&self) -> f64 {
         self.instance.deadline()

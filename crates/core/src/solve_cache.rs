@@ -165,8 +165,6 @@ pub fn reputation_tag(engine: &ReputationEngine, trust: u64, start: Option<&[f64
     match *engine {
         ReputationEngine::Power(power) => {
             h.write(b"power");
-            h.write_u64(power.epsilon.to_bits());
-            h.write_u64(power.max_iterations as u64);
             h.write_u64(power.damping.to_bits());
         }
         ReputationEngine::PathPropagation { max_hops } => {

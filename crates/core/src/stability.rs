@@ -64,11 +64,11 @@ pub fn audit_individual_stability(
     }
     for &leaver in &vo.members {
         let reduced: Vec<usize> = vo.members.iter().copied().filter(|&m| m != leaver).collect();
-        let reduced_rep = engine.compute(scenario.trust(), &reduced)?.average;
+        let reduced_rep = engine.compute_with_start(scenario.trust(), &reduced, None)?.average;
         let reduced_payoff = scenario
             .instance_for(&reduced)
             .and_then(|inst| solver.solve(&inst))
-            .map(|o| (scenario.payment() - o.cost).max(0.0) / reduced.len() as f64);
+            .map(|o| scenario.payoff(o.cost, reduced.len()).1);
 
         // Departing member: alone it earns nothing (a single GSP is
         // assumed unable to host the program — the paper's premise).

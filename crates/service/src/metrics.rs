@@ -21,45 +21,6 @@ use crate::recover;
 const BUCKET_BOUNDS_MS: [f64; 14] =
     [0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0];
 
-/// A cumulative-style latency histogram (non-cumulative counts per
-/// bucket, fixed bounds).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    counts: [u64; BUCKET_BOUNDS_MS.len() + 1],
-    count: u64,
-    sum_ms: f64,
-    max_ms: f64,
-}
-
-impl Histogram {
-    /// Record one observation in milliseconds.
-    pub fn record_ms(&mut self, ms: f64) {
-        let idx = BUCKET_BOUNDS_MS.iter().position(|&b| ms <= b).unwrap_or(BUCKET_BOUNDS_MS.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum_ms += ms;
-        if ms > self.max_ms {
-            self.max_ms = ms;
-        }
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = BUCKET_BOUNDS_MS
-            .iter()
-            .copied()
-            .zip(self.counts.iter().copied())
-            .map(|(le_ms, count)| HistogramBucket { le_ms, count })
-            .collect();
-        HistogramSnapshot {
-            count: self.count,
-            sum_ms: self.sum_ms,
-            max_ms: self.max_ms,
-            buckets,
-            overflow: self.counts[BUCKET_BOUNDS_MS.len()],
-        }
-    }
-}
-
 /// One bucket of a serialized histogram.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramBucket {
@@ -84,7 +45,37 @@ pub struct HistogramSnapshot {
     pub overflow: u64,
 }
 
+impl Default for HistogramSnapshot {
+    /// An empty histogram over the daemon's bucket bounds.
+    fn default() -> Self {
+        HistogramSnapshot {
+            count: 0,
+            sum_ms: 0.0,
+            max_ms: 0.0,
+            buckets: BUCKET_BOUNDS_MS
+                .iter()
+                .map(|&le_ms| HistogramBucket { le_ms, count: 0 })
+                .collect(),
+            overflow: 0,
+        }
+    }
+}
+
 impl HistogramSnapshot {
+    /// Record one observation in milliseconds: it lands in the first
+    /// bucket whose bound it does not exceed, else in `overflow`.
+    pub fn record_ms(&mut self, ms: f64) {
+        match self.buckets.iter_mut().find(|b| ms <= b.le_ms) {
+            Some(bucket) => bucket.count += 1,
+            None => self.overflow += 1,
+        }
+        self.count += 1;
+        self.sum_ms += ms;
+        if ms > self.max_ms {
+            self.max_ms = ms;
+        }
+    }
+
     /// Mean observation in milliseconds (0 when empty).
     pub fn mean_ms(&self) -> f64 {
         if self.count == 0 {
@@ -95,32 +86,13 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    requests_total: u64,
-    form_requests: u64,
-    batch_requests: u64,
-    execute_requests: u64,
-    registry_mutations: u64,
-    snapshot_requests: u64,
-    ping_requests: u64,
-    busy_rejections: u64,
-    deadline_rejections: u64,
-    anytime_served: u64,
-    request_errors: u64,
-    queue_wait: Histogram,
-    service_time: Histogram,
-    leases_acquired: u64,
-    leases_released: u64,
-    leases_expired: u64,
-    pool_exhausted_rejections: u64,
-    throttled_rejections: u64,
-}
-
-/// Shared, thread-safe metrics registry (clones share storage).
+/// Shared, thread-safe metrics registry (clones share storage). It
+/// keeps the counters and histograms in the snapshot they are served
+/// as; the gauges and cache fields stay zero until a snapshot reads
+/// them from their owners.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<Inner>>,
+    inner: Arc<Mutex<MetricsSnapshot>>,
 }
 
 /// One application's outstanding-request depth, for the snapshot.
@@ -150,7 +122,7 @@ pub struct MarketGauges {
 }
 
 /// What a `metrics` request returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Every request received (including rejected ones).
     pub requests_total: u64,
@@ -216,7 +188,7 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+    fn with<R>(&self, f: impl FnOnce(&mut MetricsSnapshot) -> R) -> R {
         let mut inner = recover(self.inner.lock());
         f(&mut inner)
     }
@@ -288,53 +260,34 @@ impl Metrics {
 
     /// Record how long a job waited in the queue.
     pub fn record_queue_wait_ms(&self, ms: f64) {
-        self.with(|m| m.queue_wait.record_ms(ms));
+        self.with(|m| m.queue_wait_ms.record_ms(ms));
     }
 
     /// Record how long a job took to serve once dequeued, reply
     /// encoding included.
     pub fn record_service_ms(&self, ms: f64) {
-        self.with(|m| m.service_time.record_ms(ms));
+        self.with(|m| m.service_ms.record_ms(ms));
     }
 
     /// Snapshot everything, merging in the solve cache's counters and
     /// the admission gauges.
     pub fn snapshot(&self, cache: CacheStats, gauges: MarketGauges) -> MetricsSnapshot {
-        self.with(|m| {
-            let lookups = cache.hits + cache.misses;
-            MetricsSnapshot {
-                requests_total: m.requests_total,
-                form_requests: m.form_requests,
-                batch_requests: m.batch_requests,
-                execute_requests: m.execute_requests,
-                registry_mutations: m.registry_mutations,
-                snapshot_requests: m.snapshot_requests,
-                ping_requests: m.ping_requests,
-                busy_rejections: m.busy_rejections,
-                deadline_rejections: m.deadline_rejections,
-                anytime_served: m.anytime_served,
-                request_errors: m.request_errors,
-                queue_depth: gauges.queue_depth,
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
-                cache_entries: cache.entries,
-                cache_hit_rate: if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 },
-                queue_wait_ms: m.queue_wait.snapshot(),
-                service_ms: m.service_time.snapshot(),
-                leases_acquired: m.leases_acquired,
-                leases_released: m.leases_released,
-                leases_expired: m.leases_expired,
-                pool_exhausted_rejections: m.pool_exhausted_rejections,
-                throttled_rejections: m.throttled_rejections,
-                committed_gsps: gauges.committed_gsps,
-                live_leases: gauges.live_leases,
-                app_queue_depths: gauges
-                    .app_depths
-                    .into_iter()
-                    .map(|(app, depth)| AppQueueDepth { app, depth })
-                    .collect(),
-            }
-        })
+        let mut snapshot = self.with(|m| m.clone());
+        let lookups = cache.hits + cache.misses;
+        snapshot.queue_depth = gauges.queue_depth;
+        snapshot.cache_hits = cache.hits;
+        snapshot.cache_misses = cache.misses;
+        snapshot.cache_entries = cache.entries;
+        snapshot.cache_hit_rate =
+            if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
+        snapshot.committed_gsps = gauges.committed_gsps;
+        snapshot.live_leases = gauges.live_leases;
+        snapshot.app_queue_depths = gauges
+            .app_depths
+            .into_iter()
+            .map(|(app, depth)| AppQueueDepth { app, depth })
+            .collect();
+        snapshot
     }
 }
 
@@ -344,12 +297,11 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_moments() {
-        let mut h = Histogram::default();
-        h.record_ms(0.1);
-        h.record_ms(3.0);
-        h.record_ms(532.0);
-        h.record_ms(10_000.0);
-        let s = h.snapshot();
+        let mut s = HistogramSnapshot::default();
+        s.record_ms(0.1);
+        s.record_ms(3.0);
+        s.record_ms(532.0);
+        s.record_ms(10_000.0);
         assert_eq!(s.count, 4);
         assert!((s.mean_ms() - 10_535.1 / 4.0).abs() < 1e-9);
         assert_eq!(s.max_ms, 10_000.0);

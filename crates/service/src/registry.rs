@@ -423,13 +423,14 @@ impl Pool {
             let served = ledger.apply_to(self.scenario.trust())?;
             self.scenario.replace_trust(served)?;
         }
+        // An empty vector (at bootstrap, after a join) starts the
+        // power method cold.
         let members: Vec<usize> = (0..self.scenario.gsp_count()).collect();
-        let start = if self.reputation.len() == members.len() {
-            Some(self.reputation.as_slice())
-        } else {
-            None
-        };
-        let rep = self.engine.compute_with_start(self.scenario.trust(), &members, start)?;
+        let rep = self.engine.compute_with_start(
+            self.scenario.trust(),
+            &members,
+            Some(&self.reputation),
+        )?;
         self.reputation = rep.scores;
         self.power_iterations = rep.iterations;
         Ok(())

@@ -9,7 +9,9 @@
 //!   of its own, which it drops before it exits.
 //! * **Connection threads** — read one JSON line at a time (raw
 //!   bytes; a non-UTF-8 line gets a typed error instead of killing
-//!   the connection). Registry mutations are answered inline through
+//!   the connection, and a line longer than [`MAX_LINE_BYTES`] is
+//!   refused as soon as it passes the cap, its rest dropped unread).
+//!   Registry mutations are answered inline through
 //!   the registry's one write path; registry / metrics snapshots are
 //!   answered inline from the current [`EpochSnapshot`] without
 //!   taking any registry lock. Solve-bearing requests (`form`,
@@ -77,7 +79,7 @@
 //! (reason `"expired"`), so replay stays deterministic.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -156,6 +158,15 @@ const POLL: Duration = Duration::from_millis(50);
 /// solving its batch: 4 MiB, the ceiling the kernel lets a loopback
 /// socket's send buffer grow to by default.
 pub const MAX_UNREAD_BYTES: usize = 4 << 20;
+
+/// The longest request line a connection reads, newline excluded. A
+/// longer line is answered `bad request: line longer than N bytes`
+/// once its first `N + 1` bytes are in, and the rest of it is dropped
+/// unread, so no client grows a connection's buffer past this. It
+/// shares [`MAX_UNREAD_BYTES`]'s 4 MiB: 14× the longest line the
+/// repo's own clients send, an `add_gsp` on an 8 192-task pool
+/// (297 791 bytes).
+pub const MAX_LINE_BYTES: usize = MAX_UNREAD_BYTES;
 
 /// A job's reply channel. It counts the bytes sent and not yet taken
 /// off by the connection thread.
@@ -416,21 +427,47 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
+    let mut skipping = false;
     // One bucket per connection: each client pays for its own burst.
     let mut bucket = shared.rate_limit.map(|rate| TokenBucket::new(rate, rate.max(1.0)));
     loop {
-        // Raw bytes, not `read_line`: a client feeding us non-UTF-8
-        // garbage deserves a typed error, not a dropped connection.
-        // `buf` is only cleared after a complete line is handled, so
-        // a read timeout mid-line never loses the partial prefix.
-        let complete = match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return; // client closed
+        let dispatched = match next_line(&mut reader, &mut buf, &mut skipping) {
+            Ok(LineRead::Line) => match std::str::from_utf8(&buf) {
+                Ok(text) if text.trim().is_empty() => {
+                    buf.clear();
+                    continue;
                 }
-                true // EOF terminated the final, newline-less line
+                Ok(text) => match decode::<Request>(text.trim()) {
+                    Ok(request) => {
+                        shared.metrics.request_received(request.op());
+                        let throttled = bucket.as_mut().is_some_and(|b| !b.allow(Instant::now()));
+                        if throttled {
+                            shared.metrics.throttled();
+                            Dispatched::one(Response::Throttled)
+                        } else {
+                            dispatch(request, shared)
+                        }
+                    }
+                    Err(e) => {
+                        shared.metrics.request_errored();
+                        Dispatched::one(Response::Error { message: format!("bad request: {e}") })
+                    }
+                },
+                Err(_) => {
+                    shared.metrics.request_errored();
+                    Dispatched::one(Response::Error {
+                        message: "bad request: not UTF-8".to_string(),
+                    })
+                }
+            },
+            Ok(LineRead::TooLong) => {
+                shared.metrics.request_errored();
+                Dispatched::one(Response::Error {
+                    message: format!("bad request: line longer than {MAX_LINE_BYTES} bytes"),
+                })
             }
-            Ok(_) => buf.last() == Some(&b'\n'),
+            Ok(LineRead::Pending) => continue,
+            Ok(LineRead::Closed) => return,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -438,38 +475,9 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                false
-            }
-            Err(_) => return,
-        };
-        if !complete {
-            continue;
-        }
-        let dispatched = match std::str::from_utf8(&buf) {
-            Ok(text) if text.trim().is_empty() => {
-                buf.clear();
                 continue;
             }
-            Ok(text) => match decode::<Request>(text.trim()) {
-                Ok(request) => {
-                    shared.metrics.request_received(request.op());
-                    let throttled = bucket.as_mut().is_some_and(|b| !b.allow(Instant::now()));
-                    if throttled {
-                        shared.metrics.throttled();
-                        Dispatched::one(Response::Throttled)
-                    } else {
-                        dispatch(request, shared)
-                    }
-                }
-                Err(e) => {
-                    shared.metrics.request_errored();
-                    Dispatched::one(Response::Error { message: format!("bad request: {e}") })
-                }
-            },
-            Err(_) => {
-                shared.metrics.request_errored();
-                Dispatched::one(Response::Error { message: "bad request: not UTF-8".to_string() })
-            }
+            Err(_) => return,
         };
         buf.clear();
         match dispatched {
@@ -494,6 +502,58 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             return;
         }
     }
+}
+
+/// What one [`next_line`] call left for the connection loop.
+enum LineRead {
+    /// `buf` holds one whole line: newline-terminated, or cut by EOF.
+    Line,
+    /// The line passed [`MAX_LINE_BYTES`]: `buf` is cleared and the
+    /// rest of the line will be dropped unread.
+    TooLong,
+    /// Mid-line or mid-skip: read again.
+    Pending,
+    /// The client closed the connection between lines.
+    Closed,
+}
+
+/// Read toward the next request line. Raw bytes, not `read_line`: a
+/// client feeding us non-UTF-8 garbage deserves a typed error, not a
+/// dropped connection. `buf` keeps a partial line across calls, so a
+/// read timeout mid-line never loses the prefix, and holds at most
+/// [`MAX_LINE_BYTES`] + 1 bytes. `skipping` is set while the rest of
+/// a refused line is dropped up to its newline.
+fn next_line(
+    reader: &mut BufReader<TcpStream>,
+    buf: &mut Vec<u8>,
+    skipping: &mut bool,
+) -> std::io::Result<LineRead> {
+    if *skipping {
+        let chunk = reader.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(LineRead::Closed);
+        }
+        let (used, ended) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (chunk.len(), false),
+        };
+        reader.consume(used);
+        *skipping = !ended;
+        return Ok(LineRead::Pending);
+    }
+    let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+    let read = reader.by_ref().take(room).read_until(b'\n', buf)?;
+    Ok(if buf.last() == Some(&b'\n') || (read == 0 && !buf.is_empty()) {
+        LineRead::Line
+    } else if read == 0 {
+        LineRead::Closed
+    } else if buf.len() > MAX_LINE_BYTES {
+        buf.clear();
+        *skipping = true;
+        LineRead::TooLong
+    } else {
+        LineRead::Pending
+    })
 }
 
 /// Route one request: inline for registry/snapshot ops, queued for

@@ -17,6 +17,7 @@ use std::time::Duration;
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::FormationScenario;
 use gridvo_service::protocol::{decode, encode, Request, Response};
+use gridvo_service::server::MAX_LINE_BYTES;
 use gridvo_service::{ServerConfig, ServerHandle};
 use gridvo_sim::config::TableI;
 use gridvo_sim::instance_gen::ScenarioGenerator;
@@ -175,6 +176,31 @@ fn a_line_nested_past_the_limit_is_refused_and_the_connection_survives() {
         other => panic!("expected a typed error, got {other:?}"),
     }
     conn.send(&Request::Ping { sleep_ms: 0 });
+    assert_eq!(conn.recv(), Response::Pong);
+    handle.shutdown();
+}
+
+#[test]
+fn a_line_past_the_length_cap_is_refused_and_the_connection_survives() {
+    let handle = ServerHandle::spawn(&scenario(), ServerConfig::default()).expect("bind loopback");
+    let mut conn = RawConn::connect(handle.addr());
+
+    // One byte over the cap, then a ping on the same connection: the
+    // daemon refuses the long line without buffering its rest and
+    // answers the ping after it.
+    conn.send_raw(&vec![b'x'; MAX_LINE_BYTES + 1]);
+    conn.send(&Request::Ping { sleep_ms: 0 });
+    match conn.recv() {
+        Response::Error { message } => {
+            assert_eq!(message, "bad request: line longer than 4194304 bytes")
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    assert_eq!(conn.recv(), Response::Pong);
+    // A line of exactly the cap is read and answered as usual.
+    let mut longest = encode(&Request::Ping { sleep_ms: 0 }).into_bytes();
+    longest.resize(MAX_LINE_BYTES, b' ');
+    conn.send_raw(&longest);
     assert_eq!(conn.recv(), Response::Pong);
     handle.shutdown();
 }

@@ -15,7 +15,8 @@ use gridvo_core::{
 use gridvo_service::cache::CacheStats;
 use gridvo_service::metrics::{MarketGauges, Metrics};
 use gridvo_service::protocol::{decode, encode, MechanismKind, Request, Response};
-use gridvo_service::{GspRegistry, RegistrySnapshot};
+use gridvo_service::server::MAX_LINE_BYTES;
+use gridvo_service::{GspRegistry, RegistrySnapshot, ServerConfig, ServerHandle};
 use gridvo_sim::config::TableI;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_solver::Assignment;
@@ -398,6 +399,74 @@ const METRICS_LINE: &str = concat!(
     r#""app_queue_depths":[]}}"#,
 );
 
+/// The `metrics` reply after traffic: every counter bumped, latencies
+/// in the first, a middle and the overflow bucket, and live gauges.
+const BUSY_METRICS_LINE: &str = concat!(
+    r#"{"kind":"metrics","snapshot":{"requests_total":10,"form_requests":2,"batch_requests":1,"#,
+    r#""execute_requests":1,"registry_mutations":2,"snapshot_requests":2,"ping_requests":1,"#,
+    r#""busy_rejections":1,"deadline_rejections":1,"anytime_served":1,"request_errors":1,"#,
+    r#""queue_depth":2,"cache_hits":5,"cache_misses":3,"cache_entries":4,"cache_hit_rate":0.625,"#,
+    r#""queue_wait_ms":{"count":4,"sum_ms":10535.875,"max_ms":10000.0,"buckets":["#,
+    r#"{"le_ms":0.25,"count":1},{"le_ms":0.5,"count":0},{"le_ms":1.0,"count":0},{"le_ms":2.5,"count":0},{"le_ms":5.0,"count":1},"#,
+    r#"{"le_ms":10.0,"count":0},{"le_ms":25.0,"count":0},{"le_ms":50.0,"count":0},{"le_ms":100.0,"count":0},{"le_ms":250.0,"count":0},"#,
+    r#"{"le_ms":500.0,"count":0},{"le_ms":1000.0,"count":1},{"le_ms":2500.0,"count":0},{"le_ms":5000.0,"count":0}"#,
+    r#"],"overflow":1},"#,
+    r#""service_ms":{"count":3,"sum_ms":43.5,"max_ms":42.0,"buckets":["#,
+    r#"{"le_ms":0.25,"count":0},{"le_ms":0.5,"count":0},{"le_ms":1.0,"count":2},{"le_ms":2.5,"count":0},{"le_ms":5.0,"count":0},"#,
+    r#"{"le_ms":10.0,"count":0},{"le_ms":25.0,"count":0},{"le_ms":50.0,"count":1},{"le_ms":100.0,"count":0},{"le_ms":250.0,"count":0},"#,
+    r#"{"le_ms":500.0,"count":0},{"le_ms":1000.0,"count":0},{"le_ms":2500.0,"count":0},{"le_ms":5000.0,"count":0}"#,
+    r#"],"overflow":0},"#,
+    r#""leases_acquired":2,"leases_released":1,"leases_expired":1,"#,
+    r#""pool_exhausted_rejections":1,"throttled_rejections":1,"committed_gsps":3,"live_leases":1,"#,
+    r#""app_queue_depths":[{"app":"atlas","depth":1},{"app":"cms","depth":2}]}}"#,
+);
+
+#[test]
+fn a_metrics_reply_after_traffic_is_frozen() {
+    let m = Metrics::new();
+    for op in [
+        "form",
+        "form",
+        "form_batch",
+        "execute",
+        "add_gsp",
+        "report_receipt",
+        "registry",
+        "metrics",
+        "ping",
+        "bogus",
+    ] {
+        m.request_received(op);
+    }
+    m.busy_rejected();
+    m.deadline_rejected();
+    m.anytime_served();
+    m.request_errored();
+    m.lease_acquired();
+    m.lease_acquired();
+    m.lease_released(false);
+    m.lease_released(true);
+    m.pool_exhausted_shed();
+    m.throttled();
+    for ms in [0.125, 3.5, 532.25, 10_000.0] {
+        m.record_queue_wait_ms(ms);
+    }
+    for ms in [0.75, 0.75, 42.0] {
+        m.record_service_ms(ms);
+    }
+    let gauges = MarketGauges {
+        queue_depth: 2,
+        committed_gsps: 3,
+        live_leases: 1,
+        app_depths: vec![("atlas".to_string(), 1), ("cms".to_string(), 2)],
+    };
+    let response = Response::Metrics {
+        snapshot: m.snapshot(CacheStats { hits: 5, misses: 3, entries: 4 }, gauges),
+    };
+    assert_eq!(encode(&response), BUSY_METRICS_LINE);
+    assert_eq!(decode::<Response>(BUSY_METRICS_LINE).unwrap(), response);
+}
+
 /// The `op` / `kind` value a line was encoded with.
 fn tag(line: &str, key: &str) -> String {
     let value: serde_json::Value = serde_json::from_str(line).unwrap();
@@ -671,6 +740,24 @@ fn a_line_nested_past_128_levels_is_refused_at_its_129th_container() {
         encode(&Response::Error { message: format!("bad request: {refused}") }),
         r#"{"kind":"error","message":"bad request: recursion limit exceeded at byte 157"}"#
     );
+}
+
+#[test]
+fn a_line_past_the_length_cap_is_answered_with_frozen_bytes() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = ServerHandle::spawn(&scenario(), ServerConfig::default()).expect("bind loopback");
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let mut line = vec![b'{'; MAX_LINE_BYTES + 1];
+    line.push(b'\n');
+    stream.write_all(&line).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    assert_eq!(
+        reply,
+        "{\"kind\":\"error\",\"message\":\"bad request: line longer than 4194304 bytes\"}\n"
+    );
+    handle.shutdown();
 }
 
 #[test]

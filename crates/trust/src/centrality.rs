@@ -101,14 +101,14 @@ pub fn betweenness(graph: &TrustGraph) -> Vec<f64> {
 /// Eigenvector centrality: the paper's reputation metric. Thin wrapper
 /// over [`PowerMethod`].
 pub fn eigenvector(graph: &TrustGraph) -> Result<Vec<f64>> {
-    Ok(PowerMethod::default().run_on_graph(graph)?.scores)
+    Ok(PowerMethod::default().run(&row_normalize(graph), None)?.scores)
 }
 
 /// PageRank with damping `alpha` (typically 0.85): eigenvector
 /// centrality made unconditionally convergent. Included as the
 /// reputation-engine ablation's alternative.
 pub fn pagerank(graph: &TrustGraph, alpha: f64) -> Result<Vec<f64>> {
-    Ok(PowerMethod::damped(alpha).run(&row_normalize(graph))?.scores)
+    Ok(PowerMethod::damped(alpha).run(&row_normalize(graph), None)?.scores)
 }
 
 /// Dijkstra shortest distances from `src` with edge length `1/trust`.

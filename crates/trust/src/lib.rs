@@ -42,7 +42,7 @@
 //! g.set_trust(1, 0, 0.2);
 //!
 //! let a = row_normalize(&g);
-//! let rep = PowerMethod::default().run(&a).unwrap();
+//! let rep = PowerMethod::default().run(&a, None).unwrap();
 //! assert_eq!(rep.scores.len(), 3);
 //! // Reputation scores form a probability vector.
 //! let sum: f64 = rep.scores.iter().sum();

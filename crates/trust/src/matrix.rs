@@ -46,15 +46,6 @@ impl DenseMatrix {
         DenseMatrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Create a square identity matrix of dimension `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build a matrix from a row-major slice. Returns an error if
     /// `data.len() != rows * cols`.
     pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
@@ -100,25 +91,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// `y = M · x` (matrix–vector product) written into `y`.
-    ///
-    /// `x.len()` must equal `cols`, `y.len()` must equal `rows`.
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(TrustError::DimensionMismatch { context: "mul_vec_into" });
-        }
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = self.row(i);
-            // Simple dot product; LLVM vectorizes this loop.
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x.iter()) {
-                acc += a * b;
-            }
-            *yi = acc;
-        }
-        Ok(())
-    }
-
     /// `y = Mᵀ · x` (transposed matrix–vector product) written into `y`.
     ///
     /// This is the kernel of the paper's power method (eq. (5)):
@@ -140,17 +112,6 @@ impl DenseMatrix {
             }
         }
         Ok(())
-    }
-
-    /// Return the transpose as a new matrix.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 }
 
@@ -194,13 +155,6 @@ pub fn normalize_l1(x: &mut [f64]) -> f64 {
     s
 }
 
-/// Dot product.
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y.iter()).map(|(a, b)| a * b).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,15 +166,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
         assert!(!m.is_square());
-    }
-
-    #[test]
-    fn identity_mul_vec_is_identity() {
-        let m = DenseMatrix::identity(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let mut y = vec![0.0; 4];
-        m.mul_vec_into(&x, &mut y).unwrap();
-        assert_eq!(y, x);
     }
 
     #[test]
@@ -242,20 +187,18 @@ mod tests {
         let x = vec![1.0, -1.0];
         let mut fast = vec![0.0; 3];
         m.mul_transpose_vec_into(&x, &mut fast).unwrap();
-        let t = m.transpose();
-        let mut slow = vec![0.0; 3];
-        t.mul_vec_into(&x, &mut slow).unwrap();
-        for (a, b) in fast.iter().zip(slow.iter()) {
-            assert!((a - b).abs() < 1e-12);
+        for (j, a) in fast.iter().enumerate() {
+            let slow: f64 = (0..2).map(|i| m[(i, j)] * x[i]).sum();
+            assert!((a - slow).abs() < 1e-12);
         }
     }
 
     #[test]
     fn mul_dimension_mismatch_is_error() {
         let a = DenseMatrix::zeros(2, 3);
-        let x = vec![0.0; 2];
-        let mut y = vec![0.0; 2];
-        assert!(a.mul_vec_into(&x, &mut y).is_err());
+        let x = vec![0.0; 3];
+        let mut y = vec![0.0; 3];
+        assert!(a.mul_transpose_vec_into(&x, &mut y).is_err());
     }
 
     #[test]
@@ -263,7 +206,6 @@ mod tests {
         let x = [3.0, -4.0];
         assert_eq!(norm_l1(&x), 7.0);
         assert_eq!(dist_l1(&x, &[0.0, 0.0]), 7.0);
-        assert_eq!(dot(&x, &[1.0, 1.0]), -1.0);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! power method in ablations.
 //!
 //! Edge trusts must lie in `[0, 1]` for the probabilistic-sum to be
-//! meaningful; callers should pass a normalized graph (see
-//! [`crate::normalize::row_normalize`]) or raw weights already scaled
-//! to `[0, 1]`.
+//! meaningful: [`propagated_trust`] refuses a heavier edge, and
+//! [`propagation_scores`] first divides every weight by the heaviest
+//! one when that exceeds 1.
 
 use crate::{Result, TrustError, TrustGraph};
 
@@ -83,9 +83,18 @@ fn dfs(
 /// the mean trust each node *receives* from every other node. This is
 /// the propagation-based analogue of the paper's global reputation
 /// vector, usable as a drop-in alternative engine.
+///
+/// Weights are first divided by the heaviest edge when it exceeds 1,
+/// so they lie in `[0, 1]`; weights already there are divided by 1,
+/// which leaves them exactly as they are.
 pub fn propagation_scores(graph: &TrustGraph, max_hops: usize) -> Result<Vec<f64>> {
     let n = graph.node_count();
-    let pairwise = propagated_trust(graph, max_hops)?;
+    let max_w = graph.edges().map(|(_, _, w)| w).fold(1.0f64, f64::max);
+    let mut unit = TrustGraph::new(n);
+    for (i, j, w) in graph.edges() {
+        unit.set_trust(i, j, w / max_w);
+    }
+    let pairwise = propagated_trust(&unit, max_hops)?;
     let mut scores = vec![0.0; n];
     if n <= 1 {
         return Ok(scores);
@@ -178,6 +187,18 @@ mod tests {
         let s = propagation_scores(&g, 3).unwrap();
         assert!(s[2] > s[0]);
         assert!(s[2] > s[1]);
+    }
+
+    #[test]
+    fn scores_rescale_weights_above_one_by_the_heaviest() {
+        let mut heavy = TrustGraph::new(3);
+        let mut unit = TrustGraph::new(3);
+        for (i, j, w) in [(0, 1, 4.0), (1, 2, 2.0), (2, 0, 1.0), (0, 2, 0.5)] {
+            heavy.set_trust(i, j, w);
+            unit.set_trust(i, j, w / 4.0);
+        }
+        assert!(propagated_trust(&heavy, 3).is_err());
+        assert_eq!(propagation_scores(&heavy, 3).unwrap(), propagation_scores(&unit, 3).unwrap());
     }
 
     #[test]

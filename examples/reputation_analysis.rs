@@ -55,15 +55,6 @@ fn spearman(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-fn unit_weights(g: &TrustGraph) -> TrustGraph {
-    let mut out = TrustGraph::new(g.node_count());
-    let max = g.edges().map(|(_, _, w)| w).fold(1.0f64, f64::max);
-    for (i, j, w) in g.edges() {
-        out.set_trust(i, j, w / max);
-    }
-    out
-}
-
 fn main() {
     let m = 16;
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
@@ -80,7 +71,7 @@ fn main() {
         let indeg = centrality::in_degree(graph);
         let close = centrality::closeness(graph);
         let betw = centrality::betweenness(graph);
-        let prop = propagation_scores(&unit_weights(graph), 3).expect("non-empty");
+        let prop = propagation_scores(graph, 3).expect("non-empty");
 
         let engines: Vec<(&str, &Vec<f64>)> = vec![
             ("power method (paper)", &eigen),
