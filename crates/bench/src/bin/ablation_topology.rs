@@ -7,7 +7,6 @@
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::Mechanism;
-use gridvo_core::FormationScenario;
 use gridvo_sim::experiments::paper_config;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::{seeded_rng, Aggregate};
@@ -51,11 +50,8 @@ fn main() {
         let mut rv_pay = Vec::new();
         for &seed in &args.seeds {
             let mut rng = seeded_rng(0xAB70, seed);
-            let base = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
-            let trust = make_trust(&mut rng);
-            let scenario =
-                FormationScenario::new(base.gsps().to_vec(), trust, base.instance().clone())
-                    .expect("shapes agree");
+            let mut scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
+            scenario.replace_trust(make_trust(&mut rng)).expect("shapes agree");
             let tvof = Mechanism::tvof(mech_cfg).run(&scenario, &mut rng).unwrap();
             let rvof = Mechanism::rvof(mech_cfg).run(&scenario, &mut rng).unwrap();
             if let (Some(a), Some(b)) = (tvof.selected, rvof.selected) {

@@ -1,7 +1,7 @@
 //! # gridvo-bench
 //!
-//! Figure-regeneration binaries and Criterion benchmarks for the
-//! ICPP 2012 evaluation, plus the beyond-paper sweeps:
+//! Figure-regeneration binaries for the ICPP 2012 evaluation, plus the
+//! beyond-paper sweeps:
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -26,6 +26,10 @@
 //! 256–8192 tasks, 10 seeds — slow) and defaults to a **quick** scale
 //! that preserves every qualitative shape in minutes. `--out DIR`
 //! chooses where CSV/JSON land (default `results/`).
+//!
+//! Run times come from `sweep_all` (Fig. 9 and the scale frontier) and
+//! from the daemon benchmark in `gvbench/`, whose traced runs split a
+//! request's time by layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -98,7 +98,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     println!(
         "VO {members:?}: cost {cost:.2} of payment {:.0} → value {:.2}",
         inst.payment(),
-        (inst.payment() - cost).max(0.0)
+        scenario.payoff(cost, members.len()).0
     );
     println!("gsp  tasks  load (s)  deadline {:.0} s", inst.deadline());
     let loads = assignment.loads(&inst);

@@ -303,6 +303,28 @@ fn deterministic_scenarios_under_seed() {
 }
 
 #[test]
+fn solve_prints_the_vos_cost_payment_and_value() {
+    let dir = tmpdir("solve-value");
+    let scenario = dir.join("scenario.json");
+    let path = scenario.to_str().unwrap();
+    let generate = ["generate", "scenario", "--out", path, "--tasks", "20", "--gsps", "5"];
+    run_ok(gridvo().args(generate).args(["--seed", "3"]));
+    let value_line = |extra: &[&str]| {
+        let out = run_ok(gridvo().args(["solve", "--scenario", path]).args(extra));
+        out.lines().nth(1).unwrap_or_default().to_string()
+    };
+    assert_eq!(
+        value_line(&["--members", "0,1,2"]),
+        "VO [0, 1, 2]: cost 4215.90 of payment 8853 → value 4636.66"
+    );
+    assert_eq!(
+        value_line(&["--solver", "max-min"]),
+        "VO [0, 1, 2, 3, 4]: cost 5443.38 of payment 8853 → value 3409.19"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn solve_max_nodes_caps_the_exact_search() {
     let dir = tmpdir("max-nodes");
     let scenario = dir.join("scenario.json");

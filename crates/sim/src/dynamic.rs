@@ -27,11 +27,12 @@ use crate::adversary::BetaDynamics;
 use crate::config::TableI;
 use crate::faults::FaultModel;
 use crate::instance_gen::ScenarioGenerator;
-use crate::{Result, SimError};
+use crate::Result;
 use gridvo_core::mechanism::Mechanism;
-use gridvo_core::{ExecutionReceipt, FormationScenario};
+use gridvo_core::ExecutionReceipt;
 use gridvo_trust::beta::BetaLedger;
 use gridvo_trust::decay::{DecayModel, InteractionLedger, Outcome};
+use gridvo_trust::TrustGraph;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -144,8 +145,7 @@ pub fn simulate<R: Rng + ?Sized>(
             if i != j && rng.gen::<f64>() < cfg.bootstrap_p {
                 ledger.record(i, j, 0.0, Outcome::Delivered);
                 if let Some(bl) = &mut beta_ledger {
-                    bl.observe_weighted(i, j, 1.0, true)
-                        .map_err(|e| SimError::Core(e.to_string()))?;
+                    bl.observe_weighted(i, j, 1.0, true)?;
                 }
             }
         }
@@ -160,21 +160,20 @@ pub fn simulate<R: Rng + ?Sized>(
         if let (Some(bd), Some(bl)) = (&cfg.beta, &mut beta_ledger) {
             for &attacker in &bd.attackers {
                 if bd.whitewashes_at(attacker, round) {
-                    bl.forget(attacker).map_err(|e| SimError::Core(e.to_string()))?;
+                    bl.forget(attacker)?;
                 }
             }
         }
         let trust = match &beta_ledger {
-            Some(bl) => bl.trust_graph(),
+            Some(bl) => bl.apply_to(&TrustGraph::new(m))?,
             None => cfg.decay.trust_at(&ledger, now),
         };
         let trust_mass = (0..m).map(|i| trust.out_trust_sum(i)).sum();
 
         // Fresh economics each round (new program, new prices), the
         // evolving part is the trust graph.
-        let base = generator.scenario(cfg.tasks, rng)?;
-        let scenario = FormationScenario::new(base.gsps().to_vec(), trust, base.instance().clone())
-            .map_err(|e| SimError::Core(e.to_string()))?;
+        let mut scenario = generator.scenario(cfg.tasks, rng)?;
+        scenario.replace_trust(trust)?;
 
         let outcome = mechanism.run(&scenario, rng)?;
         let record = match outcome.selected {
@@ -201,9 +200,7 @@ pub fn simulate<R: Rng + ?Sized>(
                 let (fault_events, recoveries, abandoned, exec_payoff) = match &cfg.faults {
                     Some(model) => {
                         let plan = model.plan(&vo.members, rng);
-                        let report = mechanism
-                            .execute(&scenario, &vo, &plan)
-                            .map_err(|e| SimError::Core(e.to_string()))?;
+                        let report = mechanism.execute(&scenario, &vo, &plan)?;
                         for &g in &vo.members {
                             if !report.final_members.contains(&g) && !failed.contains(&g) {
                                 failed.push(g);
@@ -241,11 +238,10 @@ pub fn simulate<R: Rng + ?Sized>(
                             if !witnesses.is_empty() {
                                 let receipt =
                                     ExecutionReceipt::new(round, g, truthful, reward, witnesses);
-                                receipt.fold_into(bl).map_err(|e| SimError::Core(e.to_string()))?;
+                                receipt.fold_into(bl)?;
                             }
                             for w in liars {
-                                bl.observe(w, g, reward, !truthful)
-                                    .map_err(|e| SimError::Core(e.to_string()))?;
+                                bl.observe(w, g, reward, !truthful)?;
                             }
                         }
                     }

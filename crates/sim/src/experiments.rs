@@ -94,8 +94,8 @@ pub fn task_sweep(cfg: &TableI, seeds: &[u64]) -> Result<Vec<SweepPoint>> {
     for (size_idx, &tasks) in cfg.task_sizes.iter().enumerate() {
         let results = run_seeds(0xF1965 + size_idx as u64, seeds, |_seed, rng| {
             let scenario = generator.scenario(tasks, rng)?;
-            let tvof = Mechanism::tvof(mech_cfg).run(&scenario, rng).map_err(SimError::from)?;
-            let rvof = Mechanism::rvof(mech_cfg).run(&scenario, rng).map_err(SimError::from)?;
+            let tvof = Mechanism::tvof(mech_cfg).run(&scenario, rng)?;
+            let rvof = Mechanism::rvof(mech_cfg).run(&scenario, rng)?;
             Ok::<_, SimError>((RunMetrics::from_outcome(&tvof), RunMetrics::from_outcome(&rvof)))
         });
         let mut tv = Vec::new();
@@ -162,10 +162,8 @@ pub fn warm_cold_sweep(cfg: &TableI, seeds: &[u64]) -> Result<Vec<WarmColdPoint>
             // both runs, so cold and warm walk the same trace.
             let mut cold_rng = crate::runner::seeded_rng(0xF9C1, seed);
             let mut warm_rng = crate::runner::seeded_rng(0xF9C1, seed);
-            let cold =
-                Mechanism::tvof(cold_cfg).run(&scenario, &mut cold_rng).map_err(SimError::from)?;
-            let warm =
-                Mechanism::tvof(warm_cfg).run(&scenario, &mut warm_rng).map_err(SimError::from)?;
+            let cold = Mechanism::tvof(cold_cfg).run(&scenario, &mut cold_rng)?;
+            let warm = Mechanism::tvof(warm_cfg).run(&scenario, &mut warm_rng)?;
             let nodes = |o: &FormationOutcome| o.iterations.iter().map(|i| i.nodes).sum::<u64>();
             Ok::<_, SimError>((cold.total_seconds, nodes(&cold), warm.total_seconds, nodes(&warm)))
         });
@@ -305,7 +303,7 @@ pub fn selection_comparison(
     let mech_cfg = paper_config(cfg);
     let results = run_seeds(0xF4, seeds, |seed, rng| {
         let scenario = generator.scenario(tasks, rng)?;
-        let outcome = Mechanism::tvof(mech_cfg).run(&scenario, rng).map_err(SimError::from)?;
+        let outcome = Mechanism::tvof(mech_cfg).run(&scenario, rng)?;
         let selected = outcome.selected.as_ref();
         let product = outcome.best_product_vo();
         Ok::<_, SimError>(SelectionComparison {
@@ -388,12 +386,12 @@ pub fn fault_sweep(
         let results = run_seeds(0xFA017 + rate_idx as u64, seeds, |_seed, rng| {
             let scenario = generator.scenario(tasks, rng)?;
             let mech = Mechanism::tvof(mech_cfg);
-            let outcome = mech.run(&scenario, rng).map_err(SimError::from)?;
+            let outcome = mech.run(&scenario, rng)?;
             let Some(vo) = outcome.selected else {
                 return Ok::<_, SimError>(None);
             };
             let plan = model.plan(&vo.members, rng);
-            let report = mech.execute(&scenario, &vo, &plan).map_err(SimError::from)?;
+            let report = mech.execute(&scenario, &vo, &plan)?;
             Ok(Some(report))
         });
         let mut recovery_rates = Vec::new();

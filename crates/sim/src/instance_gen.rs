@@ -134,8 +134,7 @@ impl ScenarioGenerator {
             let gsps: Vec<Gsp> = speeds.iter().enumerate().map(|(i, &s)| Gsp::new(i, s)).collect();
             let (wlo, whi) = self.cfg.trust_weight_range;
             let trust = generators::erdos_renyi(rng, m, self.cfg.trust_p, wlo..whi);
-            return FormationScenario::new(gsps, trust, instance)
-                .map_err(|e| SimError::Core(e.to_string()));
+            return Ok(FormationScenario::new(gsps, trust, instance)?);
         }
     }
 }

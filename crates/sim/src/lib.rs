@@ -59,7 +59,9 @@ pub enum SimError {
         attempts: usize,
     },
     /// The core mechanism failed.
-    Core(String),
+    Core(gridvo_core::CoreError),
+    /// A trust computation failed (the Beta ledger of a dynamic run).
+    Trust(gridvo_trust::TrustError),
     /// The synthetic trace had no qualifying job.
     NoQualifyingJob,
 }
@@ -71,6 +73,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "no feasible scenario for {tasks} tasks after {attempts} attempts")
             }
             SimError::Core(e) => write!(f, "mechanism error: {e}"),
+            SimError::Trust(e) => write!(f, "mechanism error: {e}"),
             SimError::NoQualifyingJob => write!(f, "trace contains no large completed job"),
         }
     }
@@ -80,9 +83,61 @@ impl std::error::Error for SimError {}
 
 impl From<gridvo_core::CoreError> for SimError {
     fn from(e: gridvo_core::CoreError) -> Self {
-        SimError::Core(e.to_string())
+        SimError::Core(e)
+    }
+}
+
+impl From<gridvo_trust::TrustError> for SimError {
+    fn from(e: gridvo_trust::TrustError) -> Self {
+        SimError::Trust(e)
     }
 }
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SimError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adversary::{AdversaryKind, BetaDynamics};
+    use crate::dynamic::{simulate, DynamicConfig};
+    use gridvo_core::mechanism::{FormationConfig, Mechanism};
+    use gridvo_trust::TrustGraph;
+    use rand::SeedableRng;
+
+    fn table() -> TableI {
+        TableI {
+            gsps: 4,
+            task_sizes: vec![12],
+            trace_jobs: 1_500,
+            deadline_factor_range: (4.0, 16.0),
+            ..TableI::default()
+        }
+    }
+
+    #[test]
+    fn a_core_failure_displays_as_a_mechanism_error() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut scenario = ScenarioGenerator::new(table()).scenario(12, &mut rng).unwrap();
+        let mut swap = || -> Result<()> { Ok(scenario.replace_trust(TrustGraph::new(5))?) };
+        assert_eq!(
+            swap().unwrap_err().to_string(),
+            "mechanism error: shape mismatch: trust graph vs GSP count"
+        );
+    }
+
+    #[test]
+    fn a_trust_failure_displays_as_a_mechanism_error_without_a_trust_prefix() {
+        // Attacker 9 does not exist in a 4-GSP pool: its first
+        // whitewash (before round 1) asks the Beta ledger to forget it.
+        let mut cfg = DynamicConfig::new(table(), 2, 12, vec![0.9; 4]);
+        cfg.beta = Some(BetaDynamics::attack(0.9, vec![9], AdversaryKind::Whitewash { period: 1 }));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let err =
+            simulate(&cfg, Mechanism::tvof(FormationConfig::default()), &mut rng).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "mechanism error: node index 9 out of range for graph of 4 nodes"
+        );
+    }
+}

@@ -158,6 +158,16 @@ struct PendingJob {
     arrival: Arrival,
 }
 
+/// What one formation attempt did.
+enum Attempt {
+    /// A coalition formed and holds a lease.
+    Formed,
+    /// Contention blocked it; retry after a release.
+    Blocked,
+    /// Infeasible on the idle pool: it never forms (shed).
+    Infeasible,
+}
+
 /// A lease scheduled to end.
 struct LiveVo {
     lease: u64,
@@ -165,7 +175,8 @@ struct LiveVo {
     committed: CommittedVo,
 }
 
-/// Run the discrete-event market over `trace`'s completed jobs.
+/// Run the discrete-event market over `trace`'s completed jobs. A
+/// mechanism error ends the run as [`SimError::Core`].
 pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> {
     let apps = cfg.apps.max(1);
     let mut rng = StdRng::seed_from_u64(cfg.scenario_seed);
@@ -195,31 +206,29 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
     let mut max_live = 0usize;
     let mut violations = 0u64;
 
-    // One attempt: form over the free sub-pool at time `now`.
-    // Ok(Some(..)) = formed (lease acquired), Ok(None) = blocked by
-    // contention (retry later), Err(()) = infeasible on the idle pool
-    // (never will form — shed).
+    // One attempt: form over the free sub-pool at time `now`. A
+    // mechanism error is a bug, not contention, and ends the run.
     let attempt = |now: f64,
                    job: &Arrival,
                    table: &mut LeaseTable,
                    live: &mut Vec<LiveVo>|
-     -> std::result::Result<Option<()>, ()> {
+     -> Result<Attempt> {
         let free = table.free_members(scenario.gsp_count());
         if free.len() < cfg.min_free.max(1) {
-            return Ok(None);
+            return Ok(Attempt::Blocked);
         }
         let mut job_rng = StdRng::seed_from_u64(cfg.seed ^ (job.idx as u64).wrapping_mul(0x9e37));
-        let outcome = mechanism
-            .run_on_free_pool(&scenario, &free, &mut job_rng, &mut NoCache, &Budget::unlimited())
-            .map_err(|e| {
-                // A mechanism error is a bug, not contention; surface it
-                // by treating the job as infeasible.
-                debug_assert!(false, "mechanism error in market sim: {e}");
-            })?;
-        let Some(outcome) = outcome else { return Ok(None) };
+        let outcome = mechanism.run_on_free_pool(
+            &scenario,
+            &free,
+            &mut job_rng,
+            &mut NoCache,
+            &Budget::unlimited(),
+        )?;
+        let Some(outcome) = outcome else { return Ok(Attempt::Blocked) };
         // Only the idle pool comes back without a VO: this program can
         // never form.
-        let Some(vo) = outcome.selected else { return Err(()) };
+        let Some(vo) = outcome.selected else { return Ok(Attempt::Infeasible) };
         let app_name = format!("app-{}", job.app);
         let lease =
             table.acquire(&app_name, &vo.members, 0).expect("free-sub-pool members cannot be held");
@@ -232,7 +241,7 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
                 payoff_share: vo.payoff_share,
             },
         });
-        Ok(Some(()))
+        Ok(Attempt::Formed)
     };
 
     // Release every lease ending at or before `now`, retrying pending
@@ -259,15 +268,15 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
                 }
                 let mut still = VecDeque::new();
                 while let Some(p) = pending.pop_front() {
-                    match attempt(release_at, &p.arrival, &mut table, &mut live) {
-                        Ok(Some(())) => {
+                    match attempt(release_at, &p.arrival, &mut table, &mut live)? {
+                        Attempt::Formed => {
                             formed[p.arrival.app] += 1;
                             waits[p.arrival.app].push(release_at - p.arrival.submit);
                             max_live = max_live.max(live.len());
                             violations += count_violations(&live);
                         }
-                        Ok(None) => still.push_back(p),
-                        Err(()) => shed[p.arrival.app] += 1,
+                        Attempt::Blocked => still.push_back(p),
+                        Attempt::Infeasible => shed[p.arrival.app] += 1,
                     }
                 }
                 pending = still;
@@ -279,14 +288,14 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
     for job in all {
         settle!(job.submit);
         let app = job.app;
-        match attempt(job.submit, &job, &mut table, &mut live) {
-            Ok(Some(())) => {
+        match attempt(job.submit, &job, &mut table, &mut live)? {
+            Attempt::Formed => {
                 formed[app] += 1;
                 waits[app].push(0.0);
                 max_live = max_live.max(live.len());
                 violations += count_violations(&live);
             }
-            Ok(None) => {
+            Attempt::Blocked => {
                 let depth = pending.iter().filter(|p| p.arrival.app == app).count();
                 if depth < cfg.app_queue.max(1) {
                     pending.push_back(PendingJob { arrival: job });
@@ -294,7 +303,7 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
                     shed[app] += 1;
                 }
             }
-            Err(()) => shed[app] += 1,
+            Attempt::Infeasible => shed[app] += 1,
         }
     }
     // Drain: let every live lease expire so queued jobs get their shot.

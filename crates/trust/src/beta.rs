@@ -257,20 +257,6 @@ impl BetaLedger {
         Ok(())
     }
 
-    /// The earned-trust graph: an edge `(rater, ratee)` with weight
-    /// equal to the posterior mean, for every pair with evidence.
-    pub fn trust_graph(&self) -> TrustGraph {
-        let mut g = TrustGraph::new(self.n);
-        for rater in 0..self.n {
-            for ratee in 0..self.n {
-                if let Some(p) = self.edges[rater * self.n + ratee] {
-                    g.set_trust(rater, ratee, p.reputation());
-                }
-            }
-        }
-        g
-    }
-
     /// Overlay earned trust onto a declared-trust graph: edges with
     /// Beta evidence are *replaced* by the posterior mean (behavior
     /// overrides declarations); edges without evidence keep the

@@ -315,54 +315,3 @@ mod tests {
         assert!((g.density() - 0.5).abs() < 1e-12); // 3 of 6 possible
     }
 }
-
-impl TrustGraph {
-    /// Render the graph in Graphviz DOT format: one directed edge per
-    /// positive-weight trust relation, labeled (and pen-weighted) by
-    /// the trust value. Paste into `dot -Tpng` to visualize a
-    /// federation's trust structure.
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("digraph {name} {{\n"));
-        out.push_str("  rankdir=LR;\n  node [shape=circle];\n");
-        for i in 0..self.node_count() {
-            out.push_str(&format!("  g{i} [label=\"G{i}\"];\n"));
-        }
-        let max_w = self.edges().map(|(_, _, w)| w).fold(0.0f64, f64::max).max(1e-12);
-        for (i, j, w) in self.edges() {
-            out.push_str(&format!(
-                "  g{i} -> g{j} [label=\"{w:.2}\", penwidth={:.2}];\n",
-                0.5 + 2.5 * w / max_w
-            ));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn dot_lists_nodes_and_edges() {
-        let mut g = TrustGraph::new(3);
-        g.set_trust(0, 1, 0.5);
-        g.set_trust(2, 0, 1.0);
-        let dot = g.to_dot("trust");
-        assert!(dot.starts_with("digraph trust {"));
-        assert!(dot.contains("g0 [label=\"G0\"]"));
-        assert!(dot.contains("g2 [label=\"G2\"]"));
-        assert!(dot.contains("g0 -> g1 [label=\"0.50\""));
-        assert!(dot.contains("g2 -> g0 [label=\"1.00\""));
-        assert_eq!(dot.matches("->").count(), 2);
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dot_of_empty_graph_is_valid() {
-        let dot = TrustGraph::new(0).to_dot("empty");
-        assert!(dot.contains("digraph empty {"));
-        assert!(!dot.contains("->"));
-    }
-}

@@ -63,7 +63,7 @@ pub mod power;
 pub mod propagation;
 
 pub use graph::{NodeId, TrustGraph};
-pub use matrix::{DenseMatrix, Vector};
+pub use matrix::DenseMatrix;
 pub use power::{PowerMethod, ReputationReport};
 
 /// Errors produced by trust / reputation computations.

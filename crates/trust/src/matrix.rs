@@ -9,9 +9,6 @@
 use crate::{Result, TrustError};
 use serde::{Deserialize, Serialize};
 
-/// A column vector of `f64`, re-exported for readability.
-pub type Vector = Vec<f64>;
-
 /// Dense row-major matrix of `f64`.
 ///
 /// Rows index the *rating* GSP and columns the *rated* GSP when the

@@ -11,12 +11,12 @@
 //! cargo run --release --example stability_audit
 //! ```
 
+use gridvo_core::game_adapter::vo_game;
 use gridvo_core::mechanism::FormationConfig;
 use gridvo_core::{pareto, stability};
-use gridvo_game::characteristic::{FnGame, MemoCharacteristic};
 use gridvo_game::core_solution::{is_in_core, least_core};
 use gridvo_game::division::{equal_split, shapley_exact};
-use gridvo_game::{CharacteristicFn, Coalition};
+use gridvo_game::CharacteristicFn;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::TableI;
 use gridvo_solver::branch_bound::BranchBound;
@@ -48,15 +48,7 @@ fn main() {
     println!("  Pareto front of L: {} of {} feasible VOs", front.len(), outcome.feasible_vos.len());
 
     // --- The induced coalitional game: v(C) = max(0, P − C*(T, C)).
-    let solver = BranchBound::default();
-    let payment = scenario.payment();
-    let game = MemoCharacteristic::new(FnGame::new(scenario.gsp_count(), |c: Coalition| {
-        let members = c.to_vec();
-        match scenario.instance_for(&members).and_then(|inst| solver.solve(&inst)) {
-            Some(o) => (payment - o.cost).max(0.0),
-            None => 0.0,
-        }
-    }));
+    let game = vo_game(&scenario, BranchBound::default());
 
     let grand = game.grand();
     println!("\ncoalitional game over {} GSPs:", scenario.gsp_count());

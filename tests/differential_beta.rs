@@ -275,7 +275,7 @@ fn execution_report_projects_well_formed_receipts() {
         r.fold_into(&mut ledger).expect("in-range receipts");
     }
     assert!(!ledger.is_empty());
-    let graph = ledger.trust_graph();
+    let graph = ledger.apply_to(&TrustGraph::new(m)).expect("ledger sized to the pool");
     for i in 0..m {
         for j in 0..m {
             let w = graph.trust(i, j);

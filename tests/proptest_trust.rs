@@ -149,16 +149,6 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn dot_export_is_structurally_complete(g in trust_graph()) {
-        let dot = g.to_dot("t");
-        prop_assert_eq!(dot.matches("->").count(), g.edge_count());
-        for i in 0..g.node_count() {
-            let node_decl = format!("g{i} [label=");
-            prop_assert!(dot.contains(&node_decl), "missing node {}", i);
-        }
-    }
 }
 
 /// Random interaction ledger: 2–6 GSPs, up to 30 timestamped
