@@ -8,16 +8,12 @@
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::{EvictionPolicy, Mechanism};
-use gridvo_sim::experiments::paper_config;
-use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::{seeded_rng, Aggregate};
+use gridvo_sim::experiments::{aggregate_formed, mechanism_ablation, paper_config};
 
 fn main() {
     let args = BenchArgs::from_env();
     let cfg = args.table();
-    let generator = ScenarioGenerator::new(cfg.clone());
     let mech_cfg = paper_config(&cfg);
-    let tasks = args.program_size();
 
     let policies = [
         ("lowest-reputation (TVOF)", EvictionPolicy::LowestReputation),
@@ -25,28 +21,17 @@ fn main() {
         ("highest-cost", EvictionPolicy::HighestCost),
         ("lowest-speed", EvictionPolicy::LowestSpeed),
     ];
+    let mechanisms: Vec<Mechanism> =
+        policies.iter().map(|&(_, policy)| Mechanism::with_eviction(policy, mech_cfg)).collect();
+    let runs = mechanism_ablation(&cfg, args.program_size(), 0xAB1A, &args.seeds, &mechanisms)
+        .expect("ablation runs");
 
     let mut rows = Vec::new();
     let mut csv = String::from("policy,payoff_mean,payoff_std,vo_size_mean,reputation_mean\n");
-    for (name, policy) in policies {
-        let mut payoffs = Vec::new();
-        let mut sizes = Vec::new();
-        let mut reps = Vec::new();
-        for &seed in &args.seeds {
-            let mut rng = seeded_rng(0xAB1A, seed);
-            let scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
-            let outcome = Mechanism::with_eviction(policy, mech_cfg)
-                .run(&scenario, &mut rng)
-                .expect("mechanism runs");
-            if let Some(vo) = outcome.selected {
-                payoffs.push(vo.payoff_share);
-                sizes.push(vo.size() as f64);
-                reps.push(vo.avg_reputation);
-            }
-        }
-        let p = Aggregate::of(&payoffs);
-        let s = Aggregate::of(&sizes);
-        let r = Aggregate::of(&reps);
+    for ((name, _), runs) in policies.iter().zip(&runs) {
+        let p = aggregate_formed(runs, |m| m.payoff_share);
+        let s = aggregate_formed(runs, |m| m.vo_size as f64);
+        let r = aggregate_formed(runs, |m| m.avg_reputation);
         rows.push(vec![
             name.to_string(),
             format!("{:.2}", p.mean),

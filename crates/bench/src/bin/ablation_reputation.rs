@@ -8,15 +8,11 @@
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_core::reputation::ReputationEngine;
-use gridvo_sim::experiments::paper_config;
-use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::{seeded_rng, Aggregate};
+use gridvo_sim::experiments::{aggregate_formed, mechanism_ablation, paper_config};
 
 fn main() {
     let args = BenchArgs::from_env();
     let cfg = args.table();
-    let generator = ScenarioGenerator::new(cfg.clone());
-    let tasks = args.program_size();
 
     let engines: Vec<(&str, ReputationEngine)> = vec![
         ("power method (paper)", ReputationEngine::default()),
@@ -24,26 +20,21 @@ fn main() {
         ("path propagation 3-hop", ReputationEngine::PathPropagation { max_hops: 3 }),
         ("in-degree", ReputationEngine::InDegree),
     ];
+    let mechanisms: Vec<Mechanism> = engines
+        .iter()
+        .map(|&(_, reputation)| {
+            Mechanism::tvof(FormationConfig { reputation, ..paper_config(&cfg) })
+        })
+        .collect();
+    let runs = mechanism_ablation(&cfg, args.program_size(), 0xAB9E, &args.seeds, &mechanisms)
+        .expect("ablation runs");
 
     let mut rows = Vec::new();
     let mut csv = String::from("engine,payoff_mean,reputation_mean,vo_size_mean\n");
-    for (name, engine) in engines {
-        let mech_cfg = FormationConfig { reputation: engine, ..paper_config(&cfg) };
-        let mut payoffs = Vec::new();
-        let mut reps = Vec::new();
-        let mut sizes = Vec::new();
-        for &seed in &args.seeds {
-            let mut rng = seeded_rng(0xAB9E, seed);
-            let scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
-            let outcome =
-                Mechanism::tvof(mech_cfg).run(&scenario, &mut rng).expect("mechanism runs");
-            if let Some(vo) = outcome.selected {
-                payoffs.push(vo.payoff_share);
-                reps.push(vo.avg_reputation);
-                sizes.push(vo.size() as f64);
-            }
-        }
-        let (p, r, s) = (Aggregate::of(&payoffs), Aggregate::of(&reps), Aggregate::of(&sizes));
+    for ((name, _), runs) in engines.iter().zip(&runs) {
+        let p = aggregate_formed(runs, |m| m.payoff_share);
+        let r = aggregate_formed(runs, |m| m.avg_reputation);
+        let s = aggregate_formed(runs, |m| m.vo_size as f64);
         rows.push(vec![
             name.to_string(),
             format!("{:.2}", p.mean),

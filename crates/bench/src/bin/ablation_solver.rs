@@ -7,16 +7,14 @@
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::{FormationConfig, Mechanism, SolverChoice};
-use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::{seeded_rng, Aggregate};
+use gridvo_sim::experiments::{aggregate_formed, mechanism_ablation};
+use gridvo_sim::runner::Aggregate;
 use gridvo_solver::branch_bound::BranchBound;
 use gridvo_solver::heuristics::Heuristic;
 
 fn main() {
     let args = BenchArgs::from_env();
     let cfg = args.table();
-    let generator = ScenarioGenerator::new(cfg.clone());
-    let tasks = args.program_size();
 
     let solvers: Vec<(&str, SolverChoice)> = vec![
         ("exact B&B", SolverChoice::Exact(BranchBound { max_nodes: cfg.solver_node_budget })),
@@ -25,27 +23,19 @@ fn main() {
         ("max-min", SolverChoice::Heuristic(Heuristic::MaxMin)),
         ("sufferage", SolverChoice::Heuristic(Heuristic::Sufferage)),
     ];
+    let mechanisms: Vec<Mechanism> = solvers
+        .iter()
+        .map(|&(_, solver)| Mechanism::tvof(FormationConfig { solver, ..Default::default() }))
+        .collect();
+    let runs = mechanism_ablation(&cfg, args.program_size(), 0xAB50, &args.seeds, &mechanisms)
+        .expect("ablation runs");
 
     let mut rows = Vec::new();
     let mut csv = String::from("solver,payoff_mean,payoff_std,seconds_mean,formed\n");
-    for (name, solver) in solvers {
-        let mech_cfg = FormationConfig { solver, ..Default::default() };
-        let mut payoffs = Vec::new();
-        let mut seconds = Vec::new();
-        let mut formed = 0usize;
-        for &seed in &args.seeds {
-            let mut rng = seeded_rng(0xAB50, seed);
-            let scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
-            let outcome =
-                Mechanism::tvof(mech_cfg).run(&scenario, &mut rng).expect("mechanism runs");
-            seconds.push(outcome.total_seconds);
-            if let Some(vo) = outcome.selected {
-                payoffs.push(vo.payoff_share);
-                formed += 1;
-            }
-        }
-        let p = Aggregate::of(&payoffs);
-        let t = Aggregate::of(&seconds);
+    for ((name, _), runs) in solvers.iter().zip(&runs) {
+        let p = aggregate_formed(runs, |m| m.payoff_share);
+        let t = Aggregate::of(&runs.iter().map(|m| m.seconds).collect::<Vec<_>>());
+        let formed = runs.iter().filter(|m| m.formed).count();
         rows.push(vec![
             name.to_string(),
             format!("{:.2}", p.mean),

@@ -9,12 +9,13 @@ use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::Mechanism;
 use gridvo_sim::experiments::paper_config;
 use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::{seeded_rng, Aggregate};
+use gridvo_sim::runner::{run_seeds, Aggregate};
+use gridvo_sim::SimError;
 use gridvo_trust::generators;
 use gridvo_trust::TrustGraph;
 use rand::rngs::StdRng;
 
-type TopologyGen = Box<dyn Fn(&mut StdRng) -> TrustGraph>;
+type TopologyGen = Box<dyn Fn(&mut StdRng) -> TrustGraph + Sync>;
 
 fn topologies(m: usize) -> Vec<(&'static str, TopologyGen)> {
     vec![
@@ -44,17 +45,19 @@ fn main() {
     let mut csv =
         String::from("topology,tvof_reputation,rvof_reputation,tvof_payoff,rvof_payoff\n");
     for (name, make_trust) in topologies(cfg.gsps) {
+        let runs = run_seeds(0xAB70, &args.seeds, |_seed, rng| {
+            let mut scenario = generator.scenario(tasks, rng)?;
+            scenario.replace_trust(make_trust(rng))?;
+            let tvof = Mechanism::tvof(mech_cfg).run(&scenario, rng)?;
+            let rvof = Mechanism::rvof(mech_cfg).run(&scenario, rng)?;
+            Ok::<_, SimError>(tvof.selected.zip(rvof.selected))
+        });
         let mut tv_rep = Vec::new();
         let mut rv_rep = Vec::new();
         let mut tv_pay = Vec::new();
         let mut rv_pay = Vec::new();
-        for &seed in &args.seeds {
-            let mut rng = seeded_rng(0xAB70, seed);
-            let mut scenario = generator.scenario(tasks, &mut rng).expect("calibrated scenario");
-            scenario.replace_trust(make_trust(&mut rng)).expect("shapes agree");
-            let tvof = Mechanism::tvof(mech_cfg).run(&scenario, &mut rng).unwrap();
-            let rvof = Mechanism::rvof(mech_cfg).run(&scenario, &mut rng).unwrap();
-            if let (Some(a), Some(b)) = (tvof.selected, rvof.selected) {
+        for run in runs {
+            if let Some((a, b)) = run.expect("topology run") {
                 tv_rep.push(a.avg_reputation);
                 rv_rep.push(b.avg_reputation);
                 tv_pay.push(a.payoff_share);

@@ -13,8 +13,8 @@ use gridvo_game::core_solution::{is_in_core, least_core};
 use gridvo_game::division::equal_split;
 use gridvo_game::CharacteristicFn;
 use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::seeded_rng;
-use gridvo_sim::TableI;
+use gridvo_sim::runner::run_seeds;
+use gridvo_sim::{SimError, TableI};
 use gridvo_solver::branch_bound::BranchBound;
 
 fn main() {
@@ -29,20 +29,23 @@ fn main() {
     };
     let generator = ScenarioGenerator::new(cfg.clone());
 
+    let runs = run_seeds(0xC04E, &args.seeds, |_seed, rng| {
+        let scenario = generator.scenario(24, rng)?;
+        let game = vo_game(&scenario, BranchBound::default());
+        let lc = least_core(&game, 1e-6).expect("small game");
+        let shares = equal_split(&game, game.grand());
+        let eq_vec = vec![shares.first().copied().unwrap_or(0.0); cfg.gsps];
+        let eq_in_core = is_in_core(&game, &eq_vec, 1e-6).unwrap_or(false);
+        Ok::<_, SimError>((lc.epsilon, !lc.core_nonempty(1e-6), eq_in_core, lc.rounds))
+    });
+
     let mut rows = Vec::new();
     let mut csv = String::from("seed,epsilon_star,core_empty,equal_split_in_core,rounds\n");
     let mut empty = 0usize;
     let mut equal_ok = 0usize;
-    for &seed in &args.seeds {
-        let mut rng = seeded_rng(0xC04E, seed);
-        let scenario = generator.scenario(24, &mut rng).expect("calibrated scenario");
-        let game = vo_game(&scenario, BranchBound::default());
-        let lc = least_core(&game, 1e-6).expect("small game");
-        let grand = game.grand();
-        let shares = equal_split(&game, grand);
-        let eq_vec = vec![shares.first().copied().unwrap_or(0.0); cfg.gsps];
-        let eq_in_core = is_in_core(&game, &eq_vec, 1e-6).unwrap_or(false);
-        if !lc.core_nonempty(1e-6) {
+    for (seed, run) in args.seeds.iter().zip(runs) {
+        let (epsilon, core_empty, eq_in_core, rounds) = run.expect("calibrated scenario");
+        if core_empty {
             empty += 1;
         }
         if eq_in_core {
@@ -50,18 +53,14 @@ fn main() {
         }
         rows.push(vec![
             seed.to_string(),
-            format!("{:.3}", lc.epsilon),
-            (!lc.core_nonempty(1e-6)).to_string(),
+            format!("{:.3}", epsilon),
+            core_empty.to_string(),
             eq_in_core.to_string(),
-            lc.rounds.to_string(),
+            rounds.to_string(),
         ]);
         csv.push_str(&format!(
             "{},{:.6},{},{},{}\n",
-            seed,
-            lc.epsilon,
-            !lc.core_nonempty(1e-6),
-            eq_in_core,
-            lc.rounds
+            seed, epsilon, core_empty, eq_in_core, rounds
         ));
     }
     println!(

@@ -38,7 +38,7 @@ fn main() {
     }
 
     let no_decay = DecayModel::default();
-    let month_decay = DecayModel { half_life: 30.0 * 86_400.0, ..Default::default() };
+    let month_decay = DecayModel { half_life: 30.0 * 86_400.0 };
 
     let mut rows = Vec::new();
     let mut csv =

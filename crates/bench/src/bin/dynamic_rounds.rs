@@ -10,7 +10,7 @@ use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_core::mechanism::Mechanism;
 use gridvo_sim::dynamic::{mean_reliability, simulate, success_rate, DynamicConfig};
 use gridvo_sim::experiments::paper_config;
-use gridvo_sim::runner::{seeded_rng, Aggregate};
+use gridvo_sim::runner::{run_seeds, Aggregate};
 use gridvo_sim::TableI;
 use rand::Rng;
 
@@ -21,34 +21,37 @@ fn main() {
     let table = TableI { task_sizes: vec![tasks], trace_jobs: 5_000, ..TableI::default() };
 
     let mech_cfg = paper_config(&table);
+    let mechanisms = [("TVOF", Mechanism::tvof(mech_cfg)), ("RVOF", Mechanism::rvof(mech_cfg))];
+    let half = rounds / 2;
+    // Per seed and mechanism: early-half and late-half member
+    // reliability, and the success rate.
+    let per_seed = run_seeds(0xD1A, &args.seeds, |_seed, rng| {
+        // Hidden reliabilities: a third of the federation is flaky.
+        let reliabilities: Vec<f64> = (0..table.gsps)
+            .map(|g| if g % 3 == 2 { rng.gen_range(0.2..0.5) } else { rng.gen_range(0.9..1.0) })
+            .collect();
+        let cfg = DynamicConfig::new(table.clone(), rounds, tasks, reliabilities);
+        // Each mechanism simulates from a clone of the post-draw RNG.
+        mechanisms
+            .iter()
+            .map(|&(_, mech)| {
+                let r = simulate(&cfg, mech, &mut rng.clone())?;
+                Ok([mean_reliability(&r[..half]), mean_reliability(&r[half..]), success_rate(&r)])
+            })
+            .collect::<gridvo_sim::Result<Vec<_>>>()
+    });
+    let per_seed: Vec<Vec<[f64; 3]>> =
+        per_seed.into_iter().collect::<Result<_, _>>().expect("simulation runs");
+
     let mut csv = String::from("mechanism,seed,early_reliability,late_reliability,success_rate\n");
     let mut rows = Vec::new();
-    for (name, mech) in [("TVOF", Mechanism::tvof(mech_cfg)), ("RVOF", Mechanism::rvof(mech_cfg))] {
-        let mut early = Vec::new();
-        let mut late = Vec::new();
-        let mut success = Vec::new();
-        for &seed in &args.seeds {
-            let mut rng = seeded_rng(0xD1A, seed);
-            // Hidden reliabilities: a third of the federation is flaky.
-            let reliabilities: Vec<f64> = (0..table.gsps)
-                .map(|g| if g % 3 == 2 { rng.gen_range(0.2..0.5) } else { rng.gen_range(0.9..1.0) })
-                .collect();
-            let cfg = DynamicConfig::new(table.clone(), rounds, tasks, reliabilities);
-            let records = simulate(&cfg, mech, &mut rng).expect("simulation runs");
-            let half = rounds / 2;
-            early.push(mean_reliability(&records[..half]));
-            late.push(mean_reliability(&records[half..]));
-            success.push(success_rate(&records));
-            csv.push_str(&format!(
-                "{},{},{:.4},{:.4},{:.4}\n",
-                name,
-                seed,
-                mean_reliability(&records[..half]),
-                mean_reliability(&records[half..]),
-                success_rate(&records)
-            ));
+    for (k, (name, _)) in mechanisms.iter().enumerate() {
+        let runs: Vec<[f64; 3]> = per_seed.iter().map(|r| r[k]).collect();
+        for (seed, [e, l, s]) in args.seeds.iter().zip(&runs) {
+            csv.push_str(&format!("{name},{seed},{e:.4},{l:.4},{s:.4}\n"));
         }
-        let (e, l, s) = (Aggregate::of(&early), Aggregate::of(&late), Aggregate::of(&success));
+        let agg = |i: usize| Aggregate::of(&runs.iter().map(|r| r[i]).collect::<Vec<_>>());
+        let (e, l, s) = (agg(0), agg(1), agg(2));
         rows.push(vec![
             name.to_string(),
             format!("{:.4}", e.mean),

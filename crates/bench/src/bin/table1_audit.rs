@@ -5,7 +5,8 @@
 
 use gridvo_bench::{ascii_table, BenchArgs};
 use gridvo_sim::instance_gen::ScenarioGenerator;
-use gridvo_sim::runner::seeded_rng;
+use gridvo_sim::runner::run_seeds;
+use gridvo_sim::SimError;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -13,17 +14,8 @@ fn main() {
     let generator = ScenarioGenerator::new(cfg.clone());
     let tasks = args.program_size();
 
-    let mut rows = Vec::new();
-    let mut densities = Vec::new();
-    for &seed in &args.seeds {
-        let mut rng = seeded_rng(0x7AB1E, seed);
-        let scenario = match generator.scenario(tasks, &mut rng) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("generation failed on seed {seed}: {e}");
-                std::process::exit(1);
-            }
-        };
+    let runs = run_seeds(0x7AB1E, &args.seeds, |seed, rng| {
+        let scenario = generator.scenario(tasks, rng)?;
         let inst = scenario.instance();
         let (mut cmin, mut cmax) = (f64::INFINITY, 0.0f64);
         for t in 0..inst.tasks() {
@@ -34,8 +26,12 @@ fn main() {
         }
         let smin = scenario.gsps().iter().map(|g| g.speed_gflops).fold(f64::INFINITY, f64::min);
         let smax = scenario.gsps().iter().map(|g| g.speed_gflops).fold(0.0f64, f64::max);
-        densities.push(scenario.trust().density());
-        rows.push(vec![
+        // hard assertions mirroring Table I
+        assert_eq!(scenario.gsp_count(), cfg.gsps);
+        assert!(smin >= cfg.gflops_per_proc * cfg.speed_multiplier_range.0 - 1e-6);
+        assert!(smax <= cfg.gflops_per_proc * cfg.speed_multiplier_range.1 + 1e-6);
+        assert!(cmin >= 1.0 - 1e-9 && cmax <= cfg.max_cost() + 1e-9);
+        let row = vec![
             seed.to_string(),
             format!("{}", scenario.gsp_count()),
             format!("{}", scenario.task_count()),
@@ -44,13 +40,21 @@ fn main() {
             format!("{:.0}", inst.deadline()),
             format!("{:.0}", inst.payment()),
             format!("{:.3}", scenario.trust().density()),
-        ]);
-        // hard assertions mirroring Table I
-        assert_eq!(scenario.gsp_count(), cfg.gsps);
-        assert!(smin >= cfg.gflops_per_proc * cfg.speed_multiplier_range.0 - 1e-6);
-        assert!(smax <= cfg.gflops_per_proc * cfg.speed_multiplier_range.1 + 1e-6);
-        assert!(cmin >= 1.0 - 1e-9 && cmax <= cfg.max_cost() + 1e-9);
-    }
+        ];
+        Ok::<_, SimError>((row, scenario.trust().density()))
+    });
+
+    let (rows, densities): (Vec<_>, Vec<f64>) = args
+        .seeds
+        .iter()
+        .zip(runs)
+        .map(|(seed, run)| {
+            run.unwrap_or_else(|e| {
+                eprintln!("generation failed on seed {seed}: {e}");
+                std::process::exit(1)
+            })
+        })
+        .unzip();
     println!(
         "{}",
         ascii_table(

@@ -40,18 +40,18 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             }
         })
         .collect();
-    print!("hidden reliabilities:");
+    out!("hidden reliabilities:");
     for r in &reliabilities {
-        print!(" {r:.2}");
+        out!(" {r:.2}");
     }
-    println!();
+    outln!();
 
     let cfg = DynamicConfig::new(table, rounds, tasks, reliabilities);
     let records = simulate(&cfg, mech, &mut rng).map_err(|e| e.to_string())?;
 
-    println!("round  |VO|  member-reliability  delivered  failed");
+    outln!("round  |VO|  member-reliability  delivered  failed");
     for r in &records {
-        println!(
+        outln!(
             "{:>5}  {:>4}  {:>18.3}  {:>9}  {:?}",
             r.round,
             r.members.len(),
@@ -61,12 +61,12 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         );
     }
     let half = rounds / 2;
-    println!(
+    outln!(
         "\nmean member reliability: first half {:.3}, second half {:.3} (drift {:+.3})",
         mean_reliability(&records[..half]),
         mean_reliability(&records[half..]),
         mean_reliability(&records[half..]) - mean_reliability(&records[..half]),
     );
-    println!("program success rate:    {:.2}", success_rate(&records));
+    outln!("program success rate:    {:.2}", success_rate(&records));
     Ok(())
 }

@@ -35,10 +35,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let outcome = mech.run(&scenario, &mut rng).map_err(|e| e.to_string())?;
     let Some(vo) = &outcome.selected else {
-        println!("no feasible VO — nothing to execute");
+        outln!("no feasible VO — nothing to execute");
         return Ok(());
     };
-    println!("formed VO {:?}: payoff/GSP {:.2}, cost {:.1}", vo.members, vo.payoff_share, vo.cost);
+    outln!("formed VO {:?}: payoff/GSP {:.2}, cost {:.1}", vo.members, vo.payoff_share, vo.cost);
 
     let plan = match flags.get("plan") {
         Some(path) => {
@@ -49,19 +49,19 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
         None => FaultModel::with_rate(rate, rounds).plan(&vo.members, &mut rng),
     };
-    println!("fault plan: {} event(s) over {} round(s)", plan.len(), plan.horizon());
+    outln!("fault plan: {} event(s) over {} round(s)", plan.len(), plan.horizon());
 
     let report = mech.execute(&scenario, vo, &plan).map_err(|e| e.to_string())?;
 
     if !report.recoveries.is_empty() {
-        println!("\nround  gsp  fault        recovery  orphans  cost delta     nodes   avg rep");
+        outln!("\nround  gsp  fault        recovery  orphans  cost delta     nodes   avg rep");
         for r in &report.recoveries {
             let fault = match r.fault {
                 gridvo_core::FaultKind::Crash => "crash".to_string(),
                 gridvo_core::FaultKind::Slowdown { factor } => format!("slow x{factor:.2}"),
                 gridvo_core::FaultKind::SilentDrop { tasks } => format!("drop {tasks}"),
             };
-            println!(
+            outln!(
                 "{:>5}  {:>3}  {:<11}  {:<8}  {:>7}  {:>+10.2}  {:>8}  {:>8.4}",
                 r.round,
                 r.gsp,
@@ -75,7 +75,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         }
     }
     match report.status {
-        ExecutionStatus::Completed { degraded } => println!(
+        ExecutionStatus::Completed { degraded } => outln!(
             "\ncompleted{}: members {:?}, cost {:.1}, payoff/GSP {:.2} (retention {:.2})",
             if degraded { " (degraded)" } else { "" },
             report.final_members,
@@ -84,7 +84,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             report.payoff_retention,
         ),
         ExecutionStatus::Abandoned { round } => {
-            println!("\nabandoned in round {round}: no feasible recovery — the program is lost")
+            outln!("\nabandoned in round {round}: no feasible recovery — the program is lost")
         }
     }
 

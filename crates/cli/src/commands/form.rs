@@ -23,9 +23,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let outcome = mech.run(&scenario, &mut rng).map_err(|e| e.to_string())?;
 
-    println!("iter  |VO|  feasible     payoff   avg rep  evicted     nodes  incumbent  pow-it");
+    outln!("iter  |VO|  feasible     payoff   avg rep  evicted     nodes  incumbent  pow-it");
     for it in &outcome.iterations {
-        println!(
+        outln!(
             "{:>4}  {:>4}  {:>8}  {:>9}  {:>8.4}  {:>7}  {:>8}  {:>9}  {:>6}",
             it.iteration,
             it.members.len(),
@@ -40,7 +40,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     match &outcome.selected {
         Some(vo) => {
-            println!(
+            outln!(
                 "\nselected VO {:?}: payoff/GSP {:.2}, avg reputation {:.4}, cost {:.1} \
                  (optimal: {}), {:.2} s",
                 vo.members,
@@ -51,17 +51,17 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 outcome.total_seconds
             );
         }
-        None => println!("\nno feasible VO — the program cannot be executed"),
+        None => outln!("\nno feasible VO — the program cannot be executed"),
     }
 
     if flags.has("audit") {
         if let Some(vo) = &outcome.selected {
             let verdict =
                 stability::audit_individual_stability(&scenario, vo).map_err(|e| e.to_string())?;
-            println!("Theorem 1 (individual stability): {verdict:?}");
+            outln!("Theorem 1 (individual stability): {verdict:?}");
         }
         if let Some(ok) = stability::audit_pareto_optimality(&outcome) {
-            println!("Theorem 2 (Pareto optimal in L):  {ok}");
+            outln!("Theorem 2 (Pareto optimal in L):  {ok}");
         }
     }
 

@@ -34,24 +34,24 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let game = vo_game(&scenario, BranchBound::default());
     let grand = game.grand();
     let vg = game.value(grand);
-    println!("v(grand) = {vg:.2} over {m} GSPs ({} IP solves cached)", game.cache_size());
+    outln!("v(grand) = {vg:.2} over {m} GSPs ({} IP solves cached)", game.cache_size());
 
     let shares = equal_split(&game, grand);
-    println!("equal split (eq. 18): {:.2} per GSP", shares.first().copied().unwrap_or(0.0));
+    outln!("equal split (eq. 18): {:.2} per GSP", shares.first().copied().unwrap_or(0.0));
 
     let phi = shapley_exact(&game).map_err(|e| e.to_string())?;
-    print!("Shapley value:       ");
+    out!("Shapley value:       ");
     for p in &phi {
-        print!(" {p:.2}");
+        out!(" {p:.2}");
     }
-    println!();
+    outln!();
 
     let eq_vec = vec![shares.first().copied().unwrap_or(0.0); m];
     let eq_core = is_in_core(&game, &eq_vec, 1e-6).map_err(|e| e.to_string())?;
-    println!("equal split in core:  {eq_core}");
+    outln!("equal split in core:  {eq_core}");
 
     let lc = least_core(&game, 1e-6).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "least core:           ε* = {:.4} → core {} ({} rounds)",
         lc.epsilon,
         if lc.core_nonempty(1e-6) { "NON-EMPTY" } else { "EMPTY" },
@@ -59,18 +59,18 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     );
 
     let ms = merge_split(&game, 100_000);
-    print!(
+    out!(
         "merge-and-split:      {} merges, {} splits{} → partition",
         ms.merges,
         ms.splits,
         if ms.converged { "" } else { " (ops cap hit)" }
     );
     for c in &ms.partition {
-        print!(" {c}");
+        out!(" {c}");
     }
-    println!();
+    outln!();
     if let Some(best) = ms.best_coalition(&game) {
-        println!(
+        outln!(
             "best merge-split VO:  {best} with share {:.2}",
             game.value(best) / best.len().max(1) as f64
         );

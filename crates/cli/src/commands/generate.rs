@@ -46,7 +46,7 @@ fn scenario(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let scenario =
         generator.scenario(tasks, &mut rng).map_err(|e| format!("generation failed: {e}"))?;
-    println!(
+    outln!(
         "scenario: {} tasks on {} GSPs, deadline {:.0} s, payment {:.0}",
         scenario.task_count(),
         scenario.gsp_count(),
@@ -70,6 +70,6 @@ fn trace(argv: &[String]) -> Result<(), String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let trace = AtlasGenerator::default().generate(&mut rng, jobs);
     std::fs::write(out, trace.to_swf()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out} ({jobs} jobs)");
+    outln!("wrote {out} ({jobs} jobs)");
     Ok(())
 }

@@ -31,6 +31,6 @@ pub(crate) fn mechanism(flags: &Flags) -> Result<MechanismKind, String> {
 pub(crate) fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
     let text = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
     std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
+    outln!("wrote {path}");
     Ok(())
 }

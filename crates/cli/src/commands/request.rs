@@ -79,23 +79,26 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let abandon = flags.has("abandon");
             let epoch = client.release_lease(lease, abandon).map_err(|e| e.to_string())?;
             let how = if abandon { "abandoned" } else { "completed" };
-            println!("lease {lease} {how}; registry epoch now {epoch}");
+            outln!("lease {lease} {how}; registry epoch now {epoch}");
             Ok(())
         }
         "leases" => {
             let (leases, free, epoch) = client.leases().map_err(|e| e.to_string())?;
-            println!("{} live lease(s), {} free GSP(s), epoch {}", leases.len(), free.len(), epoch);
+            outln!("{} live lease(s), {} free GSP(s), epoch {}", leases.len(), free.len(), epoch);
             for lease in &leases {
-                println!(
+                outln!(
                     "  lease {} (app {:?}): GSPs {:?}, acquired at epoch {}",
-                    lease.id, lease.app, lease.members, lease.acquired_epoch,
+                    lease.id,
+                    lease.app,
+                    lease.members,
+                    lease.acquired_epoch,
                 );
             }
             maybe_out(&flags, &leases)
         }
         "metrics" => {
             let snapshot = client.metrics().map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "requests {} (form {}, execute {}), busy {}, deadline-dropped {}, \
                  anytime {}, errors {}",
                 snapshot.requests_total,
@@ -106,7 +109,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 snapshot.anytime_served,
                 snapshot.request_errors,
             );
-            println!(
+            outln!(
                 "cache: {} hits / {} misses (rate {:.2}), {} entries; queue depth {}",
                 snapshot.cache_hits,
                 snapshot.cache_misses,
@@ -114,14 +117,14 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 snapshot.cache_entries,
                 snapshot.queue_depth,
             );
-            println!(
+            outln!(
                 "latency: queue wait mean {:.3} ms (max {:.3}), service mean {:.3} ms (max {:.3})",
                 snapshot.queue_wait_ms.mean_ms(),
                 snapshot.queue_wait_ms.max_ms,
                 snapshot.service_ms.mean_ms(),
                 snapshot.service_ms.max_ms,
             );
-            println!(
+            outln!(
                 "market: {} GSP(s) committed across {} lease(s); acquired {}, released {}, \
                  expired {}; shed {} pool-exhausted, {} throttled",
                 snapshot.committed_gsps,
@@ -133,7 +136,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 snapshot.throttled_rejections,
             );
             for d in &snapshot.app_queue_depths {
-                println!("  app {:?}: {} outstanding", d.app, d.depth);
+                outln!("  app {:?}: {} outstanding", d.app, d.depth);
             }
             maybe_out(&flags, &snapshot)
         }
@@ -149,10 +152,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 // (`--out` still writes the same document to a file).
                 let doc = RegistryDump { snapshot_epoch, snapshot };
                 let json = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
-                println!("{json}");
+                outln!("{json}");
                 maybe_out(&flags, &doc)
             } else {
-                println!(
+                outln!(
                     "epoch {} (snapshot epoch {}): {} GSPs, {} tasks, {} logged events, last \
                      refresh {} power iteration(s)",
                     snapshot.epoch,
@@ -170,7 +173,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let to: usize = flags.require_num("to")?;
             let value: f64 = flags.require_num("value")?;
             let epoch = client.report_trust(from, to, value).map_err(|e| e.to_string())?;
-            println!("trust {from} -> {to} = {value}; registry epoch now {epoch}");
+            outln!("trust {from} -> {to} = {value}; registry epoch now {epoch}");
             Ok(())
         }
         "report-receipt" => {
@@ -185,7 +188,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 gridvo_core::ExecutionReceipt::new(round, gsp, success, reward, witnesses);
             let epoch = client.report_receipt(receipt).map_err(|e| e.to_string())?;
             let verdict = if success { "success" } else { "failure" };
-            println!(
+            outln!(
                 "receipt for GSP {gsp} ({verdict}, reward {reward}); registry epoch now {epoch}"
             );
             Ok(())
@@ -195,20 +198,20 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let cost = float_list(&flags, "cost")?;
             let time = float_list(&flags, "time")?;
             let (id, epoch) = client.add_gsp(speed, cost, time).map_err(|e| e.to_string())?;
-            println!("joined as GSP {id}; registry epoch now {epoch}");
+            outln!("joined as GSP {id}; registry epoch now {epoch}");
             Ok(())
         }
         "remove-gsp" => {
             let id: usize = flags.require_num("id")?;
             let epoch = client.remove_gsp(id).map_err(|e| e.to_string())?;
-            println!("GSP {id} removed; registry epoch now {epoch}");
+            outln!("GSP {id} removed; registry epoch now {epoch}");
             Ok(())
         }
         "ping" => {
             let sleep_ms: u64 = flags.num("sleep-ms", 0)?;
             match client.ping(sleep_ms).map_err(|e| e.to_string())? {
                 Response::Pong => {
-                    println!("pong");
+                    outln!("pong");
                     Ok(())
                 }
                 other => shed(other),
@@ -235,7 +238,7 @@ fn form(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
     match response {
         Response::Form { outcome, truncated, gap, lease, lease_epoch, .. } => {
             match &outcome.selected {
-                Some(vo) => println!(
+                Some(vo) => outln!(
                     "selected VO {:?}: payoff/GSP {:.2}, avg reputation {:.4}, cost {:.1} \
                      ({} iteration(s))",
                     vo.members,
@@ -244,16 +247,16 @@ fn form(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
                     vo.cost,
                     outcome.iterations.len(),
                 ),
-                None => println!("no feasible VO"),
+                None => outln!("no feasible VO"),
             }
             if truncated == Some(true) {
-                println!(
+                outln!(
                     "anytime result: a budget truncated the solve (gap {})",
                     gap.map_or("unknown".to_string(), |g| format!("{:.2}%", g * 100.0)),
                 );
             }
             if let Some(lease) = lease {
-                println!(
+                outln!(
                     "coalition committed as lease {} (epoch {}); release with \
                      `gridvo request release-lease --lease {}`",
                     lease,
@@ -287,7 +290,7 @@ fn form_batch(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
     for (i, response) in responses.iter().enumerate() {
         match response {
             Response::Form { outcome, .. } => match &outcome.selected {
-                Some(vo) => println!(
+                Some(vo) => outln!(
                     "seed {}: VO {:?}, payoff/GSP {:.2}, avg reputation {:.4} ({} iteration(s))",
                     seeds[i],
                     vo.members,
@@ -295,12 +298,12 @@ fn form_batch(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
                     vo.avg_reputation,
                     outcome.iterations.len(),
                 ),
-                None => println!("seed {}: no feasible VO", seeds[i]),
+                None => outln!("seed {}: no feasible VO", seeds[i]),
             },
             Response::BatchEnd { epoch, served } => {
-                println!("batch done: {served} seed(s) formed against snapshot epoch {epoch}");
+                outln!("batch done: {served} seed(s) formed against snapshot epoch {epoch}");
             }
-            Response::Error { message } => println!("seed {}: error: {message}", seeds[i]),
+            Response::Error { message } => outln!("seed {}: error: {message}", seeds[i]),
             other => return shed(other.clone()),
         }
     }
@@ -324,7 +327,7 @@ fn execute(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
     {
         Response::Execute { outcome, report } => {
             match &report {
-                Some(r) => println!(
+                Some(r) => outln!(
                     "executed: {} -> {} member(s), cost {:.1} -> {:.1}, {} recover(ies), \
                      completed: {}",
                     r.initial_members.len(),
@@ -334,7 +337,7 @@ fn execute(client: &mut ServiceClient, flags: &Flags) -> Result<(), String> {
                     r.recoveries.len(),
                     r.completed(),
                 ),
-                None => println!("no feasible VO — nothing executed"),
+                None => outln!("no feasible VO — nothing executed"),
             }
             if let Some(out) = flags.get("out") {
                 write_json(out, &Response::Execute { outcome, report })?;

@@ -190,13 +190,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         ServerHandle::spawn(&scenario, config).map_err(|e| format!("cannot start daemon: {e}"))?;
 
     // The e2e test and scripts parse this exact line for the port.
-    println!("listening on {}", handle.addr());
+    outln!("listening on {}", handle.addr());
     // The crash-injection harness parses this line for the epoch.
     if let Some(epoch) = handle.recovered_epoch() {
-        println!("recovered registry at epoch {epoch}");
+        outln!("recovered registry at epoch {epoch}");
     }
     let pool = handle.registry_snapshot();
-    println!("pool: {} GSPs, {} tasks; shutdown on SIGTERM or stdin close", pool.gsps, pool.tasks);
+    outln!("pool: {} GSPs, {} tasks; shutdown on SIGTERM or stdin close", pool.gsps, pool.tasks);
     use std::io::Write;
     std::io::stdout().flush().ok();
 
@@ -231,9 +231,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
     let metrics = handle.metrics_snapshot();
     handle.shutdown();
-    println!(
+    outln!(
         "shut down cleanly: {} requests served, {} busy-shed, cache hit rate {:.2}",
-        metrics.requests_total, metrics.busy_rejections, metrics.cache_hit_rate
+        metrics.requests_total,
+        metrics.busy_rejections,
+        metrics.cache_hit_rate
     );
     Ok(())
 }

@@ -49,7 +49,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let solved = match flags.get("solver").unwrap_or("exact") {
         "exact" => match solver.solve_status_with_budget(&inst, None, &budget) {
             SolveStatus::Optimal(o) => {
-                println!(
+                outln!(
                     "status: OPTIMAL (proven, {} nodes, incumbent: {})",
                     o.nodes,
                     o.incumbent_source.as_str()
@@ -57,7 +57,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 Some((o.assignment, o.cost))
             }
             SolveStatus::Feasible(o) => {
-                println!(
+                outln!(
                     "status: FEASIBLE ({}, {} nodes, incumbent: {}, gap {})",
                     if o.deadline_hit { "deadline-truncated" } else { "budget-truncated" },
                     o.nodes,
@@ -67,11 +67,11 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 Some((o.assignment, o.cost))
             }
             SolveStatus::Infeasible { nodes } => {
-                println!("status: INFEASIBLE (proven, {nodes} nodes)");
+                outln!("status: INFEASIBLE (proven, {nodes} nodes)");
                 None
             }
             SolveStatus::Unknown { nodes } => {
-                println!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
+                outln!("status: UNKNOWN (budget exhausted, {nodes} nodes)");
                 None
             }
         },
@@ -85,26 +85,26 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             };
             heuristics::run(kind, &inst).map(|a| {
                 let c = a.total_cost(&inst);
-                println!("status: HEURISTIC-FEASIBLE (no optimality proof)");
+                outln!("status: HEURISTIC-FEASIBLE (no optimality proof)");
                 (a, c)
             })
         }
     };
 
     let Some((assignment, cost)) = solved else {
-        println!("no feasible assignment for VO {members:?}");
+        outln!("no feasible assignment for VO {members:?}");
         return Ok(());
     };
-    println!(
+    outln!(
         "VO {members:?}: cost {cost:.2} of payment {:.0} → value {:.2}",
         inst.payment(),
         scenario.payoff(cost, members.len()).0
     );
-    println!("gsp  tasks  load (s)  deadline {:.0} s", inst.deadline());
+    outln!("gsp  tasks  load (s)  deadline {:.0} s", inst.deadline());
     let loads = assignment.loads(&inst);
     let counts = assignment.task_counts(&inst);
     for (i, &g) in members.iter().enumerate() {
-        println!("{g:>3}  {:>5}  {:>8.1}", counts[i], loads[i]);
+        outln!("{g:>3}  {:>5}  {:>8.1}", counts[i], loads[i]);
     }
     Ok(())
 }

@@ -23,26 +23,26 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let trace = SwfTrace::parse(&text).map_err(|e| e.to_string())?;
     let Some(s) = trace_stats(&trace) else {
-        println!("empty trace");
+        outln!("empty trace");
         return Ok(());
     };
-    println!("jobs:            {}", s.jobs);
-    println!("completed:       {} ({:.1} %)", s.completed, 100.0 * s.completion_rate);
-    println!(
+    outln!("jobs:            {}", s.jobs);
+    outln!("completed:       {} ({:.1} %)", s.completed, 100.0 * s.completion_rate);
+    outln!(
         "large (≥7200 s): {} ({:.1} % of completed)",
         s.large_completed,
         100.0 * s.large_fraction
     );
-    println!("sizes:           {}–{} processors", s.min_procs, s.max_procs);
-    let q = s.runtime_quantiles;
-    println!(
-        "runtimes (s):    min {:.0}, p25 {:.0}, median {:.0}, p75 {:.0}, p95 {:.0}, max {:.0}",
-        q[0], q[1], q[2], q[3], q[4], q[5]
+    outln!("sizes:           {}–{} processors", s.min_procs, s.max_procs);
+    let [min, p25, median, p75, p95, max] = s.runtime_quantiles;
+    outln!(
+        "runtimes (s):    min {min:.0}, p25 {p25:.0}, median {median:.0}, p75 {p75:.0}, \
+         p95 {p95:.0}, max {max:.0}"
     );
-    println!("size histogram (completed, by power-of-two bucket):");
+    outln!("size histogram (completed, by power-of-two bucket):");
     for (i, &count) in size_histogram(&trace).iter().enumerate() {
         if count > 0 {
-            println!("  [{:>5}, {:>5}): {count}", 1u64 << i, 1u64 << (i + 1));
+            outln!("  [{:>5}, {:>5}): {count}", 1u64 << i, 1u64 << (i + 1));
         }
     }
     Ok(())

@@ -17,6 +17,8 @@
 //! [`gridvo_core::FormationScenario`]; traces are Standard Workload
 //! Format text. Every subcommand is deterministic under `--seed`.
 
+#[macro_use]
+mod out;
 mod args;
 mod commands;
 
@@ -48,7 +50,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "serve" => commands::serve::run(rest),
         "request" => commands::request::run(rest),
         "--help" | "-h" | "help" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown subcommand {other:?}\n{}", usage())),

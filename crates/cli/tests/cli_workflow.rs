@@ -343,3 +343,31 @@ fn solve_max_nodes_caps_the_exact_search() {
     assert_eq!(run_ok(gridvo().args(["solve", "--scenario", path, "--max-nodes", "0"])), full);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let dir = tmpdir("closed-stdout");
+    let scenario = dir.join("scenario.json");
+    let path = scenario.to_str().unwrap();
+    // The read end closes before the child starts, so its first write
+    // meets a broken pipe.
+    let closed_stdout = || {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        writer
+    };
+    let generate = ["generate", "scenario", "--out", path, "--tasks", "20", "--gsps", "5"];
+    for argv in [&generate[..], &["solve", "--scenario", path, "--members", "0,1,2"]] {
+        let out = gridvo().args(argv).stdout(closed_stdout()).output().expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{argv:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(out.stderr.is_empty(), "{argv:?}: {}", String::from_utf8_lossy(&out.stderr));
+        // The command still did its work.
+        assert!(scenario.exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

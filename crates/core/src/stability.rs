@@ -57,11 +57,14 @@ pub fn audit_individual_stability(
     scenario: &FormationScenario,
     vo: &VoRecord,
 ) -> Result<StabilityAudit> {
-    let engine = ReputationEngine::default();
-    let solver = BranchBound::default();
-    if vo.members.len() <= 1 {
+    // Alone, a departing member earns nothing (a single GSP is assumed
+    // unable to host the program — the paper's premise), so a positive
+    // share blocks every departure.
+    if vo.members.len() <= 1 || vo.payoff_share > TOL {
         return Ok(StabilityAudit::Stable);
     }
+    let engine = ReputationEngine::default();
+    let solver = BranchBound::default();
     for &leaver in &vo.members {
         let reduced: Vec<usize> = vo.members.iter().copied().filter(|&m| m != leaver).collect();
         let reduced_rep = engine.compute_with_start(scenario.trust(), &reduced, None)?.average;
@@ -70,12 +73,6 @@ pub fn audit_individual_stability(
             .and_then(|inst| solver.solve(&inst))
             .map(|o| scenario.payoff(o.cost, reduced.len()).1);
 
-        // Departing member: alone it earns nothing (a single GSP is
-        // assumed unable to host the program — the paper's premise).
-        let leaver_prefers_leaving = vo.payoff_share <= TOL;
-        if !leaver_prefers_leaving {
-            continue;
-        }
         // Remaining members: weak preference for the reduced VO.
         let all_remaining_fine = match reduced_payoff {
             None => false, // infeasible: remaining members get nothing
@@ -198,6 +195,35 @@ mod tests {
             if vo.payoff_share > 1e-6 {
                 assert_eq!(audit_individual_stability(&s, vo).unwrap(), StabilityAudit::Stable);
             }
+        }
+    }
+
+    #[test]
+    fn zero_share_departure_that_hurts_nobody_is_unstable() {
+        // Nobody in a zero-share VO loses by GSP 0 leaving: the leaver
+        // had nothing, and GSPs 1 and 2 still host the program at a
+        // profit.
+        let s = scenario();
+        let vo = VoRecord {
+            members: vec![0, 1, 2],
+            assignment: gridvo_solver::Assignment::new(vec![0; 8]),
+            cost: 200.0,
+            value: 0.0,
+            payoff_share: 0.0,
+            avg_reputation: 1.0,
+            optimal: true,
+            gap: Some(0.0),
+        };
+        let inst = s.instance_for(&[1, 2]).unwrap();
+        let cost = BranchBound::default().solve(&inst).unwrap().cost;
+        let (_, share) = s.payoff(cost, 2);
+        assert!(share > 0.0);
+        match audit_individual_stability(&s, &vo).unwrap() {
+            StabilityAudit::Unstable { member, reduced_payoff, .. } => {
+                assert_eq!(member, 0);
+                assert_eq!(reduced_payoff, Some(share));
+            }
+            StabilityAudit::Stable => panic!("a departure nobody minds must be found"),
         }
     }
 

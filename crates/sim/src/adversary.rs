@@ -54,7 +54,7 @@ pub const OSCILLATE_GOOD: f64 = 0.95;
 /// phase.
 pub const OSCILLATE_BAD: f64 = 0.05;
 
-/// Switches a dynamic simulation from ledger-decay trust to
+/// Switches a dynamic simulation from net delivery-count trust to
 /// receipt-driven Beta reputation, optionally with adversaries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BetaDynamics {
@@ -70,12 +70,6 @@ pub struct BetaDynamics {
 }
 
 impl BetaDynamics {
-    /// Honest closed-loop dynamics at discount `lambda`: receipts
-    /// drive trust, nobody attacks.
-    pub fn honest(lambda: f64) -> Self {
-        BetaDynamics { lambda, attackers: Vec::new(), kind: AdversaryKind::Honest }
-    }
-
     /// `attackers` playing `kind` at discount `lambda`.
     pub fn attack(lambda: f64, attackers: Vec<usize>, kind: AdversaryKind) -> Self {
         BetaDynamics { lambda, attackers, kind }
@@ -184,7 +178,7 @@ mod tests {
 
     #[test]
     fn honest_dynamics_change_nothing() {
-        let d = BetaDynamics::honest(1.0);
+        let d = BetaDynamics::attack(1.0, Vec::new(), AdversaryKind::Honest);
         assert!(!d.is_attacker(0));
         assert_eq!(d.effective_reliability(0, 9, 0.7), 0.7);
         assert!(!d.whitewashes_at(0, 9));

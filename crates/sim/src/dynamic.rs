@@ -7,13 +7,13 @@
 //! 1. each GSP has a hidden **reliability** — the probability it
 //!    actually delivers the resources it promised (§I: "a GSP agrees
 //!    to provide some resources, but it fails to deliver");
-//! 2. programs arrive in rounds; the current trust graph is
-//!    materialized from the **interaction ledger** (optionally with
-//!    Azzedin–Maheswaran decay, to reproduce the freeze critique);
+//! 2. programs arrive in rounds; the current trust graph holds an edge
+//!    `i → j` of weight `n` wherever `i` has seen `j` deliver `n` more
+//!    times than fail (undecayed, as the paper advocates);
 //! 3. the mechanism forms a VO and the program runs: every member
 //!    delivers or fails according to its reliability, every member
-//!    observes every other member, and the observations are appended
-//!    to the ledger;
+//!    observes every other member, and each observation moves the
+//!    observer's net count by ±1;
 //! 4. the next round's trust — and hence reputation — reflects the
 //!    accumulated evidence.
 //!
@@ -25,13 +25,11 @@
 
 use crate::adversary::BetaDynamics;
 use crate::config::TableI;
-use crate::faults::FaultModel;
 use crate::instance_gen::ScenarioGenerator;
 use crate::Result;
 use gridvo_core::mechanism::Mechanism;
 use gridvo_core::ExecutionReceipt;
 use gridvo_trust::beta::BetaLedger;
-use gridvo_trust::decay::{DecayModel, InteractionLedger, Outcome};
 use gridvo_trust::TrustGraph;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -48,44 +46,24 @@ pub struct DynamicConfig {
     /// Hidden per-GSP delivery probability, indexed by GSP id; length
     /// must equal `table.gsps`.
     pub reliabilities: Vec<f64>,
-    /// Trust evidence model (half-life = ∞ reproduces the paper's
-    /// non-decaying trust).
-    pub decay: DecayModel,
-    /// Simulated seconds between program arrivals.
-    pub round_interval: f64,
-    /// Bootstrap interactions: each ordered GSP pair starts with one
-    /// `Delivered` observation with this probability (an ER-style
-    /// prior so round 0 is not trust-blind).
-    pub bootstrap_p: f64,
-    /// Execution-time fault injection: when set, every selected VO is
-    /// run against a seeded [`FaultPlan`](gridvo_core::FaultPlan) drawn
-    /// from this model and recovered via the repair-first policy.
-    /// `None` (the default) adds no RNG draws, so existing seeded runs
-    /// replay byte-identically.
-    pub faults: Option<FaultModel>,
     /// Receipt-driven Beta reputation: when set, per-round trust is
     /// the earned-trust graph of a [`BetaLedger`] fed by execution
     /// receipts (and adversarial lies, if configured) instead of the
-    /// decayed interaction ledger. `None` (the default) adds no RNG
-    /// draws and leaves the classic path byte-identical.
+    /// net delivery counts. `None` (the default) adds no RNG draws and
+    /// leaves the classic path byte-identical.
     pub beta: Option<BetaDynamics>,
 }
 
+/// Bootstrap prior: each ordered GSP pair starts with one delivered
+/// observation with this probability (ER-style, so round 0 is not
+/// trust-blind).
+const BOOTSTRAP_P: f64 = 0.1;
+
 impl DynamicConfig {
-    /// A defaulted configuration over `table` with uniform-random
-    /// reliabilities supplied by the caller.
+    /// Classic (net delivery count) trust over `table`, with the
+    /// caller's hidden reliabilities.
     pub fn new(table: TableI, rounds: usize, tasks: usize, reliabilities: Vec<f64>) -> Self {
-        DynamicConfig {
-            table,
-            rounds,
-            tasks,
-            reliabilities,
-            decay: DecayModel::default(),
-            round_interval: 6.0 * 3600.0,
-            bootstrap_p: 0.1,
-            faults: None,
-            beta: None,
-        }
+        DynamicConfig { table, rounds, tasks, reliabilities, beta: None }
     }
 }
 
@@ -105,15 +83,6 @@ pub struct RoundRecord {
     pub failed_members: Vec<usize>,
     /// Payoff share the members would earn (0 when no VO or failed).
     pub payoff_share: f64,
-    /// Total trust mass in the ledger-derived graph at formation time.
-    pub trust_mass: f64,
-    /// Fault events scheduled against this round's VO (0 when fault
-    /// injection is off).
-    pub fault_events: usize,
-    /// Fault-recovery episodes execution went through.
-    pub recoveries: usize,
-    /// Whether execution abandoned the VO (an unrecoverable fault).
-    pub abandoned: bool,
 }
 
 /// Run a dynamic simulation under the given mechanism.
@@ -134,7 +103,9 @@ pub fn simulate<R: Rng + ?Sized>(
         cfg.reliabilities.len()
     );
     let generator = ScenarioGenerator::new(cfg.table.clone());
-    let mut ledger = InteractionLedger::new(m);
+    // Classic trust evidence: delivered minus failed observations per
+    // ordered pair, row-major.
+    let mut net = vec![0i64; m * m];
     let mut beta_ledger = cfg.beta.as_ref().map(|bd| BetaLedger::new(m, bd.lambda));
 
     // Bootstrap prior: sparse positive history, ER-style. The Beta
@@ -142,8 +113,8 @@ pub fn simulate<R: Rng + ?Sized>(
     // pair), so enabling it changes no RNG stream.
     for i in 0..m {
         for j in 0..m {
-            if i != j && rng.gen::<f64>() < cfg.bootstrap_p {
-                ledger.record(i, j, 0.0, Outcome::Delivered);
+            if i != j && rng.gen::<f64>() < BOOTSTRAP_P {
+                net[i * m + j] += 1;
                 if let Some(bl) = &mut beta_ledger {
                     bl.observe_weighted(i, j, 1.0, true)?;
                 }
@@ -153,7 +124,6 @@ pub fn simulate<R: Rng + ?Sized>(
 
     let mut records = Vec::with_capacity(cfg.rounds);
     for round in 0..cfg.rounds {
-        let now = (round as f64 + 1.0) * cfg.round_interval;
         // Whitewashers shed their identity before the round forms:
         // every Beta edge touching them (earned distrust included)
         // reverts to the prior.
@@ -166,9 +136,8 @@ pub fn simulate<R: Rng + ?Sized>(
         }
         let trust = match &beta_ledger {
             Some(bl) => bl.apply_to(&TrustGraph::new(m))?,
-            None => cfg.decay.trust_at(&ledger, now),
+            None => net_trust(&net, m),
         };
-        let trust_mass = (0..m).map(|i| trust.out_trust_sum(i)).sum();
 
         // Fresh economics each round (new program, new prices), the
         // evolving part is the trust graph.
@@ -194,23 +163,6 @@ pub fn simulate<R: Rng + ?Sized>(
                         failed.push(g);
                     }
                 }
-                // Injected faults: run the VO against a seeded plan
-                // and recover; members that execution had to evict
-                // count as failures in the other members' eyes.
-                let (fault_events, recoveries, abandoned, exec_payoff) = match &cfg.faults {
-                    Some(model) => {
-                        let plan = model.plan(&vo.members, rng);
-                        let report = mechanism.execute(&scenario, &vo, &plan)?;
-                        for &g in &vo.members {
-                            if !report.final_members.contains(&g) && !failed.contains(&g) {
-                                failed.push(g);
-                            }
-                        }
-                        let abandoned = !report.completed();
-                        (plan.len(), report.recoveries.len(), abandoned, report.final_payoff_share)
-                    }
-                    None => (0, 0, false, vo.payoff_share),
-                };
                 // Every member observes every other member. In beta
                 // mode the observations travel as execution receipts:
                 // one receipt per subject, witnessed by the co-members
@@ -220,7 +172,7 @@ pub fn simulate<R: Rng + ?Sized>(
                 // subjective ratings on their own edges instead.
                 match (&cfg.beta, &mut beta_ledger) {
                     (Some(bd), Some(bl)) => {
-                        let reward = exec_payoff.max(0.0);
+                        let reward = vo.payoff_share.max(0.0);
                         for &g in &vo.members {
                             let truthful = !failed.contains(&g);
                             let mut witnesses = Vec::new();
@@ -249,29 +201,21 @@ pub fn simulate<R: Rng + ?Sized>(
                         for &rater in &vo.members {
                             for &ratee in &vo.members {
                                 if rater != ratee {
-                                    let outcome = if failed.contains(&ratee) {
-                                        Outcome::Failed
-                                    } else {
-                                        Outcome::Delivered
-                                    };
-                                    ledger.record(rater, ratee, now, outcome);
+                                    net[rater * m + ratee] +=
+                                        if failed.contains(&ratee) { -1 } else { 1 };
                                 }
                             }
                         }
                     }
                 }
-                let delivered = failed.is_empty() && !abandoned;
+                let delivered = failed.is_empty();
                 RoundRecord {
                     round,
                     mean_reliability,
                     delivered,
-                    payoff_share: if delivered { exec_payoff } else { 0.0 },
+                    payoff_share: if delivered { vo.payoff_share } else { 0.0 },
                     failed_members: failed,
                     members: vo.members,
-                    trust_mass,
-                    fault_events,
-                    recoveries,
-                    abandoned,
                 }
             }
             None => RoundRecord {
@@ -281,15 +225,25 @@ pub fn simulate<R: Rng + ?Sized>(
                 delivered: false,
                 failed_members: Vec::new(),
                 payoff_share: 0.0,
-                trust_mass,
-                fault_events: 0,
-                recoveries: 0,
-                abandoned: false,
             },
         };
         records.push(record);
     }
     Ok(records)
+}
+
+/// The classic trust graph: an edge `i → j` weighted by `i`'s net
+/// count of `j`'s deliveries over its failures, where that is positive.
+fn net_trust(net: &[i64], m: usize) -> TrustGraph {
+    let mut g = TrustGraph::new(m);
+    for i in 0..m {
+        for j in 0..m {
+            if net[i * m + j] > 0 {
+                g.set_trust(i, j, net[i * m + j] as f64);
+            }
+        }
+    }
+    g
 }
 
 /// Mean member reliability over a window of rounds (skipping rounds
@@ -335,20 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn records_one_per_round_and_ledger_grows() {
+    fn records_one_per_round() {
         let c = cfg(6);
         let mut rng = TestRng::seed_from_u64(1);
         let records = simulate(&c, Mechanism::tvof(FormationConfig::default()), &mut rng).unwrap();
         assert_eq!(records.len(), 6);
-        for r in &records {
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(r.round, i);
             assert!(r.mean_reliability <= 1.0);
-            assert!(r.trust_mass >= 0.0);
         }
-        // trust mass grows as interactions accumulate (no decay)
-        assert!(
-            records.last().unwrap().trust_mass > records[0].trust_mass,
-            "ledger evidence must accumulate"
-        );
     }
 
     #[test]
@@ -393,36 +342,9 @@ mod tests {
             delivered: false,
             failed_members: vec![],
             payoff_share: 0.0,
-            trust_mass: 0.0,
-            fault_events: 0,
-            recoveries: 0,
-            abandoned: false,
         };
         assert_eq!(mean_reliability(std::slice::from_ref(&r)), 0.0);
         assert_eq!(success_rate(&[r]), 0.0);
-    }
-
-    #[test]
-    fn fault_injection_is_deterministic_and_produces_telemetry() {
-        let mut c = cfg(6);
-        c.faults = Some(FaultModel::with_rate(0.3, 3));
-        let run = |seed| {
-            let mut rng = TestRng::seed_from_u64(seed);
-            simulate(&c, Mechanism::tvof(FormationConfig::default()), &mut rng).unwrap()
-        };
-        let a = run(5);
-        assert_eq!(a, run(5));
-        assert!(
-            a.iter().any(|r| r.fault_events > 0),
-            "rate 0.3 over 3 rounds × several members should schedule at least one fault"
-        );
-        for r in &a {
-            assert!(r.recoveries <= r.fault_events);
-            if r.abandoned {
-                assert!(!r.delivered, "abandoned programs are not delivered");
-                assert_eq!(r.payoff_share, 0.0);
-            }
-        }
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub struct RunMetrics {
     pub formed: bool,
 }
 
+/// Aggregate `f` over the runs that formed a VO.
+pub fn aggregate_formed(runs: &[RunMetrics], f: fn(&RunMetrics) -> f64) -> Aggregate {
+    Aggregate::of(&runs.iter().filter(|m| m.formed).map(f).collect::<Vec<_>>())
+}
+
 impl RunMetrics {
     fn from_outcome(outcome: &FormationOutcome) -> RunMetrics {
         match &outcome.selected {
@@ -106,23 +111,44 @@ pub fn task_sweep(cfg: &TableI, seeds: &[u64]) -> Result<Vec<SweepPoint>> {
             rv.push(v);
         }
         let formed_runs = tv.iter().zip(rv.iter()).filter(|(a, b)| a.formed && b.formed).count();
-        let agg = |xs: &[RunMetrics], f: fn(&RunMetrics) -> f64| {
-            Aggregate::of(&xs.iter().filter(|m| m.formed).map(f).collect::<Vec<_>>())
-        };
         points.push(SweepPoint {
             tasks,
-            tvof_payoff: agg(&tv, |m| m.payoff_share),
-            rvof_payoff: agg(&rv, |m| m.payoff_share),
-            tvof_vo_size: agg(&tv, |m| m.vo_size as f64),
-            rvof_vo_size: agg(&rv, |m| m.vo_size as f64),
-            tvof_reputation: agg(&tv, |m| m.avg_reputation),
-            rvof_reputation: agg(&rv, |m| m.avg_reputation),
+            tvof_payoff: aggregate_formed(&tv, |m| m.payoff_share),
+            rvof_payoff: aggregate_formed(&rv, |m| m.payoff_share),
+            tvof_vo_size: aggregate_formed(&tv, |m| m.vo_size as f64),
+            rvof_vo_size: aggregate_formed(&rv, |m| m.vo_size as f64),
+            tvof_reputation: aggregate_formed(&tv, |m| m.avg_reputation),
+            rvof_reputation: aggregate_formed(&rv, |m| m.avg_reputation),
             tvof_seconds: Aggregate::of(&tv.iter().map(|m| m.seconds).collect::<Vec<_>>()),
             rvof_seconds: Aggregate::of(&rv.iter().map(|m| m.seconds).collect::<Vec<_>>()),
             formed_runs,
         });
     }
     Ok(points)
+}
+
+/// A mechanism ablation (eviction policy, reputation engine, solver):
+/// each seed draws its `tasks`-task scenario once, and every mechanism
+/// runs on it with a clone of the post-draw RNG, so each sees the
+/// stream it would have seen had it drawn the scenario itself. Returns,
+/// per mechanism, one [`RunMetrics`] per seed in seed order.
+pub fn mechanism_ablation(
+    cfg: &TableI,
+    tasks: usize,
+    experiment_tag: u64,
+    seeds: &[u64],
+    mechanisms: &[Mechanism],
+) -> Result<Vec<Vec<RunMetrics>>> {
+    let generator = ScenarioGenerator::new(cfg.clone());
+    let per_seed = run_seeds(experiment_tag, seeds, |_seed, rng| {
+        let scenario = generator.scenario(tasks, rng)?;
+        mechanisms
+            .iter()
+            .map(|m| Ok(RunMetrics::from_outcome(&m.run(&scenario, &mut rng.clone())?)))
+            .collect::<Result<Vec<_>>>()
+    });
+    let per_seed = per_seed.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok((0..mechanisms.len()).map(|k| per_seed.iter().map(|runs| runs[k]).collect()).collect())
 }
 
 /// One row of the incremental-engine benchmark: TVOF on the same
@@ -547,6 +573,46 @@ mod tests {
             deadline_factor_range: (4.0, 16.0),
             ..TableI::small()
         }
+    }
+
+    #[test]
+    fn mechanism_ablation_matches_one_draw_per_variant() {
+        use gridvo_core::mechanism::EvictionPolicy;
+        let cfg = TableI::small();
+        let tasks = cfg.task_sizes[0];
+        let seeds = [3, 4];
+        let mech_cfg = paper_config(&cfg);
+        // RVOF draws its evictions from the RNG, so it sees whether each
+        // variant gets the post-draw stream.
+        let mechanisms = [
+            Mechanism::tvof(mech_cfg),
+            Mechanism::rvof(mech_cfg),
+            Mechanism::with_eviction(EvictionPolicy::HighestCost, mech_cfg),
+        ];
+        let shared = mechanism_ablation(&cfg, tasks, 0xAB1A, &seeds, &mechanisms).unwrap();
+        // The serial reference: every variant redraws its own scenario.
+        let generator = ScenarioGenerator::new(cfg.clone());
+        let reference: Vec<Vec<RunMetrics>> = mechanisms
+            .iter()
+            .map(|m| {
+                seeds
+                    .iter()
+                    .map(|&seed| {
+                        let mut rng = crate::runner::seeded_rng(0xAB1A, seed);
+                        let scenario = generator.scenario(tasks, &mut rng).unwrap();
+                        RunMetrics::from_outcome(&m.run(&scenario, &mut rng).unwrap())
+                    })
+                    .collect()
+            })
+            .collect();
+        // Everything but the wall clock must agree.
+        let untimed = |runs: &[Vec<RunMetrics>]| -> Vec<Vec<RunMetrics>> {
+            runs.iter()
+                .map(|r| r.iter().map(|m| RunMetrics { seconds: 0.0, ..*m }).collect())
+                .collect()
+        };
+        assert_eq!(untimed(&shared), untimed(&reference));
+        assert!(shared.iter().flatten().any(|m| m.formed));
     }
 
     #[test]

@@ -2,18 +2,17 @@
 //!
 //! The paper's related work (§I-A) surveys reputation systems built on
 //! centrality: degree, closeness, betweenness, and eigenvector
-//! centrality. The mechanism itself uses eigenvector centrality (the
-//! power method); the rest of the family is implemented here so the
-//! eviction-policy and reputation-engine ablations can swap metrics.
+//! centrality. The mechanism itself uses eigenvector centrality
+//! ([`PowerMethod`](crate::PowerMethod), damped for PageRank); the rest
+//! of the family is implemented here so the eviction-policy and
+//! reputation-engine ablations can swap metrics.
 //!
 //! Distances treat trust as *conductance*: the length of an edge with
 //! trust `u` is `1/u`, so paths through highly trusted intermediaries
 //! are short. All measures return one score per node, higher = more
 //! central/reputable.
 
-use crate::normalize::row_normalize;
-use crate::power::PowerMethod;
-use crate::{Result, TrustGraph};
+use crate::TrustGraph;
 
 /// Weighted in-degree centrality: total trust a GSP *receives*. The
 /// simplest reputation proxy.
@@ -96,19 +95,6 @@ pub fn betweenness(graph: &TrustGraph) -> Vec<f64> {
         }
     }
     cb
-}
-
-/// Eigenvector centrality: the paper's reputation metric. Thin wrapper
-/// over [`PowerMethod`].
-pub fn eigenvector(graph: &TrustGraph) -> Result<Vec<f64>> {
-    Ok(PowerMethod::default().run(&row_normalize(graph), None)?.scores)
-}
-
-/// PageRank with damping `alpha` (typically 0.85): eigenvector
-/// centrality made unconditionally convergent. Included as the
-/// reputation-engine ablation's alternative.
-pub fn pagerank(graph: &TrustGraph, alpha: f64) -> Result<Vec<f64>> {
-    Ok(PowerMethod::damped(alpha).run(&row_normalize(graph), None)?.scores)
 }
 
 /// Dijkstra shortest distances from `src` with edge length `1/trust`.
@@ -231,24 +217,6 @@ mod tests {
         for &x in &b[1..] {
             assert!(x.abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn eigenvector_hub_highest() {
-        let g = star(6);
-        let e = eigenvector(&g).unwrap();
-        let hub = e[0];
-        for &s in &e[1..] {
-            assert!(hub > s);
-        }
-    }
-
-    #[test]
-    fn pagerank_sums_to_one() {
-        let g = star(6);
-        let pr = pagerank(&g, 0.85).unwrap();
-        assert!((pr.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(pr[0] > pr[1]);
     }
 
     #[test]

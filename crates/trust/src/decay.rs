@@ -10,7 +10,7 @@
 //!   (delivered / failed-to-deliver resources) with timestamps;
 //! * [`DecayModel`] converts the ledger into a [`TrustGraph`] at any
 //!   query time, exponentially discounting old evidence;
-//! * the `decay_freezes_formation` experiment in `gridvo-bench` shows
+//! * the `decay_freeze` experiment in `gridvo-bench` shows
 //!   trust mass collapsing onto recent collaborators as time advances.
 
 use crate::TrustGraph;
@@ -79,23 +79,20 @@ impl InteractionLedger {
 }
 
 /// Exponential trust decay: evidence of age `Δt` carries weight
-/// `exp(−Δt / half_life · ln 2)`.
+/// `exp(−Δt / half_life · ln 2)`. A delivery credits its weight to the
+/// rater's edge and a failure debits it; the resulting edge trust is
+/// clamped at 0 (distrust floor).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecayModel {
     /// Age at which evidence weight halves, in the ledger's time unit.
     /// `f64::INFINITY` disables decay (all history counts equally —
     /// the behaviour the ICPP 2012 paper advocates).
     pub half_life: f64,
-    /// Trust credited per successful interaction (before decay).
-    pub success_weight: f64,
-    /// Trust *debited* per failed interaction (before decay); the
-    /// resulting edge trust is clamped at 0 (distrust floor).
-    pub failure_weight: f64,
 }
 
 impl Default for DecayModel {
     fn default() -> Self {
-        DecayModel { half_life: f64::INFINITY, success_weight: 1.0, failure_weight: 1.0 }
+        DecayModel { half_life: f64::INFINITY }
     }
 }
 
@@ -123,8 +120,8 @@ impl DecayModel {
             }
             let w = self.age_weight(now - rec.time);
             let delta = match rec.outcome {
-                Outcome::Delivered => self.success_weight * w,
-                Outcome::Failed => -self.failure_weight * w,
+                Outcome::Delivered => w,
+                Outcome::Failed => -w,
             };
             acc[rec.rater * n + rec.ratee] += delta;
         }
@@ -189,7 +186,7 @@ mod tests {
 
     #[test]
     fn half_life_halves_weight() {
-        let m = DecayModel { half_life: 10.0, ..Default::default() };
+        let m = DecayModel { half_life: 10.0 };
         assert!((m.age_weight(0.0) - 1.0).abs() < 1e-12);
         assert!((m.age_weight(10.0) - 0.5).abs() < 1e-12);
         assert!((m.age_weight(20.0) - 0.25).abs() < 1e-12);
@@ -198,7 +195,7 @@ mod tests {
     #[test]
     fn decay_erodes_trust_over_time() {
         let l = ledger();
-        let m = DecayModel { half_life: 5.0, ..Default::default() };
+        let m = DecayModel { half_life: 5.0 };
         let early = m.total_trust_at(&l, 10.0);
         let late = m.total_trust_at(&l, 100.0);
         assert!(late < early, "trust must decay: {late} !< {early}");
@@ -208,22 +205,8 @@ mod tests {
     #[test]
     fn zero_half_life_kills_everything() {
         let l = ledger();
-        let m = DecayModel { half_life: 0.0, ..Default::default() };
+        let m = DecayModel { half_life: 0.0 };
         assert_eq!(m.total_trust_at(&l, 10.0), 0.0);
-    }
-
-    #[test]
-    fn asymmetric_weights() {
-        let mut l = InteractionLedger::new(2);
-        l.record(0, 1, 0.0, Outcome::Delivered);
-        l.record(0, 1, 0.0, Outcome::Failed);
-        // failure twice as costly as a success is valuable
-        let m = DecayModel { failure_weight: 2.0, ..Default::default() };
-        let g = m.trust_at(&l, 1.0);
-        assert_eq!(g.trust(0, 1), 0.0);
-        // and the reverse: forgiving model keeps positive trust
-        let soft = DecayModel { failure_weight: 0.5, ..Default::default() };
-        assert!((soft.trust_at(&l, 1.0).trust(0, 1) - 0.5).abs() < 1e-12);
     }
 
     #[test]

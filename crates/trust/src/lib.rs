@@ -16,8 +16,8 @@
 //!   principal eigenvector, interpreted as per-GSP *global reputation*
 //!   (eigenvector centrality / EigenTrust-style score);
 //! * [`centrality`] — the wider centrality family surveyed in the paper's
-//!   related work (degree, closeness, betweenness, eigenvector, PageRank),
-//!   used in ablation experiments;
+//!   related work (degree, closeness, betweenness), used in ablation
+//!   experiments;
 //! * [`generators`] — random trust-graph generators (Erdős–Rényi as in the
 //!   paper's §IV-A, plus Watts–Strogatz and Barabási–Albert for topology
 //!   ablations);

@@ -14,8 +14,9 @@
 
 use gridvo_trust::centrality;
 use gridvo_trust::generators;
+use gridvo_trust::normalize::row_normalize;
 use gridvo_trust::propagation::propagation_scores;
-use gridvo_trust::TrustGraph;
+use gridvo_trust::{PowerMethod, TrustGraph};
 use rand::SeedableRng;
 
 fn top3(scores: &[f64]) -> Vec<usize> {
@@ -66,8 +67,9 @@ fn main() {
 
     for (name, graph) in &graphs {
         println!("== {name} ({} edges, density {:.2}) ==", graph.edge_count(), graph.density());
-        let eigen = centrality::eigenvector(graph).expect("converges");
-        let pr = centrality::pagerank(graph, 0.85).expect("converges");
+        let a = row_normalize(graph);
+        let eigen = PowerMethod::default().run(&a, None).expect("converges").scores;
+        let pr = PowerMethod::damped(0.85).run(&a, None).expect("converges").scores;
         let indeg = centrality::in_degree(graph);
         let close = centrality::closeness(graph);
         let betw = centrality::betweenness(graph);

@@ -193,7 +193,7 @@ proptest! {
         a1 in 0.0f64..500.0,
         a2 in 0.0f64..500.0,
     ) {
-        let m = DecayModel { half_life: hl, ..DecayModel::default() };
+        let m = DecayModel { half_life: hl };
         let (lo, hi) = if a1 <= a2 { (a1, a2) } else { (a2, a1) };
         prop_assert!(m.age_weight(hi) <= m.age_weight(lo) + 1e-15);
         prop_assert!(m.age_weight(lo) > 0.0 && m.age_weight(lo) <= 1.0);
@@ -232,7 +232,7 @@ proptest! {
         d1 in 0.0f64..100.0,
         d2 in 0.0f64..100.0,
     ) {
-        let m = DecayModel { half_life: hl, ..DecayModel::default() };
+        let m = DecayModel { half_life: hl };
         let now1 = 50.0 + d1;
         let now2 = now1 + d2;
         let t1 = m.total_trust_at(&l, now1);
