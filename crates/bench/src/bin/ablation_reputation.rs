@@ -17,7 +17,7 @@ fn main() {
     let engines: Vec<(&str, ReputationEngine)> = vec![
         ("power method (paper)", ReputationEngine::default()),
         ("pagerank 0.85", ReputationEngine::pagerank(0.85)),
-        ("path propagation 3-hop", ReputationEngine::PathPropagation { max_hops: 3 }),
+        ("path propagation 3-hop", ReputationEngine::PathPropagation),
         ("in-degree", ReputationEngine::InDegree),
     ];
     let mechanisms: Vec<Mechanism> = engines

@@ -13,13 +13,12 @@
 use std::time::Instant;
 
 use gridvo_bench::{ascii_table, BenchArgs};
-use gridvo_sim::market::{run_market, synthetic_trace, MarketConfig, MarketReport};
+use gridvo_sim::market::{run_market, synthetic_trace, MarketConfig, MarketReport, TASKS};
 use gridvo_sim::TableI;
 use serde::Serialize;
 
 const APP_COUNTS: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 const GSPS: usize = 12;
-const TASKS: usize = 12;
 
 #[derive(Debug, Serialize)]
 struct MarketPoint {
@@ -55,16 +54,7 @@ struct MarketBench {
 }
 
 fn config(apps: usize, min_free: usize, seed: u64) -> MarketConfig {
-    MarketConfig {
-        table: TableI { gsps: GSPS, task_sizes: vec![TASKS], ..TableI::small() },
-        tasks: TASKS,
-        apps,
-        scenario_seed: 7,
-        seed,
-        app_queue: 4,
-        min_free,
-        time_scale: 1.0,
-    }
+    MarketConfig { table: TableI { gsps: GSPS, ..TableI::small() }, apps, seed, min_free }
 }
 
 /// One sweep point: the same trace under every seed, tallies summed.

@@ -4,9 +4,11 @@
 //! deadline/payment formulas, trust-graph density.
 
 use gridvo_bench::{ascii_table, BenchArgs};
+use gridvo_sim::config::{MAX_COST, SPEED_MULTIPLIER_RANGE, TRUST_P};
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::run_seeds;
 use gridvo_sim::SimError;
+use gridvo_workload::ATLAS_GFLOPS_PER_PROC;
 
 fn main() {
     let args = BenchArgs::from_env();
@@ -28,9 +30,9 @@ fn main() {
         let smax = scenario.gsps().iter().map(|g| g.speed_gflops).fold(0.0f64, f64::max);
         // hard assertions mirroring Table I
         assert_eq!(scenario.gsp_count(), cfg.gsps);
-        assert!(smin >= cfg.gflops_per_proc * cfg.speed_multiplier_range.0 - 1e-6);
-        assert!(smax <= cfg.gflops_per_proc * cfg.speed_multiplier_range.1 + 1e-6);
-        assert!(cmin >= 1.0 - 1e-9 && cmax <= cfg.max_cost() + 1e-9);
+        assert!(smin >= ATLAS_GFLOPS_PER_PROC * SPEED_MULTIPLIER_RANGE.start() - 1e-6);
+        assert!(smax <= ATLAS_GFLOPS_PER_PROC * SPEED_MULTIPLIER_RANGE.end() + 1e-6);
+        assert!(cmin >= 1.0 - 1e-9 && cmax <= MAX_COST + 1e-9);
         let row = vec![
             seed.to_string(),
             format!("{}", scenario.gsp_count()),
@@ -74,6 +76,6 @@ fn main() {
     let mean_density: f64 = densities.iter().sum::<f64>() / densities.len() as f64;
     println!(
         "mean trust density {:.3} (ER target p = {}); all Table I ranges verified",
-        mean_density, cfg.trust_p
+        mean_density, TRUST_P
     );
 }

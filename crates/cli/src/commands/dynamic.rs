@@ -2,7 +2,10 @@
 
 use crate::args::Flags;
 use crate::commands::mechanism;
+use gridvo_core::mechanism::Mechanism;
+use gridvo_service::MechanismKind;
 use gridvo_sim::dynamic::{mean_reliability, simulate, success_rate, DynamicConfig};
+use gridvo_sim::experiments::paper_config;
 use gridvo_sim::TableI;
 use rand::{Rng, SeedableRng};
 
@@ -24,12 +27,17 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let tasks: usize = flags.num("tasks", 64)?;
     let seed: u64 = flags.num("seed", 1)?;
     let flaky_every: usize = flags.num("flaky-every", 3)?;
-    let mech = mechanism(&flags)?.mechanism();
+    let kind = mechanism(&flags)?;
     if tasks < gsps {
         return Err(format!("--tasks {tasks} must be ≥ --gsps {gsps}"));
     }
 
     let table = TableI { gsps, task_sizes: vec![tasks], trace_jobs: 5_000, ..TableI::default() };
+    // The simulator's node cap, as `dynamic_rounds` runs it.
+    let mech = match kind {
+        MechanismKind::Tvof => Mechanism::tvof(paper_config(&table)),
+        MechanismKind::Rvof => Mechanism::rvof(paper_config(&table)),
+    };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let reliabilities: Vec<f64> = (0..gsps)
         .map(|g| {

@@ -4,7 +4,7 @@ use crate::args::Flags;
 use crate::commands::write_json;
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::TableI;
-use gridvo_workload::atlas::AtlasGenerator;
+use gridvo_workload::atlas;
 use rand::SeedableRng;
 
 const HELP: &str = "\
@@ -68,7 +68,7 @@ fn trace(argv: &[String]) -> Result<(), String> {
     let jobs: usize = flags.num("jobs", 10_000)?;
     let seed: u64 = flags.num("seed", 1)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let trace = AtlasGenerator::default().generate(&mut rng, jobs);
+    let trace = atlas::generate(&mut rng, jobs);
     std::fs::write(out, trace.to_swf()).map_err(|e| format!("cannot write {out}: {e}"))?;
     outln!("wrote {out} ({jobs} jobs)");
     Ok(())

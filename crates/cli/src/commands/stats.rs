@@ -2,7 +2,7 @@
 
 use crate::args::Flags;
 use gridvo_workload::stats::{size_histogram, trace_stats};
-use gridvo_workload::SwfTrace;
+use gridvo_workload::{SwfTrace, LARGE_JOB_RUNTIME};
 
 const HELP: &str = "\
 usage: gridvo stats --swf FILE
@@ -29,7 +29,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     outln!("jobs:            {}", s.jobs);
     outln!("completed:       {} ({:.1} %)", s.completed, 100.0 * s.completion_rate);
     outln!(
-        "large (≥7200 s): {} ({:.1} % of completed)",
+        "large (≥{LARGE_JOB_RUNTIME} s): {} ({:.1} % of completed)",
         s.large_completed,
         100.0 * s.large_fraction
     );

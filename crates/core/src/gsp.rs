@@ -22,23 +22,11 @@ impl Gsp {
     pub fn new(id: usize, speed_gflops: f64) -> Self {
         Gsp { id, speed_gflops }
     }
-
-    /// Execution time (s) of a task with `workload` GFLOP on this GSP:
-    /// `t(T, G) = w(T) / s(G)`.
-    pub fn execution_time(&self, workload_gflop: f64) -> f64 {
-        workload_gflop / self.speed_gflops
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn execution_time_formula() {
-        let g = Gsp::new(0, 100.0);
-        assert!((g.execution_time(250.0) - 2.5).abs() < 1e-12);
-    }
 
     #[test]
     fn serde_round_trip() {

@@ -24,16 +24,18 @@ pub enum ReputationEngine {
     /// gives the PageRank variant.
     Power(PowerMethod),
     /// Hang-et-al. path propagation: concatenate trust along simple
-    /// paths (≤ `max_hops`), aggregate parallel paths by probabilistic
-    /// sum, and score each member by the mean trust it receives.
-    PathPropagation {
-        /// Maximum path length explored (exponential in this; ≤ ~6).
-        max_hops: usize,
-    },
+    /// paths of at most three edges, aggregate parallel paths by
+    /// probabilistic sum, and score each member by the mean trust it
+    /// receives.
+    PathPropagation,
     /// Weighted in-degree: total direct trust received. The cheapest
     /// possible engine; ignores transitivity entirely.
     InDegree,
 }
+
+/// Longest trust path [`ReputationEngine::PathPropagation`] explores
+/// (its cost is exponential in this).
+const PATH_MAX_HOPS: usize = 3;
 
 impl Default for ReputationEngine {
     fn default() -> Self {
@@ -122,9 +124,7 @@ impl ReputationEngine {
                 let report = power.run(&row_normalize(&sub), start)?;
                 (report.scores, report.iterations)
             }
-            ReputationEngine::PathPropagation { max_hops } => {
-                (propagation_scores(&sub, max_hops)?, 1)
-            }
+            ReputationEngine::PathPropagation => (propagation_scores(&sub, PATH_MAX_HOPS)?, 1),
             ReputationEngine::InDegree => (in_degree(&sub), 1),
         };
         let mass: f64 = scores.iter().sum();
@@ -269,7 +269,7 @@ mod engine_tests {
         let engines = [
             ReputationEngine::default(),
             ReputationEngine::pagerank(0.85),
-            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::PathPropagation,
             ReputationEngine::InDegree,
         ];
         for e in engines {
@@ -286,7 +286,7 @@ mod engine_tests {
         let g = trusty();
         for e in [
             ReputationEngine::default(),
-            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::PathPropagation,
             ReputationEngine::InDegree,
         ] {
             let rep = e.compute_with_start(&g, &[0, 1, 2, 3], None).unwrap();
@@ -325,7 +325,7 @@ mod engine_tests {
         let engines = [
             ReputationEngine::default(),
             ReputationEngine::pagerank(0.85),
-            ReputationEngine::PathPropagation { max_hops: 3 },
+            ReputationEngine::PathPropagation,
             ReputationEngine::InDegree,
         ];
         let digests: Vec<u64> = engines

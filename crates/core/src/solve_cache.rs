@@ -167,10 +167,7 @@ pub fn reputation_tag(engine: &ReputationEngine, trust: u64, start: Option<&[f64
             h.write(b"power");
             h.write_u64(power.damping.to_bits());
         }
-        ReputationEngine::PathPropagation { max_hops } => {
-            h.write(b"path");
-            h.write_u64(max_hops as u64);
-        }
+        ReputationEngine::PathPropagation => h.write(b"path"),
         ReputationEngine::InDegree => h.write(b"in-degree"),
     }
     h.write_u64(trust);
@@ -240,8 +237,7 @@ mod tests {
         // The engine and its settings.
         assert_ne!(base, reputation_tag(&ReputationEngine::pagerank(0.85), 7, Some(&start)));
         assert_ne!(base, reputation_tag(&ReputationEngine::InDegree, 7, Some(&start)));
-        let path = |max_hops| ReputationEngine::PathPropagation { max_hops };
-        assert_ne!(reputation_tag(&path(2), 7, None), reputation_tag(&path(3), 7, None));
+        assert_ne!(base, reputation_tag(&ReputationEngine::PathPropagation, 7, Some(&start)));
     }
 
     #[test]

@@ -55,13 +55,10 @@ pub const OSCILLATE_GOOD: f64 = 0.95;
 pub const OSCILLATE_BAD: f64 = 0.05;
 
 /// Switches a dynamic simulation from net delivery-count trust to
-/// receipt-driven Beta reputation, optionally with adversaries.
+/// receipt-driven Beta reputation, optionally with adversaries. The
+/// ledger discounts at [`gridvo_trust::beta::DEFAULT_LAMBDA`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BetaDynamics {
-    /// Discount factor applied to an edge's Beta parameters before
-    /// each new observation ([`gridvo_trust::beta::DEFAULT_LAMBDA`]
-    /// is the calibrated default).
-    pub lambda: f64,
     /// GSP ids playing the adversary strategy. Empty means everyone
     /// is honest (pure closed-loop reputation, no attack).
     pub attackers: Vec<usize>,
@@ -70,9 +67,9 @@ pub struct BetaDynamics {
 }
 
 impl BetaDynamics {
-    /// `attackers` playing `kind` at discount `lambda`.
-    pub fn attack(lambda: f64, attackers: Vec<usize>, kind: AdversaryKind) -> Self {
-        BetaDynamics { lambda, attackers, kind }
+    /// `attackers` playing `kind`.
+    pub fn attack(attackers: Vec<usize>, kind: AdversaryKind) -> Self {
+        BetaDynamics { attackers, kind }
     }
 
     /// Whether `gsp` is one of the designated attackers.
@@ -144,7 +141,7 @@ mod tests {
 
     #[test]
     fn oscillation_phases_alternate() {
-        let d = BetaDynamics::attack(0.98, vec![3], AdversaryKind::Oscillate { period: 2 });
+        let d = BetaDynamics::attack(vec![3], AdversaryKind::Oscillate { period: 2 });
         assert_eq!(d.effective_reliability(3, 0, 0.5), OSCILLATE_GOOD);
         assert_eq!(d.effective_reliability(3, 1, 0.5), OSCILLATE_GOOD);
         assert_eq!(d.effective_reliability(3, 2, 0.5), OSCILLATE_BAD);
@@ -156,7 +153,7 @@ mod tests {
 
     #[test]
     fn whitewash_schedule_skips_round_zero() {
-        let d = BetaDynamics::attack(0.98, vec![1], AdversaryKind::Whitewash { period: 3 });
+        let d = BetaDynamics::attack(vec![1], AdversaryKind::Whitewash { period: 3 });
         assert!(!d.whitewashes_at(1, 0));
         assert!(!d.whitewashes_at(1, 2));
         assert!(d.whitewashes_at(1, 3));
@@ -166,7 +163,7 @@ mod tests {
 
     #[test]
     fn badmouth_ring_lies_along_ring_lines() {
-        let d = BetaDynamics::attack(0.98, vec![4, 5], AdversaryKind::BadmouthRing);
+        let d = BetaDynamics::attack(vec![4, 5], AdversaryKind::BadmouthRing);
         // Ring rater: fellow ring member always Delivered…
         assert!(d.reported_outcome(4, 5, false));
         // …honest co-member always Failed.
@@ -178,7 +175,7 @@ mod tests {
 
     #[test]
     fn honest_dynamics_change_nothing() {
-        let d = BetaDynamics::attack(1.0, Vec::new(), AdversaryKind::Honest);
+        let d = BetaDynamics::attack(Vec::new(), AdversaryKind::Honest);
         assert!(!d.is_attacker(0));
         assert_eq!(d.effective_reliability(0, 9, 0.7), 0.7);
         assert!(!d.whitewashes_at(0, 9));

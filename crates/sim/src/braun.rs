@@ -15,22 +15,17 @@
 //!   construction (a faster GSP is faster for every task), which is
 //!   the property the paper proves in §IV-A.
 
+use crate::config::{PHI_B, PHI_R};
 use rand::Rng;
 
 /// Generate the raw Braun cost matrix (task-major, `n × m`): entry
 /// `(t, g) = baseline[t] × U[1, φ_r]`, `baseline[t] ∈ U[1, φ_b]`.
-pub fn braun_cost_matrix<R: Rng + ?Sized>(
-    rng: &mut R,
-    tasks: usize,
-    gsps: usize,
-    phi_b: f64,
-    phi_r: f64,
-) -> Vec<f64> {
-    let baseline: Vec<f64> = (0..tasks).map(|_| rng.gen_range(1.0..=phi_b)).collect();
+pub fn braun_cost_matrix<R: Rng + ?Sized>(rng: &mut R, tasks: usize, gsps: usize) -> Vec<f64> {
+    let baseline: Vec<f64> = (0..tasks).map(|_| rng.gen_range(1.0..=PHI_B)).collect();
     let mut cost = Vec::with_capacity(tasks * gsps);
     for &b in &baseline {
         for _ in 0..gsps {
-            cost.push(b * rng.gen_range(1.0..=phi_r));
+            cost.push(b * rng.gen_range(1.0..=PHI_R));
         }
     }
     cost
@@ -122,7 +117,7 @@ mod tests {
     #[test]
     fn braun_entries_in_range() {
         let mut rng = TestRng::seed_from_u64(1);
-        let c = braun_cost_matrix(&mut rng, 50, 8, 100.0, 10.0);
+        let c = braun_cost_matrix(&mut rng, 50, 8);
         assert_eq!(c.len(), 400);
         for &v in &c {
             assert!((1.0..=1000.0).contains(&v), "entry {v} outside [1, 1000]");
@@ -133,7 +128,7 @@ mod tests {
     fn braun_rows_share_baseline() {
         // all entries of a task's row lie within φ_r of each other
         let mut rng = TestRng::seed_from_u64(2);
-        let c = braun_cost_matrix(&mut rng, 20, 6, 100.0, 10.0);
+        let c = braun_cost_matrix(&mut rng, 20, 6);
         for t in 0..20 {
             let row = &c[t * 6..(t + 1) * 6];
             let lo = row.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -148,7 +143,7 @@ mod tests {
         let tasks = 30;
         let gsps = 5;
         let workloads: Vec<f64> = (0..tasks).map(|_| rng.gen_range(10.0..1000.0)).collect();
-        let mut cost = braun_cost_matrix(&mut rng, tasks, gsps, 100.0, 10.0);
+        let mut cost = braun_cost_matrix(&mut rng, tasks, gsps);
         let mut before_cols: Vec<Vec<f64>> =
             (0..gsps).map(|g| (0..tasks).map(|t| cost[t * gsps + g]).collect()).collect();
         enforce_workload_monotonicity(&mut cost, &workloads, gsps);
@@ -188,7 +183,7 @@ mod tests {
         let tasks = 40;
         let gsps = 6;
         let workloads: Vec<f64> = (0..tasks).map(|_| rng.gen_range(10.0..1000.0)).collect();
-        let cost = braun_cost_matrix(&mut rng, tasks, gsps, 100.0, 10.0);
+        let cost = braun_cost_matrix(&mut rng, tasks, gsps);
         assert!(!is_workload_monotone(&cost, &workloads, gsps));
     }
 

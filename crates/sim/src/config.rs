@@ -1,8 +1,37 @@
 //! Table I — the paper's simulation parameters, as data.
+//!
+//! [`TableI`] holds what the experiments vary; every other Table-I
+//! value is a constant here or in `gridvo-workload`
+//! ([`gridvo_workload::ATLAS_GFLOPS_PER_PROC`] and
+//! [`gridvo_workload::LARGE_JOB_RUNTIME`]).
+
+use std::ops::{Range, RangeInclusive};
 
 use serde::{Deserialize, Serialize};
 
-/// All parameters of Table I plus harness knobs. Field docs quote the
+/// GSP speed range as multiples of one Atlas processor (paper:
+/// `4.91 × [16, 128]` GFLOPS).
+pub const SPEED_MULTIPLIER_RANGE: RangeInclusive<f64> = 16.0..=128.0;
+/// `φ_b` — maximum baseline cost value (paper: 100).
+pub(crate) const PHI_B: f64 = 100.0;
+/// `φ_r` — maximum row multiplier (paper: 10).
+pub(crate) const PHI_R: f64 = 10.0;
+/// The paper's `max_c = φ_b × φ_r` (maximum cost-matrix entry).
+pub const MAX_COST: f64 = PHI_B * PHI_R;
+/// Payment factor range: `P = U[0.2, 0.4] × max_c × n` units (paper's
+/// Table I row for `P`).
+pub(crate) const PAYMENT_FACTOR_RANGE: RangeInclusive<f64> = 0.2..=0.4;
+/// Erdős–Rényi edge probability for the trust graph (paper: 0.1).
+pub const TRUST_P: f64 = 0.1;
+/// Trust edge-weight range (paper: uniform weights; we use
+/// `[0.05, 1)`).
+pub(crate) const TRUST_WEIGHT_RANGE: Range<f64> = 0.05..1.0;
+/// Calibration attempts before giving up on a feasible scenario (the
+/// paper generates d and P "in such a way that there exists a
+/// feasible solution in each experiment").
+pub(crate) const CALIBRATION_ATTEMPTS: usize = 60;
+
+/// The Table-I parameters the experiments vary. Field docs quote the
 /// table's values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TableI {
@@ -11,33 +40,11 @@ pub struct TableI {
     /// Program sizes (#tasks) swept by the evaluation
     /// (paper: 256, 512, 1024, 2048, 4096, 8192 from `[8, 8832]`).
     pub task_sizes: Vec<usize>,
-    /// GSP speed range as multiples of one Atlas processor
-    /// (paper: `4.91 × [16, 128]` GFLOPS).
-    pub speed_multiplier_range: (f64, f64),
-    /// GFLOPS of one Atlas processor (paper: 4.91).
-    pub gflops_per_proc: f64,
-    /// `φ_b` — maximum baseline cost value (paper: 100).
-    pub phi_b: f64,
-    /// `φ_r` — maximum row multiplier (paper: 10).
-    pub phi_r: f64,
     /// Deadline factor range: `d = U[0.3, 2.0] × Runtime × n / 1000`
     /// seconds (paper's Table I row for `d`).
     pub deadline_factor_range: (f64, f64),
-    /// Payment factor range: `P = U[0.2, 0.4] × max_c × n` units,
-    /// `max_c = φ_b × φ_r` (paper's Table I row for `P`).
-    pub payment_factor_range: (f64, f64),
-    /// Minimum job runtime for program extraction (paper: ≥ 7200 s).
-    pub min_runtime: f64,
-    /// Erdős–Rényi edge probability for the trust graph (paper: 0.1).
-    pub trust_p: f64,
-    /// Trust edge-weight range (paper: uniform weights; we use (0, 1]).
-    pub trust_weight_range: (f64, f64),
     /// Synthetic trace length fed to the extractor.
     pub trace_jobs: usize,
-    /// Calibration attempts before giving up on a feasible scenario
-    /// (the paper generates d and P "in such a way that there exists a
-    /// feasible solution in each experiment").
-    pub calibration_attempts: usize,
     /// Node budget for the exact solver inside experiments (anytime
     /// truncation guard; the paper's CPLEX has no such knob but also
     /// never reports an unsolved instance).
@@ -49,28 +56,14 @@ impl Default for TableI {
         TableI {
             gsps: 16,
             task_sizes: vec![256, 512, 1024, 2048, 4096, 8192],
-            speed_multiplier_range: (16.0, 128.0),
-            gflops_per_proc: 4.91,
-            phi_b: 100.0,
-            phi_r: 10.0,
             deadline_factor_range: (0.3, 2.0),
-            payment_factor_range: (0.2, 0.4),
-            min_runtime: 7_200.0,
-            trust_p: 0.1,
-            trust_weight_range: (0.05, 1.0),
             trace_jobs: 20_000,
-            calibration_attempts: 60,
             solver_node_budget: 2_000_000,
         }
     }
 }
 
 impl TableI {
-    /// The paper's `max_c = φ_b × φ_r` (maximum cost-matrix entry).
-    pub fn max_cost(&self) -> f64 {
-        self.phi_b * self.phi_r
-    }
-
     /// A downsized configuration for unit tests and CI: fewer GSPs,
     /// small programs, a short trace.
     pub fn small() -> Self {
@@ -87,20 +80,21 @@ impl TableI {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gridvo_workload::{ATLAS_GFLOPS_PER_PROC, LARGE_JOB_RUNTIME};
 
     #[test]
     fn defaults_match_table_i() {
         let c = TableI::default();
         assert_eq!(c.gsps, 16);
         assert_eq!(c.task_sizes, vec![256, 512, 1024, 2048, 4096, 8192]);
-        assert_eq!(c.phi_b, 100.0);
-        assert_eq!(c.phi_r, 10.0);
-        assert_eq!(c.max_cost(), 1000.0);
-        assert_eq!(c.gflops_per_proc, 4.91);
+        assert_eq!(PHI_B, 100.0);
+        assert_eq!(PHI_R, 10.0);
+        assert_eq!(MAX_COST, 1000.0);
+        assert_eq!(ATLAS_GFLOPS_PER_PROC, 4.91);
         assert_eq!(c.deadline_factor_range, (0.3, 2.0));
-        assert_eq!(c.payment_factor_range, (0.2, 0.4));
-        assert_eq!(c.min_runtime, 7200.0);
-        assert_eq!(c.trust_p, 0.1);
+        assert_eq!(PAYMENT_FACTOR_RANGE, 0.2..=0.4);
+        assert_eq!(LARGE_JOB_RUNTIME, 7200.0);
+        assert_eq!(TRUST_P, 0.1);
     }
 
     #[test]

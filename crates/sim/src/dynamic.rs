@@ -29,7 +29,7 @@ use crate::instance_gen::ScenarioGenerator;
 use crate::Result;
 use gridvo_core::mechanism::Mechanism;
 use gridvo_core::ExecutionReceipt;
-use gridvo_trust::beta::BetaLedger;
+use gridvo_trust::beta::{BetaLedger, DEFAULT_LAMBDA};
 use gridvo_trust::TrustGraph;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -106,7 +106,7 @@ pub fn simulate<R: Rng + ?Sized>(
     // Classic trust evidence: delivered minus failed observations per
     // ordered pair, row-major.
     let mut net = vec![0i64; m * m];
-    let mut beta_ledger = cfg.beta.as_ref().map(|bd| BetaLedger::new(m, bd.lambda));
+    let mut beta_ledger = cfg.beta.as_ref().map(|_| BetaLedger::new(m, DEFAULT_LAMBDA));
 
     // Bootstrap prior: sparse positive history, ER-style. The Beta
     // ledger reuses the *same* draws (one weight-1 success per seeded

@@ -491,7 +491,6 @@ pub struct ReputationPoint {
 pub fn reputation_sweep(rounds: usize, seeds: &[u64]) -> Result<Vec<ReputationPoint>> {
     use crate::adversary::{mean_payoff, selection_rate, AdversaryKind, BetaDynamics};
     use crate::dynamic::{simulate, DynamicConfig};
-    use gridvo_trust::beta::DEFAULT_LAMBDA;
 
     const ATTACKERS: [usize; 2] = [4, 5];
     const HONEST: [usize; 4] = [0, 1, 2, 3];
@@ -517,7 +516,7 @@ pub fn reputation_sweep(rounds: usize, seeds: &[u64]) -> Result<Vec<ReputationPo
                 reliabilities[a] = attacker_reliability;
             }
             let mut cfg = DynamicConfig::new(table.clone(), rounds, 18, reliabilities);
-            cfg.beta = Some(BetaDynamics::attack(DEFAULT_LAMBDA, ATTACKERS.to_vec(), kind));
+            cfg.beta = Some(BetaDynamics::attack(ATTACKERS.to_vec(), kind));
             simulate(&cfg, Mechanism::tvof(paper_config(&table)), rng)
         });
         let mut attacker_sel = Vec::new();

@@ -9,17 +9,24 @@
 //! feasible solution, exactly as the paper calibrates ("the values for
 //! deadline and payment were generated in such a way that there exists
 //! a feasible solution in each experiment").
+//!
+//! The trace comes from [`atlas::generate`] and the program from
+//! [`program::extract_with_size`]. [`TableI`] supplies the GSP count,
+//! the deadline factors and the trace length; the other ranges are the
+//! constants of [`crate::config`].
 
 use crate::braun;
-use crate::config::TableI;
+use crate::config::{
+    TableI, CALIBRATION_ATTEMPTS, MAX_COST, PAYMENT_FACTOR_RANGE, SPEED_MULTIPLIER_RANGE, TRUST_P,
+    TRUST_WEIGHT_RANGE,
+};
 use crate::{Result, SimError};
 use gridvo_core::{FormationScenario, Gsp};
 use gridvo_solver::heuristics;
 use gridvo_solver::AssignmentInstance;
 use gridvo_trust::generators;
-use gridvo_workload::atlas::AtlasGenerator;
-use gridvo_workload::program::{Program, ProgramExtractor};
-use gridvo_workload::SwfTrace;
+use gridvo_workload::program::{self, Program};
+use gridvo_workload::{atlas, SwfTrace, ATLAS_GFLOPS_PER_PROC};
 use rand::Rng;
 
 /// Generates experiment scenarios from a Table-I configuration.
@@ -50,26 +57,22 @@ impl ScenarioGenerator {
 
     /// Draw a program with exactly `tasks` tasks.
     pub fn program<R: Rng + ?Sized>(&self, tasks: usize, rng: &mut R) -> Result<Program> {
-        let extractor = ProgramExtractor {
-            min_runtime: self.cfg.min_runtime,
-            gflops_per_proc: self.cfg.gflops_per_proc,
-            ..Default::default()
-        };
         let owned;
         let trace = match &self.trace {
             Some(t) => t,
             None => {
-                owned = AtlasGenerator::default().generate(rng, self.cfg.trace_jobs);
+                owned = atlas::generate(rng, self.cfg.trace_jobs);
                 &owned
             }
         };
-        extractor.extract_with_size(trace, tasks, rng).ok_or(SimError::NoQualifyingJob)
+        program::extract_with_size(trace, tasks, rng).ok_or(SimError::NoQualifyingJob)
     }
 
-    /// Draw GSP speeds `gflops_per_proc × U[lo, hi]`.
+    /// Draw GSP speeds `4.91 × U[16, 128]` GFLOPS.
     pub fn speeds<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let (lo, hi) = self.cfg.speed_multiplier_range;
-        (0..self.cfg.gsps).map(|_| self.cfg.gflops_per_proc * rng.gen_range(lo..=hi)).collect()
+        (0..self.cfg.gsps)
+            .map(|_| ATLAS_GFLOPS_PER_PROC * rng.gen_range(SPEED_MULTIPLIER_RANGE))
+            .collect()
     }
 
     /// Build a full scenario for a program of `tasks` tasks,
@@ -94,12 +97,10 @@ impl ScenarioGenerator {
         let m = self.cfg.gsps;
         let speeds = self.speeds(rng);
         let time = braun::time_matrix(program.workloads(), &speeds);
-        let mut cost = braun::braun_cost_matrix(rng, n, m, self.cfg.phi_b, self.cfg.phi_r);
+        let mut cost = braun::braun_cost_matrix(rng, n, m);
         braun::enforce_workload_monotonicity(&mut cost, program.workloads(), m);
 
         let (dlo, dhi) = self.cfg.deadline_factor_range;
-        let (plo, phi) = self.cfg.payment_factor_range;
-        let max_c = self.cfg.max_cost();
 
         // Calibration loop: redraw the deadline/payment factors until
         // the grand coalition admits a feasible assignment. A cheap
@@ -108,10 +109,10 @@ impl ScenarioGenerator {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            if attempt > self.cfg.calibration_attempts {
+            if attempt > CALIBRATION_ATTEMPTS {
                 return Err(SimError::CalibrationFailed {
                     tasks: n,
-                    attempts: self.cfg.calibration_attempts,
+                    attempts: CALIBRATION_ATTEMPTS,
                 });
             }
             // Widen the deadline/payment upward after repeated
@@ -122,7 +123,7 @@ impl ScenarioGenerator {
             let stretch = 2f64.powf(((attempt - 1) / 10) as f64);
             let deadline =
                 rng.gen_range(dlo..=dhi) * stretch * program.base_runtime * n as f64 / 1000.0;
-            let payment = rng.gen_range(plo..=phi) * stretch * max_c * n as f64;
+            let payment = rng.gen_range(PAYMENT_FACTOR_RANGE) * stretch * MAX_COST * n as f64;
             let Ok(instance) =
                 AssignmentInstance::new(n, m, cost.clone(), time.clone(), deadline, payment)
             else {
@@ -132,8 +133,7 @@ impl ScenarioGenerator {
                 continue;
             }
             let gsps: Vec<Gsp> = speeds.iter().enumerate().map(|(i, &s)| Gsp::new(i, s)).collect();
-            let (wlo, whi) = self.cfg.trust_weight_range;
-            let trust = generators::erdos_renyi(rng, m, self.cfg.trust_p, wlo..whi);
+            let trust = generators::erdos_renyi(rng, m, TRUST_P, TRUST_WEIGHT_RANGE);
             return Ok(FormationScenario::new(gsps, trust, instance)?);
         }
     }
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn external_trace_is_used() {
         let mut rng = TestRng::seed_from_u64(10);
-        let trace = AtlasGenerator::default().generate(&mut rng, 3000);
+        let trace = atlas::generate(&mut rng, 3000);
         let gen = ScenarioGenerator::with_trace(TableI::small(), trace);
         let p = gen.program(16, &mut rng).unwrap();
         assert_eq!(p.tasks(), 16);

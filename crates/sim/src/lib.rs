@@ -7,7 +7,7 @@
 //!
 //! | Paper artifact | Here |
 //! |---|---|
-//! | Table I (simulation parameters) | [`config::TableI`] + generation audits |
+//! | Table I (simulation parameters) | [`config`] (what callers vary: [`config::TableI`]) + generation audits |
 //! | Fig. 1 (payoff vs #tasks) | [`experiments::task_sweep`] |
 //! | Fig. 2 (final VO size)    | [`experiments::task_sweep`] |
 //! | Fig. 3 (average reputation) | [`experiments::task_sweep`] |
@@ -131,7 +131,7 @@ mod tests {
         // Attacker 9 does not exist in a 4-GSP pool: its first
         // whitewash (before round 1) asks the Beta ledger to forget it.
         let mut cfg = DynamicConfig::new(table(), 2, 12, vec![0.9; 4]);
-        cfg.beta = Some(BetaDynamics::attack(0.9, vec![9], AdversaryKind::Whitewash { period: 1 }));
+        cfg.beta = Some(BetaDynamics::attack(vec![9], AdversaryKind::Whitewash { period: 1 }));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let err =
             simulate(&cfg, Mechanism::tvof(FormationConfig::default()), &mut rng).unwrap_err();

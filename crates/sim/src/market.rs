@@ -4,11 +4,10 @@
 //! synthetic) SWF traces drive arrival processes for several
 //! applications that contend for one shared GSP pool. Each completed
 //! trace job becomes a formation request; a formed VO holds its
-//! coalition under a lease for the job's runtime (scaled by
-//! [`MarketConfig::time_scale`]), and later arrivals can only form
-//! over the uncommitted leftovers — the same admission policy the
-//! daemon applies, replayed here as a deterministic discrete-event
-//! loop so contention effects (shed rate, lease waits,
+//! coalition under a lease for the job's runtime, and later arrivals
+//! can only form over the uncommitted leftovers — the same admission
+//! policy the daemon applies, replayed here as a deterministic
+//! discrete-event loop so contention effects (shed rate, lease waits,
 //! hedonic-stability violations across concurrently-live VOs) can be
 //! measured without a server.
 //!
@@ -29,40 +28,31 @@ use serde::{Deserialize, Serialize};
 use crate::instance_gen::ScenarioGenerator;
 use crate::{Result, SimError, TableI};
 
-/// Knobs for one market simulation.
+/// Program size (#tasks) of every formation request.
+pub const TASKS: usize = 12;
+/// Seed for pool/scenario generation.
+const SCENARIO_SEED: u64 = 7;
+/// Pending-retry slots per application; beyond them jobs shed.
+const APP_QUEUE: usize = 4;
+
+/// Knobs for one market simulation. A formed VO holds its lease for
+/// the job's `task_runtime()` seconds (at least one).
 #[derive(Debug, Clone)]
 pub struct MarketConfig {
     /// Instance-generation parameters for the shared pool.
     pub table: TableI,
-    /// Program size (#tasks) of every formation request.
-    pub tasks: usize,
     /// Concurrent applications; trace job `i` belongs to `app-{i mod apps}`.
     pub apps: usize,
-    /// Seed for pool/scenario generation.
-    pub scenario_seed: u64,
     /// Seed mixed into each job's formation RNG.
     pub seed: u64,
-    /// Pending-retry slots per application; beyond them jobs shed.
-    pub app_queue: usize,
     /// Jobs shed while fewer than this many GSPs are uncommitted.
     pub min_free: usize,
-    /// Lease hold time = `task_runtime() * time_scale` seconds.
-    pub time_scale: f64,
 }
 
 impl MarketConfig {
     /// A small, fast default built on [`TableI::small`].
     pub fn small() -> Self {
-        MarketConfig {
-            table: TableI::small(),
-            tasks: 12,
-            apps: 3,
-            scenario_seed: 7,
-            seed: 11,
-            app_queue: 4,
-            min_free: 1,
-            time_scale: 1.0,
-        }
+        MarketConfig { table: TableI::small(), apps: 3, seed: 11, min_free: 1 }
     }
 }
 
@@ -179,9 +169,9 @@ struct LiveVo {
 /// mechanism error ends the run as [`SimError::Core`].
 pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> {
     let apps = cfg.apps.max(1);
-    let mut rng = StdRng::seed_from_u64(cfg.scenario_seed);
+    let mut rng = StdRng::seed_from_u64(SCENARIO_SEED);
     let gen = ScenarioGenerator::new(cfg.table.clone());
-    let scenario = gen.scenario(cfg.tasks, &mut rng)?;
+    let scenario = gen.scenario(TASKS, &mut rng)?;
     let mechanism = Mechanism::tvof(FormationConfig::default());
 
     let mut arrivals: Vec<Arrival> = trace
@@ -191,7 +181,7 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
             idx,
             app: idx % apps,
             submit: job.submit_time,
-            hold: (job.task_runtime() * cfg.time_scale).max(1.0),
+            hold: job.task_runtime().max(1.0),
         })
         .collect();
     arrivals.sort_by(|a, b| a.submit.total_cmp(&b.submit).then(a.idx.cmp(&b.idx)));
@@ -297,7 +287,7 @@ pub fn run_market(trace: &SwfTrace, cfg: &MarketConfig) -> Result<MarketReport> 
             }
             Attempt::Blocked => {
                 let depth = pending.iter().filter(|p| p.arrival.app == app).count();
-                if depth < cfg.app_queue.max(1) {
+                if depth < APP_QUEUE {
                     pending.push_back(PendingJob { arrival: job });
                 } else {
                     shed[app] += 1;

@@ -13,7 +13,6 @@ use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_sim::adversary::{mean_payoff, selection_rate, AdversaryKind, BetaDynamics};
 use gridvo_sim::config::TableI;
 use gridvo_sim::dynamic::{simulate, DynamicConfig, RoundRecord};
-use gridvo_trust::beta::DEFAULT_LAMBDA;
 use rand::SeedableRng;
 
 type TestRng = rand::rngs::StdRng;
@@ -44,7 +43,7 @@ fn run(kind: AdversaryKind, attacker_reliability: f64, seed: u64) -> Vec<RoundRe
         reliabilities[a] = attacker_reliability;
     }
     let mut cfg = DynamicConfig::new(table(), ROUNDS, 18, reliabilities);
-    cfg.beta = Some(BetaDynamics::attack(DEFAULT_LAMBDA, ATTACKERS.to_vec(), kind));
+    cfg.beta = Some(BetaDynamics::attack(ATTACKERS.to_vec(), kind));
     let mut rng = TestRng::seed_from_u64(seed);
     simulate(&cfg, Mechanism::tvof(FormationConfig::default()), &mut rng)
         .expect("dynamic simulation runs")

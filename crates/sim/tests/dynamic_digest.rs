@@ -8,7 +8,6 @@ use gridvo_core::mechanism::{FormationConfig, Mechanism};
 use gridvo_sim::adversary::{AdversaryKind, BetaDynamics};
 use gridvo_sim::config::TableI;
 use gridvo_sim::dynamic::{simulate, DynamicConfig, RoundRecord};
-use gridvo_trust::beta::DEFAULT_LAMBDA;
 use rand::SeedableRng;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -90,8 +89,7 @@ fn classic_rvof_records_are_pinned() {
 
 #[test]
 fn beta_whitewash_records_are_pinned() {
-    let attack =
-        BetaDynamics::attack(DEFAULT_LAMBDA, vec![4, 5], AdversaryKind::Whitewash { period: 3 });
+    let attack = BetaDynamics::attack(vec![4, 5], AdversaryKind::Whitewash { period: 3 });
     let d = digest(&config(Some(attack)), Mechanism::tvof(FormationConfig::default()));
     assert_eq!(d, 0x4254_e417_a7a8_3c04, "Beta whitewash TVOF digest {d:#018x}");
 }

@@ -4,7 +4,7 @@
 //! (Parallel Workloads Archive): 43,778 jobs, of which 21,915
 //! completed successfully; job sizes range from 8 to 8832 processors;
 //! about 13 % of completed jobs are "large" (runtime ≥ 7200 s). The
-//! archive trace cannot ship inside this repository, so this generator
+//! archive trace cannot ship inside this repository, so [`generate`]
 //! synthesizes a trace matching those published marginals:
 //!
 //! * **sizes** — log-uniform over `[8, 8832]`, snapped to multiples of
@@ -18,144 +18,105 @@
 //!   rate (failed/cancelled otherwise);
 //! * **avg CPU time** — `U[0.9, 1.0] × run_time` (CPU-bound HPC jobs).
 //!
-//! The downstream experiments only consume `(allocated_procs,
-//! task_runtime)` pairs of large completed jobs, so matching these
-//! marginals is what "preserves the relevant behaviour" (see
-//! DESIGN.md's substitution table).
+//! Sizes and runtimes are drawn independently. The downstream
+//! experiments only consume `(allocated_procs, task_runtime)` pairs of
+//! large completed jobs, so matching these marginals is what
+//! "preserves the relevant behaviour" (see DESIGN.md's substitution
+//! table).
 
 use crate::swf::{SwfJob, SwfStatus, SwfTrace};
+use crate::LARGE_JOB_RUNTIME;
 use rand::Rng;
 
-/// Configuration of the synthetic Atlas trace generator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AtlasGenerator {
-    /// Smallest job size in processors (Atlas log: 8).
-    pub min_procs: u32,
-    /// Largest job size in processors (Atlas log: 8832).
-    pub max_procs: u32,
-    /// Fraction of jobs that complete successfully (log: 21915/43778 ≈ 0.5).
-    pub completion_rate: f64,
-    /// Fraction of **completed** jobs with runtime ≥ `large_runtime`
-    /// (log: ≈ 0.13).
-    pub large_fraction: f64,
-    /// The "large job" runtime threshold in seconds (paper: 7200).
-    pub large_runtime: f64,
-    /// Ceiling on generated runtimes in seconds (Atlas jobs run up to
-    /// a few days; 200 000 s ≈ 2.3 days).
-    pub max_runtime: f64,
-    /// Smallest generated runtime in seconds.
-    pub min_runtime: f64,
-    /// Mean inter-arrival time in seconds (exponential arrivals).
-    pub mean_interarrival: f64,
-    /// Size–runtime anticorrelation exponent `γ ≥ 0`: the sampled
-    /// runtime is scaled by `(min_procs/procs)^γ`, so wider jobs run
-    /// shorter — the pattern real capability-mode logs exhibit. The
-    /// default 0 keeps sizes and runtimes independent (and keeps the
-    /// published large-job fraction exactly calibrated).
-    pub size_runtime_gamma: f64,
+/// Smallest job size in processors (Atlas log: 8).
+const MIN_PROCS: u32 = 8;
+/// Largest job size in processors (Atlas log: 8832).
+const MAX_PROCS: u32 = 8832;
+/// Fraction of jobs that complete successfully (log: 21915/43778 ≈ 0.5).
+const COMPLETION_RATE: f64 = 21_915.0 / 43_778.0;
+/// Fraction of **completed** jobs with runtime ≥ [`LARGE_JOB_RUNTIME`]
+/// (log: ≈ 0.13).
+const LARGE_FRACTION: f64 = 0.13;
+/// Ceiling on generated runtimes in seconds (Atlas jobs run up to a
+/// few days; 200 000 s ≈ 2.3 days).
+const MAX_RUNTIME: f64 = 200_000.0;
+/// Smallest generated runtime in seconds.
+const MIN_RUNTIME: f64 = 10.0;
+/// Mean inter-arrival time in seconds (exponential arrivals; ~43.8k
+/// jobs over ~8 months).
+const MEAN_INTERARRIVAL: f64 = 450.0;
+
+/// Generate a synthetic trace of `jobs` records.
+pub fn generate<R: Rng + ?Sized>(rng: &mut R, jobs: usize) -> SwfTrace {
+    let mut trace = SwfTrace {
+        header: vec![
+            ("Version".into(), "2.1".into()),
+            ("Computer".into(), "Synthetic Atlas (gridvo-workload)".into()),
+            ("Note".into(), "statistically calibrated stand-in for LLNL-Atlas-2006-2.1-cln".into()),
+            ("MaxNodes".into(), "1152".into()),
+            ("MaxProcs".into(), "9216".into()),
+        ],
+        jobs: Vec::with_capacity(jobs),
+    };
+    let mut clock = 0.0f64;
+    for id in 1..=jobs as i64 {
+        clock += exponential(rng, MEAN_INTERARRIVAL);
+        trace.jobs.push(generate_job(rng, id, clock));
+    }
+    trace
 }
 
-impl Default for AtlasGenerator {
-    fn default() -> Self {
-        AtlasGenerator {
-            min_procs: 8,
-            max_procs: 8832,
-            completion_rate: 21_915.0 / 43_778.0,
-            large_fraction: 0.13,
-            large_runtime: 7_200.0,
-            max_runtime: 200_000.0,
-            min_runtime: 10.0,
-            mean_interarrival: 450.0, // ~43.8k jobs over ~8 months
-            size_runtime_gamma: 0.0,
-        }
-    }
-}
-
-impl AtlasGenerator {
-    /// Generate a synthetic trace of `jobs` records.
-    pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, jobs: usize) -> SwfTrace {
-        let mut trace = SwfTrace {
-            header: vec![
-                ("Version".into(), "2.1".into()),
-                ("Computer".into(), "Synthetic Atlas (gridvo-workload)".into()),
-                (
-                    "Note".into(),
-                    "statistically calibrated stand-in for LLNL-Atlas-2006-2.1-cln".into(),
-                ),
-                ("MaxNodes".into(), "1152".into()),
-                ("MaxProcs".into(), "9216".into()),
-            ],
-            jobs: Vec::with_capacity(jobs),
-        };
-        let mut clock = 0.0f64;
-        for id in 1..=jobs as i64 {
-            clock += exponential(rng, self.mean_interarrival);
-            trace.jobs.push(self.generate_job(rng, id, clock));
-        }
-        trace
-    }
-
-    /// Generate one job submitted at `submit_time`.
-    pub fn generate_job<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        job_id: i64,
-        submit_time: f64,
-    ) -> SwfJob {
-        let procs = self.sample_procs(rng);
-        let completed = rng.gen::<f64>() < self.completion_rate;
-        let mut run_time = self.sample_runtime(rng);
-        if self.size_runtime_gamma > 0.0 {
-            let scale = (self.min_procs as f64 / procs as f64).powf(self.size_runtime_gamma);
-            run_time = (run_time * scale).clamp(self.min_runtime, self.max_runtime);
-        }
-        let avg_cpu = run_time * rng.gen_range(0.9..1.0);
-        let wait = exponential(rng, 120.0);
-        SwfJob {
-            job_id,
-            submit_time,
-            wait_time: wait,
-            run_time,
-            allocated_procs: procs as i64,
-            avg_cpu_time: avg_cpu,
-            used_memory: -1.0,
-            requested_procs: procs as i64,
-            requested_time: (run_time * rng.gen_range(1.0..2.0)).min(self.max_runtime * 2.0),
-            requested_memory: -1.0,
-            status: if completed {
-                SwfStatus::Completed
-            } else if rng.gen::<f64>() < 0.5 {
-                SwfStatus::Failed
-            } else {
-                SwfStatus::Cancelled
-            },
-            user_id: rng.gen_range(1..200),
-            group_id: rng.gen_range(1..20),
-            executable: rng.gen_range(1..50),
-            queue: rng.gen_range(1..4),
-            partition: 1,
-            preceding_job: -1,
-            think_time: -1.0,
-        }
-    }
-
-    /// Log-uniform processor count in `[min_procs, max_procs]`,
-    /// snapped down to a multiple of 8 (but never below `min_procs`).
-    fn sample_procs<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        let lo = (self.min_procs as f64).ln();
-        let hi = (self.max_procs as f64).ln();
-        let raw = (rng.gen_range(lo..hi)).exp();
-        let snapped = ((raw / 8.0).floor() * 8.0) as u32;
-        snapped.clamp(self.min_procs, self.max_procs)
-    }
-
-    /// Two-component runtime mix with the calibrated large-job share.
-    fn sample_runtime<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if rng.gen::<f64>() < self.large_fraction {
-            log_uniform(rng, self.large_runtime, self.max_runtime)
+/// Generate one job submitted at `submit_time`.
+fn generate_job<R: Rng + ?Sized>(rng: &mut R, job_id: i64, submit_time: f64) -> SwfJob {
+    let procs = sample_procs(rng);
+    let completed = rng.gen::<f64>() < COMPLETION_RATE;
+    let run_time = sample_runtime(rng);
+    let avg_cpu = run_time * rng.gen_range(0.9..1.0);
+    let wait = exponential(rng, 120.0);
+    SwfJob {
+        job_id,
+        submit_time,
+        wait_time: wait,
+        run_time,
+        allocated_procs: procs as i64,
+        avg_cpu_time: avg_cpu,
+        used_memory: -1.0,
+        requested_procs: procs as i64,
+        requested_time: (run_time * rng.gen_range(1.0..2.0)).min(MAX_RUNTIME * 2.0),
+        requested_memory: -1.0,
+        status: if completed {
+            SwfStatus::Completed
+        } else if rng.gen::<f64>() < 0.5 {
+            SwfStatus::Failed
         } else {
-            log_uniform(rng, self.min_runtime, self.large_runtime)
-        }
+            SwfStatus::Cancelled
+        },
+        user_id: rng.gen_range(1..200),
+        group_id: rng.gen_range(1..20),
+        executable: rng.gen_range(1..50),
+        queue: rng.gen_range(1..4),
+        partition: 1,
+        preceding_job: -1,
+        think_time: -1.0,
+    }
+}
+
+/// Log-uniform processor count in `[MIN_PROCS, MAX_PROCS]`, snapped
+/// down to a multiple of 8 (but never below `MIN_PROCS`).
+fn sample_procs<R: Rng + ?Sized>(rng: &mut R) -> u32 {
+    let lo = (MIN_PROCS as f64).ln();
+    let hi = (MAX_PROCS as f64).ln();
+    let raw = (rng.gen_range(lo..hi)).exp();
+    let snapped = ((raw / 8.0).floor() * 8.0) as u32;
+    snapped.clamp(MIN_PROCS, MAX_PROCS)
+}
+
+/// Two-component runtime mix with the calibrated large-job share.
+fn sample_runtime<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    if rng.gen::<f64>() < LARGE_FRACTION {
+        log_uniform(rng, LARGE_JOB_RUNTIME, MAX_RUNTIME)
+    } else {
+        log_uniform(rng, MIN_RUNTIME, LARGE_JOB_RUNTIME)
     }
 }
 
@@ -178,7 +139,7 @@ mod tests {
 
     fn big_trace() -> SwfTrace {
         let mut rng = TestRng::seed_from_u64(2006);
-        AtlasGenerator::default().generate(&mut rng, 20_000)
+        generate(&mut rng, 20_000)
     }
 
     #[test]
@@ -228,14 +189,13 @@ mod tests {
     fn deterministic_under_seed() {
         let mut a = TestRng::seed_from_u64(7);
         let mut b = TestRng::seed_from_u64(7);
-        let g = AtlasGenerator::default();
-        assert_eq!(g.generate(&mut a, 100), g.generate(&mut b, 100));
+        assert_eq!(generate(&mut a, 100), generate(&mut b, 100));
     }
 
     #[test]
     fn generated_trace_round_trips_through_swf() {
         let mut rng = TestRng::seed_from_u64(1);
-        let t = AtlasGenerator::default().generate(&mut rng, 50);
+        let t = generate(&mut rng, 50);
         let parsed = SwfTrace::parse(&t.to_swf()).unwrap();
         assert_eq!(parsed.jobs.len(), 50);
         // numeric fields survive the text round trip approximately
@@ -244,49 +204,6 @@ mod tests {
             assert_eq!(a.allocated_procs, b.allocated_procs);
             assert_eq!(a.status, b.status);
             assert!((a.run_time - b.run_time).abs() < 1e-6 * a.run_time.max(1.0));
-        }
-    }
-
-    #[test]
-    fn gamma_anticorrelates_size_and_runtime() {
-        let g = AtlasGenerator { size_runtime_gamma: 0.5, ..Default::default() };
-        let mut rng = TestRng::seed_from_u64(17);
-        let t = g.generate(&mut rng, 10_000);
-        // split completed jobs at the median size; wide jobs must have
-        // a clearly smaller median runtime
-        let mut jobs: Vec<_> = t.completed().collect();
-        jobs.sort_by_key(|j| j.allocated_procs);
-        let mid = jobs.len() / 2;
-        let median_rt = |js: &[&crate::swf::SwfJob]| {
-            let mut rts: Vec<f64> = js.iter().map(|j| j.run_time).collect();
-            rts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            rts[rts.len() / 2]
-        };
-        let narrow = median_rt(&jobs[..mid]);
-        let wide = median_rt(&jobs[mid..]);
-        assert!(
-            wide < narrow * 0.5,
-            "γ=0.5 should halve wide-job runtimes at least: narrow {narrow}, wide {wide}"
-        );
-        // and bounds still hold
-        for j in &t.jobs {
-            assert!(j.run_time >= g.min_runtime && j.run_time <= g.max_runtime);
-        }
-    }
-
-    #[test]
-    fn custom_config_respected() {
-        let g = AtlasGenerator {
-            min_procs: 16,
-            max_procs: 64,
-            completion_rate: 1.0,
-            ..Default::default()
-        };
-        let mut rng = TestRng::seed_from_u64(3);
-        let t = g.generate(&mut rng, 500);
-        assert_eq!(t.completed().count(), 500);
-        for j in &t.jobs {
-            assert!((16..=64).contains(&j.allocated_procs));
         }
     }
 }

@@ -8,7 +8,7 @@
 //! The paper uses `LLNL-Atlas-2006-2.1-cln.swf` (43,778 jobs; 21,915
 //! completed; ~13 % of completed jobs run ≥ 7200 s; sizes 8–8832
 //! processors). That trace is not redistributable inside this
-//! repository, so [`atlas::AtlasGenerator`] synthesizes a trace with
+//! repository, so [`atlas::generate`] synthesizes a trace with
 //! the same marginals — and [`swf`] parses the real file bit-faithfully
 //! if you download it yourself and point the examples at it.
 //!
@@ -20,14 +20,12 @@
 //! ## Quick example
 //!
 //! ```
-//! use gridvo_workload::atlas::AtlasGenerator;
-//! use gridvo_workload::program::ProgramExtractor;
+//! use gridvo_workload::{atlas, program};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let trace = AtlasGenerator::default().generate(&mut rng, 2_000);
-//! let extractor = ProgramExtractor::default();
-//! let programs = extractor.extract_all(&trace, &mut rng);
+//! let trace = atlas::generate(&mut rng, 2_000);
+//! let programs = program::extract_all(&trace, &mut rng);
 //! assert!(!programs.is_empty());
 //! for p in &programs {
 //!     assert!(p.tasks() >= 1);
@@ -48,6 +46,11 @@ pub use swf::{SwfJob, SwfStatus, SwfTrace};
 /// Peak performance of one Atlas processor in GFLOPS (44.24 TFLOPS /
 /// 9216 processors — §IV-A of the paper).
 pub const ATLAS_GFLOPS_PER_PROC: f64 = 4.91;
+
+/// Shortest runtime in seconds of a "large" job (§IV-A): the paper
+/// extracts programs only from completed Atlas jobs that ran at least
+/// this long.
+pub const LARGE_JOB_RUNTIME: f64 = 7_200.0;
 
 /// Errors from workload parsing and generation.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,7 +9,7 @@
 //! [0.5, 1.0] of the maximum GFLOP of the job").
 
 use crate::swf::{SwfJob, SwfTrace};
-use crate::ATLAS_GFLOPS_PER_PROC;
+use crate::{ATLAS_GFLOPS_PER_PROC, LARGE_JOB_RUNTIME};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -51,95 +51,56 @@ impl Program {
     pub fn total_workload(&self) -> f64 {
         self.workloads.iter().sum()
     }
-
-    /// Execution time (s) of task `j` on a machine of `speed` GFLOPS —
-    /// the paper's `t(T, G) = w(T)/s(G)`.
-    pub fn execution_time(&self, task: usize, speed_gflops: f64) -> f64 {
-        self.workloads[task] / speed_gflops
-    }
 }
 
-/// Extraction policy: which jobs qualify and how workloads are drawn.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgramExtractor {
-    /// Minimum runtime (s) for a job to qualify (paper: 7200).
-    pub min_runtime: f64,
-    /// GFLOPS per processor used to convert runtime → workload
-    /// (paper: 4.91, the Atlas per-processor peak).
-    pub gflops_per_proc: f64,
-    /// Per-task workload scale range (paper: `[0.5, 1.0]` of the job
-    /// maximum).
-    pub scale_range: (f64, f64),
-    /// Optional cap on tasks per program (`None` = the job's full
-    /// processor count). The paper's experiments use 256–8192 tasks.
-    pub max_tasks: Option<usize>,
+/// Per-task workload scale: each task draws `U[0.5, 1.0]` of the job's
+/// maximum GFLOP (§IV-A).
+const SCALE_RANGE: std::ops::Range<f64> = 0.5..1.0;
+
+/// Extract one program from a job (regardless of the job's status or
+/// size — the caller selects jobs): one task per allocated processor.
+pub fn extract<R: Rng + ?Sized>(job: &SwfJob, rng: &mut R) -> Program {
+    let runtime = job.task_runtime();
+    let max_gflop = runtime * ATLAS_GFLOPS_PER_PROC;
+    let n = job.allocated_procs.max(1) as usize;
+    let workloads = (0..n).map(|_| max_gflop * rng.gen_range(SCALE_RANGE)).collect();
+    Program::new(job.job_id, runtime, workloads)
 }
 
-impl Default for ProgramExtractor {
-    fn default() -> Self {
-        ProgramExtractor {
-            min_runtime: 7_200.0,
-            gflops_per_proc: ATLAS_GFLOPS_PER_PROC,
-            scale_range: (0.5, 1.0),
-            max_tasks: None,
-        }
-    }
+/// Extract programs from every qualifying job of a trace (completed,
+/// runtime ≥ [`LARGE_JOB_RUNTIME`]).
+pub fn extract_all<R: Rng + ?Sized>(trace: &SwfTrace, rng: &mut R) -> Vec<Program> {
+    trace.large_completed(LARGE_JOB_RUNTIME).map(|job| extract(job, rng)).collect()
 }
 
-impl ProgramExtractor {
-    /// Extract one program from a job (regardless of the job's status
-    /// or size — the caller selects jobs).
-    pub fn extract<R: Rng + ?Sized>(&self, job: &SwfJob, rng: &mut R) -> Program {
-        let runtime = job.task_runtime();
-        let max_gflop = runtime * self.gflops_per_proc;
-        let mut n = job.allocated_procs.max(1) as usize;
-        if let Some(cap) = self.max_tasks {
-            n = n.min(cap);
-        }
-        let (lo, hi) = self.scale_range;
-        let workloads =
-            (0..n).map(|_| max_gflop * if lo < hi { rng.gen_range(lo..hi) } else { lo }).collect();
-        Program::new(job.job_id, runtime, workloads)
+/// Extract one program whose task count is as close as possible to
+/// `target_tasks` among qualifying jobs (the paper picks programs of
+/// 256, 512, …, 8192 tasks from the log). Ties broken toward the
+/// earlier job. Returns `None` when no job qualifies.
+pub fn extract_with_size<R: Rng + ?Sized>(
+    trace: &SwfTrace,
+    target_tasks: usize,
+    rng: &mut R,
+) -> Option<Program> {
+    let job = trace
+        .large_completed(LARGE_JOB_RUNTIME)
+        .min_by_key(|j| (j.allocated_procs - target_tasks as i64).unsigned_abs())?;
+    let mut p = extract(job, rng);
+    // Force the exact requested size: replicate or truncate tasks.
+    // (The paper selects jobs whose sizes equal the targets; a
+    // synthetic trace may only come close.)
+    let max_gflop = p.base_runtime * ATLAS_GFLOPS_PER_PROC;
+    while p.workloads.len() < target_tasks {
+        p.workloads.push(max_gflop * rng.gen_range(SCALE_RANGE));
     }
-
-    /// Extract programs from every qualifying job of a trace
-    /// (completed, runtime ≥ `min_runtime`).
-    pub fn extract_all<R: Rng + ?Sized>(&self, trace: &SwfTrace, rng: &mut R) -> Vec<Program> {
-        trace.large_completed(self.min_runtime).map(|job| self.extract(job, rng)).collect()
-    }
-
-    /// Extract one program whose task count is as close as possible to
-    /// `target_tasks` among qualifying jobs (the paper picks programs
-    /// of 256, 512, …, 8192 tasks from the log). Ties broken toward
-    /// the earlier job. Returns `None` when no job qualifies.
-    pub fn extract_with_size<R: Rng + ?Sized>(
-        &self,
-        trace: &SwfTrace,
-        target_tasks: usize,
-        rng: &mut R,
-    ) -> Option<Program> {
-        let job = trace
-            .large_completed(self.min_runtime)
-            .min_by_key(|j| (j.allocated_procs - target_tasks as i64).unsigned_abs())?;
-        let mut p = self.extract(job, rng);
-        // Force the exact requested size: replicate or truncate tasks.
-        // (The paper selects jobs whose sizes equal the targets; a
-        // synthetic trace may only come close.)
-        let max_gflop = p.base_runtime * self.gflops_per_proc;
-        let (lo, hi) = self.scale_range;
-        while p.workloads.len() < target_tasks {
-            let w = max_gflop * if lo < hi { rng.gen_range(lo..hi) } else { lo };
-            p.workloads.push(w);
-        }
-        p.workloads.truncate(target_tasks);
-        Some(p)
-    }
+    p.workloads.truncate(target_tasks);
+    Some(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atlas::AtlasGenerator;
+    use crate::atlas;
     use crate::swf::SwfStatus;
     use rand::SeedableRng;
 
@@ -171,8 +132,7 @@ mod tests {
     #[test]
     fn task_count_equals_processors() {
         let mut rng = TestRng::seed_from_u64(1);
-        let p = ProgramExtractor::default()
-            .extract(&job(1, 64, 8000.0, SwfStatus::Completed), &mut rng);
+        let p = extract(&job(1, 64, 8000.0, SwfStatus::Completed), &mut rng);
         assert_eq!(p.tasks(), 64);
         assert_eq!(p.source_job, 1);
         assert_eq!(p.base_runtime, 8000.0);
@@ -182,8 +142,7 @@ mod tests {
     fn workloads_inside_paper_range() {
         let mut rng = TestRng::seed_from_u64(2);
         let runtime = 10_000.0;
-        let p = ProgramExtractor::default()
-            .extract(&job(1, 256, runtime, SwfStatus::Completed), &mut rng);
+        let p = extract(&job(1, 256, runtime, SwfStatus::Completed), &mut rng);
         let max_gflop = runtime * ATLAS_GFLOPS_PER_PROC;
         for t in 0..p.tasks() {
             let w = p.workload(t);
@@ -198,19 +157,10 @@ mod tests {
         // the longest Atlas jobs. Verify our extraction hits the
         // documented lower bound exactly at threshold runtime.
         let mut rng = TestRng::seed_from_u64(3);
-        let p = ProgramExtractor::default()
-            .extract(&job(1, 1000, 7200.0, SwfStatus::Completed), &mut rng);
+        let p = extract(&job(1, 1000, 7200.0, SwfStatus::Completed), &mut rng);
         for t in 0..p.tasks() {
             assert!(p.workload(t) >= 7200.0 * 4.91 * 0.5 - 1e-6);
         }
-    }
-
-    #[test]
-    fn execution_time_is_w_over_s() {
-        let p = Program::new(1, 7200.0, vec![100.0, 200.0]);
-        assert!((p.execution_time(0, 50.0) - 2.0).abs() < 1e-12);
-        assert!((p.execution_time(1, 50.0) - 4.0).abs() < 1e-12);
-        assert_eq!(p.total_workload(), 300.0);
     }
 
     #[test]
@@ -225,7 +175,7 @@ mod tests {
                 job(4, 32, 7200.0, SwfStatus::Completed), // boundary: qualifies
             ],
         };
-        let programs = ProgramExtractor::default().extract_all(&trace, &mut rng);
+        let programs = extract_all(&trace, &mut rng);
         let ids: Vec<i64> = programs.iter().map(|p| p.source_job).collect();
         assert_eq!(ids, vec![1, 4]);
     }
@@ -233,10 +183,9 @@ mod tests {
     #[test]
     fn extract_with_size_hits_exact_target() {
         let mut rng = TestRng::seed_from_u64(5);
-        let trace = AtlasGenerator::default().generate(&mut rng, 5_000);
+        let trace = atlas::generate(&mut rng, 5_000);
         for target in [256usize, 1024] {
-            let p = ProgramExtractor::default()
-                .extract_with_size(&trace, target, &mut rng)
+            let p = extract_with_size(&trace, target, &mut rng)
                 .expect("synthetic trace has large jobs");
             assert_eq!(p.tasks(), target);
         }
@@ -246,25 +195,6 @@ mod tests {
     fn extract_with_size_empty_trace_is_none() {
         let mut rng = TestRng::seed_from_u64(6);
         let trace = SwfTrace::default();
-        assert!(ProgramExtractor::default().extract_with_size(&trace, 256, &mut rng).is_none());
-    }
-
-    #[test]
-    fn max_tasks_cap_applies() {
-        let mut rng = TestRng::seed_from_u64(7);
-        let ex = ProgramExtractor { max_tasks: Some(16), ..Default::default() };
-        let p = ex.extract(&job(1, 512, 8000.0, SwfStatus::Completed), &mut rng);
-        assert_eq!(p.tasks(), 16);
-    }
-
-    #[test]
-    fn degenerate_scale_range_is_constant() {
-        let mut rng = TestRng::seed_from_u64(8);
-        let ex = ProgramExtractor { scale_range: (1.0, 1.0), ..Default::default() };
-        let p = ex.extract(&job(1, 4, 8000.0, SwfStatus::Completed), &mut rng);
-        let expect = 8000.0 * ATLAS_GFLOPS_PER_PROC;
-        for t in 0..4 {
-            assert!((p.workload(t) - expect).abs() < 1e-9);
-        }
+        assert!(extract_with_size(&trace, 256, &mut rng).is_none());
     }
 }

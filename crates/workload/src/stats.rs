@@ -4,7 +4,8 @@
 //! marginals of the real LLNL Atlas log, and to report trace
 //! properties in the experiment harness.
 
-use crate::swf::{SwfStatus, SwfTrace};
+use crate::swf::SwfTrace;
+use crate::LARGE_JOB_RUNTIME;
 
 /// Summary of one SWF trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +14,8 @@ pub struct TraceStats {
     pub jobs: usize,
     /// Completed jobs.
     pub completed: usize,
-    /// Completed jobs with runtime ≥ 7200 s (the paper's "large").
+    /// Completed jobs with runtime ≥ [`LARGE_JOB_RUNTIME`] (the paper's
+    /// "large").
     pub large_completed: usize,
     /// Smallest allocated processor count.
     pub min_procs: i64,
@@ -36,7 +38,7 @@ pub fn trace_stats(trace: &SwfTrace) -> Option<TraceStats> {
     let jobs = trace.jobs.len();
     let completed: Vec<_> = trace.completed().collect();
     let n_completed = completed.len();
-    let large = trace.large_completed(7_200.0).count();
+    let large = trace.large_completed(LARGE_JOB_RUNTIME).count();
     let min_procs = trace.jobs.iter().map(|j| j.allocated_procs).min().unwrap_or(0);
     let max_procs = trace.jobs.iter().map(|j| j.allocated_procs).max().unwrap_or(0);
 
@@ -67,7 +69,7 @@ pub fn trace_stats(trace: &SwfTrace) -> Option<TraceStats> {
 pub fn size_histogram(trace: &SwfTrace) -> Vec<usize> {
     let mut hist = vec![0usize; 16];
     for j in trace.completed() {
-        if j.status != SwfStatus::Completed || j.allocated_procs < 1 {
+        if j.allocated_procs < 1 {
             continue;
         }
         let bucket = (63 - (j.allocated_procs as u64).leading_zeros()) as usize;
@@ -81,7 +83,7 @@ pub fn size_histogram(trace: &SwfTrace) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atlas::AtlasGenerator;
+    use crate::atlas;
     use rand::SeedableRng;
 
     #[test]
@@ -92,7 +94,7 @@ mod tests {
     #[test]
     fn synthetic_atlas_stats_match_published_marginals() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2006);
-        let trace = AtlasGenerator::default().generate(&mut rng, 20_000);
+        let trace = atlas::generate(&mut rng, 20_000);
         let s = trace_stats(&trace).unwrap();
         assert_eq!(s.jobs, 20_000);
         assert!((s.completion_rate - 0.5).abs() < 0.02);
@@ -108,7 +110,7 @@ mod tests {
     #[test]
     fn size_histogram_counts_completed_only() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let trace = AtlasGenerator::default().generate(&mut rng, 5_000);
+        let trace = atlas::generate(&mut rng, 5_000);
         let hist = size_histogram(&trace);
         let total: usize = hist.iter().sum();
         assert_eq!(total, trace.completed().count());

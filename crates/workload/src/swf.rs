@@ -197,7 +197,7 @@ impl SwfTrace {
     }
 
     /// Completed jobs with runtime at least `min_runtime` seconds (the
-    /// paper's "large jobs": ≥ 7200 s).
+    /// paper's "large jobs" run at least [`crate::LARGE_JOB_RUNTIME`]).
     pub fn large_completed(&self, min_runtime: f64) -> impl Iterator<Item = &SwfJob> + '_ {
         self.completed().filter(move |j| j.task_runtime() >= min_runtime)
     }
@@ -329,38 +329,5 @@ mod tests {
                 assert_eq!(s, SwfStatus::Unknown);
             }
         }
-    }
-}
-
-impl SwfTrace {
-    /// Parse an SWF file from disk.
-    pub fn from_file<P: AsRef<std::path::Path>>(path: P) -> std::io::Result<Result<SwfTrace>> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(SwfTrace::parse(&text))
-    }
-
-    /// Write the trace to disk in SWF format.
-    pub fn to_file<P: AsRef<std::path::Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_swf())
-    }
-}
-
-#[cfg(test)]
-mod file_tests {
-    use super::*;
-
-    #[test]
-    fn file_round_trip() {
-        let trace = SwfTrace { header: vec![("Version".into(), "2.1".into())], jobs: vec![] };
-        let path = std::env::temp_dir().join(format!("gridvo-swf-{}.swf", std::process::id()));
-        trace.to_file(&path).unwrap();
-        let back = SwfTrace::from_file(&path).unwrap().unwrap();
-        assert_eq!(back, trace);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn from_file_missing_is_io_error() {
-        assert!(SwfTrace::from_file("/nonexistent/x.swf").is_err());
     }
 }

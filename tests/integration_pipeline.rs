@@ -5,9 +5,8 @@
 use gridvo_sim::instance_gen::ScenarioGenerator;
 use gridvo_sim::runner::seeded_rng;
 use gridvo_sim::TableI;
-use gridvo_workload::atlas::AtlasGenerator;
-use gridvo_workload::program::ProgramExtractor;
 use gridvo_workload::stats::trace_stats;
+use gridvo_workload::{atlas, program};
 use gridvo_workload::{SwfStatus, SwfTrace};
 
 /// A fragment in the exact style of the real LLNL Atlas header + rows.
@@ -42,7 +41,7 @@ fn archive_style_file_parses() {
 fn archive_style_extraction_matches_paper_formulas() {
     let trace = SwfTrace::parse(ARCHIVE_STYLE).unwrap();
     let mut rng = seeded_rng(0xA1, 0);
-    let programs = ProgramExtractor::default().extract_all(&trace, &mut rng);
+    let programs = program::extract_all(&trace, &mut rng);
     assert_eq!(programs.len(), 2);
     // job 1: 8 processors ⇒ 8 tasks; workload = cpu_time × 4.91 × U[.5,1]
     let p = &programs[0];
@@ -56,7 +55,7 @@ fn archive_style_extraction_matches_paper_formulas() {
 #[test]
 fn synthetic_trace_survives_disk_round_trip() {
     let mut rng = seeded_rng(0xA2, 0);
-    let trace = AtlasGenerator::default().generate(&mut rng, 500);
+    let trace = atlas::generate(&mut rng, 500);
     let text = trace.to_swf();
     let reparsed = SwfTrace::parse(&text).unwrap();
     assert_eq!(reparsed.jobs.len(), 500);
@@ -73,7 +72,7 @@ fn synthetic_trace_survives_disk_round_trip() {
 fn generator_accepts_external_trace_end_to_end() {
     // external trace → scenario → the numbers the mechanism consumes
     let mut rng = seeded_rng(0xA3, 0);
-    let trace = AtlasGenerator::default().generate(&mut rng, 4_000);
+    let trace = atlas::generate(&mut rng, 4_000);
     let cfg = TableI {
         gsps: 6,
         task_sizes: vec![20],

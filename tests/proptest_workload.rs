@@ -1,6 +1,7 @@
 //! Property-based tests for the workload substrate.
 
-use gridvo_workload::program::{Program, ProgramExtractor};
+use gridvo_sim::braun::time_matrix;
+use gridvo_workload::program::{self, Program};
 use gridvo_workload::swf::{SwfJob, SwfStatus, SwfTrace};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -75,8 +76,7 @@ proptest! {
     #[test]
     fn extraction_respects_formulas(job in arb_job(), seed in 0u64..1000) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ex = ProgramExtractor::default();
-        let p = ex.extract(&job, &mut rng);
+        let p = program::extract(&job, &mut rng);
         prop_assert_eq!(p.tasks(), job.allocated_procs.max(1) as usize);
         let max_w = job.task_runtime() * 4.91;
         for t in 0..p.tasks() {
@@ -126,10 +126,11 @@ proptest! {
         speed in 10.0f64..1000.0,
     ) {
         let p = Program::new(1, 7200.0, workloads.clone());
+        let time = time_matrix(p.workloads(), &[speed, 2.0 * speed]);
         for t in 0..p.tasks() {
-            let t1 = p.execution_time(t, speed);
-            let t2 = p.execution_time(t, 2.0 * speed);
+            let (t1, t2) = (time[2 * t], time[2 * t + 1]);
             prop_assert!((t1 - 2.0 * t2).abs() < 1e-9 * t1.max(1.0));
+            prop_assert_eq!(t1, p.workload(t) / speed);
         }
         prop_assert!((p.total_workload() - workloads.iter().sum::<f64>()).abs()
             < 1e-9 * p.total_workload().max(1.0));
