@@ -21,6 +21,7 @@
 //! | `ablation_solver` | beyond-paper: exact vs heuristic solver inside TVOF |
 //! | `ablation_topology` | beyond-paper: trust-graph topology ablation |
 //! | `decay_freeze` | beyond-paper: the decaying-trust freeze critique |
+//! | `bench_diff` | the last two `BENCH_daemon.json` rows compared under `BENCHMARK.json`'s bounds (reads, measures nothing) |
 //!
 //! Every binary accepts `--paper` for the full Table-I scale (16 GSPs,
 //! 256–8192 tasks, 10 seeds — slow) and defaults to a **quick** scale

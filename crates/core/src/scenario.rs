@@ -159,11 +159,8 @@ impl FormationScenario {
     /// The IP a candidate VO (given by global GSP indices) faces.
     /// Returns `None` when the VO cannot possibly host the program
     /// (fewer tasks than members — constraint (13) infeasible — or an
-    /// empty member list).
+    /// empty member list) or names a GSP outside the pool.
     pub fn instance_for(&self, members: &[usize]) -> Option<AssignmentInstance> {
-        if !self.can_host(members.len()) {
-            return None;
-        }
         self.instance.restrict_gsps(members).ok()
     }
 
@@ -179,9 +176,6 @@ impl FormationScenario {
     /// `None` when an id is out of range or the sub-pool cannot host
     /// the program (see [`FormationScenario::instance_for`]).
     pub fn restrict(&self, ids: &[usize]) -> Option<FormationScenario> {
-        if ids.iter().any(|&id| id >= self.gsp_count()) {
-            return None;
-        }
         let instance = self.instance_for(ids)?;
         let trust = self.trust_for(ids).ok()?;
         let gsps =
@@ -248,6 +242,14 @@ mod tests {
         assert!(s.instance_for(&[]).is_none());
         assert!(s.instance_for(&[0]).is_some());
         assert!(s.instance_for(&[0, 1]).is_some());
+    }
+
+    #[test]
+    fn instance_for_rejects_an_out_of_range_id() {
+        let gsps = vec![Gsp::new(0, 10.0), Gsp::new(1, 20.0)];
+        let s = FormationScenario::new(gsps, TrustGraph::new(2), instance(4, 2)).unwrap();
+        assert!(s.instance_for(&[0, 2]).is_none());
+        assert!(s.instance_for(&[2]).is_none());
     }
 
     /// `m` GSPs over `2m` tasks, with distinct speeds, trust weights

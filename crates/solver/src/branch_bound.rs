@@ -20,7 +20,9 @@
 //! payment cap, or returns a seed whose cost meets the Hungarian root
 //! bound as optimal, at zero nodes. A caller's warm incumbent is
 //! checked first, so a certified warm start skips the heuristic
-//! portfolio and the bound tables altogether.
+//! portfolio and the bound tables altogether. An instance whose tasks'
+//! fastest times alone overfill `k·d` skips them too: it answers what
+//! the search root would, without building the root's tables.
 //!
 //! The search is exact; the solver's node cap
 //! ([`BranchBound::max_nodes`]) and the caller's optional wall-clock
@@ -221,11 +223,26 @@ impl BranchBound {
                 other => other,
             };
 
+        // Aggregate deadline: when the tasks' fastest times overfill
+        // every GSP's deadline, no heuristic places them, no warm seed
+        // is feasible and the search root prunes on its time test. So
+        // answer as that root does (one node, or none when the cap is 0
+        // or the budget has run out) without building its tables.
+        if aggregate_time_infeasible(inst) {
+            return if self.max_nodes == 0 || budget.expired() {
+                SolveStatus::Unknown { nodes: 0 }
+            } else {
+                SolveStatus::Infeasible { nodes: 1 }
+            };
+        }
+
         // The seed: the cheaper of the warm incumbent and the heuristic
         // portfolio. The warm one wins only when strictly cheaper, so a
-        // tie keeps the cold-run label.
+        // tie keeps the cold-run label; the portfolio's sweeps stop at
+        // the warm cost as well as at the cheapest heuristic seed.
         let tables = BoundTables::new(inst);
-        let seed = match (warm, heuristics::seed_incumbent_with(inst, &tables)) {
+        let warm_cost = warm.as_ref().map(|(_, c)| *c);
+        let seed = match (warm, heuristics::seed_incumbent_with(inst, &tables, warm_cost)) {
             (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
             (_, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
             (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
@@ -268,7 +285,7 @@ impl BranchBound {
         let (lower_bound, gap) = if truncated {
             // The root bounds are computed only when the search was
             // actually cut short.
-            let lb = root_lower_bound(inst, &tables).min(cost);
+            let lb = root_lower_bound(inst, &tables, root_bound).min(cost);
             (Some(lb), Some(gap_for(cost, lb)))
         } else {
             (Some(cost), Some(0.0))
@@ -315,17 +332,28 @@ fn certified(assignment: Assignment, cost: f64, source: IncumbentSource) -> Solv
     })
 }
 
+/// True when `Σ_t min_g t(t,g)` exceeds the total deadline room
+/// `k·d` by more than the feasibility audit's per-GSP tolerance (1e-9)
+/// and summation rounding can explain: then no assignment keeps every
+/// GSP within the deadline, and the search root's aggregate time test
+/// ([`BoundTables::time_infeasible`]) prunes.
+fn aggregate_time_infeasible(inst: &AssignmentInstance) -> bool {
+    let need: f64 = (0..inst.tasks()).map(|t| inst.min_time(t)).sum();
+    let room = inst.gsps() as f64 * (inst.deadline() + 1e-9);
+    need - room > 1e-9 * need
+}
+
 /// Best proven root lower bound for `inst`: the max of the Hungarian
-/// participation bound, the Lagrangian dual and the per-task cost
-/// bound (all admissible). Used to attach an optimality gap to
-/// truncated solves.
-fn root_lower_bound(inst: &AssignmentInstance, tables: &BoundTables) -> f64 {
+/// participation bound (`participation`, already computed by the
+/// root step), the Lagrangian dual and the per-task cost bound (all
+/// admissible). Used to attach an optimality gap to truncated solves.
+fn root_lower_bound(inst: &AssignmentInstance, tables: &BoundTables, participation: f64) -> f64 {
     let k = inst.gsps();
     let mut lb = tables.cost_lower_bound(0, 0.0, &vec![0usize; k]);
     if tables.has_mu {
         lb = lb.max(tables.lagrangian_lower_bound(0, 0.0, &vec![0.0; k], inst.deadline()));
     }
-    lb.max(crate::hungarian::participation_bound(inst))
+    lb.max(participation)
 }
 
 /// Relative optimality gap `(cost − lb) / cost`, clamped to `[0, 1]`.
@@ -595,6 +623,22 @@ mod tests {
     fn deadline_proves_infeasible() {
         let i = inst(3, 2, vec![1.0; 6], vec![10.0; 6], 5.0, 100.0);
         assert!(BranchBound::default().solve(&i).is_none());
+    }
+
+    #[test]
+    fn aggregate_deadline_infeasibility_answers_like_the_root() {
+        // Σ min time = 12 exceeds k·d = 10: no assignment meets the
+        // deadlines, and the search root prunes after one node.
+        let i = inst(4, 2, vec![1.0; 8], vec![3.0; 8], 5.0, 100.0);
+        let solve = |max_nodes: u64, budget: &Budget| {
+            BranchBound { max_nodes }.solve_status_with_budget(&i, None, budget)
+        };
+        let unlimited = Budget::unlimited();
+        assert_eq!(solve(50_000_000, &unlimited), SolveStatus::Infeasible { nodes: 1 });
+        assert_eq!(solve(1, &unlimited), SolveStatus::Infeasible { nodes: 1 });
+        assert_eq!(solve(0, &unlimited), SolveStatus::Unknown { nodes: 0 });
+        let expired = Budget::with_deadline(Instant::now());
+        assert_eq!(solve(50_000_000, &expired), SolveStatus::Unknown { nodes: 0 });
     }
 
     #[test]

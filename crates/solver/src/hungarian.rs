@@ -42,12 +42,15 @@ pub fn min_cost_matching(cost: &[f64], rows: usize, cols: usize) -> (Vec<usize>,
     let mut v = vec![0.0f64; cols + 1]; // column potentials
     let mut p = vec![0usize; cols + 1]; // p[c] = row matched to column c (0 = none)
     let mut way = vec![0usize; cols + 1];
+    // per-row buffers, reset for each row
+    let mut minv = vec![inf; cols + 1];
+    let mut used = vec![false; cols + 1];
 
     for r in 1..=rows {
         p[0] = r;
         let mut j0 = 0usize; // current column (virtual start)
-        let mut minv = vec![inf; cols + 1];
-        let mut used = vec![false; cols + 1];
+        minv.fill(inf);
+        used.fill(false);
         loop {
             used[j0] = true;
             let i0 = p[j0];

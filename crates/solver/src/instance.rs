@@ -217,22 +217,37 @@ impl AssignmentInstance {
 
     /// Restrict the instance to a subset of GSPs (by index), producing
     /// the IP a *smaller VO* faces. Column `j` of the result is GSP
-    /// `keep[j]` of `self`. Errors if the subset is empty or larger
-    /// than the task count.
+    /// `keep[j]` of `self`. Errors if the subset is empty, names a GSP
+    /// outside `0..gsps()` or is larger than the task count.
+    ///
+    /// The kept columns are copied row by row without revalidation:
+    /// every entry was checked when `self` was built.
     pub fn restrict_gsps(&self, keep: &[usize]) -> Result<AssignmentInstance> {
         let k = keep.len();
         if k == 0 {
             return Err(SolverError::Empty);
         }
+        if let Some(&gsp) = keep.iter().find(|&&g| g >= self.gsps) {
+            return Err(SolverError::UnknownGsp { gsp, gsps: self.gsps });
+        }
+        if self.tasks < k {
+            return Err(SolverError::TooFewTasks { tasks: self.tasks, gsps: k });
+        }
         let mut cost = Vec::with_capacity(self.tasks * k);
         let mut time = Vec::with_capacity(self.tasks * k);
         for t in 0..self.tasks {
-            for &g in keep {
-                cost.push(self.cost(t, g));
-                time.push(self.time(t, g));
-            }
+            let (cost_row, time_row) = (self.cost_row(t), self.time_row(t));
+            cost.extend(keep.iter().map(|&g| cost_row[g]));
+            time.extend(keep.iter().map(|&g| time_row[g]));
         }
-        AssignmentInstance::new(self.tasks, k, cost, time, self.deadline, self.payment)
+        Ok(AssignmentInstance {
+            tasks: self.tasks,
+            gsps: k,
+            cost,
+            time,
+            deadline: self.deadline,
+            payment: self.payment,
+        })
     }
 }
 
@@ -382,6 +397,42 @@ mod tests {
     fn restrict_gsps_empty_subset_is_error() {
         let inst = small();
         assert_eq!(inst.restrict_gsps(&[]), Err(SolverError::Empty));
+    }
+
+    #[test]
+    fn restrict_gsps_rejects_an_out_of_range_index() {
+        let inst = small();
+        assert_eq!(inst.restrict_gsps(&[0, 2]), Err(SolverError::UnknownGsp { gsp: 2, gsps: 2 }));
+        assert_eq!(
+            inst.restrict_gsps(&[0, 1, 0, 1]),
+            Err(SolverError::TooFewTasks { tasks: 3, gsps: 4 })
+        );
+    }
+
+    #[test]
+    fn restrict_gsps_equals_the_validated_build() {
+        // The copy-only restriction yields exactly what `new` builds
+        // from the same columns, repeated and reordered ones included.
+        let inst = small();
+        for keep in [&[0, 1][..], &[1, 0], &[1, 1, 0], &[0]] {
+            let mut cost = Vec::new();
+            let mut time = Vec::new();
+            for t in 0..inst.tasks() {
+                for &g in keep {
+                    cost.push(inst.cost(t, g));
+                    time.push(inst.time(t, g));
+                }
+            }
+            let built = AssignmentInstance::new(
+                inst.tasks(),
+                keep.len(),
+                cost,
+                time,
+                inst.deadline(),
+                inst.payment(),
+            );
+            assert_eq!(inst.restrict_gsps(keep), built, "keep {keep:?}");
+        }
     }
 
     #[test]

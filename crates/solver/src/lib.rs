@@ -23,11 +23,13 @@
 //! The exact solver has one entry point,
 //! [`BranchBound::solve_status_with_budget`] (plus `solve`, its cold,
 //! unlimited shorthand), which reads top to bottom: root certificates
-//! (Hungarian infeasibility cut, warm-incumbent certificate, seed
-//! certificate), the heuristic seed, the depth-first search under the
-//! solver's node cap ([`BranchBound::max_nodes`]) and the caller's
-//! deadline ([`Budget`]), and the status (canonical cost, lower bound
-//! and gap, [`branch_bound::SolveStatus`]).
+//! (Hungarian infeasibility cut, warm-incumbent certificate), the
+//! aggregate-deadline short-circuit, the heuristic seed (its sweeps
+//! bounded by the cheapest seed so far) and its certificate, the
+//! depth-first search under the solver's node cap
+//! ([`BranchBound::max_nodes`]) and the caller's deadline ([`Budget`]),
+//! and the status (canonical cost, lower bound and gap,
+//! [`branch_bound::SolveStatus`]).
 //!
 //! ## Quick example
 //!
@@ -88,6 +90,13 @@ pub enum SolverError {
     },
     /// Instance has zero tasks or zero GSPs.
     Empty,
+    /// A GSP index outside the instance's `0..gsps` range.
+    UnknownGsp {
+        /// The rejected index.
+        gsp: usize,
+        /// Number of GSPs in the instance.
+        gsps: usize,
+    },
     /// More GSPs than tasks: constraint (13) can never hold.
     TooFewTasks {
         /// Number of tasks.
@@ -120,6 +129,9 @@ impl std::fmt::Display for SolverError {
                 write!(f, "invalid {name}: {value}")
             }
             SolverError::Empty => write!(f, "instance has no tasks or no GSPs"),
+            SolverError::UnknownGsp { gsp, gsps } => {
+                write!(f, "GSP index {gsp} is out of range for {gsps} GSPs")
+            }
             SolverError::TooFewTasks { tasks, gsps } => {
                 write!(f, "{tasks} tasks cannot cover {gsps} GSPs (constraint 13 infeasible)")
             }
