@@ -4,8 +4,18 @@
 //! medians, the change/parent ratio and whether the ratio stays within
 //! the metric's bound; when the change row records `pair_ratios` (one
 //! change/parent ratio per alternating pair) it also prints their
-//! minimum, median and maximum. A row's `held_out` block, when both
-//! rows have one, is compared the same way.
+//! minimum, median and maximum, a bootstrap 95% interval of their
+//! median and a verdict on it:
+//!
+//! - `gain` when the whole interval lies on the metric's better side
+//!   of 1;
+//! - `held` when the interval's worse end stays within the bound;
+//! - `unresolved` otherwise: the pairs cannot tell the change from the
+//!   bound.
+//!
+//! The bootstrap is seeded, so a committed row always reads the same
+//! interval. A row's `held_out` block, when both rows have one, is
+//! compared the same way.
 //!
 //! ```text
 //! bench_diff [BENCH_daemon.json [BENCHMARK.json]]
@@ -23,6 +33,13 @@ struct Metric {
     lower_is_better: bool,
     bound: f64,
 }
+
+/// Resamples drawn for the bootstrap interval of a median pair ratio.
+const RESAMPLES: usize = 10_000;
+
+/// The bootstrap generator's seed: the same ratios always give the same
+/// interval.
+const BOOTSTRAP_SEED: u64 = 0x5EED_B007_57A9_0001;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -70,8 +87,17 @@ fn diff(daemon: &Value, benchmark: &Value) -> Result<String, String> {
         });
         out += &format!("\n{block} (seeds {})\n", seeds.unwrap_or_else(|| "?".into()));
         out += &format!(
-            "{:<16}{:<17}{:>11}{:>11}{:>8}{:>7}  {:<9}{}\n",
-            "workload", "metric", "parent", "change", "ratio", "bound", "verdict", "pair ratios"
+            "{:<16}{:<17}{:>11}{:>11}{:>8}{:>7}  {:<9}{:<27}{:<18}{}\n",
+            "workload",
+            "metric",
+            "parent",
+            "change",
+            "ratio",
+            "bound",
+            "medians",
+            "pair ratios",
+            "median 95% CI",
+            "verdict"
         );
         let (pw, cw) = (workloads_of(p, block, "parent")?, workloads_of(c, block, "change")?);
         for &w in &workloads {
@@ -86,7 +112,16 @@ fn diff(daemon: &Value, benchmark: &Value) -> Result<String, String> {
                 let within =
                     if m.lower_is_better { ratio <= 1.0 + m.bound } else { ratio >= 1.0 - m.bound };
                 let pairs = match pair_ratios(cm, w, &m.name)? {
-                    Some(spread) => spread,
+                    Some(r) => {
+                        let n = r.len();
+                        let (lo, hi) = median_interval(&r);
+                        format!(
+                            "{:<27}{:<18}{}",
+                            format!("{:.3}/{:.3}/{:.3} over {n}", r[0], median_of(&r), r[n - 1]),
+                            format!("[{lo:.3}, {hi:.3}]"),
+                            verdict(m, (lo, hi))
+                        )
+                    }
                     None => "-".into(),
                 };
                 out += &format!(
@@ -142,8 +177,8 @@ fn median(metric: &Value, workload: &str, name: &str) -> Result<f64, String> {
         .ok_or(format!("{workload} {name} has no positive median"))
 }
 
-/// `min/median/max` of a metric's `pair_ratios`, when it has them.
-fn pair_ratios(metric: &Value, workload: &str, name: &str) -> Result<Option<String>, String> {
+/// A metric's `pair_ratios`, sorted, when it has them.
+fn pair_ratios(metric: &Value, workload: &str, name: &str) -> Result<Option<Vec<f64>>, String> {
     let Some(list) = metric.get("pair_ratios") else { return Ok(None) };
     let bad = || format!("{workload} {name} pair_ratios is not a non-empty list of numbers");
     let mut r: Vec<f64> = list
@@ -157,9 +192,63 @@ fn pair_ratios(metric: &Value, workload: &str, name: &str) -> Result<Option<Stri
         return Err(bad());
     }
     r.sort_by(f64::total_cmp);
-    let n = r.len();
-    let mid = if n % 2 == 1 { r[n / 2] } else { (r[n / 2 - 1] + r[n / 2]) / 2.0 };
-    Ok(Some(format!("{:.3}/{:.3}/{:.3} over {n}", r[0], mid, r[n - 1])))
+    Ok(Some(r))
+}
+
+/// The median of `sorted`, which is sorted and not empty.
+fn median_of(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// The percentile-bootstrap 95% interval of the median of `ratios`:
+/// [`RESAMPLES`] resamples with replacement, drawn by a SplitMix64
+/// generator seeded with [`BOOTSTRAP_SEED`].
+fn median_interval(ratios: &[f64]) -> (f64, f64) {
+    let mut state = BOOTSTRAP_SEED;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let n = ratios.len();
+    let mut sample = vec![0.0; n];
+    let mut medians: Vec<f64> = (0..RESAMPLES)
+        .map(|_| {
+            for s in sample.iter_mut() {
+                *s = ratios[(next() % n as u64) as usize];
+            }
+            sample.sort_by(f64::total_cmp);
+            median_of(&sample)
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    (medians[RESAMPLES / 40], medians[RESAMPLES - RESAMPLES / 40 - 1])
+}
+
+/// The verdict on a change/parent median-ratio interval `(lo, hi)`:
+/// `gain` when it lies wholly on the metric's better side of 1,
+/// `held` when its worse end is within the metric's bound, and
+/// `unresolved` otherwise.
+fn verdict(metric: &Metric, (lo, hi): (f64, f64)) -> &'static str {
+    let (better, held) = if metric.lower_is_better {
+        (hi < 1.0, hi <= 1.0 + metric.bound)
+    } else {
+        (lo > 1.0, lo >= 1.0 - metric.bound)
+    };
+    if better {
+        "gain"
+    } else if held {
+        "held"
+    } else {
+        "unresolved"
+    }
 }
 
 #[cfg(test)]
@@ -205,6 +294,51 @@ mod tests {
         assert!(t.contains("1.100") && t.contains("within") && t.ends_with('-'), "{out}");
     }
 
+    /// The verdict on a synthetic row whose metric `t` (lower is
+    /// better) and `r` (higher is better) carry these pair ratios.
+    fn verdicts(t: &str, r: &str) -> (String, String) {
+        let change = format!(
+            r#"{{"sha": "x", "end_to_end": {{"seeds": [1], "workloads": {{"w": {{
+                "t": {{"median": 1.0, "pair_ratios": {t}}},
+                "r": {{"median": 1.0, "pair_ratios": {r}}}}}}}}}}}"#
+        );
+        let out = diff(&rows(&row(1.0, r#"{"median": 1.0}"#), &change), &benchmark()).unwrap();
+        let last = |metric: &str| {
+            let line = out.lines().find(|l| l.starts_with("w ") && l.contains(metric)).unwrap();
+            line.rsplit(' ').next().unwrap().to_string()
+        };
+        (last(" t "), last(" r "))
+    }
+
+    #[test]
+    fn verdicts_follow_the_interval_and_the_bound() {
+        // Every pair faster: the interval lies below 1 for `t`, and
+        // the same ratios read as a loss within the bound for `r`.
+        let fast = "[0.60, 0.62, 0.58, 0.61, 0.63, 0.59, 0.60, 0.64, 0.57, 0.62]";
+        assert_eq!(verdicts(fast, fast), ("gain".into(), "unresolved".into()));
+        let slight = "[0.90, 0.92, 0.88, 0.91, 0.93, 0.89, 0.90, 0.94, 0.87, 0.92]";
+        assert_eq!(verdicts(slight, slight), ("gain".into(), "held".into()));
+        // Around 1: held both ways.
+        let flat = "[0.97, 1.02, 0.99, 1.03, 1.00, 0.98, 1.01, 0.96, 1.04, 1.00]";
+        assert_eq!(verdicts(flat, flat), ("held".into(), "held".into()));
+        // Too wide to tell from the 0.25 bound either way.
+        let wide = "[0.70, 1.40, 0.90, 1.35, 1.30, 0.80, 1.45, 1.30]";
+        let (t, _) = verdicts(wide, flat);
+        assert_eq!(t, "unresolved");
+        let slow = "[1.30, 1.32, 1.28, 1.31, 1.33, 1.29]";
+        assert_eq!(verdicts(slow, slow), ("unresolved".into(), "gain".into()));
+    }
+
+    #[test]
+    fn the_bootstrap_interval_is_seeded_and_brackets_the_median() {
+        let mut r = vec![0.71, 0.76, 0.77, 0.77, 0.80, 0.82, 0.83, 0.80, 0.62, 0.69];
+        r.sort_by(f64::total_cmp);
+        let (lo, hi) = median_interval(&r);
+        assert_eq!(median_interval(&r), (lo, hi), "the same ratios give the same interval");
+        assert!(r[0] <= lo && lo <= median_of(&r) && median_of(&r) <= hi && hi <= r[9]);
+        assert_eq!(median_interval(&[0.9; 3]), (0.9, 0.9));
+    }
+
     #[test]
     fn an_unreadable_row_is_an_error() {
         let parent = row(1.0, r#"{"median": 1.0}"#);
@@ -223,6 +357,13 @@ mod tests {
         let out = diff(&daemon, &benchmark).unwrap();
         for w in ["form-hot", "reform-loop", "market-contend"] {
             assert!(out.lines().any(|l| l.starts_with(w)), "{w} missing:\n{out}");
+        }
+        // The last change row records pair ratios for every workload
+        // and metric, so each of its lines ends in a verdict.
+        let workloads = ["form-hot", "reform-loop", "market-contend"];
+        for line in out.lines().filter(|l| workloads.iter().any(|w| l.starts_with(w))) {
+            let verdict = line.rsplit(' ').next().unwrap();
+            assert!(["gain", "held", "unresolved"].contains(&verdict), "{line}");
         }
     }
 }

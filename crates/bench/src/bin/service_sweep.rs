@@ -6,8 +6,8 @@
 //! Phase 1 spins up an in-process [`ServerHandle`] and sweeps client
 //! counts (1..=8+). Each client owns one TCP connection and issues
 //! `form` requests over the seed list twice, so later rounds replay
-//! the solve cache. Phase 2 restarts the daemon with one worker and a
-//! queue bound of one, parks the worker on a slow ping, and verifies
+//! the solve cache. Phase 2 restarts the daemon with one worker permit
+//! and a wait bound of one, parks the permit on a slow ping, and verifies
 //! that surplus requests are rejected with `Busy` rather than queued
 //! or deadlocked. The deadline phase points `form` requests carrying a
 //! real `deadline_ms` at an instance far past the exact frontier and

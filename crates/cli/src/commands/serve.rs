@@ -28,8 +28,10 @@ supervising pipe, until that pipe closes), then shuts
 down cleanly (exit 0). Registry writes commit one at a time;
 formations read lock-free epoch snapshots.
 
-  --workers      worker threads draining the job queue (default 2)
-  --queue        job-queue bound; beyond it requests get Busy (default 64)
+  --workers      solve-bearing requests served at once, each on its
+                 connection's thread (default 2)
+  --queue        requests that may wait for a worker; beyond it
+                 requests get Busy (default 64)
   --cache        solve-cache capacity in entries, 0 disables (default 4096)
   --deadline-ms  default per-request deadline, 0 = none (default 0)
 

@@ -219,3 +219,34 @@ fn sigkill_mid_market_storm_recovers_the_exact_lease_set() {
     shutdown(child);
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+/// `gridvo request` reports the daemon's typed lease refusals with
+/// their ids and exits 2.
+#[test]
+fn lease_refusals_exit_2_with_their_ids() {
+    let (child, _reader, addr, _) = spawn_daemon(&[]);
+    let refused = |args: &[&str]| {
+        let out = gridvo().args(["request"]).args(args).args(["--addr", &addr]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let stderr = refused(&["release-lease", "--lease", "9"]);
+    assert!(stderr.contains("unknown lease id 9"), "{stderr}");
+
+    let out = gridvo()
+        .args(["request", "form", "--addr", &addr, "--seed", "3", "--app", "atlas"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("coalition committed as lease 1"), "{stdout}");
+    // `selected VO [g, ..]: ...`: the first member is leased.
+    let first = stdout
+        .split_once("selected VO [")
+        .and_then(|(_, rest)| rest.split([',', ']']).next())
+        .expect("a selected VO")
+        .trim()
+        .to_string();
+    let stderr = refused(&["remove-gsp", "--id", &first]);
+    assert!(stderr.contains(&format!("GSP {first} is committed to live lease 1")), "{stderr}");
+    shutdown(child);
+}

@@ -3,7 +3,7 @@
 //! [`TokenBucket`] rate-limits a single client connection;
 //! [`AppQueues`] bounds how many requests each application may have
 //! queued or in flight, so one greedy application cannot starve the
-//! worker pool for everyone else.
+//! daemon's workers for everyone else.
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -1,7 +1,7 @@
 //! The daemon's shared solve cache.
 //!
 //! A bounded **LRU** memo table behind an `Arc<Mutex<…>>`,
-//! implementing [`SolveCache`] so worker threads can hand it straight
+//! implementing [`SolveCache`] so connection threads can hand it straight
 //! to [`gridvo_core::Mechanism::run_cached_with_budget`]. Hits and
 //! re-stores refresh an entry's recency, in O(1) however many entries
 //! are resident, so a standing program's hot solves survive a churn of

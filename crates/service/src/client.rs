@@ -16,6 +16,7 @@ use gridvo_core::FaultPlan;
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::{decode, encode, MechanismKind, Request, Response};
 use crate::registry::RegistrySnapshot;
+use crate::ServiceError;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -24,8 +25,12 @@ pub enum ClientError {
     Io(std::io::Error),
     /// The server closed the connection before replying.
     ServerClosed,
-    /// The response line did not parse.
+    /// The response line did not parse, or the server answered with a
+    /// free-text error.
     Protocol(String),
+    /// The server refused the request with a typed failure: an unknown
+    /// lease, or a GSP committed to a live lease.
+    Refused(ServiceError),
     /// The server answered with a different kind than the request
     /// implies (e.g. `form` answered with `ack`). Boxed: a full
     /// `Response` can carry a formation trace, and an `Err` that
@@ -39,6 +44,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "i/o error: {e}"),
             ClientError::ServerClosed => write!(f, "server closed the connection"),
             ClientError::Protocol(e) => write!(f, "protocol error: {e}"),
+            ClientError::Refused(e) => write!(f, "{e}"),
             ClientError::UnexpectedResponse(r) => {
                 write!(f, "unexpected response kind {:?}", r.kind())
             }
@@ -226,17 +232,24 @@ impl ServiceClient {
         self.write(&Request::RemoveGsp { id }).map(|(epoch, _)| epoch)
     }
 
-    /// Send a registry write; returns the ack's `(epoch, id)`, or the
-    /// refusal as [`ClientError::Protocol`].
+    /// Send a registry write; returns the ack's `(epoch, id)`, a typed
+    /// refusal as [`ClientError::Refused`], or a free-text one as
+    /// [`ClientError::Protocol`].
     fn write(&mut self, request: &Request) -> Result<(u64, Option<usize>), ClientError> {
         match self.request(request)? {
             Response::Ack { epoch, id } => Ok((epoch, id)),
+            Response::UnknownLease { lease } => {
+                Err(ClientError::Refused(ServiceError::UnknownLease { lease }))
+            }
+            Response::Leased { gsp, lease } => {
+                Err(ClientError::Refused(ServiceError::Leased { id: gsp, lease }))
+            }
             Response::Error { message } => Err(ClientError::Protocol(message)),
             other => Err(ClientError::UnexpectedResponse(Box::new(other))),
         }
     }
 
-    /// Queue-routed no-op holding a worker for `sleep_ms`.
+    /// No-op holding a worker permit for `sleep_ms`.
     pub fn ping(&mut self, sleep_ms: u64) -> Result<Response, ClientError> {
         self.request(&Request::Ping { sleep_ms })
     }

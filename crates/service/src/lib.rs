@@ -31,11 +31,13 @@
 //!   updates invalidate nothing (the key covers solver inputs only),
 //!   and a write evicts, to free memory, just the solves whose
 //!   members include a GSP it touched;
-//! * [`server`] — a bounded job queue drained by a `std::thread`
-//!   worker pool (each solve single-threaded), with admission
-//!   control: a full queue sheds load with a typed
-//!   [`protocol::Response::Busy`], and a queued request past its
-//!   deadline is answered [`protocol::Response::DeadlineExceeded`]
+//! * [`server`] — one thread per connection, which serves a
+//!   solve-bearing request itself once it holds one of the daemon's
+//!   worker permits (granted in arrival order; each solve
+//!   single-threaded), with admission control: a request that finds
+//!   the wait for a permit full is shed with a typed
+//!   [`protocol::Response::Busy`], and one whose deadline passed while
+//!   it waited is answered [`protocol::Response::DeadlineExceeded`]
 //!   instead of being solved;
 //! * [`metrics`] — request counters, cache hit rate, queue depth and
 //!   per-stage latency histograms, all served as a snapshot request;
@@ -173,8 +175,8 @@ pub type Result<T> = std::result::Result<T, ServiceError>;
 ///   registry at its old state or at its new, fully committed one, which
 ///   the next committed write publishes along with its own;
 /// - the published-snapshot lock only swaps an `Arc`;
-/// - the job queue, the lease clock and the per-application queues only
-///   push, pop, retain or count;
+/// - the worker permits only count, and the lease clock and the
+///   per-application queues only push, retain or count;
 /// - the metrics lock only adds to counters and histograms;
 /// - the solve cache only relinks indices it holds.
 pub(crate) fn recover<G>(result: LockResult<G>) -> G {

@@ -1,7 +1,6 @@
 //! Request counters and per-stage latency histograms.
 //!
-//! One [`Metrics`] handle is shared by every connection and worker
-//! thread; a `metrics` request serializes a [`MetricsSnapshot`] of
+//! One [`Metrics`] handle is shared by every connection thread; a `metrics` request serializes a [`MetricsSnapshot`] of
 //! the current counters. Latencies are recorded into fixed
 //! log-spaced millisecond buckets — coarse, allocation-free, and
 //! enough to see queue-wait vs. solve-time separation in the
@@ -106,11 +105,11 @@ pub struct AppQueueDepth {
 
 /// The admission gauges the server passes into [`Metrics::snapshot`],
 /// each read from its owner when the snapshot is taken (like the cache
-/// counters): the job queue, the current epoch snapshot's leases and
-/// the per-application queues.
+/// counters): the worker permits, the current epoch snapshot's leases
+/// and the per-application queues.
 #[derive(Debug, Clone, Default)]
 pub struct MarketGauges {
-    /// Jobs queued right now.
+    /// Requests waiting for a worker permit right now.
     pub queue_depth: usize,
     /// Distinct GSPs committed to a live lease right now.
     pub committed_gsps: usize,
@@ -126,29 +125,31 @@ pub struct MarketGauges {
 pub struct MetricsSnapshot {
     /// Every request received (including rejected ones).
     pub requests_total: u64,
-    /// Formation requests accepted into the queue.
+    /// Formation requests received.
     pub form_requests: u64,
-    /// Batch-formation requests accepted into the queue (each may
-    /// stream many `form` reply lines).
+    /// Batch-formation requests received (each may stream many `form`
+    /// reply lines).
     pub batch_requests: u64,
-    /// Execution requests accepted into the queue.
+    /// Execution requests received.
     pub execute_requests: u64,
     /// Registry mutations (add/remove/trust report).
     pub registry_mutations: u64,
     /// Metrics + registry snapshot requests.
     pub snapshot_requests: u64,
-    /// Ping requests accepted into the queue.
+    /// Ping requests received.
     pub ping_requests: u64,
-    /// Requests shed with `Busy` (queue full).
+    /// Requests shed with `Busy` (too many waiting for a permit, or
+    /// an application's queue full).
     pub busy_rejections: u64,
-    /// Requests dropped at dequeue because their deadline had passed.
+    /// Requests dropped without being served because their deadline
+    /// passed while they waited for a permit.
     pub deadline_rejections: u64,
     /// Formation responses served with a truncated (anytime,
     /// non-proven) result because the deadline expired mid-solve.
     pub anytime_served: u64,
     /// Requests answered with a typed error.
     pub request_errors: u64,
-    /// Jobs queued right now.
+    /// Requests waiting for a worker permit right now.
     pub queue_depth: usize,
     /// Solve-cache lookups that hit.
     pub cache_hits: u64,
@@ -158,10 +159,12 @@ pub struct MetricsSnapshot {
     pub cache_entries: usize,
     /// `hits / (hits + misses)`; 0 before any lookup.
     pub cache_hit_rate: f64,
-    /// Time jobs spent queued before a worker picked them up.
+    /// Time requests waited for a worker permit.
     pub queue_wait_ms: HistogramSnapshot,
-    /// Time workers spent actually serving jobs, including encoding
-    /// each reply line (workers hand the connection finished bytes).
+    /// Time requests held their worker permit: serving them, including
+    /// encoding each reply line, and for a batch writing the lines the
+    /// socket took at once. A one-line reply is written after the
+    /// permit is returned.
     pub service_ms: HistogramSnapshot,
     /// Leases acquired by market formations.
     pub leases_acquired: u64,
@@ -258,12 +261,12 @@ impl Metrics {
         self.with(|m| m.throttled_rejections += 1);
     }
 
-    /// Record how long a job waited in the queue.
+    /// Record how long a request waited for a worker permit.
     pub fn record_queue_wait_ms(&self, ms: f64) {
         self.with(|m| m.queue_wait_ms.record_ms(ms));
     }
 
-    /// Record how long a job took to serve once dequeued, reply
+    /// Record how long a request held its worker permit, reply
     /// encoding included.
     pub fn record_service_ms(&self, ms: f64) {
         self.with(|m| m.service_ms.record_ms(ms));

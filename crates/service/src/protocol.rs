@@ -51,9 +51,9 @@ impl MechanismKind {
     }
 }
 
-/// A client request. `Form`, `Execute` and `Ping` go through the
-/// bounded job queue (and are subject to admission control); the
-/// registry and snapshot operations are answered inline.
+/// A client request. `Form`, `FormBatch`, `Execute` and `Ping` are
+/// served under a worker permit (and are subject to admission
+/// control); the registry and snapshot operations are answered inline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "op", rename_all = "snake_case")]
 pub enum Request {
@@ -150,11 +150,11 @@ pub enum Request {
     Registry,
     /// Fetch the metrics snapshot.
     Metrics,
-    /// A queue-routed no-op that holds a worker for `sleep_ms` —
-    /// exists so tests and the bench can exercise admission control
+    /// A no-op that holds a worker permit for `sleep_ms` — exists so
+    /// tests and the bench can exercise admission control
     /// deterministically.
     Ping {
-        /// How long the worker sleeps before replying.
+        /// How long the permit is held before the reply.
         sleep_ms: u64,
     },
 }
@@ -237,11 +237,11 @@ pub enum Response {
         /// streamed before this one).
         served: u64,
     },
-    /// The client stopped reading a `form_batch` reply, so the worker
+    /// The client stopped reading a `form_batch` reply, so the daemon
     /// stopped solving its seeds. Sent just before the batch's
     /// [`Response::BatchEnd`], whose `served` counts the forms sent.
     ReaderStalled {
-        /// Reply bytes the daemon held for the connection, unread,
+        /// Reply bytes the socket had not taken, held by the daemon,
         /// when the batch stopped.
         unread_bytes: u64,
     },
@@ -281,11 +281,26 @@ pub enum Response {
     Throttled,
     /// Reply to `Ping`.
     Pong,
-    /// Load shed: the job queue was full. Retry later.
+    /// Load shed: too many requests were already waiting for a
+    /// permit. Retry later.
     Busy,
-    /// The request waited in the queue past its deadline and was
+    /// The request waited for a permit past its deadline and was
     /// dropped without being served.
     DeadlineExceeded,
+    /// A `release_lease` named no live lease: it was never granted, or
+    /// it was already released or expired.
+    UnknownLease {
+        /// The lease id the request named.
+        lease: u64,
+    },
+    /// A `remove_gsp` named a GSP committed to a live lease; it can
+    /// leave once the lease is released.
+    Leased {
+        /// The GSP the request named.
+        gsp: usize,
+        /// The live lease holding it.
+        lease: u64,
+    },
     /// The request was understood but failed.
     Error {
         /// Human-readable cause.
@@ -347,6 +362,8 @@ impl Response {
             Response::Pong => "pong",
             Response::Busy => "busy",
             Response::DeadlineExceeded => "deadline_exceeded",
+            Response::UnknownLease { .. } => "unknown_lease",
+            Response::Leased { .. } => "leased",
             Response::Error { .. } => "error",
         }
     }
@@ -473,6 +490,8 @@ mod tests {
             Response::BatchEnd { epoch: 17, served: 5 },
             Response::Throttled,
             Response::PoolExhausted { free: 2 },
+            Response::UnknownLease { lease: 7 },
+            Response::Leased { gsp: 2, lease: 7 },
             Response::Leases {
                 leases: vec![gridvo_market::Lease {
                     id: 3,

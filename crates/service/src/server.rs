@@ -1,5 +1,5 @@
-//! The daemon: listener, connection threads, bounded job queue, and
-//! the worker pool.
+//! The daemon: listener, connection threads, and the worker permits
+//! that bound how many solve-bearing requests run at once.
 //!
 //! ## Thread model
 //!
@@ -15,28 +15,31 @@
 //!   the registry's one write path; registry / metrics snapshots are
 //!   answered inline from the current [`EpochSnapshot`] without
 //!   taking any registry lock. Solve-bearing requests (`form`,
-//!   `form_batch`, `execute`, `ping`) are enqueued for the worker
-//!   pool and the connection writes the wire lines it receives off a
-//!   per-job channel — so one slow client never ties up a worker with
-//!   I/O, and a batch's per-seed lines go out as they are computed.
+//!   `form_batch`, `execute`, `ping`) are served on the connection
+//!   thread too, once it holds one of [`ServerConfig::workers`]
+//!   permits. Permits are granted in arrival order, and each solve is
+//!   single-threaded, so the permits are the one place request-level
+//!   concurrency is bounded; no request crosses to another thread and
+//!   no reply crosses back.
+//!
+//!   The thread returns its permit before it writes a one-line reply,
+//!   so a client that stops reading never holds one. A `form_batch`
+//!   writes each line as it is computed, through a non-blocking sink
+//!   on the socket: bytes the socket will not take wait in the sink,
+//!   and once more than [`MAX_UNREAD_BYTES`] wait there the batch
+//!   stops with [`Response::ReaderStalled`]. The rest is written after
+//!   the permit is returned. So a client that stops reading holds a
+//!   bounded share of the daemon's memory, and a permit never waits on
+//!   a socket.
+//!
 //!   Accepted streams read and write with the same 50 ms timeout: an
 //!   idle connection and one whose client stopped reading both notice
 //!   shutdown, and a write that times out resumes where it stopped.
-//!   The channel counts the bytes it holds: once a connection has more
-//!   than [`MAX_UNREAD_BYTES`] unread, its batch stops with
-//!   [`Response::ReaderStalled`], so a client that stops reading holds
-//!   a bounded share of the daemon's memory and a worker never waits
-//!   on a socket.
-//! * **Workers** — `workers` threads popping the bounded queue
-//!   (Mutex + Condvar). Each solve is single-threaded; the pool is the
-//!   only place request-level concurrency happens. A worker encodes
-//!   each reply into its wire line (JSON plus `\n`) where it builds
-//!   it, so the channel carries bytes and the connection thread only
-//!   writes them; inline replies are encoded on the connection thread.
 //!
 //! Every lock the daemon takes recovers a poisoned guard (see
 //! `crate::recover`), so one thread that panics under a lock leaves
-//! the others serving.
+//! the others serving, and a permit held by a thread that panics is
+//! returned as the thread unwinds.
 //!
 //! ## Snapshot consistency
 //!
@@ -49,40 +52,39 @@
 //!
 //! ## Admission control
 //!
-//! A request arriving at a full queue is answered [`Response::Busy`]
-//! immediately — the queue bound is the daemon's backpressure, chosen
-//! at startup. A request that a worker dequeues after its deadline
-//! (per-request `deadline_ms`, defaulting to the server's) is dropped
-//! with [`Response::DeadlineExceeded`] *without* being solved: under
+//! A request that finds [`ServerConfig::queue_capacity`] requests
+//! already waiting for a permit is answered [`Response::Busy`]
+//! immediately — that bound is the daemon's backpressure, chosen at
+//! startup. A request whose deadline (per-request `deadline_ms`,
+//! defaulting to the server's) passed while it waited is answered
+//! [`Response::DeadlineExceeded`] *without* being solved: under
 //! overload, stale work is shed instead of amplified. A request
-//! dequeued *before* its deadline carries the remaining budget into
-//! the solve itself (as a [`Budget`] wall-clock deadline), so a solve
-//! that would overrun is cut short and answered with its best anytime
-//! incumbent — `truncated: Some(true)` plus an optimality `gap` —
-//! instead of holding the worker hostage. `deadline_ms` is therefore
-//! a bound on *service time*, not just queue wait, up to one solver
-//! bound-check interval plus non-solver overhead.
+//! granted its permit *before* its deadline carries the remaining
+//! budget into the solve itself (as a [`Budget`] wall-clock deadline),
+//! so a solve that would overrun is cut short and answered with its
+//! best anytime incumbent — `truncated: Some(true)` plus an optimality
+//! `gap` — instead of holding the permit hostage. `deadline_ms` is
+//! therefore a bound on *service time*, not just the wait, up to one
+//! solver bound-check interval plus non-solver overhead.
 //!
 //! ## Market admission
 //!
 //! `form --app` requests contend for the shared pool (see
-//! [`crate::market`]). Three more gates apply before such a request is
-//! queued: a per-connection token bucket (when
+//! [`crate::market`]). Three more gates apply before such a request
+//! waits for a permit: a per-connection token bucket (when
 //! [`ServerConfig::rate_limit`] is set) answers [`Response::Throttled`],
 //! a free-pool floor ([`ServerConfig::min_free`]) sheds with
 //! [`Response::PoolExhausted`] when too few uncommitted GSPs remain,
 //! and a per-application depth bound
 //! ([`ServerConfig::app_queue_capacity`]) answers `Busy` so one
-//! application cannot monopolize the worker pool. Lease TTLs
+//! application cannot monopolize the permits. Lease TTLs
 //! ([`ServerConfig::lease_ttl_ms`]) are wall-clock state held *outside*
 //! the registry: expiry is journaled as an ordinary release event
 //! (reason `"expired"`), so replay stays deterministic.
 
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -100,15 +102,19 @@ use crate::protocol::{decode, encode, MechanismKind, Request, Response};
 use crate::recover;
 use crate::registry::{Committed, Mutation};
 use crate::shard::{EpochSnapshot, ShardedRegistry, Touched, DEFAULT_SHARDS};
+use crate::ServiceError;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads draining the job queue.
+    /// Solve-bearing requests (`form`, `form_batch`, `execute`,
+    /// `ping`) served at once: each holds one of this many permits
+    /// while its connection's thread serves it.
     pub workers: usize,
-    /// Job-queue bound; a full queue sheds load with `Busy`.
+    /// Requests that may wait for a permit; a request that finds this
+    /// many waiting is shed with `Busy`.
     pub queue_capacity: usize,
     /// Solve-cache capacity (entries); 0 disables caching.
     pub cache_capacity: usize,
@@ -150,12 +156,13 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often a connection thread wakes from a blocked read or write
-/// to check for shutdown.
+/// How often a connection thread wakes from a blocked read or write,
+/// or from waiting for a permit, to check for shutdown.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Reply bytes a connection may leave unread before a worker stops
-/// solving its batch: 4 MiB, the ceiling the kernel lets a loopback
+/// Reply bytes a `form_batch` may leave waiting in its connection's
+/// sink, because the socket would not take them, before the batch
+/// stops solving: 4 MiB, the ceiling the kernel lets a loopback
 /// socket's send buffer grow to by default.
 pub const MAX_UNREAD_BYTES: usize = 4 << 20;
 
@@ -168,31 +175,89 @@ pub const MAX_UNREAD_BYTES: usize = 4 << 20;
 /// (297 791 bytes).
 pub const MAX_LINE_BYTES: usize = MAX_UNREAD_BYTES;
 
-/// A job's reply channel. It counts the bytes sent and not yet taken
-/// off by the connection thread.
-struct Reply {
-    lines: mpsc::Sender<Vec<u8>>,
-    unread: Arc<AtomicUsize>,
+/// The permits a solve-bearing request holds while it is served,
+/// granted in arrival order. At most `capacity` requests wait for one.
+struct Permits {
+    line: Mutex<Line>,
+    turn: Condvar,
+    capacity: u64,
 }
 
-impl Reply {
-    fn send(&self, line: Vec<u8>) -> Result<(), mpsc::SendError<Vec<u8>>> {
-        self.unread.fetch_add(line.len(), Ordering::SeqCst);
-        self.lines.send(line)
+/// The permits' state. Each request that has to wait draws the next
+/// ticket, and tickets are granted in the order they were drawn.
+struct Line {
+    /// Permits no request holds.
+    free: usize,
+    /// Tickets drawn so far.
+    drawn: u64,
+    /// Tickets granted a permit so far: `drawn - granted` requests
+    /// wait, and ticket `granted` is next.
+    granted: u64,
+}
+
+/// A held permit. Dropping it hands the permit to the next request in
+/// line, also when the thread holding it unwinds from a panic.
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut line = recover(self.0.line.lock());
+        line.free += 1;
+        let waiting = line.drawn > line.granted;
+        drop(line);
+        if waiting {
+            self.0.turn.notify_all();
+        }
     }
 }
 
-/// One queued solve-bearing request. The worker sends one wire line
-/// per reply (a batch sends several) and drops the sender when the job
-/// is done; the connection thread streams until the channel closes.
-struct Job {
-    request: Request,
-    enqueued: Instant,
-    deadline: Option<Duration>,
-    /// Market requests hold a per-application queue slot from
-    /// admission until the worker has their answer (or sheds them).
-    app: Option<String>,
-    reply: Reply,
+impl Permits {
+    fn new(permits: usize, capacity: usize) -> Self {
+        Permits {
+            line: Mutex::new(Line { free: permits, drawn: 0, granted: 0 }),
+            turn: Condvar::new(),
+            capacity: capacity as u64,
+        }
+    }
+
+    /// Requests waiting for a permit right now.
+    fn waiting(&self) -> usize {
+        let line = recover(self.line.lock());
+        (line.drawn - line.granted) as usize
+    }
+
+    /// Wait for a permit, behind every request already waiting. `None`
+    /// when `capacity` requests already wait, or when shutdown begins
+    /// before this request's turn.
+    fn take(&self, shutdown: &AtomicBool) -> Option<Permit<'_>> {
+        let mut line = recover(self.line.lock());
+        if line.free > 0 && line.drawn == line.granted {
+            line.free -= 1;
+            return Some(Permit(self));
+        }
+        if line.drawn - line.granted >= self.capacity {
+            return None;
+        }
+        let ticket = line.drawn;
+        line.drawn += 1;
+        loop {
+            if line.granted == ticket && line.free > 0 {
+                line.granted += 1;
+                line.free -= 1;
+                // Several permits may have come free at once.
+                let next = line.free > 0 && line.drawn > line.granted;
+                drop(line);
+                if next {
+                    self.turn.notify_all();
+                }
+                return Some(Permit(self));
+            }
+            if shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            line = recover(self.turn.wait_timeout(line, POLL)).0;
+        }
+    }
 }
 
 /// State shared by every thread of one server.
@@ -200,9 +265,7 @@ struct Shared {
     registry: ShardedRegistry,
     cache: SharedSolveCache,
     metrics: Metrics,
-    queue: Mutex<VecDeque<Job>>,
-    queue_cv: Condvar,
-    queue_capacity: usize,
+    permits: Permits,
     default_deadline: Option<Duration>,
     app_queues: Mutex<AppQueues>,
     min_free: usize,
@@ -215,14 +278,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// The metrics, with each gauge read from its owner: the queues
-    /// under their own locks, the leases from the current snapshot.
+    /// The metrics, with each gauge read from its owner: the waiting
+    /// requests and the application queues under their own locks, the
+    /// leases from the current snapshot.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let snapshot = self.registry.snapshot();
         let committed: std::collections::BTreeSet<usize> =
             snapshot.leases.iter().flat_map(|l| l.members.iter().copied()).collect();
         let gauges = MarketGauges {
-            queue_depth: recover(self.queue.lock()).len(),
+            queue_depth: self.permits.waiting(),
             committed_gsps: committed.len(),
             live_leases: snapshot.leases.len(),
             app_depths: recover(self.app_queues.lock()).depths(),
@@ -237,7 +301,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    listener: std::thread::JoinHandle<()>,
     recovered_epoch: Option<u64>,
 }
 
@@ -261,9 +325,7 @@ impl ServerHandle {
             registry,
             cache: SharedSolveCache::new(config.cache_capacity),
             metrics: Metrics::new(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            queue_capacity: config.queue_capacity.max(1),
+            permits: Permits::new(config.workers.max(1), config.queue_capacity.max(1)),
             default_deadline: match config.default_deadline_ms {
                 0 => None,
                 ms => Some(Duration::from_millis(ms)),
@@ -279,16 +341,11 @@ impl ServerHandle {
             shutdown: AtomicBool::new(false),
         });
 
-        let mut threads = Vec::new();
-        for _ in 0..config.workers.max(1) {
+        let listener = {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || listener_loop(listener, &shared)));
-        }
-        Ok(ServerHandle { addr, shared, threads, recovered_epoch })
+            std::thread::spawn(move || listener_loop(listener, &shared))
+        };
+        Ok(ServerHandle { addr, shared, listener, recovered_epoch })
     }
 
     /// The bound address (`127.0.0.1:<port>`).
@@ -320,11 +377,10 @@ impl ServerHandle {
         self.shared.metrics_snapshot()
     }
 
-    /// Stop accepting, drain nothing further, and join every thread.
-    /// Queued-but-unserved jobs are answered `Busy`.
+    /// Stop accepting and join every thread. A request being served
+    /// is finished; one still waiting for a permit is answered `Busy`.
     pub fn shutdown(self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
         // Wake the listener from `accept`: it sees the flag and exits.
         let mut wake = self.addr;
         if wake.ip().is_unspecified() {
@@ -334,14 +390,7 @@ impl ServerHandle {
             });
         }
         let _ = TcpStream::connect(wake);
-        for t in self.threads {
-            let _ = t.join();
-        }
-        // Flush any jobs the workers never picked up.
-        let mut queue = recover(self.shared.queue.lock());
-        while let Some(job) = queue.pop_front() {
-            let _ = job.reply.send(wire_line(&Response::Busy));
-        }
+        let _ = self.listener.join();
     }
 }
 
@@ -368,12 +417,12 @@ fn listener_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// How a dispatched request answers: one line, or a worker-fed stream
-/// of lines (each written as it arrives) with its [`Reply`]'s count of
-/// unread bytes.
+/// How a dispatched request answers.
 enum Dispatched {
+    /// Inline, with this wire line.
     One(Vec<u8>),
-    Stream(mpsc::Receiver<Vec<u8>>, Arc<AtomicUsize>),
+    /// Solve-bearing: served once it holds a permit.
+    Queued(Request),
 }
 
 impl Dispatched {
@@ -448,24 +497,16 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                             dispatch(request, shared)
                         }
                     }
-                    Err(e) => {
-                        shared.metrics.request_errored();
-                        Dispatched::one(Response::Error { message: format!("bad request: {e}") })
-                    }
+                    Err(e) => Dispatched::one(error_response(shared, format!("bad request: {e}"))),
                 },
                 Err(_) => {
-                    shared.metrics.request_errored();
-                    Dispatched::one(Response::Error {
-                        message: "bad request: not UTF-8".to_string(),
-                    })
+                    Dispatched::one(error_response(shared, "bad request: not UTF-8".to_string()))
                 }
             },
-            Ok(LineRead::TooLong) => {
-                shared.metrics.request_errored();
-                Dispatched::one(Response::Error {
-                    message: format!("bad request: line longer than {MAX_LINE_BYTES} bytes"),
-                })
-            }
+            Ok(LineRead::TooLong) => Dispatched::one(error_response(
+                shared,
+                format!("bad request: line longer than {MAX_LINE_BYTES} bytes"),
+            )),
             Ok(LineRead::Pending) => continue,
             Ok(LineRead::Closed) => return,
             Err(e)
@@ -480,25 +521,11 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Err(_) => return,
         };
         buf.clear();
-        match dispatched {
-            Dispatched::One(line) => {
-                if write_line(&mut writer, &line, shared).is_err() {
-                    return;
-                }
-            }
-            Dispatched::Stream(rx, unread) => {
-                // The worker drops the sender when the job is done
-                // (or the shutdown flush answers `Busy`); either way
-                // the iterator ends.
-                for line in rx {
-                    unread.fetch_sub(line.len(), Ordering::SeqCst);
-                    if write_line(&mut writer, &line, shared).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        let written = match dispatched {
+            Dispatched::One(line) => write_line(&mut writer, &line, shared),
+            Dispatched::Queued(request) => serve_queued(request, shared, &mut writer),
+        };
+        if written.is_err() || shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
     }
@@ -556,8 +583,8 @@ fn next_line(
     })
 }
 
-/// Route one request: inline for registry/snapshot ops, queued for
-/// solve-bearing ops.
+/// Route one request: inline for registry/snapshot ops, under a permit
+/// for solve-bearing ops.
 fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
     match request {
         Request::AddGsp { speed_gflops, cost, time } => {
@@ -605,7 +632,7 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
         Request::Form { app: Some(app), seed, mechanism, deadline_ms } => {
             // Market admission, cheapest gate first: shed while the
             // pool is exhausted, then claim a per-application slot
-            // (held until the worker has the answer).
+            // (held until the request has its answer).
             sweep_expired(shared);
             let free = shared.registry.snapshot().free.len();
             if free < shared.min_free {
@@ -616,12 +643,12 @@ fn dispatch(request: Request, shared: &Arc<Shared>) -> Dispatched {
                 shared.metrics.busy_rejected();
                 return Dispatched::one(Response::Busy);
             }
-            enqueue(Request::Form { app: Some(app), seed, mechanism, deadline_ms }, shared)
+            Dispatched::Queued(Request::Form { app: Some(app), seed, mechanism, deadline_ms })
         }
         queued @ (Request::Form { .. }
         | Request::FormBatch { .. }
         | Request::Execute { .. }
-        | Request::Ping { .. }) => enqueue(queued, shared),
+        | Request::Ping { .. }) => Dispatched::Queued(queued),
     }
 }
 
@@ -647,7 +674,15 @@ fn sweep_expired(shared: &Arc<Shared>) {
     }
 }
 
-/// Release a job's per-application queue slot, if it held one.
+/// The application whose queue slot a market form holds, if any.
+fn market_app(request: &Request) -> Option<&str> {
+    match request {
+        Request::Form { app, .. } => app.as_deref(),
+        _ => None,
+    }
+}
+
+/// Release a request's per-application queue slot, if it held one.
 fn leave_app(shared: &Arc<Shared>, app: Option<&str>) {
     if let Some(app) = app {
         recover(shared.app_queues.lock()).leave(app);
@@ -678,21 +713,42 @@ fn write(shared: &Shared, mutation: Mutation) -> crate::Result<Committed> {
 }
 
 /// [`write`] `mutation` and answer the client: an ack (carrying the
-/// new id of a joining GSP) or the error.
+/// new id of a joining GSP) or the refusal.
 fn ack(shared: &Arc<Shared>, mutation: Mutation) -> Response {
     let joins = matches!(mutation, Mutation::AddGsp { .. });
     match write(shared, mutation) {
         Ok(c) => Response::Ack { epoch: c.epoch, id: joins.then_some(c.assigned as usize) },
-        Err(e) => error_response(shared, e.to_string()),
+        Err(e) => refusal(shared, e),
     }
 }
 
-fn error_response(shared: &Arc<Shared>, message: String) -> Response {
+/// A refused request's answer, counted as an error. The two lease
+/// conflicts carry the ids a client acts on; any other failure is
+/// answered as text.
+fn refusal(shared: &Arc<Shared>, e: ServiceError) -> Response {
+    shared.metrics.request_errored();
+    match e {
+        ServiceError::UnknownLease { lease } => Response::UnknownLease { lease },
+        ServiceError::Leased { id, lease } => Response::Leased { gsp: id, lease },
+        e => Response::Error { message: e.to_string() },
+    }
+}
+
+fn error_response(shared: &Shared, message: String) -> Response {
     shared.metrics.request_errored();
     Response::Error { message }
 }
 
-fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
+/// Serve a solve-bearing request on the connection's own thread, and
+/// write its reply. The request first waits for a permit behind those
+/// already waiting; it is shed with `Busy` when too many wait, and with
+/// `DeadlineExceeded` when its deadline passed while it waited. The
+/// permit is returned before the reply is written.
+fn serve_queued(
+    request: Request,
+    shared: &Arc<Shared>,
+    writer: &mut TcpStream,
+) -> std::io::Result<()> {
     let deadline = match &request {
         Request::Form { deadline_ms, .. }
         | Request::FormBatch { deadline_ms, .. }
@@ -701,81 +757,57 @@ fn enqueue(request: Request, shared: &Arc<Shared>) -> Dispatched {
         }
         _ => shared.default_deadline,
     };
-    let app = match &request {
-        Request::Form { app, .. } => app.clone(),
-        _ => None,
+    let arrived = Instant::now();
+    let Some(permit) = shared.permits.take(&shared.shutdown) else {
+        // A market form already holds its app slot; give it back.
+        leave_app(shared, market_app(&request));
+        shared.metrics.busy_rejected();
+        return write_line(writer, &wire_line(&Response::Busy), shared);
     };
-    let (lines, rx) = mpsc::channel();
-    let unread = Arc::new(AtomicUsize::new(0));
-    let reply = Reply { lines, unread: Arc::clone(&unread) };
-    {
-        let mut queue = recover(shared.queue.lock());
-        if queue.len() >= shared.queue_capacity {
-            // A market form already holds its app slot; give it back.
-            drop(queue);
-            leave_app(shared, app.as_deref());
-            shared.metrics.busy_rejected();
-            return Dispatched::one(Response::Busy);
-        }
-        queue.push_back(Job { request, enqueued: Instant::now(), deadline, app, reply });
+    let granted = Instant::now();
+    shared.metrics.record_queue_wait_ms((granted - arrived).as_secs_f64() * 1e3);
+    // The absolute deadline governs both halves of the request's
+    // lifetime: already past it → shed without solving; still ahead
+    // of it → the remaining budget bounds the solve.
+    let deadline_at = deadline.map(|d| arrived + d);
+    if deadline_at.is_some_and(|at| granted >= at) {
+        drop(permit);
+        shared.metrics.deadline_rejected();
+        leave_app(shared, market_app(&request));
+        return write_line(writer, &wire_line(&Response::DeadlineExceeded), shared);
     }
-    shared.queue_cv.notify_one();
-    Dispatched::Stream(rx, unread)
+    let unwritten = serve(request, shared, writer, deadline_at);
+    drop(permit);
+    shared.metrics.record_service_ms(granted.elapsed().as_secs_f64() * 1e3);
+    write_line(writer, &unwritten?, shared)
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = recover(shared.queue.lock());
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = recover(shared.queue_cv.wait_timeout(queue, Duration::from_millis(100))).0;
-            }
-        };
-        let waited = job.enqueued.elapsed();
-        shared.metrics.record_queue_wait_ms(waited.as_secs_f64() * 1e3);
-        // The absolute deadline governs both halves of the request's
-        // lifetime: already past it → shed without solving; still
-        // ahead of it → the remaining budget bounds the solve.
-        let deadline_at = job.deadline.map(|d| job.enqueued + d);
-        if let Some(at) = deadline_at {
-            if Instant::now() >= at {
-                shared.metrics.deadline_rejected();
-                leave_app(shared, job.app.as_deref());
-                let _ = job.reply.send(wire_line(&Response::DeadlineExceeded));
-                continue;
-            }
-        }
-        let served_at = Instant::now();
-        serve(job.request, shared, &job.reply, deadline_at);
-        shared.metrics.record_service_ms(served_at.elapsed().as_secs_f64() * 1e3);
-        // `job.reply` drops here, closing the connection's stream.
+/// `response` as its wire line. Every reply to a served request is
+/// encoded here, so anytime answers are counted in one place.
+fn reply_line(shared: &Shared, response: &Response) -> Vec<u8> {
+    if matches!(response, Response::Form { truncated: Some(true), .. }) {
+        shared.metrics.anytime_served();
     }
+    wire_line(response)
 }
 
-/// Execute one dequeued job, streaming its reply lines, encoded here,
-/// into `reply`. Solves run against the epoch snapshot pinned at the
-/// start of the job — no registry lock is held during a solve, and
-/// every seed of a batch sees the same epoch.
-fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Option<Instant>) {
+/// Serve one request that holds a permit, and return the reply bytes
+/// left to write once the permit is returned: a one-line reply whole,
+/// or what of a batch's lines the socket has not taken yet. Solves run
+/// against the epoch snapshot pinned at the start of the request — no
+/// registry lock is held during a solve, and every seed of a batch
+/// sees the same epoch.
+fn serve(
+    request: Request,
+    shared: &Arc<Shared>,
+    writer: &mut TcpStream,
+    deadline_at: Option<Instant>,
+) -> std::io::Result<Vec<u8>> {
     let budget = Budget { deadline: deadline_at };
-    // Every reply leaves through here, so anytime answers are counted
-    // in one place.
-    let send = |response: Response| {
-        if matches!(response, Response::Form { truncated: Some(true), .. }) {
-            shared.metrics.anytime_served();
-        }
-        reply.send(wire_line(&response))
-    };
-    match request {
+    let response = match request {
         Request::Ping { sleep_ms } => {
             std::thread::sleep(Duration::from_millis(sleep_ms));
-            let _ = send(Response::Pong);
+            Response::Pong
         }
         Request::Form { seed, mechanism, app, .. } => {
             let response = match &app {
@@ -791,16 +823,18 @@ fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Opt
             // Free the app's slot before the client can read the
             // answer: its next form for the app may follow at once.
             leave_app(shared, app.as_deref());
-            let _ = send(response);
+            response
         }
         Request::FormBatch { seeds, mechanism, .. } => {
             let snapshot = shared.registry.snapshot();
+            let mut sink = Sink::new(writer)?;
             let mut served = 0u64;
             for &seed in &seeds {
-                let unread_bytes = reply.unread.load(Ordering::SeqCst);
+                let unread_bytes = sink.unread();
                 if unread_bytes > MAX_UNREAD_BYTES {
                     // The client stopped reading: solve nothing more.
-                    let _ = send(Response::ReaderStalled { unread_bytes: unread_bytes as u64 });
+                    let stalled = Response::ReaderStalled { unread_bytes: unread_bytes as u64 };
+                    sink.push(reply_line(shared, &stalled))?;
                     break;
                 }
                 let response = match run_formation(shared, &snapshot, seed, mechanism, &budget) {
@@ -810,24 +844,77 @@ fn serve(request: Request, shared: &Arc<Shared>, reply: &Reply, deadline_at: Opt
                     }
                     Err(message) => error_response(shared, message),
                 };
-                if send(response).is_err() {
-                    return; // client gone: stop solving for it
-                }
+                sink.push(reply_line(shared, &response))?;
             }
-            let _ = send(Response::BatchEnd { epoch: snapshot.epoch, served });
+            let end = Response::BatchEnd { epoch: snapshot.epoch, served };
+            sink.push(reply_line(shared, &end))?;
+            return sink.finish();
         }
         Request::Execute { seed, mechanism, faults, .. } => {
             let snapshot = shared.registry.snapshot();
-            let response = match run_execution(shared, &snapshot, seed, mechanism, &faults, &budget)
-            {
+            match run_execution(shared, &snapshot, seed, mechanism, &faults, &budget) {
                 Ok((outcome, report)) => Response::Execute { outcome, report },
                 Err(message) => error_response(shared, message),
-            };
-            let _ = send(response);
+            }
         }
-        other => {
-            let _ = send(error_response(shared, format!("op {:?} is not queueable", other.op())));
+        other => error_response(shared, format!("op {:?} is not queueable", other.op())),
+    };
+    Ok(reply_line(shared, &response))
+}
+
+/// A batch's reply on its way to the socket, which writes without
+/// blocking while the batch is served: each line goes out as far as
+/// the socket takes it, and the rest waits here.
+struct Sink<'a> {
+    stream: &'a mut TcpStream,
+    bytes: Vec<u8>,
+    /// The prefix of `bytes` the socket has taken.
+    sent: usize,
+}
+
+impl<'a> Sink<'a> {
+    fn new(stream: &'a mut TcpStream) -> std::io::Result<Self> {
+        stream.set_nonblocking(true)?;
+        Ok(Sink { stream, bytes: Vec::new(), sent: 0 })
+    }
+
+    /// Bytes the socket has not taken yet.
+    fn unread(&self) -> usize {
+        self.bytes.len() - self.sent
+    }
+
+    /// Queue `line` behind the bytes still waiting, and write what the
+    /// socket takes now. An error means the client is gone.
+    fn push(&mut self, line: Vec<u8>) -> std::io::Result<()> {
+        if self.unread() == 0 {
+            (self.bytes, self.sent) = (line, 0);
+        } else {
+            self.bytes.extend_from_slice(&line);
         }
+        while self.sent < self.bytes.len() {
+            match self.stream.write(&self.bytes[self.sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(written) => self.sent += written,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // Drop the written prefix once it is at least half the buffer,
+        // so the bytes moved stay linear in the bytes pushed.
+        if self.sent > 0 && 2 * self.sent >= self.bytes.len() {
+            self.bytes.drain(..self.sent);
+            self.sent = 0;
+        }
+        Ok(())
+    }
+
+    /// Return the socket to blocking writes, and the bytes it has not
+    /// taken.
+    fn finish(mut self) -> std::io::Result<Vec<u8>> {
+        self.stream.set_nonblocking(false)?;
+        self.bytes.drain(..self.sent);
+        Ok(self.bytes)
     }
 }
 
@@ -882,7 +969,7 @@ fn market_form(
                 return Response::market_form_from(outcome, Some((lease, epoch)), snapshot.epoch);
             }
             Err(crate::ServiceError::Leased { .. }) => continue,
-            Err(e) => return error_response(shared, e.to_string()),
+            Err(e) => return refusal(shared, e),
         }
     }
     shared.metrics.pool_exhausted_shed();

@@ -124,6 +124,8 @@ fn golden_lines() -> Vec<String> {
         Response::Pong,
         Response::Busy,
         Response::DeadlineExceeded,
+        Response::UnknownLease { lease: 2 },
+        Response::Leased { gsp: 2, lease: 4 },
         Response::Error { message: "queue \"exploded\"".to_string() },
         Response::form_from(outcome.clone()),
         Response::Execute { outcome, report: Some(report) },
@@ -270,8 +272,8 @@ fn mutated_lines_decode_to_the_pinned_digest() {
         fold(&mut h, decode::<Response>(line));
         fold(&mut h, decode::<Value>(line));
     }
-    assert_eq!(corpus.len(), 3229);
-    assert_eq!(h.finish(), 2_942_712_287_098_940_326);
+    assert_eq!(corpus.len(), 3377);
+    assert_eq!(h.finish(), 15_231_217_608_630_151_396);
 }
 
 /// A two-round formation: one feasible round that evicts, then an

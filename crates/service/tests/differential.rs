@@ -216,6 +216,45 @@ fn full_queue_sheds_load_with_typed_busy() {
 }
 
 #[test]
+fn waiting_requests_are_counted_served_in_arrival_order_and_bounded() {
+    let (handle, _s) =
+        spawn(ServerConfig { workers: 1, queue_capacity: 2, ..ServerConfig::default() });
+    let addr = handle.addr();
+    // A ping from a client of its own: its reply, and when it arrived.
+    let ping = move |sleep_ms| {
+        std::thread::spawn(move || {
+            let mut c = ServiceClient::connect(addr).unwrap();
+            let response = c.ping(sleep_ms).unwrap();
+            (response, std::time::Instant::now())
+        })
+    };
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(150));
+
+    // Hold the one slot with a long ping; two more wait behind it, each
+    // served for 100 ms, so the order they are answered in shows the
+    // order they were served in.
+    let holder = ping(600);
+    pause();
+    let first = ping(100);
+    pause();
+    let second = ping(100);
+    pause();
+
+    let mut probe = ServiceClient::connect(addr).unwrap();
+    assert_eq!(probe.metrics().unwrap().queue_depth, 2, "both waiting requests are counted");
+    assert_eq!(probe.ping(0).unwrap(), Response::Busy, "a third waiting request is shed");
+
+    let (holder, first, second) =
+        (holder.join().unwrap(), first.join().unwrap(), second.join().unwrap());
+    for (response, _) in [&holder, &first, &second] {
+        assert_eq!(*response, Response::Pong);
+    }
+    assert!(first.1 < second.1, "waiting requests are served in arrival order");
+    assert!(probe.metrics().unwrap().busy_rejections >= 1, "the shed must be counted");
+    handle.shutdown();
+}
+
+#[test]
 fn stale_queued_requests_are_dropped_at_their_deadline() {
     let (handle, _s) =
         spawn(ServerConfig { workers: 1, queue_capacity: 16, ..ServerConfig::default() });

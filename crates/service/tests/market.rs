@@ -136,6 +136,34 @@ fn exhausted_pool_sheds_with_a_typed_response() {
 }
 
 #[test]
+fn lease_conflicts_are_answered_with_their_ids() {
+    use gridvo_service::protocol::Request;
+    use gridvo_service::{ClientError, ServiceError};
+
+    let (handle, mut client) = spawn(ServerConfig::default());
+    let release = Request::Release { lease: 9, abandon: false };
+    assert_eq!(client.request(&release).expect("answered"), Response::UnknownLease { lease: 9 });
+    let (lease, members) = form_leased(&mut client, "atlas", 3);
+    let remove = Request::RemoveGsp { id: members[0] };
+    let leased = Response::Leased { gsp: members[0], lease };
+    assert_eq!(client.request(&remove).expect("answered"), leased);
+    assert_eq!(handle.metrics_snapshot().request_errors, 2, "both count as request errors");
+
+    // The client library reports both as typed refusals.
+    match client.release_lease(9, false) {
+        Err(ClientError::Refused(ServiceError::UnknownLease { lease: 9 })) => {}
+        other => panic!("expected an unknown-lease refusal, got {other:?}"),
+    }
+    match client.remove_gsp(members[0]) {
+        Err(ClientError::Refused(ServiceError::Leased { id, lease: held })) => {
+            assert_eq!((id, held), (members[0], lease));
+        }
+        other => panic!("expected a leased refusal, got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn leased_gsps_cannot_be_removed() {
     let (handle, mut client) = spawn(ServerConfig::default());
     let (lease, members) = form_leased(&mut client, "atlas", 3);

@@ -1,9 +1,10 @@
 //! A client that sends a large `form_batch` and then stops reading
-//! must hold up neither the worker pool nor shutdown, and must not
+//! must hold up neither the worker permits nor shutdown, and must not
 //! make the daemon hold its whole reply. The batch's reply is sized
-//! well past what the loopback socket buffers hold, so the connection
-//! thread ends up blocked writing it and the unread lines pile up in
-//! the daemon until the worker stops the batch.
+//! well past what the loopback socket buffers hold, so the socket
+//! stops taking lines and the unsent ones pile up in the connection's
+//! sink until the batch stops; its thread then returns its permit and
+//! ends up blocked writing the rest.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -54,8 +55,8 @@ fn one_worker() -> ServerHandle {
     ServerHandle::spawn(&scenario(), config).expect("bind loopback")
 }
 
-/// Send the batch, wait for its first reply bytes (the worker has
-/// started it), and return the socket without reading anything.
+/// Send the batch, wait for its first reply bytes (the batch holds the
+/// permit), and return the socket without reading anything.
 fn stall(addr: SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let seeds = (0..BATCH).map(|i| i % 8).collect();
@@ -79,8 +80,8 @@ fn within<T: Send + 'static>(
     rx.recv_timeout(limit).unwrap_or_else(|_| panic!("{what} did not finish in {limit:?}"))
 }
 
-/// A `ping` from a second client, answered once the single worker has
-/// finished the stalled batch queued ahead of it.
+/// A `ping` from a second client, answered once the stalled batch
+/// ahead of it has stopped and returned the single permit.
 fn ping(addr: SocketAddr) -> Response {
     within(PATIENCE, "a ping queued behind the stalled batch", move || {
         ServiceClient::connect(addr).expect("connect").ping(0).expect("ping answered")
@@ -92,7 +93,7 @@ fn workers_finish_a_stalled_batch_and_serve_the_next_client() {
     let handle = one_worker();
     let stalled = stall(handle.addr());
     assert_eq!(ping(handle.addr()), Response::Pong);
-    // The worker stopped solving once the client fell behind: the
+    // The batch stopped solving once the client fell behind: the
     // stalled client reads the forms sent so far, a `reader_stalled`
     // line and the batch's end.
     stalled.set_read_timeout(Some(PATIENCE)).expect("read timeout");
@@ -123,8 +124,8 @@ fn shutdown_returns_while_a_client_has_stopped_reading() {
     let handle = one_worker();
     let stalled = stall(handle.addr());
     assert_eq!(ping(handle.addr()), Response::Pong);
-    // What the worker sent now waits in the connection's channel and
-    // the socket buffers are full: its thread is blocked writing.
+    // The batch's unsent lines wait in the connection's sink and the
+    // socket buffers are full: its thread is blocked writing.
     within(SHUTDOWN, "shutdown with a client that stopped reading", move || handle.shutdown());
     drop(stalled);
 }

@@ -568,6 +568,8 @@ fn every_response_kind_bytes_are_frozen() {
         (Response::Pong, r#"{"kind":"pong"}"#),
         (Response::Busy, r#"{"kind":"busy"}"#),
         (Response::DeadlineExceeded, r#"{"kind":"deadline_exceeded"}"#),
+        (Response::UnknownLease { lease: 2 }, r#"{"kind":"unknown_lease","lease":2}"#),
+        (Response::Leased { gsp: 2, lease: 4 }, r#"{"kind":"leased","gsp":2,"lease":4}"#),
         (
             Response::Error { message: "queue \"exploded\"".to_string() },
             r#"{"kind":"error","message":"queue \"exploded\""}"#,
@@ -631,6 +633,8 @@ fn op_and_kind_name_the_encoded_tag() {
         Response::Pong,
         Response::Busy,
         Response::DeadlineExceeded,
+        Response::UnknownLease { lease: 0 },
+        Response::Leased { gsp: 0, lease: 0 },
         Response::Error { message: String::new() },
     ];
     for response in responses {

@@ -44,28 +44,72 @@ use crate::instance::AssignmentInstance;
 /// so this only trades preprocessing time against tightness.
 const LAG_ITERS: usize = 40;
 
-/// Static tables computed once per instance and shared by the
-/// heuristic seed and the search.
+/// The tables the heuristic seed reads: the branch order, the per-task
+/// minimum costs and the cost-sorted children. They are cheap next to
+/// the rest of [`BoundTables`], which holds them and adds what only the
+/// search reads.
 #[derive(Debug, Clone)]
-pub struct BoundTables {
+pub struct SeedTables {
     /// Order in which tasks are branched on: decreasing minimum
     /// execution time, so big, deadline-critical tasks are placed
     /// first and time-infeasible subtrees die early.
     pub order: Vec<usize>,
+    /// Per-task (original index) minimum cost over GSPs.
+    pub min_cost: Vec<f64>,
+    /// For each task (original index), GSP indices sorted by ascending
+    /// cost — the child expansion order (cheapest first ⇒ good
+    /// incumbents early). Flat `tasks × gsps`, entries fit in `u16`.
+    pub child_order: Vec<u16>,
+}
+
+impl SeedTables {
+    /// Build the seed's tables for `inst`.
+    pub fn new(inst: &AssignmentInstance) -> Self {
+        let n = inst.tasks();
+        let k = inst.gsps();
+        let min_cost: Vec<f64> = (0..n).map(|t| inst.min_cost(t)).collect();
+        let min_time: Vec<f64> = (0..n).map(|t| inst.min_time(t)).collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| min_time[b].total_cmp(&min_time[a]).then(a.cmp(&b)));
+
+        let mut child_order = Vec::with_capacity(n * k);
+        let mut scratch: Vec<u16> = (0..k as u16).collect();
+        for t in 0..n {
+            let row = inst.cost_row(t);
+            scratch.sort_by(|&a, &b| row[a as usize].total_cmp(&row[b as usize]));
+            child_order.extend_from_slice(&scratch);
+        }
+        SeedTables { order, min_cost, child_order }
+    }
+
+    /// Child GSPs of a task in ascending-cost order.
+    #[inline]
+    pub fn children(&self, task: usize, gsps: usize) -> &[u16] {
+        &self.child_order[task * gsps..(task + 1) * gsps]
+    }
+
+    /// Σ of the per-task minimum costs, summed in reverse branch order
+    /// (the bits of [`BoundTables::suffix_min_cost`]`[0]`).
+    pub fn min_cost_sum(&self) -> f64 {
+        self.order.iter().rev().fold(0.0, |sum, &t| sum + self.min_cost[t])
+    }
+}
+
+/// Static tables computed once per instance and shared by the
+/// heuristic seed and the search.
+#[derive(Debug, Clone)]
+pub struct BoundTables {
+    /// The branch order, per-task minimum costs and cost-sorted
+    /// children, which the heuristic seed reads too.
+    pub seed: SeedTables,
     /// `suffix_min_cost[i]` = Σ over `order[i..]` of per-task min cost.
     /// Entry `n` is 0.
     pub suffix_min_cost: Vec<f64>,
     /// `suffix_min_time[i]` = Σ over `order[i..]` of per-task min time.
     pub suffix_min_time: Vec<f64>,
-    /// Per-task (original index) minimum cost over GSPs.
-    pub min_cost: Vec<f64>,
     /// Per-GSP participation penalty: cheapest detour cost of serving
     /// this GSP one task, relative to that task's min cost.
     pub gsp_penalty: Vec<f64>,
-    /// For each task (original index), GSP indices sorted by ascending
-    /// cost — the child expansion order (cheapest first ⇒ good
-    /// incumbents early). Flat `tasks × gsps`, entries fit in `u16`.
-    pub child_order: Vec<u16>,
     /// Lagrangian multipliers μ_G ≥ 0 for the relaxed deadline
     /// constraints, fitted once at the root. All-zero when the
     /// relaxation is already deadline-feasible (then the plain cost
@@ -90,20 +134,21 @@ pub struct BoundTables {
 impl BoundTables {
     /// Build all tables for `inst`.
     pub fn new(inst: &AssignmentInstance) -> Self {
+        BoundTables::with_seed(inst, SeedTables::new(inst))
+    }
+
+    /// Build the search's tables for `inst` around the seed's tables
+    /// `seed`, already built for it.
+    pub fn with_seed(inst: &AssignmentInstance, seed: SeedTables) -> Self {
         let n = inst.tasks();
         let k = inst.gsps();
-
-        let min_cost: Vec<f64> = (0..n).map(|t| inst.min_cost(t)).collect();
-        let min_time: Vec<f64> = (0..n).map(|t| inst.min_time(t)).collect();
-
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| min_time[b].total_cmp(&min_time[a]).then(a.cmp(&b)));
+        let SeedTables { order, min_cost, .. } = &seed;
 
         let mut suffix_min_cost = vec![0.0; n + 1];
         let mut suffix_min_time = vec![0.0; n + 1];
         for i in (0..n).rev() {
             suffix_min_cost[i] = suffix_min_cost[i + 1] + min_cost[order[i]];
-            suffix_min_time[i] = suffix_min_time[i + 1] + min_time[order[i]];
+            suffix_min_time[i] = suffix_min_time[i + 1] + inst.min_time(order[i]);
         }
 
         let mut gsp_penalty = vec![f64::INFINITY; k];
@@ -116,14 +161,6 @@ impl BoundTables {
                     *pen = detour;
                 }
             }
-        }
-
-        let mut child_order = Vec::with_capacity(n * k);
-        let mut scratch: Vec<u16> = (0..k as u16).collect();
-        for t in 0..n {
-            let row = inst.cost_row(t);
-            scratch.sort_by(|&a, &b| row[a as usize].total_cmp(&row[b as usize]));
-            child_order.extend_from_slice(&scratch);
         }
 
         let words = k.div_ceil(64);
@@ -162,12 +199,10 @@ impl BoundTables {
         }
 
         BoundTables {
-            order,
+            seed,
             suffix_min_cost,
             suffix_min_time,
-            min_cost,
             gsp_penalty,
-            child_order,
             lag_mu,
             suffix_min_red,
             has_mu,
@@ -197,12 +232,6 @@ impl BoundTables {
     pub fn time_infeasible(&self, depth: usize, loads: &[f64], deadline: f64) -> bool {
         let slack: f64 = loads.iter().map(|&l| (deadline - l).max(0.0)).sum();
         self.suffix_min_time[depth] > slack + 1e-9
-    }
-
-    /// Child GSPs of a task in ascending-cost order.
-    #[inline]
-    pub fn children(&self, task: usize, gsps: usize) -> &[u16] {
-        &self.child_order[task * gsps..(task + 1) * gsps]
     }
 
     /// Lagrangian lower bound at search depth `depth`: committed cost
@@ -336,7 +365,7 @@ mod tests {
     #[test]
     fn order_puts_biggest_task_first() {
         let t = BoundTables::new(&inst());
-        assert_eq!(t.order[0], 1, "task 1 has min_time 5, the largest");
+        assert_eq!(t.seed.order[0], 1, "task 1 has min_time 5, the largest");
     }
 
     #[test]
@@ -345,10 +374,11 @@ mod tests {
         let t = BoundTables::new(&i);
         assert_eq!(t.suffix_min_cost[3], 0.0);
         assert!((t.suffix_min_cost[0] - i.min_cost_sum()).abs() < 1e-12);
+        assert_eq!(t.suffix_min_cost[0].to_bits(), t.seed.min_cost_sum().to_bits());
         // each prefix step removes exactly one task's min cost
         for d in 0..3 {
             let diff = t.suffix_min_cost[d] - t.suffix_min_cost[d + 1];
-            assert!((diff - t.min_cost[t.order[d]]).abs() < 1e-12);
+            assert!((diff - t.seed.min_cost[t.seed.order[d]]).abs() < 1e-12);
         }
     }
 
@@ -403,8 +433,8 @@ mod tests {
     fn children_sorted_by_cost() {
         let i = inst();
         let t = BoundTables::new(&i);
-        assert_eq!(t.children(0, 2), &[0, 1]); // costs 1 < 4
-        assert_eq!(t.children(1, 2), &[1, 0]); // costs 1 < 2
+        assert_eq!(t.seed.children(0, 2), &[0, 1]); // costs 1 < 4
+        assert_eq!(t.seed.children(1, 2), &[1, 0]); // costs 1 < 2
     }
 
     #[test]
@@ -431,7 +461,7 @@ mod tests {
         // With every task placed except task 0 (mask 0b01), an idle
         // GSP 1 is uncoverable from the depth where only the last
         // branch-order task remains iff that task cannot run there.
-        let last = t.order[2];
+        let last = t.seed.order[2];
         let idle_g1 = [0b10u64];
         let expect = t.task_mask(last)[0] & 0b10 == 0;
         assert_eq!(t.idle_uncoverable(2, &idle_g1), expect);

@@ -22,7 +22,10 @@
 //! checked first, so a certified warm start skips the heuristic
 //! portfolio and the bound tables altogether. An instance whose tasks'
 //! fastest times alone overfill `k·d` skips them too: it answers what
-//! the search root would, without building the root's tables.
+//! the search root would, without building the root's tables. The
+//! portfolio reads only the seed's tables (branch order, minimum
+//! costs, cost-sorted children); the rest of the bound tables is built
+//! only when its seed does not meet the root bound and the search runs.
 //!
 //! The search is exact; the solver's node cap
 //! ([`BranchBound::max_nodes`]) and the caller's optional wall-clock
@@ -33,7 +36,7 @@
 
 use std::time::Instant;
 
-use crate::bounds::BoundTables;
+use crate::bounds::{BoundTables, SeedTables};
 use crate::heuristics;
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
@@ -240,9 +243,9 @@ impl BranchBound {
         // portfolio. The warm one wins only when strictly cheaper, so a
         // tie keeps the cold-run label; the portfolio's sweeps stop at
         // the warm cost as well as at the cheapest heuristic seed.
-        let tables = BoundTables::new(inst);
+        let seed_tables = SeedTables::new(inst);
         let warm_cost = warm.as_ref().map(|(_, c)| *c);
-        let seed = match (warm, heuristics::seed_incumbent_with(inst, &tables, warm_cost)) {
+        let seed = match (warm, heuristics::seed_incumbent_with(inst, &seed_tables, warm_cost)) {
             (Some((wa, wc)), Some((_, hc))) if wc < hc => Some((wa, wc, IncumbentSource::Warm)),
             (_, Some((ha, hc))) => Some((ha, hc, IncumbentSource::Heuristic)),
             (Some((wa, wc)), None) => Some((wa, wc, IncumbentSource::Warm)),
@@ -255,7 +258,8 @@ impl BranchBound {
             seed => seed,
         };
 
-        // The DFS, from the seed.
+        // The DFS, from the seed, with the rest of the bound tables.
+        let tables = BoundTables::with_seed(inst, seed_tables);
         let mut search = Searcher::new(inst, &tables, self.max_nodes, budget.deadline);
         if let Some((assignment, cost, source)) = seed {
             search.install_incumbent(assignment.as_slice().to_vec(), cost, source);
@@ -370,7 +374,7 @@ struct Searcher<'a> {
     inst: &'a AssignmentInstance,
     tables: &'a BoundTables,
     // search state
-    chosen: Vec<usize>, // by depth: gsp chosen for tables.order[depth]
+    chosen: Vec<usize>, // by depth: gsp chosen for tables.seed.order[depth]
     loads: Vec<f64>,
     counts: Vec<usize>,
     idle: usize,
@@ -473,7 +477,7 @@ impl<'a> Searcher<'a> {
             {
                 let mut task_to_gsp = vec![0usize; n];
                 for (d, &g) in self.chosen.iter().enumerate() {
-                    task_to_gsp[self.tables.order[d]] = g;
+                    task_to_gsp[self.tables.seed.order[d]] = g;
                 }
                 self.best_cost = cost;
                 self.have_incumbent = true;
@@ -524,11 +528,11 @@ impl<'a> Searcher<'a> {
         }
         let must_cover = remaining == self.idle;
 
-        let task = self.tables.order[depth];
+        let task = self.tables.seed.order[depth];
         let k = self.inst.gsps();
         let deadline = self.inst.deadline();
         for gi in 0..k {
-            let g = self.tables.children(task, k)[gi] as usize;
+            let g = self.tables.seed.children(task, k)[gi] as usize;
             if must_cover && self.counts[g] != 0 {
                 continue;
             }

@@ -24,7 +24,7 @@
 //! could only have returned a seed the portfolio would not pick, so the
 //! bound changes which work runs, never which seed wins.
 
-use crate::bounds::BoundTables;
+use crate::bounds::SeedTables;
 use crate::instance::AssignmentInstance;
 use crate::solution::Assignment;
 
@@ -58,14 +58,14 @@ pub fn run(kind: Heuristic, inst: &AssignmentInstance) -> Option<Assignment> {
 /// tasks in branch order (largest first) onto the cheapest GSP whose
 /// deadline slack accepts them.
 pub fn greedy_cost(inst: &AssignmentInstance) -> Option<Assignment> {
-    greedy_cost_with(inst, &BoundTables::new(inst))
+    greedy_cost_with(inst, &SeedTables::new(inst))
 }
 
-/// [`greedy_cost`] over bound tables the caller already built for
+/// [`greedy_cost`] over seed tables the caller already built for
 /// `inst` (its branch order and cost-sorted children).
 pub(crate) fn greedy_cost_with(
     inst: &AssignmentInstance,
-    tables: &BoundTables,
+    tables: &SeedTables,
 ) -> Option<Assignment> {
     let n = inst.tasks();
     let k = inst.gsps();
@@ -153,7 +153,7 @@ const SWEEP_MARGIN: f64 = 1e-9;
 #[derive(Clone, Copy)]
 struct Cutoff<'a> {
     cost: f64,
-    tables: &'a BoundTables,
+    tables: &'a SeedTables,
 }
 
 /// Run one completion-time sweep. With a `cutoff`, give up (`None`) as
@@ -181,7 +181,7 @@ fn completion_time_sweep(
     let mut loads = vec![0.0f64; k];
     let mut unassigned: Vec<usize> = (0..n).collect();
     // running bound state: placed excess, its maximum, idle GSPs
-    let base = cutoff.map_or(0.0, |c| c.tables.suffix_min_cost[0]);
+    let base = cutoff.map_or(0.0, |c| c.tables.min_cost_sum());
     let (mut excess_sum, mut max_excess, mut idle) = (0.0f64, 0.0f64, k);
 
     while !unassigned.is_empty() {
@@ -297,10 +297,10 @@ fn finish(inst: &AssignmentInstance, mut gsp_of: Vec<usize>) -> Option<Assignmen
 /// cheaper (see the module docs). The seed is the one the unbounded
 /// sweeps would give.
 pub fn seed_incumbent(inst: &AssignmentInstance) -> Option<Assignment> {
-    seed_incumbent_with(inst, &BoundTables::new(inst), None).map(|(a, _)| a)
+    seed_incumbent_with(inst, &SeedTables::new(inst), None).map(|(a, _)| a)
 }
 
-/// [`seed_incumbent`] and its cost, over bound tables the caller
+/// [`seed_incumbent`] and its cost, over seed tables the caller
 /// already built for `inst`, so a solver that searches with them builds
 /// them only once. `warm_cost` is the cost of the caller's feasible warm
 /// incumbent, which a heuristic seed displaces only at equal or lower
@@ -308,7 +308,7 @@ pub fn seed_incumbent(inst: &AssignmentInstance) -> Option<Assignment> {
 /// than it is one the caller discards.
 pub(crate) fn seed_incumbent_with(
     inst: &AssignmentInstance,
-    tables: &BoundTables,
+    tables: &SeedTables,
     warm_cost: Option<f64>,
 ) -> Option<(Assignment, f64)> {
     let priced = |a: Assignment| {
@@ -463,7 +463,7 @@ mod tests {
     fn bounded_sweeps_give_up_only_on_seeds_that_cannot_win() {
         let mut gave_up = 0;
         for inst in family() {
-            let tables = BoundTables::new(&inst);
+            let tables = SeedTables::new(&inst);
             let greedy = greedy_cost(&inst).map(|a| a.total_cost(&inst));
             for pick in [SweepPick::MinOfMins, SweepPick::Sufferage] {
                 let full = completion_time_sweep(&inst, pick, None);
@@ -505,7 +505,7 @@ mod tests {
         };
         let mut sweep_wins = 0;
         for inst in family() {
-            let tables = BoundTables::new(&inst);
+            let tables = SeedTables::new(&inst);
             let greedy = greedy_cost(&inst);
             let greedy_cost = greedy.as_ref().map_or(f64::INFINITY, |a| a.total_cost(&inst));
             let mut full: Option<(Assignment, f64)> = None;
